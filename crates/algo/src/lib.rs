@@ -5,7 +5,7 @@
 //!
 //! - [`scan`] — prefix sums, *set-partitioning* (Fig. 8) and *set-counting*
 //!   (Fig. 9), the two primitives §IV-A reduces all preprocessing to;
-//! - [`sort`] — LSD radix sort and merges (the Table IV `Ordering` baseline);
+//! - [`sort`] — radix sort and merges (the Table IV `Ordering` baseline);
 //! - [`ordering`] — edge ordering: sort edges by (dst, src) (§II-B);
 //! - [`reshape`] — data reshaping: CSC pointer-array construction, both the
 //!   sequential scan and the set-counting reformulation;

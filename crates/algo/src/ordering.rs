@@ -6,7 +6,7 @@
 
 use agnn_graph::Edge;
 
-use crate::sort::radix_sort_u64;
+use crate::sort::radix_sorted_by_key;
 
 /// Orders edges using the standard-library comparison sort (reference
 /// implementation).
@@ -26,15 +26,14 @@ pub fn order_edges_std(edges: &[Edge]) -> Vec<Edge> {
     out
 }
 
-/// Orders edges with LSD radix sort over the concatenated 64-bit keys — the
+/// Orders edges with radix sort over the concatenated 64-bit keys — the
 /// Table IV `Ordering` algorithm and the workload the UPE accelerates.
 ///
-/// The key concatenation/deconcatenation mirrors the UPE controller workflow
-/// of Fig. 15 (concatenate → sort → deconcatenate).
+/// The key concatenation mirrors the UPE controller workflow of Fig. 15
+/// (concatenate → sort → deconcatenate); the sort reads each edge's key
+/// on the fly, so the sorted edges are the only array it allocates.
 pub fn order_edges_radix(edges: &[Edge]) -> Vec<Edge> {
-    let mut keys: Vec<u64> = edges.iter().map(|e| e.sort_key()).collect();
-    radix_sort_u64(&mut keys);
-    keys.into_iter().map(Edge::from_sort_key).collect()
+    radix_sorted_by_key(edges, |e| e.sort_key())
 }
 
 /// Returns whether `edges` is ordered by (dst, src).

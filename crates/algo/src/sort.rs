@@ -5,10 +5,8 @@
 //! the UPE exploits. The merge routines implement the software analogue of
 //! Algorithm 1 (merge sorting using UPE).
 
-/// Least-significant-digit radix sort over `u64` keys, 8 bits per pass,
-/// skipping passes whose digit is constant across the input.
-///
-/// Stable, O(passes · n).
+/// Sorts `u64` keys with [`radix_sorted_by_key`], which skips every 8-bit
+/// digit that is constant across the input.
 ///
 /// # Examples
 ///
@@ -20,34 +18,140 @@
 /// assert_eq!(keys, vec![0, 2, 2, 7, 9]);
 /// ```
 pub fn radix_sort_u64(keys: &mut Vec<u64>) {
-    const BITS_PER_PASS: u32 = 8;
-    const BUCKETS: usize = 1 << BITS_PER_PASS;
-    if keys.len() <= 1 {
+    *keys = radix_sorted_by_key(keys, |&k| k);
+}
+
+/// Most-significant-digit radix sort of `items` by a `u64` key into a new
+/// vector. The result is the only buffer it allocates, so sorting costs the
+/// caller no scratch memory beyond the output.
+///
+/// One read finds the bits that vary across the input; 8-bit digits
+/// without such bits take no pass. The highest varying digit scatters the
+/// items into the result; every lower varying digit permutes each bucket
+/// in place by cycling items to their sub-buckets (American flag sort),
+/// and buckets of at most 128 items fall back to a comparison sort. Edge
+/// sort keys (`dst << 32 | src` over small VIDs) leave the high digits of
+/// both halves constant, so they take one scatter and then in-place passes
+/// over ever smaller buckets.
+///
+/// Not stable: items with equal keys may change order.
+///
+/// # Examples
+///
+/// ```
+/// use agnn_algo::sort::radix_sorted_by_key;
+///
+/// let pairs = [(3u32, 'c'), (1, 'a'), (2, 'b')];
+/// let sorted = radix_sorted_by_key(&pairs, |&(k, _)| u64::from(k));
+/// assert_eq!(sorted, vec![(1, 'a'), (2, 'b'), (3, 'c')]);
+/// ```
+pub fn radix_sorted_by_key<T: Copy, F: Fn(&T) -> u64>(items: &[T], key: F) -> Vec<T> {
+    let Some(first) = items.first().map(&key) else {
+        return Vec::new();
+    };
+    let varying = items.iter().fold(0, |acc, item| acc | (key(item) ^ first));
+    let Some(digit) = highest_digit(varying) else {
+        return items.to_vec();
+    };
+    let buckets = Buckets::count(items, &key, digit);
+    let mut heads = buckets.starts();
+    let mut sorted = vec![items[0]; items.len()];
+    for item in items {
+        let b = buckets.of(key(item));
+        sorted[heads[b]] = *item;
+        heads[b] += 1;
+    }
+    buckets.sort_each(&mut sorted, &key, varying);
+    sorted
+}
+
+const DIGIT_BITS: u32 = 8;
+const BUCKETS: usize = 1 << DIGIT_BITS;
+
+/// Buckets of at most this many items are sorted by comparison rather than
+/// by another radix pass.
+const SMALL_SORT: usize = 128;
+
+/// Index of the digit holding the highest set bit of `bits`.
+fn highest_digit(bits: u64) -> Option<u32> {
+    (bits != 0).then(|| (63 - bits.leading_zeros()) / DIGIT_BITS)
+}
+
+/// The buckets of one digit over a slice, as end offsets.
+struct Buckets {
+    shift: u32,
+    ends: [usize; BUCKETS],
+}
+
+impl Buckets {
+    fn count<T, F: Fn(&T) -> u64>(items: &[T], key: &F, digit: u32) -> Self {
+        let mut buckets = Buckets {
+            shift: digit * DIGIT_BITS,
+            ends: [0; BUCKETS],
+        };
+        for item in items {
+            buckets.ends[buckets.of(key(item))] += 1;
+        }
+        let mut acc = 0;
+        for end in buckets.ends.iter_mut() {
+            acc += *end;
+            *end = acc;
+        }
+        buckets
+    }
+
+    /// The bucket of key `k`.
+    fn of(&self, k: u64) -> usize {
+        ((k >> self.shift) as usize) & (BUCKETS - 1)
+    }
+
+    /// Offset of each bucket's first item.
+    fn starts(&self) -> [usize; BUCKETS] {
+        let mut starts = [0; BUCKETS];
+        starts[1..].copy_from_slice(&self.ends[..BUCKETS - 1]);
+        starts
+    }
+
+    /// Sorts every bucket of `items`, laid out by this digit, on the
+    /// varying digits below it.
+    fn sort_each<T: Copy, F: Fn(&T) -> u64>(&self, items: &mut [T], key: &F, varying: u64) {
+        let Some(digit) = highest_digit(varying & ((1 << self.shift) - 1)) else {
+            return;
+        };
+        let mut start = 0;
+        for &end in &self.ends {
+            if end - start > 1 {
+                sort_digit(&mut items[start..end], key, varying, digit);
+            }
+            start = end;
+        }
+    }
+}
+
+/// Sorts `items` in place on `digit` and every lower varying digit.
+fn sort_digit<T: Copy, F: Fn(&T) -> u64>(items: &mut [T], key: &F, varying: u64, digit: u32) {
+    if items.len() <= SMALL_SORT {
+        items.sort_unstable_by_key(key);
         return;
     }
-    let max = keys.iter().copied().max().expect("non-empty");
-    let significant_bits = 64 - max.leading_zeros();
-    let passes = significant_bits.div_ceil(BITS_PER_PASS);
-    let mut scratch = vec![0u64; keys.len()];
-    for pass in 0..passes {
-        let shift = pass * BITS_PER_PASS;
-        let mut histogram = [0u32; BUCKETS];
-        for &k in keys.iter() {
-            histogram[((k >> shift) as usize) & (BUCKETS - 1)] += 1;
+    let buckets = Buckets::count(items, key, digit);
+    let mut heads = buckets.starts();
+    for b in 0..BUCKETS {
+        while heads[b] < buckets.ends[b] {
+            // Carry the item at bucket b's head to its own bucket's head,
+            // picking up the item found there, until one belongs in b.
+            let mut item = items[heads[b]];
+            let mut target = buckets.of(key(&item));
+            while target != b {
+                std::mem::swap(&mut item, &mut items[heads[target]]);
+                heads[target] += 1;
+                target = buckets.of(key(&item));
+            }
+            items[heads[b]] = item;
+            heads[b] += 1;
         }
-        let mut offsets = [0u32; BUCKETS];
-        let mut acc = 0u32;
-        for b in 0..BUCKETS {
-            offsets[b] = acc;
-            acc += histogram[b];
-        }
-        for &k in keys.iter() {
-            let bucket = ((k >> shift) as usize) & (BUCKETS - 1);
-            scratch[offsets[bucket] as usize] = k;
-            offsets[bucket] += 1;
-        }
-        std::mem::swap(keys, &mut scratch);
     }
+    buckets.sort_each(items, key, varying);
 }
 
 /// Number of radix passes the sort performs for keys up to `max_key`
@@ -138,6 +242,26 @@ mod tests {
     }
 
     #[test]
+    fn radix_skips_constant_digits() {
+        // Bits 16..24 are zero in every key, so no pass looks at them. Bits
+        // 24..32 vary across the input but are constant within each of the
+        // four first-digit buckets (bits 40..48), each bucket large enough
+        // for radix passes of its own: that digit's pass finds one bucket
+        // and moves nothing, and the low 16 bits still sort.
+        let mut keys: Vec<u64> = (0..2_000u64)
+            .map(|i| {
+                let high = i % 4;
+                let low = (i * 7_919) % 65_536;
+                (high << 40) | ((0xA0 + high) << 24) | low
+            })
+            .collect();
+        let mut expected = keys.clone();
+        expected.sort_unstable();
+        radix_sort_u64(&mut keys);
+        assert_eq!(keys, expected);
+    }
+
+    #[test]
     fn pass_count_scales_with_key_width() {
         assert_eq!(radix_pass_count(0), 0);
         assert_eq!(radix_pass_count(0xff), 1);
@@ -180,6 +304,47 @@ mod tests {
             expected.sort_unstable();
             radix_sort_u64(&mut v);
             prop_assert_eq!(v, expected);
+        }
+
+        #[test]
+        fn prop_radix_sorts_edge_keys(
+            edges in proptest::collection::vec((0u64..20_000, 0u64..20_000), 0..500),
+        ) {
+            // Edge-shaped keys (`dst << 32 | src` over small VIDs) leave the
+            // high digits of both halves constant.
+            let mut keys: Vec<u64> = edges.iter().map(|&(dst, src)| (dst << 32) | src).collect();
+            let mut expected = keys.clone();
+            expected.sort_unstable();
+            radix_sort_u64(&mut keys);
+            prop_assert_eq!(keys, expected);
+        }
+
+        #[test]
+        fn prop_radix_sorts_hub_heavy_edge_keys(
+            edges in proptest::collection::vec((0u64..3, any::<u32>()), 0..2_000),
+        ) {
+            // A few destinations own every edge, as hubs do in power-law
+            // graphs: their buckets outgrow the comparison-sort cutoff and
+            // take in-place passes over the source digits.
+            let mut keys: Vec<u64> =
+                edges.iter().map(|&(dst, src)| (dst << 32) | u64::from(src)).collect();
+            let mut expected = keys.clone();
+            expected.sort_unstable();
+            radix_sort_u64(&mut keys);
+            prop_assert_eq!(keys, expected);
+        }
+
+        #[test]
+        fn prop_radix_sorted_by_key_orders_a_permutation(
+            items in proptest::collection::vec((0u64..1_000, 0u32..256), 0..1_000),
+        ) {
+            // Keys repeat, so only the key order and the multiset are fixed.
+            let sorted = radix_sorted_by_key(&items, |&(key, _)| key << 20);
+            prop_assert!(sorted.windows(2).all(|w| w[0].0 <= w[1].0));
+            let (mut got, mut want) = (sorted, items);
+            got.sort_unstable();
+            want.sort_unstable();
+            prop_assert_eq!(got, want);
         }
 
         #[test]

@@ -212,7 +212,7 @@ fn analytic_ordering_cycles(edges: u64, key_bits: u32, config: HwConfig) -> u64 
     let mut cycles = chunks.div_ceil(count) * chunk_cycles;
     // Parallel merge rounds (jobs >= UPE count) stream all edges at w/2 per
     // cycle per UPE; the remaining merge tree runs as a pipelined cascade
-    // bounded by the root merger (mirrors `UpeKernel::sort_edges`).
+    // bounded by the root merger (mirrors `agnn_hw::kernel::sort_accounting`).
     let half = (w / 2).max(1);
     let mut jobs = chunks / 2;
     while jobs >= count && jobs >= 1 {

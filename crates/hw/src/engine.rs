@@ -168,8 +168,11 @@ impl AutoGnnEngine {
         upe_passes += sort_run.upe_passes;
 
         // 2. Data reshaping (SCR reshaper): pointer array over sorted dsts.
-        let sorted_dsts: Vec<Vid> = sort_run.sorted.iter().map(|e| e.dst).collect();
+        // The destinations reuse the sorted edges' buffer (`Vec`'s in-place
+        // collect), so ordering and reshaping hold 1.5 copies of the edge
+        // array at once rather than 2.
         let indices: Vec<Vid> = sort_run.sorted.iter().map(|e| e.src).collect();
+        let sorted_dsts: Vec<Vid> = sort_run.sorted.into_iter().map(|e| e.dst).collect();
         let reshape_run = self
             .reshaper
             .build_pointers(coo.num_vertices(), &sorted_dsts);

@@ -15,9 +15,21 @@
 //!   result against the software model) — used by the verification tests;
 //! - [`Fidelity::Fast`] computes the same result with plain software
 //!   operations — used for large experiment sweeps.
+//!
+//! Edge ordering shows the split most plainly. Its cycles and passes depend
+//! only on the chunk run lengths and chunk maxima, so both fidelities charge
+//! them through one function, [`sort_accounting`]. Fast then sorts the edges
+//! once by their keys, allocating nothing beside the sorted edges;
+//! Structural replays every chunk sort on the UPE network and the whole
+//! merge tree, and asserts both the merged keys and the pass count against
+//! the single sort and the accounting.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use agnn_algo::pipeline::PoolRecord;
 use agnn_algo::reindex::ReindexResult;
+use agnn_algo::sort::{radix_sorted_by_key, tree_merge};
 use agnn_graph::{Edge, Vid};
 
 use crate::config::{ScrConfig, UpeConfig};
@@ -66,16 +78,69 @@ pub struct SelectRun {
 /// and return the makespan — the scoreboard scheduler's behaviour ("using a
 /// scoreboard to track the status of each UPE (busy or idle) and assign
 /// input data accordingly", §IV-C).
+///
+/// Workers sit in a min-heap of free times, so each job costs O(log
+/// workers). Which of several equally free workers takes a job does not
+/// change the multiset of free times, so the makespan is exact.
 pub fn schedule_makespan(job_cycles: impl IntoIterator<Item = u64>, workers: usize) -> u64 {
     assert!(workers > 0, "scheduler needs at least one worker");
-    let mut free_at = vec![0u64; workers];
+    let mut free_at: BinaryHeap<Reverse<u64>> = std::iter::repeat_n(Reverse(0), workers).collect();
+    let mut makespan = 0;
     for job in job_cycles {
-        let worker = (0..workers)
-            .min_by_key(|&w| free_at[w])
-            .expect("non-empty worker set");
-        free_at[worker] += job;
+        let mut earliest = free_at.peek_mut().expect("non-empty worker set");
+        earliest.0 += job;
+        makespan = makespan.max(earliest.0);
     }
-    free_at.into_iter().max().unwrap_or(0)
+    makespan
+}
+
+/// Cycle and pass accounting of an edge-ordering run (Fig. 15), from the
+/// chunk runs alone: `chunks` yields each chunk's `(len, max_key)` in input
+/// order. Returns `(cycles, upe_passes)`.
+///
+/// - chunk sort: `ceil(significant_bits / RADIX_STAGES_PER_CYCLE)` cycles
+///   per chunk for the largest key's significant bits, scheduled across
+///   UPEs; a chunk of two or more keys issues one zero-pass and one
+///   one-pass per significant bit of its own max key;
+/// - merge rounds: jobs emit `width/2` elements per cycle per UPE (Table
+///   I's merge rate). While a round has at least as many merge jobs as
+///   UPEs, rounds run back to back with full parallelism and a barrier
+///   between rounds (the controller synchronizes rounds). Once jobs drop
+///   below the UPE count, the controller chains the remaining merge tree as
+///   a pipelined cascade whose throughput is the root merger's `width/2`
+///   elements per cycle, charged once.
+pub fn sort_accounting(
+    config: UpeConfig,
+    chunks: impl IntoIterator<Item = (usize, u64)>,
+) -> (u64, u64) {
+    let significant_bits = |max: u64| 64 - max.leading_zeros();
+    let mut runs = Vec::new();
+    let mut max_key = 0u64;
+    let mut upe_passes = 0u64;
+    for (len, max) in chunks {
+        if len > 1 {
+            upe_passes += 2 * u64::from(significant_bits(max));
+        }
+        max_key = max_key.max(max);
+        runs.push(len as u64);
+    }
+    let chunk_sort_cycles = u64::from(significant_bits(max_key).div_ceil(RADIX_STAGES_PER_CYCLE));
+    let mut cycles = schedule_makespan(runs.iter().map(|_| chunk_sort_cycles), config.count);
+
+    let half = (config.width / 2).max(1) as u64;
+    while runs.len() > 1 {
+        if runs.len() / 2 < config.count {
+            // Job counts only shrink from here: the cascade covers the rest.
+            cycles += runs.iter().sum::<u64>().div_ceil(half);
+            break;
+        }
+        let jobs = runs
+            .chunks_exact(2)
+            .map(|pair| (pair[0] + pair[1]).div_ceil(half));
+        cycles += schedule_makespan(jobs, config.count);
+        runs = runs.chunks(2).map(|pair| pair.iter().sum()).collect();
+    }
+    (cycles, upe_passes)
 }
 
 /// The UPE kernel: `config.count` UPEs of `config.width` behind a scoreboard
@@ -111,99 +176,53 @@ impl UpeKernel {
     /// split into width-sized chunks, radix-sort each chunk on a UPE, then
     /// merge chunk runs round by round (Algorithm 1) and deconcatenate.
     ///
-    /// Cycle accounting:
-    /// - chunk sort: `ceil(significant_bits / RADIX_STAGES_PER_CYCLE)`
-    ///   cycles per chunk, scheduled across UPEs;
-    /// - each merge round: jobs emit `width/2` elements per cycle per UPE
-    ///   (Table I's merge rate), scheduled across UPEs with a barrier
-    ///   between rounds (the controller synchronizes rounds).
+    /// Cycles and passes come from [`sort_accounting`] over the chunk
+    /// lengths and maxima. [`Fidelity::Fast`] sorts the edges once by key
+    /// ([`radix_sorted_by_key`]); [`Fidelity::Structural`] also replays every chunk sort on the UPE
+    /// network and the merge tree ([`tree_merge`]), and asserts that the
+    /// merged keys equal the single sort and that the replayed passes equal
+    /// the accounting.
     pub fn sort_edges(&self, edges: &[Edge]) -> SortRun {
-        let width = self.config.width;
-        let keys: Vec<u64> = edges.iter().map(|e| e.sort_key()).collect();
-        let significant_bits = keys
-            .iter()
-            .copied()
-            .max()
-            .map_or(0, |max| 64 - max.leading_zeros());
-        let chunk_sort_cycles = u64::from(significant_bits.div_ceil(RADIX_STAGES_PER_CYCLE));
-
-        // Phase 1: split + per-chunk radix sort.
-        let mut runs: Vec<Vec<u64>> = Vec::with_capacity(keys.len().div_ceil(width).max(1));
-        let mut upe_passes = 0u64;
-        for chunk in keys.chunks(width.max(1)) {
-            let sorted = match self.fidelity {
-                Fidelity::Structural => {
-                    let (sorted, passes) = self.upe.radix_sort_chunk(chunk);
-                    upe_passes += passes * 2; // zero-pass + one-pass per bit
-                    let mut expected = chunk.to_vec();
-                    expected.sort_unstable();
-                    assert_eq!(sorted, expected, "UPE chunk sort diverged");
-                    sorted
-                }
-                Fidelity::Fast => {
-                    // Mirror the structural pass count: one zero-pass and one
-                    // one-pass per significant bit of the chunk's max key.
-                    if chunk.len() > 1 {
-                        let chunk_bits = chunk
-                            .iter()
-                            .copied()
-                            .max()
-                            .map_or(0, |max| 64 - max.leading_zeros());
-                        upe_passes += 2 * u64::from(chunk_bits);
-                    }
-                    let mut sorted = chunk.to_vec();
-                    sorted.sort_unstable();
-                    sorted
-                }
-            };
-            runs.push(sorted);
+        let width = self.config.width.max(1);
+        let (cycles, upe_passes) = sort_accounting(
+            self.config,
+            edges.chunks(width).map(|chunk| {
+                let max = chunk.iter().map(|e| e.sort_key()).max();
+                (chunk.len(), max.unwrap_or(0))
+            }),
+        );
+        let sorted = radix_sorted_by_key(edges, |e| e.sort_key());
+        if self.fidelity == Fidelity::Structural {
+            let (merged, passes) = self.replay_sort(edges);
+            let keys = sorted.iter().map(|e| e.sort_key());
+            assert!(keys.eq(merged), "UPE merge tree diverged");
+            assert_eq!(passes, upe_passes, "UPE pass count diverged");
         }
-        let mut cycles =
-            schedule_makespan(runs.iter().map(|_| chunk_sort_cycles), self.config.count);
-
-        // Phase 2: merge rounds (Fig. 15 "merging"; Algorithm 1 rate w/2
-        // elements per cycle per UPE). While a round has at least as many
-        // merge jobs as UPEs, rounds execute back to back with full
-        // parallelism; once jobs drop below the UPE count, the controller
-        // chains the remaining merge tree as a pipelined cascade whose
-        // throughput is the root merger's w/2 elements per cycle.
-        let half = (width / 2).max(1) as u64;
-        let total_elements = keys.len() as u64;
-        let mut cascade_charged = false;
-        while runs.len() > 1 {
-            let job_count = runs.len() / 2;
-            let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-            let mut job_cycles = Vec::new();
-            let mut iter = runs.into_iter();
-            while let Some(a) = iter.next() {
-                match iter.next() {
-                    Some(b) => {
-                        job_cycles.push(((a.len() + b.len()) as u64).div_ceil(half));
-                        next.push(agnn_algo::sort::merge_sorted(&a, &b));
-                    }
-                    None => next.push(a),
-                }
-            }
-            if job_count >= self.config.count {
-                cycles += schedule_makespan(job_cycles, self.config.count);
-            } else if !cascade_charged {
-                cycles += total_elements.div_ceil(half);
-                cascade_charged = true;
-            }
-            runs = next;
-        }
-
-        let sorted = runs
-            .pop()
-            .unwrap_or_default()
-            .into_iter()
-            .map(Edge::from_sort_key)
-            .collect();
         SortRun {
             sorted,
             cycles,
             upe_passes,
         }
+    }
+
+    /// Structural replay of edge ordering: each chunk's keys through the UPE
+    /// radix network, then the chunk runs through the merge tree. Returns
+    /// the merged keys and the partition passes issued.
+    fn replay_sort(&self, edges: &[Edge]) -> (Vec<u64>, u64) {
+        let mut passes = 0u64;
+        let runs = edges
+            .chunks(self.config.width.max(1))
+            .map(|chunk| {
+                let keys: Vec<u64> = chunk.iter().map(|e| e.sort_key()).collect();
+                let (sorted, bits) = self.upe.radix_sort_chunk(&keys);
+                passes += bits * 2; // zero-pass + one-pass per bit
+                let mut expected = keys;
+                expected.sort_unstable();
+                assert_eq!(sorted, expected, "UPE chunk sort diverged");
+                sorted
+            })
+            .collect();
+        (tree_merge(runs).0, passes)
     }
 
     /// Uni-random selection for one layer: each pool record is one UPE job
@@ -497,9 +516,23 @@ mod tests {
     use agnn_algo::reindex::reindex_hashmap;
     use agnn_algo::reshape::pointer_array_sequential;
     use agnn_graph::generate;
+    use proptest::prelude::*;
 
     fn upe_kernel(count: usize, width: usize, fidelity: Fidelity) -> UpeKernel {
         UpeKernel::with_fidelity(UpeConfig::new(count, width), fidelity)
+    }
+
+    /// The scoreboard as a linear scan over every worker per job: the
+    /// reference the heap-based [`schedule_makespan`] must reproduce.
+    fn schedule_makespan_linear(job_cycles: &[u64], workers: usize) -> u64 {
+        let mut free_at = vec![0u64; workers];
+        for &job in job_cycles {
+            let worker = (0..workers)
+                .min_by_key(|&w| free_at[w])
+                .expect("non-empty worker set");
+            free_at[worker] += job;
+        }
+        free_at.into_iter().max().unwrap_or(0)
     }
 
     #[test]
@@ -529,12 +562,75 @@ mod tests {
     }
 
     #[test]
-    fn fidelities_agree_on_cycles() {
-        let g = generate::power_law(60, 400, 0.8, 3);
-        let fast = upe_kernel(4, 16, Fidelity::Fast).sort_edges(g.edges());
-        let structural = upe_kernel(4, 16, Fidelity::Structural).sort_edges(g.edges());
-        assert_eq!(fast.cycles, structural.cycles);
-        assert_eq!(fast.sorted, structural.sorted);
+    fn sort_accounting_is_pinned() {
+        // (count, width, edges, cycles, upe_passes) of Fast `sort_edges` on
+        // `power_law(5_000, edges, 0.9, edges)`, recorded from the
+        // element-by-element merge-tree implementation this accounting
+        // replaced. Cells cover n = 0, 1, n < width and n not divisible by
+        // width, with parallel merge rounds and the cascade.
+        const PINNED: [(usize, usize, usize, u64, u64); 19] = [
+            (1, 2, 0, 0, 0),
+            (1, 2, 1, 3, 0),
+            (1, 2, 13, 59, 508),
+            (1, 2, 2_007, 23_052, 82_400),
+            (4, 16, 0, 0, 0),
+            (4, 16, 1, 3, 0),
+            (4, 16, 15, 3, 88),
+            (4, 16, 83, 17, 532),
+            (4, 16, 16_007, 6_830, 88_788),
+            (64, 64, 0, 0, 0),
+            (64, 64, 1, 3, 0),
+            (64, 64, 63, 3, 90),
+            (64, 64, 323, 14, 538),
+            (64, 64, 64_007, 2_145, 89_874),
+            (240, 64, 0, 0, 0),
+            (240, 64, 1, 3, 0),
+            (240, 64, 63, 3, 90),
+            (240, 64, 323, 14, 538),
+            (240, 64, 64_007, 2_044, 89_874),
+        ];
+        for (count, width, n, cycles, upe_passes) in PINNED {
+            let g = generate::power_law(5_000, n, 0.9, n as u64);
+            let run = upe_kernel(count, width, Fidelity::Fast).sort_edges(g.edges());
+            assert_eq!(
+                (run.cycles, run.upe_passes),
+                (cycles, upe_passes),
+                "count {count}, width {width}, edges {n}"
+            );
+            assert_eq!(run.sorted, order_edges_std(g.edges()));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn fidelities_agree_on_cycles(
+            edges in proptest::collection::vec((0u32..3_000, 0u32..3_000), 0..400),
+            count in 1usize..=8,
+            width_log2 in 1u32..=6,
+        ) {
+            let edges: Vec<Edge> = edges
+                .into_iter()
+                .map(|(src, dst)| Edge::new(Vid(src), Vid(dst)))
+                .collect();
+            let width = 1 << width_log2;
+            let fast = upe_kernel(count, width, Fidelity::Fast).sort_edges(&edges);
+            let structural = upe_kernel(count, width, Fidelity::Structural).sort_edges(&edges);
+            prop_assert_eq!(&fast.sorted, &order_edges_std(&edges));
+            prop_assert_eq!(fast, structural);
+        }
+
+        #[test]
+        fn prop_heap_scheduler_matches_linear_scan(
+            jobs in proptest::collection::vec(0u64..1_000, 0..300),
+            workers in 1usize..=64,
+        ) {
+            prop_assert_eq!(
+                schedule_makespan(jobs.iter().copied(), workers),
+                schedule_makespan_linear(&jobs, workers)
+            );
+        }
     }
 
     #[test]
