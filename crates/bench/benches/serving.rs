@@ -87,8 +87,9 @@ fn bench_board_pool_sweep(c: &mut Criterion) {
 
 /// The parallel fan-out: one 8-run seeded batch through
 /// `agnn_serve::par_runs` at a single worker vs every core — the
-/// wall-clock lever CI's `bench-smoke` batch rides. Results merge in
-/// input order either way, so both arms produce identical reports.
+/// wall-clock lever multi-seed `million_requests` replays ride. Results
+/// merge in input order either way, so both arms produce identical
+/// reports.
 fn bench_parallel_runs(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve_par");
     group.sample_size(10);

@@ -1,41 +1,34 @@
 //! CI `bench-smoke`: replay the seeded serving sweep plus the
-//! `grid_sweep` family as one parallel batch, write the
-//! `BENCH_serving.json` artifact, and gate p99 against the checked-in
-//! baseline.
+//! `grid_sweep` family, write the `BENCH_serving.json` artifact, and
+//! gate the run against the checked-in baseline.
 //!
 //! ```text
-//! # what CI runs (fails with exit code 1 on a >20 % regression of any
-//! # gated metric — p99, reconfigs, host_upload_bytes, victim_p99_secs,
-//! # victim_goodput_p99_secs, wasted_work_bytes, wasted_secs,
-//! # tenant_drops, hit_rate, recompute_secs_saved, sim_events_per_sec):
+//! # what CI runs (exit code 1 when the run does not reproduce the
+//! # baseline exactly, or a scenario's sim_events_per_sec falls more than
+//! # 40 % below it):
 //! cargo run --release -p agnn-bench --bin bench_smoke -- \
 //!     --baseline ci/bench_serving_baseline.json --out BENCH_serving.json \
 //!     --trace-out BENCH_trace.json --timing-out BENCH_timing.md \
 //!     --summary "$GITHUB_STEP_SUMMARY"
 //!
-//! # refresh the baseline after an intentional perf change (in-PR):
+//! # refresh the baseline after an intentional change (in the same PR):
 //! cargo run --release -p agnn-bench --bin bench_smoke -- \
 //!     --write-baseline ci/bench_serving_baseline.json
 //! ```
 //!
-//! `--jobs N` caps the scenario fan-out (default: every core,
-//! [`agnn_serve::default_jobs`]). The job count is invisible in the
-//! artifacts: scenarios merge in case order
-//! ([`serving_smoke::run_all_jobs`]), so `--jobs 1` and `--jobs 8`
-//! render byte-identical documents apart from the host-wall sim
-//! self-metrics, and a `wall clock` line prints the measured speedup
-//! (serial estimate = the sum of every scenario's in-worker
-//! `sim_wall_secs`, over the batch's actual wall clock).
+//! `--baseline <file>` re-renders the run in the baseline form
+//! ([`serving_smoke::render_baseline_json`]) and compares the two
+//! documents with [`perfgate::gate`]: every member must match exactly
+//! except the host-wall-clock `sim_events_per_sec`, which only has a
+//! floor. Deterministic mismatches and speed-floor misses are listed
+//! apart: only the first say the models or the sweep changed.
 //!
 //! `--timing-out <file>` writes the per-scenario timing table
 //! ([`serving_smoke::render_timing_table`]) — CI uploads it next to the
 //! metrics artifact so "which scenario got slow" needs no local rebuild.
 //!
-//! `--summary` appends a baseline-vs-run markdown delta table to the
-//! given file (GitHub renders `$GITHUB_STEP_SUMMARY` on the job page, so
-//! regressions are readable without downloading the artifact). The table
-//! is written *before* the gate verdict is returned — a failing run still
-//! publishes its deltas.
+//! `--summary <file>` appends the gate's verdict, with every mismatch,
+//! as markdown (GitHub renders `$GITHUB_STEP_SUMMARY` on the job page).
 //!
 //! `--trace-out <file>` additionally replays the `migration_drift`
 //! scenario with a Perfetto trace sink attached
@@ -58,6 +51,7 @@ use agnn_bench::{perfgate, serving_smoke};
 /// migration), so its trace shows every track the writer knows.
 const TRACE_SCENARIO: &str = "migration_drift";
 
+#[derive(Default)]
 struct Args {
     out: Option<String>,
     baseline: Option<String>,
@@ -65,21 +59,10 @@ struct Args {
     summary: Option<String>,
     trace_out: Option<String>,
     timing_out: Option<String>,
-    jobs: usize,
-    tolerance: f64,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        out: None,
-        baseline: None,
-        write_baseline: None,
-        summary: None,
-        trace_out: None,
-        timing_out: None,
-        jobs: agnn_serve::default_jobs(),
-        tolerance: 0.20,
-    };
+    let mut args = Args::default();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
@@ -90,20 +73,6 @@ fn parse_args() -> Result<Args, String> {
             "--summary" => args.summary = Some(value("--summary")?),
             "--trace-out" => args.trace_out = Some(value("--trace-out")?),
             "--timing-out" => args.timing_out = Some(value("--timing-out")?),
-            "--jobs" => {
-                args.jobs = value("--jobs")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--jobs: {e}"))?
-                    .max(1);
-            }
-            "--tolerance" => {
-                args.tolerance = value("--tolerance")?
-                    .parse::<f64>()
-                    .map_err(|e| format!("--tolerance: {e}"))?;
-                if !(args.tolerance.is_finite() && args.tolerance >= 0.0) {
-                    return Err("--tolerance must be a non-negative number".to_string());
-                }
-            }
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
@@ -112,9 +81,7 @@ fn parse_args() -> Result<Args, String> {
 
 fn run() -> Result<(), String> {
     let args = parse_args()?;
-    let started = std::time::Instant::now();
-    let sweep = serving_smoke::run_all_jobs(args.jobs);
-    let wall = started.elapsed().as_secs_f64();
+    let sweep = serving_smoke::run_all();
     for s in &sweep {
         let overall = s.report.overall_latency();
         let victim = s
@@ -138,36 +105,19 @@ fn run() -> Result<(), String> {
         );
     }
 
-    // The speedup line: the serial estimate is the sum of every run's
-    // in-worker wall clock, so it and the measured batch wall share the
-    // same host and the ratio is an honest fan-out figure.
-    let serial_estimate: f64 = sweep.iter().map(|s| s.report.sim.wall_secs).sum();
-    let speedup_line = format!(
-        "wall clock {wall:.2} s vs {serial_estimate:.2} s serial estimate \
-         ({:.2}x at --jobs {})",
-        serial_estimate / wall.max(1e-9),
-        args.jobs,
-    );
-    println!("{speedup_line}");
-    if let Some(path) = &args.summary {
-        append_to(path, &format!("\n{speedup_line}\n"))
-            .map_err(|e| format!("writing summary {path}: {e}"))?;
-    }
-
     if let Some(path) = &args.timing_out {
         let table = serving_smoke::render_timing_table(&sweep);
         std::fs::write(path, &table).map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote timing table {path}");
     }
-
-    let artifact = serving_smoke::render_json(&sweep);
     if let Some(path) = &args.out {
+        let artifact = serving_smoke::render_json(&sweep);
         std::fs::write(path, &artifact).map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote artifact {path}");
     }
+    let rendered = serving_smoke::render_baseline_json(&sweep);
     if let Some(path) = &args.write_baseline {
-        let baseline = serving_smoke::render_baseline_json(&sweep);
-        std::fs::write(path, baseline).map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(path, &rendered).map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote baseline {path}");
     }
     if let Some(path) = &args.trace_out {
@@ -190,37 +140,51 @@ fn run() -> Result<(), String> {
     if let Some(path) = &args.baseline {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         let baseline = perfgate::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-        let current = perfgate::parse(&artifact).map_err(|e| format!("parsing artifact: {e}"))?;
-        // The delta table lands in the summary before the verdict is
-        // decided, so a failing gate still publishes its numbers.
-        if let Some(summary_path) = &args.summary {
-            let table = perfgate::render_summary_table(&baseline, &current)?;
-            append_to(summary_path, &table)
-                .map_err(|e| format!("writing summary {summary_path}: {e}"))?;
-            println!("appended delta table to {summary_path}");
+        let current = perfgate::parse(&rendered).map_err(|e| format!("parsing the run: {e}"))?;
+        let outcome = perfgate::gate(&baseline, &current)?;
+        let mut summary = String::from("\n### Serving perf gate\n\n");
+        if outcome.passed() {
+            summary += &format!(
+                "Passed: {} scenarios reproduce `{path}` exactly.\n",
+                sweep.len()
+            );
         }
-        let outcome = perfgate::gate_p99(&baseline, &current, args.tolerance)?;
-        for note in &outcome.notes {
-            println!("note: {note}");
-        }
-        if !outcome.passed() {
-            for failure in &outcome.failures {
-                eprintln!("PERF GATE FAILURE: {failure}");
+        for (title, tag, lines) in [
+            ("Deterministic mismatches", "MISMATCH", &outcome.mismatches),
+            ("Below the sim speed floor", "SPEED FLOOR", &outcome.slow),
+        ] {
+            if !lines.is_empty() {
+                summary += &format!("{title}:\n\n");
             }
+            for line in lines {
+                eprintln!("PERF GATE {tag}: {line}");
+                summary += &format!("- `{line}`\n");
+            }
+        }
+        // The verdict lands in the summary before it is returned, so a
+        // failing gate still publishes what it found.
+        if let Some(summary_path) = &args.summary {
+            append_to(summary_path, &summary)
+                .map_err(|e| format!("writing summary {summary_path}: {e}"))?;
+        }
+        if !outcome.mismatches.is_empty() {
             return Err(format!(
-                "{} scenario(s) regressed past {:.0} % — if intentional, refresh the \
-                 baseline with --write-baseline {path}",
-                outcome.failures.len(),
-                args.tolerance * 100.0
+                "{} deterministic mismatch(es) against {path} — if the change is \
+                 intentional, refresh it with --write-baseline {path}",
+                outcome.mismatches.len()
+            ));
+        }
+        if !outcome.slow.is_empty() {
+            return Err(format!(
+                "{} scenario(s) below the sim speed floor — host wall clock, compared \
+                 with the machine that wrote {path}",
+                outcome.slow.len()
             ));
         }
         println!(
-            "perf gate passed ({} scenario(s), tolerance {:.0} %)",
-            baseline
-                .get("scenarios")
-                .and_then(perfgate::Json::as_arr)
-                .map_or(0, <[perfgate::Json]>::len),
-            args.tolerance * 100.0
+            "perf gate passed: {} scenario(s) reproduce {path} exactly, none below the \
+             sim speed floor",
+            sweep.len()
         );
     }
     Ok(())

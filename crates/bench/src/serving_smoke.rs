@@ -1,12 +1,10 @@
 //! The seeded serving scenario sweep behind CI's `bench-smoke` job.
 //!
-//! Ten named scenarios at ~6 000 requests each, plus the twelve-cell
+//! Ten named scenarios at ~6 000 requests each, plus the seven-cell
 //! `grid_sweep` family (`grid_cases`: pool size × scheduler × result
-//! cache at [`GRID_REQUESTS`] per cell). All of it runs as **one
-//! parallel batch** ([`run_all_jobs`], fanned out through
-//! [`agnn_serve::par_runs`]) whose rendered artifacts are byte-identical
-//! for every job count — results merge in case order, and `jobs = 1` is
-//! the serial loop bit-for-bit (proptested below).
+//! cache at [`GRID_REQUESTS`] per cell), run serially by [`run_all`].
+//! The whole batch takes a few tens of milliseconds on one core, so it
+//! needs no thread pool.
 //!
 //! The first three sweep scenarios replay the same drift-heavy,
 //! offset-diurnal trace:
@@ -55,10 +53,9 @@
 //! 9. `cache_replay` — the duplicate-heavy dashboard trace
 //!    ([`TenantSpec::replay_heavy`]) with the delta-invalidation cache
 //!    ([`CacheKind::delta`]) on two boards. The gate protects its p99 and
-//!    — inverted, like `sim_events_per_sec` but at the simulated-metric
-//!    tolerance — its **`hit_rate`** and **`recompute_secs_saved`**: a
-//!    cache that silently stops hitting keeps a fine tail on this light
-//!    trace, so the tail alone would hide the regression.
+//!    its **`hit_rate`** and **`recompute_secs_saved`**: a cache that
+//!    silently stops hitting keeps a fine tail on this light trace, so
+//!    the tail alone would hide the regression.
 //!
 //! The last scenario guards the deadline-aware request lifecycle
 //! (`ServeConfig::default_deadline_secs` / `TenantSpec::deadline_secs`):
@@ -77,20 +74,12 @@
 //!     ledger writes off, dominated by completions that crossed their
 //!     deadline in service).
 //!
-//! [`render_json`] emits the `BENCH_serving.json` document (scenario
-//! rows also carry the per-stage report, the pipeline-overlap ratio,
-//! eviction/migration counts, the switch/host byte split and the
-//! simulator's own `sim_wall_secs` / `sim_events_per_sec` — the only
-//! non-deterministic members, being host wall clock);
-//! [`crate::perfgate`] compares its `scenarios[].p99_secs`,
-//! `scenarios[].reconfigs`, `scenarios[].host_upload_bytes`,
-//! `scenarios[].victim_p99_secs`, `scenarios[].victim_goodput_p99_secs`,
-//! `scenarios[].wasted_work_bytes`, `scenarios[].wasted_secs`,
-//! `scenarios[].tenant_drops`,
-//! (inverted, at the caller's tolerance) `scenarios[].hit_rate` and
-//! `scenarios[].recompute_secs_saved`, and (inverted, at a generous
-//! tolerance) `scenarios[].sim_events_per_sec` against the checked-in
-//! baseline and ignores keys it does not know.
+//! `gated_members` names each gated member of a scenario row once.
+//! [`render_baseline_json`] writes those members as the checked-in
+//! baseline's rows, which [`crate::perfgate::gate`] compares exactly
+//! (`sim_events_per_sec`, host wall clock, against a floor);
+//! [`render_json`] emits the `BENCH_serving.json` artifact, whose rows
+//! add the configuration echo and the full embedded report.
 //! [`perfetto_trace`] replays one named case with a
 //! [`ChromeTraceWriter`] attached for the `--trace-out` flag.
 
@@ -98,7 +87,7 @@ use agnn_graph::datasets::Dataset;
 use agnn_serve::metrics::{json_f64, json_str};
 use agnn_serve::pool::{MigratePolicy, PlacementPolicy};
 use agnn_serve::sched::SchedKind;
-use agnn_serve::sim::{HedgeKind, ServeConfig, TrafficSim};
+use agnn_serve::sim::{simulate, HedgeKind, ServeConfig, TrafficSim};
 use agnn_serve::tenant::{ArrivalProcess, TenantSpec};
 use agnn_serve::{CacheKind, ChromeTraceWriter, TrafficReport};
 
@@ -107,9 +96,9 @@ pub const SMOKE_SEED: u64 = 4_242;
 /// Offered load per sweep scenario.
 pub const SMOKE_REQUESTS: u64 = 6_000;
 /// Offered load per `grid_sweep` cell — deliberately lighter than
-/// [`SMOKE_REQUESTS`]: twelve cells ride the same CI job as the sweep,
-/// and the family's value is breadth (every pool-size × scheduler ×
-/// cache corner gated), not per-cell depth.
+/// [`SMOKE_REQUESTS`]: the cells ride the same CI job as the sweep, and
+/// the family's value is breadth (every distinct pool-size × scheduler ×
+/// cache outcome gated), not per-cell depth.
 pub const GRID_REQUESTS: u64 = 1_500;
 /// Minimum simulated event count for a baseline row to carry
 /// `sim_events_per_sec`: below this the run finishes in well under a
@@ -117,7 +106,7 @@ pub const GRID_REQUESTS: u64 = 1_500;
 /// noise and gating on it would flake. Sits between the largest
 /// `grid_sweep` cell (~3 000 events) and the smallest sweep scenario
 /// (~10 000) — the event count is seed-deterministic, so the split
-/// never varies between hosts or job counts.
+/// never varies between hosts.
 pub const SPEED_GATE_MIN_EVENTS: u64 = 10_000;
 
 /// Victim tenants of the bursty-aggressor scenarios (the fairness gate
@@ -156,9 +145,7 @@ impl Scenario {
             .iter()
             .filter(|t| self.victims.contains(&t.name.as_str()))
             .map(|t| t.latency.quantile(0.99))
-            .fold(None, |acc: Option<f64>, p| {
-                Some(acc.map_or(p, |a| a.max(p)))
-            })
+            .reduce(f64::max)
     }
 
     /// The worse *goodput* p99 across the scenario's victim tenants —
@@ -171,9 +158,7 @@ impl Scenario {
             .iter()
             .filter(|t| self.victims.contains(&t.name.as_str()))
             .map(|t| t.goodput_latency.quantile(0.99))
-            .fold(None, |acc: Option<f64>, p| {
-                Some(acc.map_or(p, |a| a.max(p)))
-            })
+            .reduce(f64::max)
     }
 
     /// Per-tenant drop counts as a deterministic JSON object (tenant
@@ -258,74 +243,51 @@ type SweepCase = (
 );
 
 /// [`sweep_cases`] plus the [`grid_cases`] family, in artifact order —
-/// what `bench_smoke` simulates as one parallel batch.
+/// what `bench_smoke` simulates.
 fn all_cases() -> Vec<SweepCase> {
     let mut cases = sweep_cases();
     cases.extend(grid_cases());
     cases
 }
 
-/// Stable cell names of the `grid_sweep` family, boards-major then
-/// scheduler then cache — the construction order in [`grid_cases`], and
-/// therefore the artifact row order.
-const GRID_NAMES: [&str; 12] = [
-    "grid_b1_fifo_off",
-    "grid_b1_fifo_delta",
-    "grid_b1_wfq_off",
-    "grid_b1_wfq_delta",
-    "grid_b1_slo_off",
-    "grid_b1_slo_delta",
-    "grid_b4_fifo_off",
-    "grid_b4_fifo_delta",
-    "grid_b4_wfq_off",
-    "grid_b4_wfq_delta",
-    "grid_b4_slo_off",
-    "grid_b4_slo_delta",
-];
-
-/// The `grid_sweep` family: the full pool-size × scheduler × result-cache
-/// grid — `{1, 4}` boards × `{fifo, wfq, slo}` × `{off, delta}` — over
-/// the drift-heavy trace at [`GRID_REQUESTS`] per cell. The sweep's named
-/// scenarios each probe one subsystem in isolation; the grid gates the
-/// *interactions* (an SLO gate that only regresses on a cached four-board
-/// pool has no dedicated scenario, but it has a cell). Cells became
-/// affordable when the runner went parallel: twelve extra simulations
-/// amortize across the worker pool instead of extending the critical
-/// path.
+/// The `grid_sweep` family over the drift-heavy trace at
+/// [`GRID_REQUESTS`] per cell. The sweep's named scenarios each probe one
+/// subsystem in isolation; the grid gates the *interactions* (an SLO
+/// gate that only regresses on a four-board pool has no dedicated
+/// scenario, but it has a cell). The full `{1, 4}` boards ×
+/// `{fifo, wfq, slo}` × `{off, delta}` cache grid has only seven
+/// distinct trace digests: on one board wfq replays fifo, and with the
+/// delta cache on, all three schedulers replay one trace per pool size.
+/// The family keeps one cell per distinct outcome, boards-major, and the
+/// artifact rows follow this order.
 fn grid_cases() -> Vec<SweepCase> {
-    let base = || {
-        ServeConfig::reconfig_aware()
+    let cell = |name, boards, scheduler, cache| -> SweepCase {
+        let config = ServeConfig::reconfig_aware()
             .to_builder()
             .seed(SMOKE_SEED)
             .total_requests(GRID_REQUESTS)
             .queue_capacity(512)
+            .boards(boards)
+            .scheduler(scheduler)
+            .cache(cache)
+            .build()
+            .expect("grid cell config is valid");
+        (name, smoke_tenants(), config, &[], None)
     };
-    let mut cases = Vec::with_capacity(GRID_NAMES.len());
-    for (bi, boards) in [1usize, 4].into_iter().enumerate() {
-        let schedulers = [
-            SchedKind::Fifo,
+    vec![
+        cell("grid_b1_fifo_off", 1, SchedKind::Fifo, CacheKind::Off),
+        cell("grid_b1_fifo_delta", 1, SchedKind::Fifo, CacheKind::delta()),
+        cell("grid_b1_slo_off", 1, SchedKind::slo_aware(), CacheKind::Off),
+        cell("grid_b4_fifo_off", 4, SchedKind::Fifo, CacheKind::Off),
+        cell("grid_b4_fifo_delta", 4, SchedKind::Fifo, CacheKind::delta()),
+        cell(
+            "grid_b4_wfq_off",
+            4,
             SchedKind::weighted_fair(),
-            SchedKind::slo_aware(),
-        ];
-        for (si, scheduler) in schedulers.into_iter().enumerate() {
-            for (ci, cache) in [CacheKind::Off, CacheKind::delta()].into_iter().enumerate() {
-                let config = base()
-                    .boards(boards)
-                    .scheduler(scheduler)
-                    .cache(cache)
-                    .build()
-                    .expect("grid cell config is valid");
-                cases.push((
-                    GRID_NAMES[bi * 6 + si * 2 + ci],
-                    smoke_tenants(),
-                    config,
-                    &[][..],
-                    None,
-                ));
-            }
-        }
-    }
-    cases
+            CacheKind::Off,
+        ),
+        cell("grid_b4_slo_off", 4, SchedKind::slo_aware(), CacheKind::Off),
+    ]
 }
 
 /// The sweep's case list — the single source of truth shared by
@@ -439,71 +401,36 @@ fn sweep_cases() -> Vec<SweepCase> {
     ]
 }
 
-/// Simulates `cases` across up to `jobs` worker threads
-/// ([`agnn_serve::par_runs`]) and reassembles the scenarios in **case
-/// order** — the fixed-order merge contract. Completion order is
-/// scheduling noise, but every rendered artifact is byte-identical for
-/// every job count (`jobs = 1` is the serial loop bit-for-bit;
-/// proptested below). The only members that vary between job counts are
-/// each report's `sim` self-metrics, which are host wall clock by
-/// definition — and even those are measured per run, on that run's
-/// worker, never across runs.
-fn run_cases(cases: Vec<SweepCase>, jobs: usize) -> Vec<Scenario> {
-    let mut meta = Vec::with_capacity(cases.len());
-    let mut runs = Vec::with_capacity(cases.len());
-    for (name, tenants, config, victims, deadline_secs) in cases {
-        meta.push((name, config, victims, deadline_secs));
-        runs.push((tenants, config));
-    }
-    agnn_serve::par_runs(jobs, runs)
+/// Simulates `cases` one after another, in case order.
+fn run_cases(cases: Vec<SweepCase>) -> Vec<Scenario> {
+    cases
         .into_iter()
-        .zip(meta)
-        .map(
-            |(report, (name, config, victims, deadline_secs))| Scenario {
-                name,
-                config,
-                victims,
-                deadline_secs,
-                report,
-            },
-        )
+        .map(|(name, tenants, config, victims, deadline_secs)| Scenario {
+            name,
+            config,
+            victims,
+            deadline_secs,
+            report: simulate(tenants, config),
+        })
         .collect()
 }
 
-/// Runs the full sweep serially (deterministic in [`SMOKE_SEED`]) — the
-/// `jobs = 1` degenerate case of [`run_sweep_jobs`].
+/// Runs the ten named sweep scenarios (deterministic in [`SMOKE_SEED`]).
 pub fn run_sweep() -> Vec<Scenario> {
-    run_sweep_jobs(1)
+    run_cases(sweep_cases())
 }
 
-/// Runs the full sweep across up to `jobs` worker threads. Scenario
-/// order and every deterministic artifact byte match [`run_sweep`]
-/// exactly (the fixed-order merge contract — see `run_cases`).
-pub fn run_sweep_jobs(jobs: usize) -> Vec<Scenario> {
-    run_cases(sweep_cases(), jobs)
-}
-
-/// Runs the `grid_sweep` family (see `grid_cases`) across up to `jobs`
-/// worker threads, in stable cell order.
-pub fn run_grid_jobs(jobs: usize) -> Vec<Scenario> {
-    run_cases(grid_cases(), jobs)
-}
-
-/// Runs the sweep **plus** the grid family as one parallel batch —
-/// `bench_smoke`'s workload. One batch rather than two back-to-back
-/// sweeps so the long sweep scenarios and the short grid cells share the
-/// worker pool (the grid fills the tail while the slowest sweep scenario
-/// finishes). Scenario order is sweep rows then grid cells, independent
-/// of `jobs`.
-pub fn run_all_jobs(jobs: usize) -> Vec<Scenario> {
-    run_cases(all_cases(), jobs)
+/// Runs the sweep **plus** the grid family — `bench_smoke`'s workload.
+/// Scenario order is sweep rows then grid cells.
+pub fn run_all() -> Vec<Scenario> {
+    run_cases(all_cases())
 }
 
 /// Replays the named sweep case with a [`ChromeTraceWriter`] attached and
 /// returns the Perfetto / `chrome://tracing` JSON document, or `None` for
 /// an unknown scenario name.
 ///
-/// The replay is the *identical* simulation `run_sweep` ran — same seed,
+/// The replay is the *identical* simulation [`run_all`] ran — same seed,
 /// same configuration — so the trace's spans line up with the gated
 /// numbers in `BENCH_serving.json` (sinks are write-only; see
 /// [`TrafficSim::run_traced`]).
@@ -517,98 +444,91 @@ pub fn perfetto_trace(scenario_name: &str) -> Option<String> {
     Some(writer.finish())
 }
 
+/// The gated members of one scenario row, `name` first: `p99_secs`,
+/// `reconfigs` and `host_upload_bytes` on every row, plus
+/// `victim_p99_secs` and `tenant_drops` on scenarios with victims, plus
+/// `victim_goodput_p99_secs`, `wasted_work_bytes` and `wasted_secs` on
+/// scenarios enforcing a deadline, plus `hit_rate` and
+/// `recompute_secs_saved` on scenarios with the result cache enabled,
+/// plus `sim_events_per_sec` on rows of at least
+/// [`SPEED_GATE_MIN_EVENTS`] simulated events.
+///
+/// `sim_events_per_sec` is the one member measured in *host* wall clock:
+/// the checked-in value captures the writer's machine, and the gate
+/// compares it against a floor at the generous
+/// [`crate::perfgate::SIM_SPEED_TOLERANCE`] instead of exactly. A run
+/// below the event threshold (every `grid_sweep` cell) finishes in well
+/// under a millisecond, so its events-per-second is timer noise and the
+/// row omits the member. The event count is seed-deterministic, so which
+/// rows carry the member never varies between hosts.
+fn gated_members(s: &Scenario) -> String {
+    let mut row = format!(
+        "\"name\":{},\"p99_secs\":{},\"reconfigs\":{},\"host_upload_bytes\":{}",
+        json_str(s.name),
+        json_f64(s.report.overall_latency().quantile(0.99)),
+        s.report.reconfigs,
+        s.report.host_upload_bytes(),
+    );
+    if let Some(victim_p99) = s.victim_p99_secs() {
+        row += &format!(
+            ",\"victim_p99_secs\":{},\"tenant_drops\":{}",
+            json_f64(victim_p99),
+            s.tenant_drops_json(),
+        );
+    }
+    if let Some(goodput_p99) = s.victim_goodput_p99_secs() {
+        row += &format!(
+            ",\"victim_goodput_p99_secs\":{},\"wasted_work_bytes\":{},\"wasted_secs\":{}",
+            json_f64(goodput_p99),
+            s.report.wasted_work_bytes,
+            json_f64(s.report.wasted_secs),
+        );
+    }
+    if s.config.cache.enabled() {
+        row += &format!(
+            ",\"hit_rate\":{},\"recompute_secs_saved\":{}",
+            json_f64(s.report.cache.hit_rate()),
+            json_f64(s.report.cache.recompute_secs_saved),
+        );
+    }
+    if s.report.sim.events >= SPEED_GATE_MIN_EVENTS {
+        row += &format!(
+            ",\"sim_events_per_sec\":{}",
+            json_f64(s.report.sim.events_per_sec())
+        );
+    }
+    row
+}
+
 /// Renders the scenarios as the `BENCH_serving.json` document
-/// (`agnn-bench-serving/v7`): a scenario array whose `name`/`p99_secs`
-/// members feed the perf gate, each carrying its own offered load
-/// (`requests` — sweep rows and grid cells differ) and the full
-/// per-tenant/per-board report for trajectory archaeology.
+/// (`agnn-bench-serving/v8`): each row is the scenario's gated members,
+/// the configuration it ran (including its own offered load, `requests`
+/// — sweep rows and grid cells differ) and the full per-tenant/per-board
+/// report for trajectory archaeology.
 pub fn render_json(scenarios: &[Scenario]) -> String {
     let rows: Vec<String> = scenarios
         .iter()
         .map(|s| {
-            let overall = s.report.overall_latency();
-            let fairness = match s.victim_p99_secs() {
-                Some(victim_p99) => format!(
-                    "\"victim_p99_secs\":{},\"tenant_drops\":{},",
-                    json_f64(victim_p99),
-                    s.tenant_drops_json(),
-                ),
-                None => String::new(),
-            };
-            let cache = if s.config.cache.enabled() {
-                format!(
-                    "\"hit_rate\":{},\"recompute_secs_saved\":{},",
-                    json_f64(s.report.cache.hit_rate()),
-                    json_f64(s.report.cache.recompute_secs_saved),
-                )
-            } else {
-                String::new()
-            };
-            let deadline = match s.victim_goodput_p99_secs() {
-                Some(goodput_p99) => format!(
-                    concat!(
-                        "\"victim_goodput_p99_secs\":{},\"expired_in_queue\":{},",
-                        "\"aborted\":{},\"hedges\":{},",
-                        "\"wasted_work_bytes\":{},\"wasted_secs\":{},"
-                    ),
-                    json_f64(goodput_p99),
-                    s.report.expired_in_queue(),
-                    s.report.aborted(),
-                    s.report.hedges(),
-                    s.report.wasted_work_bytes,
-                    json_f64(s.report.wasted_secs),
-                ),
-                None => String::new(),
-            };
             format!(
                 concat!(
-                    "{{\"name\":{name},\"requests\":{requests},\"boards\":{boards},",
+                    "{{{gated},\"requests\":{requests},\"boards\":{boards},",
                     "\"placement\":{placement},\"migrate\":{migrate},",
-                    "\"scheduler\":{scheduler},\"cache\":{cache_kind},",
-                    "\"p50_secs\":{p50},",
-                    "\"p99_secs\":{p99},\"reconfigs\":{reconfigs},",
-                    "\"completed\":{completed},\"dropped\":{dropped},",
-                    "{fairness}",
-                    "{deadline}",
-                    "{cache}",
-                    "\"pipeline_overlap_ratio\":{overlap_ratio},",
-                    "\"evictions\":{evictions},",
-                    "\"migrations\":{migrations},",
-                    "\"switch_bytes\":{switch_bytes},",
-                    "\"host_upload_bytes\":{host_upload_bytes},",
-                    "\"sim_wall_secs\":{sim_wall},",
-                    "\"sim_events_per_sec\":{sim_rate},",
-                    "\"report\":{report}}}"
+                    "\"scheduler\":{scheduler},\"cache\":{cache},\"report\":{report}}}"
                 ),
-                name = json_str(s.name),
+                gated = gated_members(s),
                 requests = s.config.total_requests,
                 boards = s.config.boards,
                 placement = json_str(s.config.placement.name()),
                 migrate = json_str(s.config.migrate.name()),
                 scheduler = json_str(s.config.scheduler.name()),
-                cache_kind = json_str(s.config.cache.name()),
-                p50 = json_f64(overall.quantile(0.50)),
-                p99 = json_f64(overall.quantile(0.99)),
-                reconfigs = s.report.reconfigs,
-                completed = s.report.completed(),
-                dropped = s.report.dropped(),
-                fairness = fairness,
-                deadline = deadline,
-                cache = cache,
-                overlap_ratio = json_f64(s.report.pipeline_overlap_ratio()),
-                evictions = s.report.evictions(),
-                migrations = s.report.migrations(),
-                switch_bytes = s.report.switch_bytes(),
-                host_upload_bytes = s.report.host_upload_bytes(),
-                sim_wall = json_f64(s.report.sim.wall_secs),
-                sim_rate = json_f64(s.report.sim.events_per_sec()),
+                cache = json_str(s.config.cache.name()),
                 report = s.report.to_json(),
             )
         })
         .collect();
     format!(
         concat!(
-            "{{\"schema\":\"agnn-bench-serving/v7\",\"seed\":{seed},",
+            "{{\"schema\":\"agnn-bench-serving/v8\",\"seed\":{seed},",
             "\"total_requests\":{requests},\"scenarios\":[{rows}]}}"
         ),
         seed = SMOKE_SEED,
@@ -617,75 +537,13 @@ pub fn render_json(scenarios: &[Scenario]) -> String {
     )
 }
 
-/// Renders only the gate schema (`scenarios[].name` / `p99_secs` /
-/// `reconfigs` / `host_upload_bytes` / `sim_events_per_sec`, plus
-/// `victim_p99_secs` and `tenant_drops` on scenarios with victims, plus
-/// `victim_goodput_p99_secs`, `wasted_work_bytes` and `wasted_secs` on
-/// scenarios enforcing a deadline, plus `hit_rate` and
-/// `recompute_secs_saved` on scenarios with the result cache enabled) —
-/// the compact form checked in as the baseline.
-///
-/// `sim_events_per_sec` is the one member measured in *host* wall clock:
-/// the checked-in value captures the writer's machine, the gate compares
-/// at the generous [`crate::perfgate::SIM_SPEED_TOLERANCE`], and the CI
-/// stale-baseline guard filters the member out before diffing (it can
-/// never be byte-reproduced on another host). Rows below
-/// [`SPEED_GATE_MIN_EVENTS`] simulated events omit the member entirely
-/// (the gate skips what the baseline doesn't record): a `grid_sweep`
-/// cell finishes in well under a millisecond, so its events-per-second
-/// is timer noise, not a measurement — the speed gate rides the deep
-/// sweep rows only. The event count is seed-deterministic, so which
-/// rows carry the member never varies between hosts or job counts.
+/// Renders only the gated members (see `gated_members`), one scenario
+/// per line — the compact form checked in as the baseline, and the form
+/// `bench_smoke --baseline` re-renders a run in to compare against it.
 pub fn render_baseline_json(scenarios: &[Scenario]) -> String {
     let rows: Vec<String> = scenarios
         .iter()
-        .map(|s| {
-            let fairness = match s.victim_p99_secs() {
-                Some(victim_p99) => format!(
-                    ",\"victim_p99_secs\":{},\"tenant_drops\":{}",
-                    json_f64(victim_p99),
-                    s.tenant_drops_json(),
-                ),
-                None => String::new(),
-            };
-            let deadline = match s.victim_goodput_p99_secs() {
-                Some(goodput_p99) => format!(
-                    ",\"victim_goodput_p99_secs\":{},\"wasted_work_bytes\":{},\"wasted_secs\":{}",
-                    json_f64(goodput_p99),
-                    s.report.wasted_work_bytes,
-                    json_f64(s.report.wasted_secs),
-                ),
-                None => String::new(),
-            };
-            let cache = if s.config.cache.enabled() {
-                format!(
-                    ",\"hit_rate\":{},\"recompute_secs_saved\":{}",
-                    json_f64(s.report.cache.hit_rate()),
-                    json_f64(s.report.cache.recompute_secs_saved),
-                )
-            } else {
-                String::new()
-            };
-            let speed = if s.report.sim.events >= SPEED_GATE_MIN_EVENTS {
-                format!(
-                    ",\"sim_events_per_sec\":{}",
-                    json_f64(s.report.sim.events_per_sec())
-                )
-            } else {
-                String::new()
-            };
-            format!(
-                "\n  {{\"name\":{},\"p99_secs\":{},\"reconfigs\":{},\"host_upload_bytes\":{}{}{}{}{}}}",
-                json_str(s.name),
-                json_f64(s.report.overall_latency().quantile(0.99)),
-                s.report.reconfigs,
-                s.report.host_upload_bytes(),
-                fairness,
-                deadline,
-                cache,
-                speed,
-            )
-        })
+        .map(|s| format!("\n  {{{}}}", gated_members(s)))
         .collect();
     format!(
         "{{\"schema\":\"agnn-bench-serving-baseline/v6\",\"seed\":{},\"scenarios\":[{}\n]}}\n",
@@ -696,11 +554,9 @@ pub fn render_baseline_json(scenarios: &[Scenario]) -> String {
 
 /// Renders the per-scenario timing table (`BENCH_timing.md`): one
 /// markdown row per scenario with the simulator's self-metrics — offered
-/// load, events processed, host wall clock and throughput. Wall clock is
-/// measured inside each run's worker thread around only that run, so the
-/// table attributes time honestly even when the batch ran wide; the CI
-/// job uploads it as an artifact so "which scenario got slow" needs no
-/// local rebuild.
+/// load, events processed, host wall clock and throughput. The CI job
+/// uploads it as an artifact so "which scenario got slow" needs no local
+/// rebuild.
 pub fn render_timing_table(scenarios: &[Scenario]) -> String {
     let mut out = String::from(
         "| scenario | requests | sim events | sim wall (s) | events/s |\n\
@@ -723,8 +579,14 @@ pub fn render_timing_table(scenarios: &[Scenario]) -> String {
 mod tests {
     use super::*;
     use crate::perfgate;
-    use agnn_serve::sim::simulate;
-    use proptest::prelude::*;
+
+    /// The named scenario of `sweep`.
+    fn by_name<'a>(sweep: &'a [Scenario], name: &str) -> &'a Scenario {
+        sweep
+            .iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("scenario {name}"))
+    }
 
     #[test]
     fn sweep_is_deterministic_and_json_parses() {
@@ -745,16 +607,26 @@ mod tests {
         }
         assert_eq!(render_json(&a), render_json(&b), "byte-identical artifacts");
         let doc = perfgate::parse(&render_json(&a)).expect("artifact parses");
-        assert_eq!(
-            doc.get("scenarios")
-                .and_then(perfgate::Json::as_arr)
-                .map(<[perfgate::Json]>::len),
-            Some(10)
-        );
+        let artifact_rows = doc
+            .get("scenarios")
+            .and_then(perfgate::Json::as_arr)
+            .expect("artifact rows");
+        assert_eq!(artifact_rows.len(), 10);
         let baseline = perfgate::parse(&render_baseline_json(&a)).expect("baseline parses");
-        // A run always passes the gate against its own baseline.
-        let outcome = perfgate::gate_p99(&baseline, &doc, 0.20).unwrap();
-        assert!(outcome.passed(), "{:?}", outcome.failures);
+        // A second run reproduces the baseline exactly.
+        let again = perfgate::parse(&render_baseline_json(&b)).expect("baseline parses");
+        let outcome = perfgate::gate(&baseline, &again).unwrap();
+        assert!(outcome.passed(), "{outcome:?}");
+        // Every artifact row carries its baseline row's members verbatim.
+        let baseline_rows = baseline.get("scenarios").and_then(perfgate::Json::as_arr);
+        for (art, base) in artifact_rows
+            .iter()
+            .zip(baseline_rows.expect("baseline rows"))
+        {
+            for (key, value) in base.as_obj().expect("baseline row") {
+                assert_eq!(art.get(key), Some(value), "{key}");
+            }
+        }
     }
 
     /// The `--trace-out` path: replaying a sweep case with the Chrome
@@ -792,10 +664,7 @@ mod tests {
     #[test]
     fn pipelined_scenario_actually_pipelines() {
         let sweep = run_sweep();
-        let pipelined = sweep
-            .iter()
-            .find(|s| s.name == "pipelined_drift")
-            .expect("pipelined_drift scenario");
+        let pipelined = by_name(&sweep, "pipelined_drift");
         assert!(
             pipelined.report.pipeline_overlap_ratio() > 0.2,
             "the gated scenario must exercise DMA/fabric overlap, got {}",
@@ -826,14 +695,8 @@ mod tests {
     #[test]
     fn migration_scenario_actually_migrates_and_saves_host_bytes() {
         let sweep = run_sweep();
-        let by_name = |n: &str| {
-            sweep
-                .iter()
-                .find(|s| s.name == n)
-                .unwrap_or_else(|| panic!("scenario {n}"))
-        };
-        let pipelined = by_name("pipelined_drift");
-        let migrated = by_name("migration_drift");
+        let pipelined = by_name(&sweep, "pipelined_drift");
+        let migrated = by_name(&sweep, "migration_drift");
         assert!(
             migrated.report.migrations() > 100,
             "the gated scenario must exercise peer rehydration, got {}",
@@ -865,14 +728,8 @@ mod tests {
     #[test]
     fn wfq_burst_bounds_the_victim_tail_where_fifo_does_not() {
         let sweep = run_sweep();
-        let by_name = |n: &str| {
-            sweep
-                .iter()
-                .find(|s| s.name == n)
-                .unwrap_or_else(|| panic!("scenario {n}"))
-        };
-        let fifo = by_name("fifo_burst");
-        let wfq = by_name("wfq_burst");
+        let fifo = by_name(&sweep, "fifo_burst");
+        let wfq = by_name(&sweep, "wfq_burst");
         let (fifo_victim, wfq_victim) = (
             fifo.victim_p99_secs().expect("fifo_burst tracks victims"),
             wfq.victim_p99_secs().expect("wfq_burst tracks victims"),
@@ -908,14 +765,8 @@ mod tests {
     #[test]
     fn slo_drift_cuts_reconfigs_at_a_no_worse_tail() {
         let sweep = run_sweep();
-        let by_name = |n: &str| {
-            sweep
-                .iter()
-                .find(|s| s.name == n)
-                .unwrap_or_else(|| panic!("scenario {n}"))
-        };
-        let ungated = by_name("single_board_reconfig_aware");
-        let gated = by_name("slo_drift");
+        let ungated = by_name(&sweep, "single_board_reconfig_aware");
+        let gated = by_name(&sweep, "slo_drift");
         assert!(
             gated.report.reconfigs < ungated.report.reconfigs / 10,
             "the SLO gate must eliminate most reconfigurations: {} vs {}",
@@ -932,14 +783,8 @@ mod tests {
     #[test]
     fn affine_pool_dominates_the_single_board_in_the_sweep() {
         let sweep = run_sweep();
-        let by_name = |n: &str| {
-            sweep
-                .iter()
-                .find(|s| s.name == n)
-                .unwrap_or_else(|| panic!("scenario {n}"))
-        };
-        let single = by_name("single_board_reconfig_aware");
-        let affine = by_name("pool4_bitstream_affine");
+        let single = by_name(&sweep, "single_board_reconfig_aware");
+        let affine = by_name(&sweep, "pool4_bitstream_affine");
         assert!(
             affine.report.reconfigs < single.report.reconfigs,
             "the gated configuration must hold its headline: {} vs {}",
@@ -971,10 +816,7 @@ mod tests {
     #[test]
     fn cache_replay_cuts_the_tail_against_its_off_twin() {
         let sweep = run_sweep();
-        let cached = sweep
-            .iter()
-            .find(|s| s.name == "cache_replay")
-            .expect("cache_replay scenario");
+        let cached = by_name(&sweep, "cache_replay");
         // The off twin: the identical deployment with the cache disabled
         // (every other knob byte-identical, so the contrast isolates the
         // cache).
@@ -1025,10 +867,7 @@ mod tests {
     #[test]
     fn deadline_burst_beats_its_oblivious_twin() {
         let sweep = run_sweep();
-        let enforced = sweep
-            .iter()
-            .find(|s| s.name == "deadline_burst")
-            .expect("deadline_burst scenario");
+        let enforced = by_name(&sweep, "deadline_burst");
         // The twin: deadlines live on the TenantSpecs, so the identical
         // ServeConfig replays the identical trace without enforcement.
         let twin = simulate(
@@ -1078,22 +917,22 @@ mod tests {
     }
 
     /// The `grid_sweep` family: every cell present in stable order,
-    /// deterministic, conserving its offered load, and passing the gate
-    /// against its own baseline.
+    /// deterministic, conserving its offered load, distinct from every
+    /// other cell, and reproducing its own baseline exactly.
     #[test]
     fn grid_family_is_deterministic_and_gates_against_itself() {
-        let scrub = |scenarios: &mut [Scenario]| {
-            for s in scenarios {
-                s.report.sim = agnn_serve::SimPerf::default();
-            }
-        };
-        let mut grid = run_grid_jobs(1);
-        let mut again = run_grid_jobs(1);
-        scrub(&mut grid);
-        scrub(&mut again);
+        let mut grid = run_cases(grid_cases());
+        let mut again = run_cases(grid_cases());
+        // Grid rows carry no wall-clock member, so two live runs compare
+        // exactly.
+        let baseline = perfgate::parse(&render_baseline_json(&grid)).expect("grid baseline parses");
+        let rerun = perfgate::parse(&render_baseline_json(&again)).expect("grid baseline parses");
+        let outcome = perfgate::gate(&baseline, &rerun).unwrap();
+        assert!(outcome.passed(), "{outcome:?}");
+        for s in grid.iter_mut().chain(again.iter_mut()) {
+            s.report.sim = agnn_serve::SimPerf::default();
+        }
         assert_eq!(render_json(&grid), render_json(&again));
-        let names: Vec<&str> = grid.iter().map(|s| s.name).collect();
-        assert_eq!(names, GRID_NAMES);
         for s in &grid {
             assert_eq!(s.config.total_requests, GRID_REQUESTS, "{}", s.name);
             assert_eq!(
@@ -1103,61 +942,37 @@ mod tests {
                 s.name
             );
         }
-        // Cells genuinely differ: the grid gates interactions, not
-        // twelve copies of one configuration.
+        // Every cell earns its row: no two cells replay the same trace.
         let digests: std::collections::BTreeSet<u64> =
             grid.iter().map(|s| s.report.trace_digest).collect();
-        assert!(digests.len() > 6, "cells collapsed: {digests:?}");
-        let doc = perfgate::parse(&render_json(&grid)).expect("grid artifact parses");
-        let baseline = perfgate::parse(&render_baseline_json(&grid)).expect("grid baseline parses");
-        let outcome = perfgate::gate_p99(&baseline, &doc, 0.20).unwrap();
-        assert!(outcome.passed(), "{:?}", outcome.failures);
+        assert_eq!(digests.len(), grid.len(), "cells collapsed: {digests:?}");
+    }
+
+    /// The checked-in baseline is fresh: a run reproduces every
+    /// deterministic member. (The speed floor is left to the release
+    /// build CI gates; a test build's events/s says nothing.)
+    #[test]
+    fn checked_in_baseline_reproduces_exactly() {
+        let text = include_str!("../../../ci/bench_serving_baseline.json");
+        let checked_in = perfgate::parse(text).expect("checked-in baseline parses");
+        let run = perfgate::parse(&render_baseline_json(&run_all())).expect("run parses");
+        let outcome = perfgate::gate(&checked_in, &run).unwrap();
+        assert!(
+            outcome.mismatches.is_empty(),
+            "stale ci/bench_serving_baseline.json — refresh it with \
+             `bench_smoke --write-baseline`: {:#?}",
+            outcome.mismatches
+        );
     }
 
     /// The timing table carries one row per scenario in batch order.
     #[test]
     fn timing_table_has_one_row_per_scenario() {
-        let grid = run_grid_jobs(1);
+        let grid = run_cases(grid_cases());
         let table = render_timing_table(&grid);
         assert_eq!(table.lines().count(), 2 + grid.len(), "{table}");
         for s in &grid {
             assert!(table.contains(&format!("| {} |", s.name)), "{}", s.name);
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(4))]
-        /// The fixed-order merge contract at the artifact level: for a
-        /// random job count and a random sub-batch of grid cells, every
-        /// rendered byte — metrics artifact and baseline alike — matches
-        /// the serial run once the host-wall self-metrics (the only
-        /// legitimately nondeterministic members) are scrubbed.
-        fn rendered_artifacts_are_jobs_invariant(
-            jobs in 2usize..=8,
-            mask in 1u32..(1 << 12),
-        ) {
-            let pick = || {
-                grid_cases()
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(i, _)| mask & (1 << i) != 0)
-                    .map(|(_, case)| case)
-                    .collect::<Vec<_>>()
-            };
-            let mut serial = run_cases(pick(), 1);
-            let mut parallel = run_cases(pick(), jobs);
-            for s in serial.iter_mut().chain(parallel.iter_mut()) {
-                s.report.sim = agnn_serve::SimPerf::default();
-            }
-            prop_assert_eq!(render_json(&serial), render_json(&parallel));
-            prop_assert_eq!(
-                render_baseline_json(&serial),
-                render_baseline_json(&parallel)
-            );
-            prop_assert_eq!(
-                render_timing_table(&serial),
-                render_timing_table(&parallel)
-            );
         }
     }
 }

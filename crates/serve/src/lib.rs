@@ -101,16 +101,15 @@
 //! job `bench-smoke`): every push replays a small seeded scenario sweep
 //! through `cargo run -p agnn-bench --bin bench_smoke`, uploads the
 //! resulting `BENCH_serving.json` artifact (built from
-//! [`metrics::TrafficReport::to_json`]), and fails the job if any gated
-//! scenario's p99, reconfiguration count or host-upload bytes regresses
-//! more than 20 % past the checked-in baseline
-//! `ci/bench_serving_baseline.json` — including `migration_drift`, whose
-//! host-byte saving is the point of cross-board migration. The simulator
-//! also gates **itself**: each scenario row carries `sim_events_per_sec`
-//! ([`metrics::SimPerf`]), failed only on a much more generous 40 %
-//! slowdown because wall-clock rows ride CI-runner noise. A
-//! baseline-vs-run delta table lands in the job summary. Intentional
-//! regressions update the baseline in the same PR:
+//! [`metrics::TrafficReport::to_json`]), and fails the job unless every
+//! gated scenario reproduces the checked-in baseline
+//! `ci/bench_serving_baseline.json` exactly — p99, reconfiguration
+//! count, host-upload bytes and the fairness, deadline and cache
+//! members alike. The simulator also gates **itself**: the deep rows
+//! carry `sim_events_per_sec` ([`metrics::SimPerf`]), the one wall-clock
+//! member, which fails only on a slowdown past 40 % because it rides
+//! CI-runner noise. Intentional changes update the baseline in the same
+//! PR:
 //!
 //! ```text
 //! cargo run --release -p agnn-bench --bin bench_smoke -- \
@@ -466,33 +465,53 @@ mod tests {
 
     #[test]
     fn builder_rejects_documented_incompatible_combos() {
-        // Hedging re-offers work to a *second* board: a pool of one has
-        // nowhere to hedge.
-        assert_eq!(
-            ServeConfig::builder().hedge(HedgeKind::latency()).build(),
-            Err(ConfigError::HedgeNeedsPool { boards: 1 }),
-        );
-        // Hedging prices both legs at dispatch, which only the serial
-        // lifecycle exposes.
-        assert_eq!(
-            ServeConfig::builder()
-                .boards(2)
-                .overlap(true)
-                .hedge(HedgeKind::latency())
-                .build(),
-            Err(ConfigError::HedgeNeedsSerial),
-        );
-        assert_eq!(
-            ServeConfig::builder().default_deadline_secs(0.0).build(),
-            Err(ConfigError::NonPositiveDeadline { secs: 0.0 }),
-        );
-        assert_eq!(
-            ServeConfig::builder()
-                .boards(2)
-                .hedge(HedgeKind::Latency { factor: -1.0 })
-                .build(),
-            Err(ConfigError::NonPositiveHedgeFactor { factor: -1.0 }),
-        );
+        let cases = [
+            // Hedging re-offers work to a *second* board: a pool of one
+            // has nowhere to hedge.
+            (
+                ServeConfig::builder().hedge(HedgeKind::latency()),
+                ConfigError::HedgeNeedsPool { boards: 1 },
+            ),
+            // Hedging prices both legs at dispatch, which only the serial
+            // lifecycle exposes.
+            (
+                ServeConfig::builder()
+                    .boards(2)
+                    .overlap(true)
+                    .hedge(HedgeKind::latency()),
+                ConfigError::HedgeNeedsSerial,
+            ),
+            (
+                ServeConfig::builder().default_deadline_secs(0.0),
+                ConfigError::NonPositiveDeadline { secs: 0.0 },
+            ),
+            (
+                ServeConfig::builder()
+                    .boards(2)
+                    .hedge(HedgeKind::Latency { factor: -1.0 }),
+                ConfigError::NonPositiveHedgeFactor { factor: -1.0 },
+            ),
+            (ServeConfig::builder().boards(0), ConfigError::ZeroBoards),
+            (
+                ServeConfig::builder().queue_capacity(0),
+                ConfigError::ZeroQueueCapacity,
+            ),
+            (
+                ServeConfig::builder().compute_speedup(0.0),
+                ConfigError::NonPositiveComputeSpeedup { speedup: 0.0 },
+            ),
+            (
+                ServeConfig::builder().compute_speedup(f64::NAN),
+                ConfigError::NonPositiveComputeSpeedup { speedup: f64::NAN },
+            ),
+        ];
+        for (builder, expected) in cases {
+            // Debug form, because a NaN payload never compares equal.
+            assert_eq!(
+                format!("{:?}", builder.build()),
+                format!("{:?}", Err::<ServeConfig, _>(expected))
+            );
+        }
         // Each error renders a human-readable explanation.
         let err = ServeConfig::builder()
             .hedge(HedgeKind::latency())

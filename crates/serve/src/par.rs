@@ -3,10 +3,10 @@
 //! Every [`TrafficSim`] run is an independent, seeded, byte-stable
 //! computation: it owns its tenants, its board pool and its RNG streams,
 //! and shares **no mutable state** with any other run (the `Send` audit
-//! below is compile-checked). That makes a batch of runs — a CI sweep, a
-//! pool-size × scheduler grid, a multi-seed replay — embarrassingly
-//! parallel, and this module is the one place the workspace scatters them
-//! across OS threads.
+//! below is compile-checked). That makes a batch of runs — such as the
+//! multi-seed `million_requests` replay — embarrassingly parallel, and
+//! this module is the one place the workspace scatters them across OS
+//! threads.
 //!
 //! # The fixed-order merge contract
 //!
@@ -15,21 +15,21 @@
 //! writes each result into the slot of its *input index* and returns the
 //! slots in input order — so for any job count, including the `jobs = 1`
 //! degenerate case that never spawns a thread, the output `Vec` is
-//! element-for-element the serial loop's. Byte-identity of the rendered
-//! sweep artifacts across job counts is proptested in
-//! `agnn-bench::serving_smoke`.
+//! element-for-element the serial loop's. The tests below pin it twice:
+//! `par_runs_is_jobs_invariant` (a proptest over job counts and seeds)
+//! and `parallel_runs_equal_the_serial_loop_report_for_report` (full
+//! report byte-identity once the wall-clock self-metrics are scrubbed).
 //!
 //! # Self-metrics under contention
 //!
 //! Each run's [`SimPerf`](crate::metrics::SimPerf) wall clock is measured
 //! *inside* [`TrafficSim::run`], on whatever worker thread executes that
-//! run, around only that run's event loop — a parallel sweep never bills
+//! run, around only that run's event loop — a parallel batch never bills
 //! one run for time spent simulating another. Concurrent runs do still
 //! slow each other down through shared cores, caches and SMT siblings,
-//! which is (part of) why the CI sim-speed gate compares
-//! `sim_events_per_sec` at the deliberately generous
-//! `agnn_bench::perfgate::SIM_SPEED_TOLERANCE` instead of the simulated
-//! metrics' tolerance.
+//! so wall-clock figures from a parallel batch read lower than the same
+//! runs alone; the CI sweep, whose `sim_events_per_sec` is gated, runs
+//! serially for that reason.
 
 use crate::metrics::TrafficReport;
 use crate::sim::{ServeConfig, TrafficSim};
@@ -106,8 +106,7 @@ where
 /// run (see the [module docs](self)).
 ///
 /// `jobs = 1` is the serial schedule bit-for-bit; any other job count
-/// produces byte-identical reports (proptested at the sweep level in
-/// `agnn-bench`).
+/// produces byte-identical reports (proptested below).
 ///
 /// ```
 /// use agnn_graph::datasets::Dataset;

@@ -285,11 +285,20 @@ impl HedgeKind {
 }
 
 /// Why a [`ServeConfigBuilder::build`] call rejected its configuration.
-/// Every variant names an incompatibility the simulator cannot run (the
-/// documented combos below), so the builder surfaces it at construction
-/// instead of a mid-run panic.
+/// Every variant names a value or combination the simulator cannot run,
+/// so the builder surfaces it at construction instead of a panic in
+/// [`TrafficSim::new`] or mid-run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
+    /// The pool must hold at least one board.
+    ZeroBoards,
+    /// The admission queue must hold at least one request.
+    ZeroQueueCapacity,
+    /// The compute speedup must be a positive, finite multiple.
+    NonPositiveComputeSpeedup {
+        /// The rejected value.
+        speedup: f64,
+    },
     /// Hedged dispatch re-offers a request to a *second* board; a pool
     /// of fewer than two boards has nowhere to hedge to.
     HedgeNeedsPool {
@@ -316,6 +325,14 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ConfigError::ZeroBoards => write!(f, "the pool must hold at least one board"),
+            ConfigError::ZeroQueueCapacity => write!(f, "queue capacity must be positive"),
+            ConfigError::NonPositiveComputeSpeedup { speedup } => {
+                write!(
+                    f,
+                    "compute speedup must be positive and finite, got {speedup}"
+                )
+            }
             ConfigError::HedgeNeedsPool { boards } => write!(
                 f,
                 "hedged dispatch needs at least 2 boards to re-offer to (got {boards})"
@@ -486,11 +503,22 @@ impl ServeConfig {
         ServeConfigBuilder { cfg: self }
     }
 
-    /// Checks the documented incompatible knob combinations (the same
-    /// rules [`ServeConfigBuilder::build`] enforces);
+    /// Checks the values and knob combinations the simulator cannot run
+    /// (the same rules [`ServeConfigBuilder::build`] enforces);
     /// [`TrafficSim::new`] re-checks so a hand-assembled struct literal
-    /// cannot smuggle an invalid combo past the builder.
+    /// cannot smuggle an invalid config past the builder.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.boards == 0 {
+            return Err(ConfigError::ZeroBoards);
+        }
+        if self.queue_capacity == 0 {
+            return Err(ConfigError::ZeroQueueCapacity);
+        }
+        if !(self.compute_speedup > 0.0 && self.compute_speedup.is_finite()) {
+            return Err(ConfigError::NonPositiveComputeSpeedup {
+                speedup: self.compute_speedup,
+            });
+        }
         if let Some(secs) = self.default_deadline_secs {
             if !(secs > 0.0 && secs.is_finite()) {
                 return Err(ConfigError::NonPositiveDeadline { secs });
@@ -711,10 +739,10 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Validates and returns the configuration. Errors on the documented
-    /// incompatible combinations ([`ConfigError`]): hedging on fewer
-    /// than two boards or under pipelining, and non-positive deadlines
-    /// or hedge factors.
+    /// Validates and returns the configuration. Errors
+    /// ([`ConfigError`]) on a zero board count or queue capacity, a
+    /// non-positive compute speedup, deadline or hedge factor, and
+    /// hedging on fewer than two boards or under pipelining.
     pub fn build(self) -> Result<ServeConfig, ConfigError> {
         self.cfg.validate()?;
         Ok(self.cfg)
@@ -972,18 +1000,14 @@ impl TrafficSim {
     ///
     /// # Panics
     ///
-    /// Panics if `tenants` is empty, the queue capacity or board count is
-    /// zero, the compute speedup or any tenant deadline is not a positive
-    /// finite number, or the config fails [`ServeConfig::validate`]
+    /// Panics if `tenants` is empty, any tenant deadline is not a
+    /// positive finite number, or the config fails
+    /// [`ServeConfig::validate`] — a zero board count or queue capacity,
+    /// a non-positive compute speedup, or an incompatible combination
     /// (assembling via [`ServeConfig::builder`] surfaces the same rules
     /// as a typed [`ConfigError`] instead).
     pub fn new(tenants: Vec<TenantSpec>, config: ServeConfig) -> Self {
         assert!(!tenants.is_empty(), "need at least one tenant");
-        assert!(config.queue_capacity > 0, "queue capacity must be positive");
-        assert!(
-            config.compute_speedup > 0.0 && config.compute_speedup.is_finite(),
-            "compute speedup must be positive and finite"
-        );
         if let Err(err) = config.validate() {
             panic!("invalid ServeConfig: {err}");
         }
