@@ -1,7 +1,7 @@
 //! Criterion benches of the Table IV software algorithms: the measured CPU
 //! costs behind each preprocessing task.
 
-use agnn_algo::ordering::{order_edges_radix, order_edges_std};
+use agnn_algo::ordering::{order_edges_counting, order_edges_radix, order_edges_std};
 use agnn_algo::reindex::{reindex_hashmap, reindex_set_counting};
 use agnn_algo::reshape::{
     pointer_array_histogram, pointer_array_sequential, pointer_array_set_counting,
@@ -21,6 +21,10 @@ fn bench_ordering(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("radix_sort", edges), &g, |b, g| {
             b.iter(|| order_edges_radix(g.edges()))
+        });
+        // Not a Table IV algorithm: the engine's host-side ordering.
+        group.bench_with_input(BenchmarkId::new("counting", edges), &g, |b, g| {
+            b.iter(|| order_edges_counting(g.edges()))
         });
     }
     group.finish();

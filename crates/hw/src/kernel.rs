@@ -18,18 +18,20 @@
 //!
 //! Edge ordering shows the split most plainly. Its cycles and passes depend
 //! only on the chunk run lengths and chunk maxima, so both fidelities charge
-//! them through one function, [`sort_accounting`]. Fast then sorts the edges
-//! once by their keys, allocating nothing beside the sorted edges;
-//! Structural replays every chunk sort on the UPE network and the whole
-//! merge tree, and asserts both the merged keys and the pass count against
-//! the single sort and the accounting.
+//! them through one function, [`sort_accounting`]. The sorted edges need not
+//! come from anything UPE-shaped, so both fidelities take them from one
+//! O(E + V) counting transposition ([`order_edges_counting`]). Fast stops
+//! there; Structural also replays every chunk sort on the UPE network and
+//! the whole merge tree, and asserts both the merged keys and the pass count
+//! against that ordering and the accounting.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use agnn_algo::ordering::order_edges_counting;
 use agnn_algo::pipeline::PoolRecord;
 use agnn_algo::reindex::ReindexResult;
-use agnn_algo::sort::{radix_sorted_by_key, tree_merge};
+use agnn_algo::sort::tree_merge;
 use agnn_graph::{Edge, Vid};
 
 use crate::config::{ScrConfig, UpeConfig};
@@ -177,11 +179,11 @@ impl UpeKernel {
     /// merge chunk runs round by round (Algorithm 1) and deconcatenate.
     ///
     /// Cycles and passes come from [`sort_accounting`] over the chunk
-    /// lengths and maxima. [`Fidelity::Fast`] sorts the edges once by key
-    /// ([`radix_sorted_by_key`]); [`Fidelity::Structural`] also replays every chunk sort on the UPE
-    /// network and the merge tree ([`tree_merge`]), and asserts that the
-    /// merged keys equal the single sort and that the replayed passes equal
-    /// the accounting.
+    /// lengths and maxima. The sorted edges come from
+    /// [`order_edges_counting`] in both fidelities; [`Fidelity::Structural`]
+    /// also replays every chunk sort on the UPE network and the merge tree
+    /// ([`tree_merge`]), and asserts that the merged keys equal that
+    /// ordering and that the replayed passes equal the accounting.
     pub fn sort_edges(&self, edges: &[Edge]) -> SortRun {
         let width = self.config.width.max(1);
         let (cycles, upe_passes) = sort_accounting(
@@ -191,7 +193,7 @@ impl UpeKernel {
                 (chunk.len(), max.unwrap_or(0))
             }),
         );
-        let sorted = radix_sorted_by_key(edges, |e| e.sort_key());
+        let sorted = order_edges_counting(edges);
         if self.fidelity == Fidelity::Structural {
             let (merged, passes) = self.replay_sort(edges);
             let keys = sorted.iter().map(|e| e.sort_key());
@@ -515,6 +517,7 @@ mod tests {
     use agnn_algo::ordering::order_edges_std;
     use agnn_algo::reindex::reindex_hashmap;
     use agnn_algo::reshape::pointer_array_sequential;
+    use agnn_graph::datasets::Dataset;
     use agnn_graph::generate;
     use proptest::prelude::*;
 
@@ -551,13 +554,22 @@ mod tests {
 
     #[test]
     fn sort_edges_matches_golden_model_both_fidelities() {
-        let g = generate::power_law(80, 600, 0.9, 7);
-        let expected = order_edges_std(g.edges());
-        for fidelity in [Fidelity::Fast, Fidelity::Structural] {
-            let kernel = upe_kernel(4, 16, fidelity);
-            let run = kernel.sort_edges(g.edges());
-            assert_eq!(run.sorted, expected, "{fidelity:?}");
-            assert!(run.cycles > 0);
+        // A small power-law graph, then the five graphs of the
+        // `preprocess_convert` benchmark scaled to ~5k edges, so each
+        // category's hub skew reaches the ordering.
+        let mut graphs = vec![("power_law", generate::power_law(80, 600, 0.9, 7))];
+        for abbrev in ["PH", "YL", "RD", "AM", "TB"] {
+            let dataset = Dataset::from_abbrev(abbrev).expect("known dataset");
+            let scale = dataset.scale_for_max_edges(5_000);
+            graphs.push((abbrev, dataset.generate_scaled(scale, 11)));
+        }
+        for (name, g) in &graphs {
+            let expected = order_edges_std(g.edges());
+            for fidelity in [Fidelity::Fast, Fidelity::Structural] {
+                let run = upe_kernel(4, 16, fidelity).sort_edges(g.edges());
+                assert_eq!(run.sorted, expected, "{name} {fidelity:?}");
+                assert!(run.cycles > 0);
+            }
         }
     }
 
