@@ -26,7 +26,7 @@
 //!
 //! The documents involved — the per-run report (`agnn-serve-report/v7`),
 //! the sweep artifact (`agnn-bench-serving/v8`) and the checked-in
-//! baseline (`agnn-bench-serving-baseline/v6`) — are specified
+//! baseline (`agnn-bench-serving-baseline/v7`) — are specified
 //! field-by-field, with the refresh rules, in `docs/SCHEMAS.md`.
 
 use std::collections::BTreeMap;

@@ -445,13 +445,18 @@ pub fn perfetto_trace(scenario_name: &str) -> Option<String> {
 }
 
 /// The gated members of one scenario row, `name` first: `p99_secs`,
-/// `reconfigs` and `host_upload_bytes` on every row, plus
+/// `reconfigs`, `host_upload_bytes` and `trace_digest` on every row, plus
 /// `victim_p99_secs` and `tenant_drops` on scenarios with victims, plus
 /// `victim_goodput_p99_secs`, `wasted_work_bytes` and `wasted_secs` on
 /// scenarios enforcing a deadline, plus `hit_rate` and
 /// `recompute_secs_saved` on scenarios with the result cache enabled,
 /// plus `sim_events_per_sec` on rows of at least
 /// [`SPEED_GATE_MIN_EVENTS`] simulated events.
+///
+/// `trace_digest` (the order-sensitive event digest, written as
+/// [`TrafficReport::to_json`] writes it) pins the whole schedule: a
+/// change that reorders or re-times events fails the gate even where the
+/// headline numbers still agree.
 ///
 /// `sim_events_per_sec` is the one member measured in *host* wall clock:
 /// the checked-in value captures the writer's machine, and the gate
@@ -463,11 +468,15 @@ pub fn perfetto_trace(scenario_name: &str) -> Option<String> {
 /// rows carry the member never varies between hosts.
 fn gated_members(s: &Scenario) -> String {
     let mut row = format!(
-        "\"name\":{},\"p99_secs\":{},\"reconfigs\":{},\"host_upload_bytes\":{}",
+        concat!(
+            "\"name\":{},\"p99_secs\":{},\"reconfigs\":{},\"host_upload_bytes\":{},",
+            "\"trace_digest\":{}"
+        ),
         json_str(s.name),
         json_f64(s.report.overall_latency().quantile(0.99)),
         s.report.reconfigs,
         s.report.host_upload_bytes(),
+        json_str(&format!("{:#018x}", s.report.trace_digest)),
     );
     if let Some(victim_p99) = s.victim_p99_secs() {
         row += &format!(
@@ -546,7 +555,7 @@ pub fn render_baseline_json(scenarios: &[Scenario]) -> String {
         .map(|s| format!("\n  {{{}}}", gated_members(s)))
         .collect();
     format!(
-        "{{\"schema\":\"agnn-bench-serving-baseline/v6\",\"seed\":{},\"scenarios\":[{}\n]}}\n",
+        "{{\"schema\":\"agnn-bench-serving-baseline/v7\",\"seed\":{},\"scenarios\":[{}\n]}}\n",
         SMOKE_SEED,
         rows.join(",")
     )
