@@ -974,6 +974,66 @@ mod tests {
         );
     }
 
+    /// FNV-1a over `bytes` (the same hash the simulator's event digest
+    /// uses, over bytes instead of words).
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// The narration is pinned, not just the schedule: every sweep
+    /// scenario's Perfetto document hashes to its recorded value, so a
+    /// dropped, re-timed or re-labelled span or counter sample fails here
+    /// even when the trace digest and every gated number still agree.
+    /// `deadline_burst` narrates hedge `Cancelled` spans and in-queue
+    /// expiry, `cache_replay` the cache-hit counters, `migration_drift`
+    /// the outbound switch legs.
+    #[test]
+    fn sweep_narration_is_pinned() {
+        const PINNED: [(&str, u64); 10] = [
+            ("single_board_reconfig_aware", 0xE1A0_0868_3F90_93DE),
+            ("pool4_least_loaded", 0x12C0_81F1_F95E_42E1),
+            ("pool4_bitstream_affine", 0x0444_3BA2_A291_9F99),
+            ("pipelined_drift", 0xDEB5_A0E8_89EA_9FB9),
+            ("migration_drift", 0x0157_1331_D215_F29F),
+            ("fifo_burst", 0x4F9F_1614_2E56_DE6F),
+            ("wfq_burst", 0x61DB_E84E_BB20_8AA2),
+            ("slo_drift", 0xE6E9_84E4_7E86_AC26),
+            ("cache_replay", 0x1436_B881_E1E8_74F7),
+            ("deadline_burst", 0x1A59_C54D_0305_FF4B),
+        ];
+        let names: Vec<&str> = sweep_cases().iter().map(|case| case.0).collect();
+        assert_eq!(
+            names,
+            PINNED.map(|(name, _)| name),
+            "sweep scenarios changed"
+        );
+        let run: Vec<(&str, u64)> = PINNED
+            .iter()
+            .map(|&(name, _)| {
+                let trace = perfetto_trace(name).expect("sweep scenario");
+                // The paths the pins are meant to cover do narrate.
+                let expect = match name {
+                    "deadline_burst" => Some("\"cancelled\""),
+                    "cache_replay" => Some("\"cache_hits\""),
+                    "migration_drift" => Some("\"migrate_out\""),
+                    _ => None,
+                };
+                if let Some(needle) = expect {
+                    assert!(trace.contains(needle), "{name} narrates no {needle}");
+                }
+                (name, fnv1a(trace.as_bytes()))
+            })
+            .collect();
+        for (&(name, pinned), &(_, hash)) in PINNED.iter().zip(&run) {
+            assert_eq!(
+                hash, pinned,
+                "{name}: narration hash {hash:#018x}, pinned {pinned:#018x} (all: {run:#x?})"
+            );
+        }
+    }
+
     /// The timing table carries one row per scenario in batch order.
     #[test]
     fn timing_table_has_one_row_per_scenario() {

@@ -11,7 +11,7 @@ use agnn_serve::sched::SchedKind;
 use agnn_serve::sim::{simulate, DispatchPolicy, HedgeKind, ServeConfig, TrafficSim};
 use agnn_serve::tenant::{ArrivalProcess, TenantSpec};
 use agnn_serve::trace::{SpanKind, Track};
-use agnn_serve::{CacheKind, FlightRecorder, StallBreakdown};
+use agnn_serve::{CacheKind, ChromeTraceWriter, FlightRecorder, StallBreakdown};
 use proptest::prelude::*;
 
 /// Tenants with offset diurnal peaks: the dominant tenant — and with it
@@ -168,6 +168,95 @@ fn single_board_pool_reproduces_pr1_metrics_bit_for_bit() {
         assert_eq!(report.reconfigs, g.reconfigs, "{label}");
         assert_eq!(report.boards.len(), 1);
         assert_eq!(report.boards[0].completed, g.completed, "{label}");
+    }
+}
+
+/// The lifecycle paths no sweep scenario or PR 1 golden reaches, pinned
+/// at their recorded schedule and narration: hedged serial dispatch (with
+/// and without the result cache, whose coalesced arrivals expire with
+/// their primary) and pipelined stage aborts under weighted fair queueing
+/// with peer migration. Each row pins the event digest, the counts that
+/// prove the path ran, and an FNV-1a hash of the run's Perfetto document,
+/// so a re-ordered event or a dropped or re-timed span fails here.
+#[test]
+fn hedge_and_abort_paths_reproduce_pinned_digests() {
+    struct Pinned {
+        label: &'static str,
+        cfg: ServeConfig,
+        digest: u64,
+        narration: u64,
+        hedges: u64,
+        expired: u64,
+        aborted: u64,
+    }
+    let base = || {
+        ServeConfig::reconfig_aware()
+            .to_builder()
+            .seed(7)
+            .total_requests(3_000)
+            .boards(2)
+    };
+    let hedged = |cache, deadline| {
+        base()
+            .placement(PlacementPolicy::BitstreamAffine)
+            .cache(cache)
+            .default_deadline_secs(deadline)
+            .hedge(HedgeKind::latency())
+            .build()
+            .unwrap()
+    };
+    let pinned = [
+        Pinned {
+            label: "hedged, cached",
+            cfg: hedged(CacheKind::delta(), 0.5),
+            digest: 0xB985_8970_625E_12A6,
+            narration: 0x251D_AB99_9634_E432,
+            hedges: 2,
+            expired: 5,
+            aborted: 0,
+        },
+        Pinned {
+            label: "hedged",
+            cfg: hedged(CacheKind::Off, 2.0),
+            digest: 0x5926_44C4_BA75_7696,
+            narration: 0x8C37_CA2C_48CD_B89A,
+            hedges: 7,
+            expired: 2_147,
+            aborted: 0,
+        },
+        Pinned {
+            label: "pipelined aborts",
+            cfg: base()
+                .overlap(true)
+                .scheduler(SchedKind::weighted_fair())
+                .migrate(MigratePolicy::PeerRehydrate)
+                .default_deadline_secs(0.5)
+                .build()
+                .unwrap(),
+            digest: 0xDFB2_888A_2DE5_21A0,
+            narration: 0xC350_376B_5190_179A,
+            hedges: 0,
+            expired: 853,
+            aborted: 407,
+        },
+    ];
+    for p in pinned {
+        let tenants = TenantSpec::taobao_regions(4.0, 900.0);
+        let names = tenants.iter().map(|t| t.name.clone()).collect();
+        let mut writer = ChromeTraceWriter::with_tenant_names(names);
+        let report = TrafficSim::new(tenants, p.cfg).run_traced(&mut writer);
+        let narration = writer
+            .finish()
+            .bytes()
+            .fold(0xCBF2_9CE4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            });
+        let label = p.label;
+        assert_eq!(report.hedges(), p.hedges, "{label}: hedges");
+        assert_eq!(report.expired_in_queue(), p.expired, "{label}: expired");
+        assert_eq!(report.aborted(), p.aborted, "{label}: aborted");
+        assert_eq!(report.trace_digest, p.digest, "{label}: trace digest");
+        assert_eq!(narration, p.narration, "{label}: narration hash");
     }
 }
 
@@ -735,7 +824,9 @@ proptest! {
     }
 
     /// Tracing is observation, not participation: for any seed, pool
-    /// size, migration flavor and lifecycle mode, running with a
+    /// size, scheduler, result cache, migration flavor and lifecycle
+    /// mode — and for a serial pool of two or more boards with a
+    /// deadline and hedged dispatch armed — running with a
     /// [`FlightRecorder`] attached yields the identical report — trace
     /// digest included — as the untraced run; and on every
     /// board-resource track (DMA, fabric, ICAP) the recorded spans never
@@ -746,9 +837,18 @@ proptest! {
     fn tracing_observes_without_perturbing_and_tracks_never_overlap(
         seed in proptest::any::<u64>(),
         boards in 1usize..5,
+        scheduler_pick in 0u32..3,
+        cache_on in proptest::any::<bool>(),
         migrate_pick in 0u32..3,
         overlap in proptest::any::<bool>(),
+        hedged in proptest::any::<bool>(),
     ) {
+        let scheduler = match scheduler_pick {
+            0 => SchedKind::Fifo,
+            1 => SchedKind::weighted_fair(),
+            _ => SchedKind::slo_aware(),
+        };
+        let cache = if cache_on { CacheKind::delta() } else { CacheKind::Off };
         let migrate = match migrate_pick {
             0 => MigratePolicy::Off,
             1 => MigratePolicy::PeerRehydrate,
@@ -759,17 +859,31 @@ proptest! {
         } else {
             TenantSpec::taobao_regions(4.0, 900.0)
         };
-        let overlap = overlap || migrate_pick != 0;
-        let cfg = ServeConfig::reconfig_aware()
+        let builder = ServeConfig::reconfig_aware()
             .to_builder()
             .seed(seed)
             .total_requests(400)
             .queue_capacity(256)
-            .boards(boards)
-            .migrate(migrate)
-            .overlap(overlap)
-            .build()
-            .unwrap();
+            .scheduler(scheduler)
+            .cache(cache)
+            .migrate(migrate);
+        // The hedged arm is serial by construction (a pipelined leg
+        // cannot be cancelled), so it needs a second board to hedge to.
+        let (boards, builder) = if hedged {
+            let boards = boards.max(2);
+            (
+                boards,
+                builder
+                    .boards(boards)
+                    .placement(PlacementPolicy::BitstreamAffine)
+                    .overlap(false)
+                    .default_deadline_secs(2.0)
+                    .hedge(HedgeKind::latency()),
+            )
+        } else {
+            (boards, builder.boards(boards).overlap(overlap || migrate_pick != 0))
+        };
+        let cfg = builder.build().unwrap();
         let untraced = simulate(tenants(), cfg);
         let mut recorder = FlightRecorder::default();
         let traced = TrafficSim::new(tenants(), cfg).run_traced(&mut recorder);
