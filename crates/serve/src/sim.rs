@@ -1000,8 +1000,11 @@ impl TrafficSim {
     ///
     /// # Panics
     ///
-    /// Panics if `tenants` is empty, any tenant deadline is not a
-    /// positive finite number, or the config fails
+    /// Panics if `tenants` is empty, any tenant's arrival process cannot
+    /// generate arrivals (a peak rate that is not positive and finite, a
+    /// diurnal amplitude outside `[0, 1)`, a diurnal period that is not
+    /// positive and finite, or a non-finite phase), any tenant deadline
+    /// is not a positive finite number, or the config fails
     /// [`ServeConfig::validate`] — a zero board count or queue capacity,
     /// a non-positive compute speedup, or an incompatible combination
     /// (assembling via [`ServeConfig::builder`] surfaces the same rules
@@ -1012,6 +1015,7 @@ impl TrafficSim {
             panic!("invalid ServeConfig: {err}");
         }
         for tenant in &tenants {
+            tenant.arrival.assert_valid();
             if let Some(secs) = tenant.deadline_secs {
                 assert!(
                     secs > 0.0 && secs.is_finite(),

@@ -71,6 +71,39 @@ impl ArrivalProcess {
         }
     }
 
+    /// Panics unless the process can generate arrivals: a positive,
+    /// finite peak rate and, for [`ArrivalProcess::Diurnal`], an
+    /// amplitude in `[0, 1)`, a positive finite period and a finite phase
+    /// (a zero period or a NaN phase makes every rate NaN, and thinning
+    /// would then reject forever).
+    pub(crate) fn assert_valid(&self) {
+        if let ArrivalProcess::Diurnal {
+            amplitude,
+            period_secs,
+            phase_secs,
+            ..
+        } = *self
+        {
+            assert!(
+                (0.0..1.0).contains(&amplitude),
+                "amplitude {amplitude} must be in [0, 1)"
+            );
+            assert!(
+                period_secs > 0.0 && period_secs.is_finite(),
+                "diurnal period must be positive and finite, got {period_secs}"
+            );
+            assert!(
+                phase_secs.is_finite(),
+                "diurnal phase must be finite, got {phase_secs}"
+            );
+        }
+        let peak = self.peak_rate();
+        assert!(
+            peak > 0.0 && peak.is_finite(),
+            "arrival rate must be positive and finite, got a peak of {peak}"
+        );
+    }
+
     /// Draws the next arrival after `now` (Lewis–Shedler thinning for the
     /// non-homogeneous case), deterministic in `rng`.
     ///

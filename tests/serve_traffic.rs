@@ -260,6 +260,59 @@ fn hedge_and_abort_paths_reproduce_pinned_digests() {
     }
 }
 
+/// A simulator over one tenant whose arrival process is `arrival`,
+/// constructed and never run.
+fn construct_with_arrivals(arrival: ArrivalProcess) -> TrafficSim {
+    let mut tenant = TenantSpec::new("feed", Dataset::Movie, 1.0);
+    tenant.arrival = arrival;
+    TrafficSim::new(vec![tenant], ServeConfig::default())
+}
+
+fn diurnal(mean_rps: f64, amplitude: f64, period_secs: f64) -> ArrivalProcess {
+    ArrivalProcess::Diurnal {
+        mean_rps,
+        amplitude,
+        period_secs,
+        phase_secs: 0.0,
+    }
+}
+
+#[test]
+#[should_panic(expected = "arrival rate must be positive and finite")]
+fn construction_rejects_a_zero_arrival_rate() {
+    construct_with_arrivals(ArrivalProcess::Poisson { rate_rps: 0.0 });
+}
+
+#[test]
+#[should_panic(expected = "arrival rate must be positive and finite")]
+fn construction_rejects_a_negative_arrival_rate() {
+    construct_with_arrivals(ArrivalProcess::Poisson { rate_rps: -1.0 });
+}
+
+#[test]
+#[should_panic(expected = "arrival rate must be positive and finite")]
+fn construction_rejects_a_nan_arrival_rate() {
+    construct_with_arrivals(ArrivalProcess::Poisson { rate_rps: f64::NAN });
+}
+
+#[test]
+#[should_panic(expected = "arrival rate must be positive and finite")]
+fn construction_rejects_an_infinite_arrival_rate() {
+    construct_with_arrivals(diurnal(f64::INFINITY, 0.5, 600.0));
+}
+
+#[test]
+#[should_panic(expected = "must be in [0, 1)")]
+fn construction_rejects_a_diurnal_amplitude_of_one() {
+    construct_with_arrivals(diurnal(10.0, 1.0, 600.0));
+}
+
+#[test]
+#[should_panic(expected = "diurnal period must be positive and finite")]
+fn construction_rejects_a_zero_diurnal_period() {
+    construct_with_arrivals(diurnal(10.0, 0.5, 0.0));
+}
+
 /// The NullSink digest-equivalence invariant at its sharpest: running the
 /// PR 1 golden configuration with a [`FlightRecorder`] attached must
 /// still reproduce the pinned digest bit-for-bit — tracing observes the
