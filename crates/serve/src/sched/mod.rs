@@ -36,7 +36,7 @@
 //!
 //! [`SchedKind::Fifo`] must schedule **identically** to the pre-refactor
 //! `VecDeque` path: same admissions, same drops, same scan order offered
-//! to `select_dispatch`, `allow_reconfig` always true. The simulator's
+//! to placement, `allow_reconfig` always true. The simulator's
 //! event loop was refactored so that, under `Fifo`, every operation maps
 //! one-to-one onto the old queue ops — which is why the PR 1–4 golden
 //! digests (and the CI perf baselines) survive this refactor unchanged.

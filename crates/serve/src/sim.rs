@@ -129,7 +129,7 @@
 //! 1. **Admission** — an `Arrival` calls `admit`; a refusal is the drop
 //!    path (counted against the arriving tenant).
 //! 2. **Offer order** — each dispatch pass calls `scan` and hands the
-//!    ordered view to placement (`select_dispatch`) and the
+//!    ordered view to placement (`Placer::select`) and the
 //!    [`DispatchPolicy`]; the chosen *scan position* is then removed with
 //!    `take`. Under [`crate::sched::SchedKind::Fifo`] the scan order is
 //!    arrival order, so placement/dispatch see exactly the pre-refactor
@@ -168,17 +168,31 @@
 //! analytic, so a stage's begin and end are both known when it is
 //! scheduled. The span model (one track per board resource, a queue
 //! track, counters for queue depth and residency) lives in
-//! [`crate::trace`]; the emission sites here are:
+//! [`crate::trace`]. The event loop is a thin driver over one run state
+//! (`Run`): one handler per event kind plus a dispatch pass, all of
+//! them narrating through the same two helpers (`Run::span`,
+//! `Run::counter`), which compile out under
+//! [`crate::trace::NullSink`]. The emission sites are:
 //!
-//! - **dispatch** — the request's queue span (arrival → dispatch), a
-//!   fresh per-run request id, and in serial mode the whole back-to-back
-//!   reconfig/ingest/preprocess/hand-off timeline at once;
-//! - **fabric acquisition** (pipelined) — the ICAP stall and
-//!   preprocessing spans;
-//! - **hand-off start** (pipelined) — the DMA hand-off span;
-//! - **migration dispatch** — the source board's outbound DMA leg;
-//! - **admission/dispatch queue transitions** — queue-depth counter
-//!   samples; dispatch also samples the board's resident DRAM bytes.
+//! - **`Run::dispatch`** — the queue-depth sample after the take; its
+//!   shared prefix `begin_visit` draws the fresh per-run request id,
+//!   closes the queue span (arrival → dispatch), narrates a migration's
+//!   outbound DMA leg on the source board and samples the board's
+//!   resident DRAM bytes;
+//! - **`dispatch_serial`** — the whole back-to-back
+//!   reconfig/ingest/preprocess/hand-off timeline at once; a cancelled
+//!   hedge leg appears as one `Cancelled` span (from `race`), with a
+//!   wasted-work sample;
+//! - **`dispatch_pipelined`** — the DMA ingest span;
+//! - **`start_fabric`** (pipelined, from `on_ingest_done` and
+//!   `on_fabric_done`) — the ICAP stall and preprocessing spans;
+//! - **`start_handoff`** (pipelined) — the DMA hand-off span;
+//! - **`on_arrival`** — queue-depth samples on admission and cache-hit
+//!   samples on a full hit (partial hits are sampled in `begin_visit`);
+//! - **`expire`** and **`on_deadline_expired`** — a `Cancelled` span per
+//!   expired or aborted request, then a queue-depth or wasted-work
+//!   sample; **`on_service_done`** samples the wasted-work ledger after
+//!   a late completion.
 //!
 //! Sinks are write-only, so tracing cannot perturb the schedule: a run
 //! with any sink produces bit-for-bit the [`crate::trace::NullSink`]
@@ -198,6 +212,7 @@ use std::time::Instant;
 
 use agnn_cost::{CostModel, ReconfigPolicy, Workload};
 use agnn_gnn::timing::GpuInferenceModel;
+use agnn_hw::shell::{PcieModel, PcieSwitchModel};
 use agnn_hw::HwConfig;
 use fxhash::FxHashMap;
 
@@ -647,81 +662,54 @@ pub struct ServeConfigBuilder {
     cfg: ServeConfig,
 }
 
-macro_rules! builder_setter {
-    ($(#[$doc:meta])* $name:ident: $ty:ty) => {
-        $(#[$doc])*
-        pub fn $name(mut self, $name: $ty) -> Self {
-            self.cfg.$name = $name;
-            self
-        }
+/// One typed setter per listed field, each documented at its entry.
+macro_rules! builder_setters {
+    ($($(#[$doc:meta])* $name:ident: $ty:ty,)*) => {
+        $(
+            $(#[$doc])*
+            pub fn $name(mut self, $name: $ty) -> Self {
+                self.cfg.$name = $name;
+                self
+            }
+        )*
     };
 }
 
 impl ServeConfigBuilder {
-    builder_setter!(
+    builder_setters! {
         /// Deployment seed ([`ServeConfig::seed`]).
-        seed: u64
-    );
-    builder_setter!(
+        seed: u64,
         /// Admission-queue capacity ([`ServeConfig::queue_capacity`]).
-        queue_capacity: usize
-    );
-    builder_setter!(
+        queue_capacity: usize,
         /// Dispatch policy ([`ServeConfig::policy`]).
-        policy: DispatchPolicy
-    );
-    builder_setter!(
+        policy: DispatchPolicy,
         /// Admission/dispatch scheduler ([`ServeConfig::scheduler`]).
-        scheduler: SchedKind
-    );
-    builder_setter!(
+        scheduler: SchedKind,
         /// Board-pool size ([`ServeConfig::boards`]).
-        boards: usize
-    );
-    builder_setter!(
+        boards: usize,
         /// Placement policy ([`ServeConfig::placement`]).
-        placement: PlacementPolicy
-    );
-    builder_setter!(
+        placement: PlacementPolicy,
         /// Cross-board migration policy ([`ServeConfig::migrate`]).
-        migrate: MigratePolicy
-    );
-    builder_setter!(
+        migrate: MigratePolicy,
         /// DMA/fabric pipelining ([`ServeConfig::overlap`]).
-        overlap: bool
-    );
-    builder_setter!(
+        overlap: bool,
         /// Per-board compute multiplier ([`ServeConfig::compute_speedup`]).
-        compute_speedup: f64
-    );
-    builder_setter!(
+        compute_speedup: f64,
         /// Offered load ([`ServeConfig::total_requests`]).
-        total_requests: u64
-    );
-    builder_setter!(
+        total_requests: u64,
         /// Drift quantization step ([`ServeConfig::drift_step_secs`]).
-        drift_step_secs: f64
-    );
-    builder_setter!(
+        drift_step_secs: f64,
         /// Reconfiguration gain threshold ([`ServeConfig::min_gain`]).
-        min_gain: f64
-    );
-    builder_setter!(
+        min_gain: f64,
         /// Queue-depth decimation stride ([`ServeConfig::depth_stride`]).
-        depth_stride: u64
-    );
-    builder_setter!(
+        depth_stride: u64,
         /// Per-request completion log ([`ServeConfig::log_requests`]).
-        log_requests: bool
-    );
-    builder_setter!(
+        log_requests: bool,
         /// Result-cache policy ([`ServeConfig::cache`]).
-        cache: CacheKind
-    );
-    builder_setter!(
+        cache: CacheKind,
         /// Hedged-dispatch policy ([`ServeConfig::hedge`]).
-        hedge: HedgeKind
-    );
+        hedge: HedgeKind,
+    }
 
     /// Pool-wide fallback deadline in seconds
     /// ([`ServeConfig::default_deadline_secs`]). The builder default is
@@ -749,10 +737,13 @@ impl ServeConfigBuilder {
     }
 }
 
-/// A dispatched request flowing through a board's staged pipeline
-/// (pipelined mode only); the timestamps accumulate as stages complete.
+/// A dispatched request's board visit. The shared dispatch prefix
+/// ([`Run::begin_visit`]) prices its ingest in both modes; serial dispatch
+/// prices the remaining stages at once, while in pipelined mode the record
+/// waits in the in-flight slab and its timestamps accumulate as stages
+/// complete.
 #[derive(Debug, Clone, Copy)]
-struct Pipelined {
+struct Visit {
     tenant: usize,
     /// Per-run monotone request id linking this request's trace spans.
     trace_id: u64,
@@ -783,6 +774,22 @@ struct Pipelined {
     cum_delta: u64,
     entry_preprocess_secs: f64,
     partial: bool,
+}
+
+impl Visit {
+    fn tag(&self) -> Tag {
+        Tag {
+            tenant: self.tenant,
+            request: self.trace_id,
+        }
+    }
+}
+
+/// The request a span narrates: its tenant and per-run trace id.
+#[derive(Debug, Clone, Copy)]
+struct Tag {
+    tenant: usize,
+    request: u64,
 }
 
 /// Queued event payloads. Kept pointer-small on purpose: the completion
@@ -861,6 +868,13 @@ impl TraceDigest {
         }
         self.0 = h;
     }
+
+    /// Pushes one step's words in order.
+    fn push_all(&mut self, words: &[u64]) {
+        for &word in words {
+            self.push(word);
+        }
+    }
 }
 
 /// The multi-tenant traffic simulator over a board pool.
@@ -887,6 +901,8 @@ struct RunStats {
     wasted_work_bytes: u64,
     wasted_secs: f64,
     stages: StageHistograms,
+    /// Keep a per-request completion log ([`ServeConfig::log_requests`]).
+    log: bool,
     requests: Vec<CompletedRequest>,
     /// Aggregate stall attribution over completed requests (each
     /// request's six components sum to its end-to-end latency).
@@ -898,7 +914,31 @@ struct RunStats {
 }
 
 impl RunStats {
-    #[allow(clippy::too_many_arguments)]
+    fn new(tenants: &[TenantSpec], deadlines: Vec<Option<f64>>, log: bool) -> Self {
+        RunStats {
+            tenants: tenants
+                .iter()
+                .map(|t| TenantStats {
+                    name: t.name.clone(),
+                    latency: LatencyHistogram::default(),
+                    ..TenantStats::default()
+                })
+                .collect(),
+            slo: tenants.iter().map(|t| t.slo_secs).collect(),
+            deadlines,
+            wasted_work_bytes: 0,
+            wasted_secs: 0.0,
+            stages: StageHistograms::default(),
+            log,
+            requests: Vec::new(),
+            stall: StallBreakdown::default(),
+            reconfigs: 0,
+            reconfig_secs: 0.0,
+            overlap_secs: 0.0,
+            last_board_free: 0.0,
+        }
+    }
+
     fn complete(
         &mut self,
         tenant: usize,
@@ -906,7 +946,6 @@ impl RunStats {
         latency: RequestLatency,
         host_bytes: u64,
         switch_bytes: u64,
-        log: bool,
     ) -> RequestOutcome {
         let budget = self.slo[tenant];
         // Strictly past the deadline only: completing at the exact
@@ -938,7 +977,7 @@ impl RunStats {
         }
         self.stages.record(&latency);
         self.stall.accumulate(&StallBreakdown::of(&latency));
-        if log {
+        if self.log {
             self.requests.push(CompletedRequest {
                 tenant,
                 arrival_secs,
@@ -953,12 +992,12 @@ impl RunStats {
 }
 
 /// Per-board pipeline state (pipelined mode only): [`Slab`] handles of
-/// the [`Pipelined`] requests currently ingesting / staged /
-/// preprocessing and the hand-offs waiting for the DMA engine — the
-/// payloads stay put in the arena while 4-byte handles move through the
-/// queues. Slot occupancy and busy horizons live on the [`BoardPool`]
-/// boards themselves — the pool's `stage`/`unstage` and
-/// `add_pending_handoffs` counters mirror these queues' lengths.
+/// the [`Visit`] records currently ingesting / staged / preprocessing and
+/// the hand-offs waiting for the DMA engine — the payloads stay put in
+/// the arena while 4-byte handles move through the queues. Slot
+/// occupancy and busy horizons live on the [`BoardPool`] boards
+/// themselves — the pool's `stage`/`unstage` and `add_pending_handoffs`
+/// counters mirror these queues' lengths.
 struct Pipeline {
     ingesting: Vec<Option<Handle>>,
     /// FIFO of ingested requests waiting for the fabric, at most
@@ -978,18 +1017,6 @@ impl Pipeline {
             handoffs: vec![VecDeque::new(); boards],
         }
     }
-}
-
-/// The run's engine state: the event queue plus the two slab arenas
-/// holding in-flight payloads (pipeline requests and deferred
-/// completion records). One struct so the event handlers borrow it as a
-/// unit.
-struct Engine {
-    queue: EventQueue<EventKind>,
-    /// Pipelined requests between dispatch and hand-off start.
-    inflight: Slab<Pipelined>,
-    /// `ServiceDone` payloads between scheduling and their pop.
-    completions: Slab<Completion>,
 }
 
 impl TrafficSim {
@@ -1103,969 +1130,210 @@ impl TrafficSim {
 
     /// The event loop, generic over the sink so [`run`](TrafficSim::run)
     /// monomorphizes tracing away while
-    /// [`run_traced`](TrafficSim::run_traced) keeps dynamic sinks.
+    /// [`run_traced`](TrafficSim::run_traced) keeps dynamic sinks. A thin
+    /// driver: it pops an event, runs the in-queue expiry pass, hands the
+    /// event to its [`Run`] handler and then, unless the handler reports
+    /// that the event left nothing new to place, a dispatch pass.
     fn run_traced_impl<S: TraceSink + ?Sized>(&mut self, sink: &mut S) -> TrafficReport {
         let wall_start = Instant::now();
-        let cfg = self.config;
-        let TrafficSim { tenants, pool, .. } = self;
-        pool.reset();
-        // Multi-board (or pipelined) runs tag reconfiguration and
-        // completion digest words with the board index; the single-board
-        // serial layout is frozen so PR 1 digests stay reproducible.
-        let tag_boards = pool.size() > 1 || cfg.overlap;
-        let pcie = pool.pcie();
-        let switch = pool.switch();
-        let inference_model = GpuInferenceModel::default();
+        let TrafficSim {
+            tenants,
+            config,
+            pool,
+        } = self;
+        let mut run = Run::new(tenants, pool, config, sink);
+        while let Some((now, kind)) = run.queue.pop() {
+            run.events += 1;
+            run.expire(now);
+            let dispatch = match kind {
+                EventKind::Arrival { tenant } => run.on_arrival(now, tenant),
+                EventKind::IngestDone { board } => run.on_ingest_done(now, board),
+                EventKind::FabricDone { board } => run.on_fabric_done(now, board),
+                EventKind::MigrationDone { board } => run.on_migration_done(now, board),
+                EventKind::ServiceDone { completion } => run.on_service_done(now, completion),
+                EventKind::DeadlineExpired { board, handle, tag } => {
+                    run.on_deadline_expired(now, board, handle, tag)
+                }
+                EventKind::HedgeWon { board, tenant } => run.on_hedge_won(now, board, tenant),
+            };
+            if dispatch {
+                run.dispatch(now);
+            }
+        }
+        run.finish(wall_start)
+    }
+}
 
+/// One priced serial board visit: the placement pick, or the hedge leg
+/// racing it. The stages run back to back from dispatch under both
+/// slots, so the visit ends at `done`.
+#[derive(Debug, Clone, Copy)]
+struct Leg {
+    board: usize,
+    latency: RequestLatency,
+    done: f64,
+    host_bytes: u64,
+    switch_bytes: u64,
+    /// The preprocessing cost the cache entry this leg refills records.
+    entry_preprocess_secs: f64,
+}
+
+impl Leg {
+    fn new(
+        board: usize,
+        now: f64,
+        latency: RequestLatency,
+        host_bytes: u64,
+        switch_bytes: u64,
+        entry_preprocess_secs: f64,
+    ) -> Self {
+        Leg {
+            board,
+            done: now
+                + latency.reconfig_secs
+                + latency.upload_secs
+                + latency.preprocess_secs
+                + latency.download_secs,
+            latency,
+            host_bytes,
+            switch_bytes,
+            entry_preprocess_secs,
+        }
+    }
+}
+
+/// The board track of `board`'s `resource`.
+fn on_board(board: usize, resource: BoardResource) -> Track {
+    Track::Board { board, resource }
+}
+
+/// One simulation in flight: everything the event handlers share. The
+/// [`TrafficSim`] driver pops events and calls one `on_*` handler per
+/// [`EventKind`], then [`dispatch`](Run::dispatch); each handler updates
+/// the three channels a step touches — the schedule (queue, pool,
+/// scheduler), the tallies ([`RunStats`], digest) and the narration
+/// ([`span`](Run::span), [`counter`](Run::counter), both no-ops under
+/// [`NullSink`]) — in the order the golden digests pin.
+struct Run<'a, S: TraceSink + ?Sized> {
+    tenants: &'a [TenantSpec],
+    pool: &'a mut BoardPool,
+    cfg: &'a ServeConfig,
+    sink: &'a mut S,
+    /// Multi-board (or pipelined) runs tag reconfiguration and
+    /// completion digest words with the board index; the single-board
+    /// serial layout is frozen so PR 1 digests stay reproducible.
+    tag_boards: bool,
+    pcie: PcieModel,
+    switch: PcieSwitchModel,
+    queue: EventQueue<EventKind>,
+    /// Pipelined visits between dispatch and hand-off start.
+    inflight: Slab<Visit>,
+    /// `ServiceDone` payloads between scheduling and their pop.
+    completions: Slab<Completion>,
+    /// Independent seeded arrival streams, pre-generated in batches
+    /// (bit-identical to on-demand draws — the streams are
+    /// schedule-independent).
+    arrivals: ArrivalSource,
+    /// Arrivals generated so far (the offered load stops at
+    /// [`ServeConfig::total_requests`]).
+    offered: u64,
+    /// The pluggable admission/dispatch scheduler (see the module
+    /// docs' "scheduler seam"): `Fifo` is the pre-refactor bounded
+    /// queue bit-for-bit. The enum form keeps the per-event
+    /// admit/scan/take calls statically dispatched.
+    sched: Scheduler,
+    /// Whether any tenant carries a deadline. With none the expiry
+    /// pass, the abort events and the served-late split are all
+    /// skipped — the deadline Off-equivalence invariant.
+    deadlines_on: bool,
+    /// The shared latency EWMA driving the hedge trigger (SLO-aware
+    /// scheduling owns its own instance inside the policy).
+    predictor: LatencyPredictor,
+    /// Scratch for the expiry pass, reused across events.
+    expired: Vec<Request>,
+    /// Pure cost-model results (workloads, library-optimal configs,
+    /// expansion sums, fabric reports, reconfig verdicts), memoized
+    /// per tenant drift bucket — speed only, never the schedule (see
+    /// [`CostMemo`]).
+    memo: CostMemo,
+    /// The subgraph result cache ([`crate::cache`]). With `Off` every
+    /// touch is skipped, so the uncached schedule — and every golden
+    /// digest — replays bit-for-bit.
+    cache: ResultCache,
+    stats: RunStats,
+    depth: DepthTimeline,
+    digest: TraceDigest,
+    pipe: Pipeline,
+    /// Self-metrics (events popped) and the monotone request id spans
+    /// carry — none of it feeds back into the schedule.
+    events: u64,
+    next_trace_id: u64,
+}
+
+impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
+    /// Resets the pool and primes the queue with every tenant's first
+    /// arrival.
+    fn new(
+        tenants: &'a [TenantSpec],
+        pool: &'a mut BoardPool,
+        cfg: &'a ServeConfig,
+        sink: &'a mut S,
+    ) -> Self {
+        pool.reset();
         // Size the calendar-queue buckets off the offered load: at the
         // tenants' combined peak rate one bucket holds a handful of
         // events. Width only moves constants, never ordering.
         let total_peak: f64 = tenants.iter().map(|t| t.arrival.peak_rate()).sum();
         let width_secs = (1.0 / (4.0 * total_peak)).clamp(1e-6, 1.0);
-        let mut engine = Engine {
-            queue: EventQueue::with_width(width_secs),
-            inflight: Slab::with_capacity(4 * pool.size()),
-            completions: Slab::with_capacity(4 * pool.size()),
-        };
-
-        // Independent seeded arrival streams, pre-generated in batches
-        // (bit-identical to on-demand draws — the streams are
-        // schedule-independent); the first arrival of every tenant
-        // primes the queue.
-        let mut arrivals = ArrivalSource::new(tenants, cfg.seed);
-        let mut offered = 0u64;
-        for i in 0..tenants.len() {
-            if offered < cfg.total_requests {
-                let at = arrivals.next(i);
-                engine.queue.push(at, EventKind::Arrival { tenant: i });
-                offered += 1;
-            }
-        }
-
-        // The pluggable admission/dispatch scheduler (see the module
-        // docs' "scheduler seam"): `Fifo` is the pre-refactor bounded
-        // queue bit-for-bit. The enum form keeps the per-event
-        // admit/scan/take calls statically dispatched.
-        let mut sched = cfg.scheduler.instantiate(tenants, cfg.queue_capacity);
         // Effective per-tenant deadlines: the tenant's own, falling back
-        // to the pool-wide default. With every entry `None` the expiry
-        // pass, the abort events and the served-late split are all
-        // skipped — the deadline Off-equivalence invariant.
+        // to the pool-wide default.
         let deadlines: Vec<Option<f64>> = tenants
             .iter()
             .map(|t| t.deadline_secs.or(cfg.default_deadline_secs))
             .collect();
-        let deadlines_on = deadlines.iter().any(Option::is_some);
-        let hedge_on = cfg.hedge.enabled();
-        // The shared latency EWMA driving the hedge trigger (SLO-aware
-        // scheduling owns its own instance inside the policy).
-        let mut predictor = LatencyPredictor::new(tenants.len());
-        // Scratch for the expiry pass, reused across events.
-        let mut expired: Vec<Request> = Vec::new();
-        // Pure cost-model results (workloads, library-optimal configs,
-        // expansion sums, fabric reports, reconfig verdicts), memoized
-        // per tenant drift bucket — speed only, never the schedule (see
-        // [`CostMemo`]).
-        let mut memo = CostMemo::new(tenants.len(), cfg.drift_step_secs);
-        // The subgraph result cache ([`crate::cache`]). With `Off` every
-        // touch below is skipped, so the uncached schedule — and every
-        // golden digest — replays bit-for-bit.
-        let mut cache = ResultCache::new(cfg.cache, tenants.len());
-        let cache_on = cache.enabled();
-
-        let mut stats = RunStats {
-            tenants: tenants
-                .iter()
-                .map(|t| TenantStats {
-                    name: t.name.clone(),
-                    latency: LatencyHistogram::default(),
-                    ..TenantStats::default()
-                })
-                .collect(),
-            slo: tenants.iter().map(|t| t.slo_secs).collect(),
-            deadlines: deadlines.clone(),
-            wasted_work_bytes: 0,
-            wasted_secs: 0.0,
-            stages: StageHistograms::default(),
-            requests: Vec::new(),
-            stall: StallBreakdown::default(),
-            reconfigs: 0,
-            reconfig_secs: 0.0,
-            overlap_secs: 0.0,
-            last_board_free: 0.0,
+        let mut run = Run {
+            tag_boards: pool.size() > 1 || cfg.overlap,
+            pcie: pool.pcie(),
+            switch: pool.switch(),
+            queue: EventQueue::with_width(width_secs),
+            inflight: Slab::with_capacity(4 * pool.size()),
+            completions: Slab::with_capacity(4 * pool.size()),
+            arrivals: ArrivalSource::new(tenants, cfg.seed),
+            offered: 0,
+            sched: cfg.scheduler.instantiate(tenants, cfg.queue_capacity),
+            deadlines_on: deadlines.iter().any(Option::is_some),
+            predictor: LatencyPredictor::new(tenants.len()),
+            expired: Vec::new(),
+            memo: CostMemo::new(tenants.len(), cfg.drift_step_secs),
+            cache: ResultCache::new(cfg.cache, tenants.len()),
+            stats: RunStats::new(tenants, deadlines, cfg.log_requests),
+            depth: DepthTimeline::with_stride(cfg.depth_stride),
+            digest: TraceDigest::new(),
+            pipe: Pipeline::new(pool.size()),
+            events: 0,
+            next_trace_id: 0,
+            tenants,
+            pool,
+            cfg,
+            sink,
         };
-        let mut depth = DepthTimeline::with_stride(cfg.depth_stride);
-        let mut digest = TraceDigest::new();
-        let mut pipe = Pipeline::new(pool.size());
-        // Self-metrics (events popped, wall clock) and the monotone
-        // request id spans carry — none of it feeds back into the
-        // schedule.
-        let mut events = 0u64;
-        let mut next_trace_id = 0u64;
-
-        while let Some((now, kind)) = engine.queue.pop() {
-            events += 1;
-            if deadlines_on {
-                // In-queue expiry: before handling the event, drop every
-                // queued request whose deadline has (strictly) passed —
-                // it can no longer dispatch, so no board work is wasted
-                // on it. Coalesced duplicates parked on an expired
-                // primary expire with it: nothing else would ever
-                // complete them.
-                sched.expire(now, &deadlines, &mut expired);
-                if !expired.is_empty() {
-                    for rq in expired.drain(..) {
-                        stats.tenants[rq.tenant]
-                            .outcomes
-                            .record(RequestOutcome::ExpiredInQueue);
-                        digest.push(0xE1);
-                        digest.push(rq.tenant as u64);
-                        let trace_id = next_trace_id;
-                        next_trace_id += 1;
-                        if sink.enabled() {
-                            sink.span(Span {
-                                track: Track::Queue,
-                                kind: SpanKind::Cancelled,
-                                tenant: rq.tenant,
-                                request: trace_id,
-                                begin_secs: rq.arrival_secs,
-                                end_secs: now,
-                            });
-                        }
-                        if cache_on {
-                            for _waiter in cache.cancel(rq.tenant, rq.arrival_secs) {
-                                stats.tenants[rq.tenant]
-                                    .outcomes
-                                    .record(RequestOutcome::ExpiredInQueue);
-                                digest.push(0xE1);
-                                digest.push(rq.tenant as u64);
-                            }
-                        }
-                    }
-                    depth.record(now, sched.len());
-                    if sink.enabled() {
-                        sink.counter(CounterSample {
-                            kind: CounterKind::QueueDepth,
-                            time_secs: now,
-                            value: sched.len() as f64,
-                        });
-                    }
-                }
-            }
-            match kind {
-                EventKind::Arrival { tenant } => {
-                    digest.push(0xA1);
-                    digest.push(tenant as u64);
-                    digest.push(now.to_bits());
-                    // Keep the tenant's stream flowing while load remains.
-                    if offered < cfg.total_requests {
-                        let at = arrivals.next(tenant);
-                        engine.queue.push(at, EventKind::Arrival { tenant });
-                        offered += 1;
-                    }
-                    // The cache consult, before the request ever queues:
-                    // a fresh entry whose graph is still board-resident
-                    // completes at lookup cost without a board slot; a
-                    // duplicate of an in-flight request parks on that
-                    // primary (hit-under-miss).
-                    if cache_on {
-                        let spec = &tenants[tenant];
-                        let bucket = spec.drift_bucket(now, cfg.drift_step_secs);
-                        let costs = memo.bucket_costs(tenant, spec, now, &inference_model);
-                        cache.observe(tenant, bucket, costs.coo_bytes);
-                        let resident = pool.resident_boards(tenant).next().is_some();
-                        if cache.full_hit(tenant, bucket, resident).is_some() {
-                            stats.tenants[tenant].cache_hits += 1;
-                            digest.push(0xCA);
-                            digest.push(tenant as u64);
-                            if sink.enabled() {
-                                let s = cache.stats();
-                                sink.counter(CounterSample {
-                                    kind: CounterKind::CacheHits,
-                                    time_secs: now,
-                                    value: (s.hits + s.partial_hits) as f64,
-                                });
-                            }
-                            let latency = RequestLatency {
-                                cache_secs: CACHE_LOOKUP_SECS,
-                                ..RequestLatency::default()
-                            };
-                            let completion = engine.completions.insert(Completion {
-                                tenant,
-                                board: 0,
-                                arrival_secs: now,
-                                latency,
-                                host_bytes: 0,
-                                switch_bytes: 0,
-                                bucket,
-                                graph_bytes: 0,
-                                cum_delta: 0,
-                                entry_preprocess_secs: 0.0,
-                                cached: true,
-                            });
-                            engine.queue.push(
-                                now + CACHE_LOOKUP_SECS,
-                                EventKind::ServiceDone { completion },
-                            );
-                            continue;
-                        }
-                        if cache.park(tenant, bucket, now) {
-                            stats.tenants[tenant].cache_coalesced += 1;
-                            digest.push(0xC0);
-                            digest.push(tenant as u64);
-                            continue;
-                        }
-                    }
-                    // Bounded admission: the scheduler's refusal (shared
-                    // queue full, or a per-tenant quota exhausted) is the
-                    // drop path — counted, never silently lost.
-                    if !sched.admit(Request {
-                        tenant,
-                        arrival_secs: now,
-                    }) {
-                        stats.tenants[tenant].dropped += 1;
-                        stats.tenants[tenant]
-                            .outcomes
-                            .record(RequestOutcome::DroppedAtAdmission);
-                        digest.push(0xD0);
-                        continue;
-                    }
-                    if cache_on {
-                        // Admitted: duplicate arrivals of the same bucket
-                        // may now coalesce onto this primary until its
-                        // completion fills the cache. (Dropped arrivals
-                        // never register, so waiters cannot be orphaned.)
-                        let bucket = tenants[tenant].drift_bucket(now, cfg.drift_step_secs);
-                        cache.register(tenant, bucket, now);
-                    }
-                    depth.record(now, sched.len());
-                    if sink.enabled() {
-                        sink.counter(CounterSample {
-                            kind: CounterKind::QueueDepth,
-                            time_secs: now,
-                            value: sched.len() as f64,
-                        });
-                    }
-                }
-                EventKind::IngestDone { board } => {
-                    let handle = pipe.ingesting[board]
-                        .take()
-                        .expect("ingest completion without an ingest in flight");
-                    pool.release_dma(board);
-                    let rq = engine.inflight.get_mut(handle);
-                    rq.ingest_done_secs = now;
-                    let tenant = rq.tenant;
-                    digest.push(0x16);
-                    digest.push(tenant as u64);
-                    digest.push(board as u64);
-                    if pool.fabric_free(board) && pipe.staged[board].is_empty() {
-                        start_fabric(
-                            handle,
-                            board,
-                            now,
-                            pool,
-                            &mut pipe,
-                            &mut stats,
-                            &sched,
-                            &mut digest,
-                            &cfg,
-                            sink,
-                            &mut engine,
-                            &mut memo,
-                        );
-                    } else {
-                        pool.stage(board);
-                        pipe.staged[board].push_back(handle);
-                    }
-                    // The freed DMA engine drains any waiting hand-off.
-                    start_handoff(
-                        board,
-                        now,
-                        pool,
-                        &mut pipe,
-                        &mut stats,
-                        &pcie,
-                        sink,
-                        &mut engine,
-                    );
-                }
-                EventKind::FabricDone { board } => {
-                    let handle = pipe.in_fabric[board]
-                        .take()
-                        .expect("fabric completion without a request in the fabric");
-                    pool.release_fabric(board);
-                    let rq = engine.inflight.get_mut(handle);
-                    rq.fabric_done_secs = now;
-                    let tenant = rq.tenant;
-                    digest.push(0xFB);
-                    digest.push(tenant as u64);
-                    digest.push(board as u64);
-                    pipe.handoffs[board].push_back(handle);
-                    pool.add_pending_handoffs(board, 1);
-                    start_handoff(
-                        board,
-                        now,
-                        pool,
-                        &mut pipe,
-                        &mut stats,
-                        &pcie,
-                        sink,
-                        &mut engine,
-                    );
-                    // The earliest staged request acquires the fabric
-                    // immediately.
-                    if let Some(staged) = pipe.staged[board].pop_front() {
-                        pool.unstage(board);
-                        start_fabric(
-                            staged,
-                            board,
-                            now,
-                            pool,
-                            &mut pipe,
-                            &mut stats,
-                            &sched,
-                            &mut digest,
-                            &cfg,
-                            sink,
-                            &mut engine,
-                            &mut memo,
-                        );
-                    }
-                }
-                EventKind::MigrationDone { board } => {
-                    // The outbound switch leg finished: the source board's
-                    // DMA engine stops streaming the graph out and frees.
-                    pool.release_dma(board);
-                    digest.push(0x37);
-                    digest.push(board as u64);
-                    if cfg.overlap {
-                        start_handoff(
-                            board,
-                            now,
-                            pool,
-                            &mut pipe,
-                            &mut stats,
-                            &pcie,
-                            sink,
-                            &mut engine,
-                        );
-                    }
-                }
-                EventKind::ServiceDone { completion } => {
-                    let Completion {
-                        tenant,
-                        board,
-                        arrival_secs,
-                        latency,
-                        host_bytes,
-                        switch_bytes,
-                        bucket,
-                        graph_bytes,
-                        cum_delta,
-                        entry_preprocess_secs,
-                        cached,
-                    } = engine.completions.remove(completion);
-                    let outcome = stats.complete(
-                        tenant,
-                        arrival_secs,
-                        latency,
-                        host_bytes,
-                        switch_bytes,
-                        cfg.log_requests,
-                    );
-                    // Latency feedback for SLO-aware scheduling, and for
-                    // the hedge trigger's shared predictor.
-                    sched.on_complete(tenant, &latency, now);
-                    if hedge_on {
-                        predictor.observe(tenant, latency.total());
-                    }
-                    if outcome == RequestOutcome::ServedLate && sink.enabled() {
-                        sink.counter(CounterSample {
-                            kind: CounterKind::WastedWork,
-                            time_secs: now,
-                            value: stats.wasted_work_bytes as f64,
-                        });
-                    }
-                    digest.push(0x5D);
-                    digest.push(tenant as u64);
-                    digest.push(latency.total().to_bits());
-                    if cached {
-                        // A cache-served completion never held a board:
-                        // nothing to release, no entry to refill.
-                        stats.last_board_free = now;
-                        continue;
-                    }
-                    if tag_boards {
-                        digest.push(board as u64);
-                    }
-                    if cfg.overlap {
-                        pool.release_dma(board);
-                        pool.complete(board);
-                        start_handoff(
-                            board,
-                            now,
-                            pool,
-                            &mut pipe,
-                            &mut stats,
-                            &pcie,
-                            sink,
-                            &mut engine,
-                        );
-                    } else {
-                        pool.release(board);
-                    }
-                    stats.last_board_free = now;
-                    if cache_on {
-                        // Refill the tenant's cache entry from this
-                        // board-served completion and drain any arrivals
-                        // that coalesced onto it while it was in flight.
-                        // The entry's service cost substitutes the *paid*
-                        // preprocess share with the entry's own (a partial
-                        // hit paid 0 but reuses an entry worth `saved`).
-                        let service_secs = latency.board_secs() - latency.preprocess_secs
-                            + entry_preprocess_secs
-                            + latency.inference_secs;
-                        let waiters = cache.fill(
-                            tenant,
-                            bucket,
-                            graph_bytes,
-                            cum_delta,
-                            entry_preprocess_secs,
-                            service_secs,
-                            arrival_secs,
-                        );
-                        for waited_since in waiters {
-                            let wl = RequestLatency {
-                                cache_secs: now - waited_since,
-                                ..RequestLatency::default()
-                            };
-                            stats.complete(tenant, waited_since, wl, 0, 0, cfg.log_requests);
-                            sched.on_complete(tenant, &wl, now);
-                            if hedge_on {
-                                predictor.observe(tenant, wl.total());
-                            }
-                            digest.push(0xCE);
-                            digest.push(tenant as u64);
-                            digest.push(wl.total().to_bits());
-                        }
-                    }
-                }
-                EventKind::DeadlineExpired { board, handle, tag } => {
-                    // Tag guard against slab recycling: only a live
-                    // payload whose trace id matches is still this
-                    // request — anything else means it already completed
-                    // (or aborted) and the slot moved on.
-                    let live = engine
-                        .inflight
-                        .try_get(handle)
-                        .is_some_and(|rq| rq.trace_id == tag);
-                    if !live {
-                        continue;
-                    }
-                    // A started stage always runs to completion: only a
-                    // request still *waiting* — in the staging buffer
-                    // for the fabric, or in the hand-off queue for the
-                    // DMA engine — can be abandoned.
-                    let staged_pos = pipe.staged[board].iter().position(|&h| h == handle);
-                    let handoff_pos = pipe.handoffs[board].iter().position(|&h| h == handle);
-                    if staged_pos.is_none() && handoff_pos.is_none() {
-                        continue;
-                    }
-                    if let Some(i) = staged_pos {
-                        pipe.staged[board].remove(i).expect("index in bounds");
-                        pool.unstage(board);
-                    } else if let Some(i) = handoff_pos {
-                        pipe.handoffs[board].remove(i).expect("index in bounds");
-                        pool.add_pending_handoffs(board, -1);
-                    }
-                    let rq = engine.inflight.remove(handle);
-                    stats.tenants[rq.tenant]
-                        .outcomes
-                        .record(RequestOutcome::Aborted);
-                    // The abort writes off everything the board already
-                    // paid: the ingest, plus the reconfiguration and
-                    // fabric pass once the hand-off was queued.
-                    stats.wasted_secs += rq.upload_secs + rq.reconfig_secs + rq.preprocess_secs;
-                    stats.wasted_work_bytes += rq.host_bytes + rq.switch_bytes;
-                    digest.push(0xAB);
-                    digest.push(rq.tenant as u64);
-                    digest.push(board as u64);
-                    if sink.enabled() {
-                        sink.span(Span {
-                            track: Track::Queue,
-                            kind: SpanKind::Cancelled,
-                            tenant: rq.tenant,
-                            request: rq.trace_id,
-                            begin_secs: rq.dispatch_secs,
-                            end_secs: now,
-                        });
-                        sink.counter(CounterSample {
-                            kind: CounterKind::WastedWork,
-                            time_secs: now,
-                            value: stats.wasted_work_bytes as f64,
-                        });
-                    }
-                    if cache_on {
-                        // The abort orphans the in-flight primary: its
-                        // coalesced duplicates expire with it.
-                        for _waiter in cache.cancel(rq.tenant, rq.arrival_secs) {
-                            stats.tenants[rq.tenant]
-                                .outcomes
-                                .record(RequestOutcome::ExpiredInQueue);
-                            digest.push(0xE1);
-                            digest.push(rq.tenant as u64);
-                        }
-                    }
-                    // Fall through to dispatch: the freed staging slot
-                    // may let the board accept a queued request.
-                }
-                EventKind::HedgeWon { board, tenant } => {
-                    // The cancelled leg's board frees. Both engines were
-                    // held as one serial visit, but `release` would also
-                    // count a completion the loser never made.
-                    pool.release_dma(board);
-                    pool.release_fabric(board);
-                    stats.tenants[tenant]
-                        .outcomes
-                        .record(RequestOutcome::HedgeLoser);
-                    digest.push(0x4F);
-                    digest.push(tenant as u64);
-                    digest.push(board as u64);
-                    stats.last_board_free = now;
-                }
-            }
-
-            // Dispatch while boards are free and work waits. Each pass
-            // offers the scheduler's scan order to placement; placement
-            // and the dispatch policy pick the (request, board) pair.
-            while pool.any_free() && !sched.is_empty() {
-                let Some(placement) =
-                    select_dispatch(tenants, &cfg, sched.scan(), &mut memo, pool, now)
-                else {
-                    break;
-                };
-                let (position, board) = match placement {
-                    Placement::Serve { position, board } => (position, board),
-                    Placement::Migrating { position, board } => {
-                        // SplitHot overflow: the queue outgrew its
-                        // threshold with every affine board busy, so the
-                        // front request claims an idle board instead.
-                        digest.push(0x51);
-                        digest.push(board as u64);
-                        (position, board)
-                    }
-                };
-                let request = sched.take(position);
-                depth.record(now, sched.len());
-                // The request id its spans share; the queue span closes
-                // here (arrival → dispatch — the admission scheduler's
-                // share of the latency, cf. the sched module docs).
-                let trace_id = next_trace_id;
-                next_trace_id += 1;
-                if sink.enabled() {
-                    sink.counter(CounterSample {
-                        kind: CounterKind::QueueDepth,
-                        time_secs: now,
-                        value: sched.len() as f64,
-                    });
-                    sink.span(Span {
-                        track: Track::Queue,
-                        kind: SpanKind::Queue,
-                        tenant: request.tenant,
-                        request: trace_id,
-                        begin_secs: request.arrival_secs,
-                        end_secs: now,
-                    });
-                }
-                let tenant = &tenants[request.tenant];
-                let costs = memo.bucket_costs(request.tenant, tenant, now, &inference_model);
-                let workload = costs.workload;
-                let best = memo.best_config(request.tenant, tenant, now, pool);
-                let coo_bytes = costs.coo_bytes;
-
-                // Classify the dispatch against the result cache: a fresh
-                // entry lets this request skip preprocessing (partial hit
-                // — residency lapsed between arrival and dispatch or the
-                // entry landed while this request queued); otherwise it is
-                // the miss that will refill the entry at completion.
-                let bucket = tenant.drift_bucket(now, cfg.drift_step_secs);
-                let (cache_hit_preprocess, cache_cum_delta) = if cache_on {
-                    cache.observe(request.tenant, bucket, coo_bytes);
-                    let hit = cache.serve_partial(request.tenant, bucket);
-                    match hit {
-                        Some(saved) => {
-                            stats.tenants[request.tenant].cache_partial_hits += 1;
-                            digest.push(0xCF);
-                            digest.push(request.tenant as u64);
-                            digest.push(board as u64);
-                            if sink.enabled() {
-                                let s = cache.stats();
-                                sink.counter(CounterSample {
-                                    kind: CounterKind::CacheHits,
-                                    time_secs: now,
-                                    value: (s.hits + s.partial_hits) as f64,
-                                });
-                            }
-                            (Some(saved), cache.cum_delta(request.tenant))
-                        }
-                        None => {
-                            stats.tenants[request.tenant].cache_misses += 1;
-                            (None, cache.cum_delta(request.tenant))
-                        }
-                    }
-                } else {
-                    (None, 0)
-                };
-
-                // The ingest source: a cold tenant pulls its graph from a
-                // peer board's DRAM over the PCIe switch when the policy
-                // allows and an idle-DMA peer holds a copy; everything
-                // else (warm or no peer) ingests from the host as before.
-                let source = if cfg.migrate.pulls_from_peers()
-                    && pool.resident_bytes(board, request.tenant) == 0
-                {
-                    pool.peer_source(request.tenant, board)
-                } else {
-                    None
-                };
-                let (host_bytes, switch_bytes, switch_secs) = match source {
-                    Some(source) => {
-                        let transfer =
-                            pool.migrate_ingest(board, source, request.tenant, coo_bytes);
-                        let switch_secs = switch.transfer_secs(transfer.switch_bytes);
-                        // The outbound leg holds the source board's DMA
-                        // engine until `MigrationDone` releases it.
-                        pool.occupy_dma(source, now, now + switch_secs);
-                        if cfg.overlap && !pool.fabric_free(source) {
-                            stats.overlap_secs +=
-                                ((now + switch_secs).min(pool.fabric_until(source)) - now).max(0.0);
-                        }
-                        digest.push(0x39);
-                        digest.push(request.tenant as u64);
-                        digest.push(board as u64);
-                        digest.push(source as u64);
-                        if sink.enabled() {
-                            sink.span(Span {
-                                track: Track::Board {
-                                    board: source,
-                                    resource: BoardResource::Dma,
-                                },
-                                kind: SpanKind::MigrateOut,
-                                tenant: request.tenant,
-                                request: trace_id,
-                                begin_secs: now,
-                                end_secs: now + switch_secs,
-                            });
-                        }
-                        engine.queue.push(
-                            now + switch_secs,
-                            EventKind::MigrationDone { board: source },
-                        );
-                        (transfer.host_bytes, transfer.switch_bytes, switch_secs)
-                    }
-                    None => (pool.upload_delta(board, request.tenant, coo_bytes), 0, 0.0),
-                };
-                if sink.enabled() {
-                    // Residency moved (upload delta or migrated prefix):
-                    // sample the board's DRAM occupancy.
-                    sink.counter(CounterSample {
-                        kind: CounterKind::ResidentBytes { board },
-                        time_secs: now,
-                        value: pool.resident_total_bytes(board) as f64,
-                    });
-                }
-
-                if cfg.overlap {
-                    // Pipelined: occupy only the DMA engine; the fabric
-                    // (and the reconfiguration decision) waits until the
-                    // delta has landed.
-                    let upload_secs = switch_secs + pcie.transfer_secs(host_bytes);
-                    let done = now + upload_secs;
-                    pool.occupy_dma(board, now, done);
-                    if !pool.fabric_free(board) {
-                        stats.overlap_secs += (done.min(pool.fabric_until(board)) - now).max(0.0);
-                    }
-                    digest.push(0x1D);
-                    digest.push(request.tenant as u64);
-                    digest.push(board as u64);
-                    if sink.enabled() {
-                        sink.span(Span {
-                            track: Track::Board {
-                                board,
-                                resource: BoardResource::Dma,
-                            },
-                            kind: SpanKind::Ingest,
-                            tenant: request.tenant,
-                            request: trace_id,
-                            begin_secs: now,
-                            end_secs: done,
-                        });
-                    }
-                    let handle = engine.inflight.insert(Pipelined {
-                        tenant: request.tenant,
-                        trace_id,
-                        arrival_secs: request.arrival_secs,
-                        dispatch_secs: now,
-                        workload,
-                        best,
-                        subgraph_bytes: costs.subgraph_bytes,
-                        inference_secs: costs.inference_secs,
-                        upload_secs,
-                        ingest_done_secs: done,
-                        fabric_start_secs: done,
-                        fabric_done_secs: done,
-                        reconfig_secs: 0.0,
-                        preprocess_secs: 0.0,
-                        host_bytes,
-                        switch_bytes,
-                        bucket,
-                        graph_bytes: coo_bytes,
-                        cum_delta: cache_cum_delta,
-                        entry_preprocess_secs: cache_hit_preprocess.unwrap_or(0.0),
-                        partial: cache_hit_preprocess.is_some(),
-                    });
-                    pipe.ingesting[board] = Some(handle);
-                    engine.queue.push(done, EventKind::IngestDone { board });
-                    if let Some(d) = deadlines[request.tenant] {
-                        // Stage-abort alarm: if the request still waits
-                        // on an unstarted stage when this pops, its slot
-                        // is abandoned. Tagged with the trace id so a
-                        // recycled slab slot cannot be mis-aborted.
-                        engine.queue.push(
-                            request.arrival_secs + d,
-                            EventKind::DeadlineExpired {
-                                board,
-                                handle,
-                                tag: trace_id,
-                            },
-                        );
-                    }
-                    continue;
-                }
-
-                // Serial: the board pays every stage back to back and both
-                // slots stay held — the PR 1/PR 2 schedule bit-for-bit.
-                // The scheduler may gate the reconfiguration (SLO-aware
-                // policies keep a within-budget tenant on the current
-                // bitstream); `Fifo` never does.
-                let mut stall = 0.0;
-                if cache_hit_preprocess.is_none() && sched.allow_reconfig(request.tenant, now) {
-                    if let Some(secs) =
-                        memo.maybe_reconfigure(request.tenant, &workload, best, pool, board)
-                    {
-                        stall = secs;
-                        stats.reconfigs += 1;
-                        stats.reconfig_secs += stall;
-                        stats.tenants[request.tenant].reconfigs += 1;
-                        digest.push(0x2C);
-                        if tag_boards {
-                            digest.push(board as u64);
-                        }
-                    }
-                }
-
-                // Price the staged lifecycle analytically under the
-                // board's (possibly new) configuration. The ingest leg
-                // prices the host bytes; a migration adds its switch leg
-                // on top (the peer prefix crossing board-to-board). The
-                // decomposition equals [`BoardPool::service_secs`] term
-                // for term — the PCIe legs are divisions, the fabric
-                // report comes from the memo.
-                let upload_secs = switch_secs + pcie.transfer_secs(host_bytes);
-                // A partial hit reuses the cached fabric output: the board
-                // still ingests the delta and hands the subgraph off, but
-                // the preprocessing pass (and any reconfiguration, gated
-                // above) is skipped.
-                let preprocess_secs = if cache_hit_preprocess.is_some() {
-                    0.0
-                } else {
-                    memo.stage_total(request.tenant, &workload, pool, board) / cfg.compute_speedup
-                };
-                let download_secs = pcie.transfer_secs(costs.subgraph_bytes);
-                let inference_secs = costs.inference_secs;
-
-                let done = now + stall + upload_secs + preprocess_secs + download_secs;
-
-                // Hedged dispatch: once this request's queue wait has
-                // outrun the predicted tail, offer it to a second free
-                // board too and keep the faster leg (see the module
-                // docs). `Off` — the default — skips everything.
-                let second = match cfg.hedge {
-                    HedgeKind::Latency { factor } => {
-                        let wait = now - request.arrival_secs;
-                        if predictor.is_warm(request.tenant)
-                            && wait > factor * predictor.predicted_p99(request.tenant)
-                        {
-                            pool.free_indices().find(|&b| b != board)
-                        } else {
-                            None
-                        }
-                    }
-                    HedgeKind::Off => None,
-                };
-
-                // The winning leg, initially the placement pick (leg A).
-                let mut win_board = board;
-                let mut win_done = done;
-                let mut win_latency = RequestLatency {
-                    queue_secs: now - request.arrival_secs,
-                    reconfig_secs: stall,
-                    upload_secs,
-                    stage_wait_secs: 0.0,
-                    preprocess_secs,
-                    download_secs,
-                    inference_secs,
-                    cache_secs: 0.0,
-                };
-                let mut win_host_bytes = host_bytes;
-                let mut win_switch_bytes = switch_bytes;
-                let mut win_entry_preprocess = cache_hit_preprocess.unwrap_or(preprocess_secs);
-
-                if let Some(second) = second {
-                    digest.push(0x4E);
-                    digest.push(request.tenant as u64);
-                    digest.push(second as u64);
-                    // The hedge leg ingests from the host onto the
-                    // second board's *current* bitstream — no
-                    // reconfiguration, no migration: the bet is a cheap
-                    // second chance, not a second ICAP switch.
-                    let host_b = pool.upload_delta(second, request.tenant, coo_bytes);
-                    let upload_b = pcie.transfer_secs(host_b);
-                    let preprocess_b = memo.stage_total(request.tenant, &workload, pool, second)
-                        / cfg.compute_speedup;
-                    let done_b = now + upload_b + preprocess_b + download_secs;
-                    // Ties keep the primary — placement picked it.
-                    let (loser, loser_free_at, loser_bytes) = if done_b < win_done {
-                        // The hedge leg wins. The primary's *started*
-                        // reconfiguration still runs to completion, so
-                        // its board frees only once both the
-                        // cancellation and the ICAP stall have passed.
-                        let freed = (
-                            win_board,
-                            done_b.max(now + stall),
-                            win_host_bytes + win_switch_bytes,
-                        );
-                        win_board = second;
-                        win_done = done_b;
-                        win_latency = RequestLatency {
-                            queue_secs: now - request.arrival_secs,
-                            reconfig_secs: 0.0,
-                            upload_secs: upload_b,
-                            stage_wait_secs: 0.0,
-                            preprocess_secs: preprocess_b,
-                            download_secs,
-                            inference_secs,
-                            cache_secs: 0.0,
-                        };
-                        win_host_bytes = host_b;
-                        win_switch_bytes = 0;
-                        win_entry_preprocess = preprocess_b;
-                        freed
-                    } else {
-                        (second, win_done, host_b)
-                    };
-                    stats.wasted_secs += loser_free_at - now;
-                    stats.wasted_work_bytes += loser_bytes;
-                    pool.occupy(loser, now, loser_free_at);
-                    engine.queue.push(
-                        loser_free_at,
-                        EventKind::HedgeWon {
-                            board: loser,
-                            tenant: request.tenant,
-                        },
-                    );
-                    if sink.enabled() {
-                        sink.span(Span {
-                            track: Track::Queue,
-                            kind: SpanKind::Cancelled,
-                            tenant: request.tenant,
-                            request: trace_id,
-                            begin_secs: now,
-                            end_secs: loser_free_at,
-                        });
-                        sink.counter(CounterSample {
-                            kind: CounterKind::WastedWork,
-                            time_secs: loser_free_at,
-                            value: stats.wasted_work_bytes as f64,
-                        });
-                    }
-                }
-
-                pool.occupy(win_board, now, win_done);
-                if sink.enabled() {
-                    // Serial mode runs the stages back to back under both
-                    // slots, so the whole timeline is known at dispatch:
-                    // ICAP stall, then the DMA ingest, the fabric pass,
-                    // and the hand-off closing at `win_done`. Only the
-                    // winning leg is narrated; a cancelled hedge leg
-                    // appears as one `Cancelled` span above.
-                    let span = |resource, kind, begin_secs, end_secs| Span {
-                        track: Track::Board {
-                            board: win_board,
-                            resource,
-                        },
-                        kind,
-                        tenant: request.tenant,
-                        request: trace_id,
-                        begin_secs,
-                        end_secs,
-                    };
-                    let win_stall = win_latency.reconfig_secs;
-                    if win_stall > 0.0 {
-                        sink.span(span(
-                            BoardResource::Icap,
-                            SpanKind::Reconfig,
-                            now,
-                            now + win_stall,
-                        ));
-                    }
-                    let ingest_start = now + win_stall;
-                    sink.span(span(
-                        BoardResource::Dma,
-                        SpanKind::Ingest,
-                        ingest_start,
-                        ingest_start + win_latency.upload_secs,
-                    ));
-                    sink.span(span(
-                        BoardResource::Fabric,
-                        SpanKind::Preprocess,
-                        ingest_start + win_latency.upload_secs,
-                        ingest_start + win_latency.upload_secs + win_latency.preprocess_secs,
-                    ));
-                    sink.span(span(
-                        BoardResource::Dma,
-                        SpanKind::Handoff,
-                        win_done - download_secs,
-                        win_done,
-                    ));
-                }
-                let completion = engine.completions.insert(Completion {
-                    tenant: request.tenant,
-                    board: win_board,
-                    arrival_secs: request.arrival_secs,
-                    latency: win_latency,
-                    host_bytes: win_host_bytes,
-                    switch_bytes: win_switch_bytes,
-                    bucket,
-                    graph_bytes: coo_bytes,
-                    cum_delta: cache_cum_delta,
-                    entry_preprocess_secs: win_entry_preprocess,
-                    cached: false,
-                });
-                engine
-                    .queue
-                    .push(win_done, EventKind::ServiceDone { completion });
-            }
+        for tenant in 0..tenants.len() {
+            run.offer_next(tenant);
         }
+        run
+    }
 
+    /// The report of a drained run.
+    fn finish(self, wall_start: Instant) -> TrafficReport {
+        let stats = self.stats;
         TrafficReport {
             tenants: stats.tenants,
-            cache: cache.stats(),
+            cache: self.cache.stats(),
             duration_secs: stats.last_board_free,
             reconfigs: stats.reconfigs,
             reconfig_secs: stats.reconfig_secs,
-            queue_depth: depth,
-            boards: pool.stats(),
+            queue_depth: self.depth,
+            boards: self.pool.stats(),
             stages: stats.stages,
             overlap_secs: stats.overlap_secs,
             requests: stats.requests,
@@ -2074,173 +1342,839 @@ impl TrafficSim {
             wasted_secs: stats.wasted_secs,
             sim: SimPerf {
                 wall_secs: wall_start.elapsed().as_secs_f64(),
-                events,
+                events: self.events,
             },
-            trace_digest: digest.0,
+            trace_digest: self.digest.0,
         }
     }
-}
 
-/// Moves an ingested request into board `board`'s fabric at `now`: pays
-/// the (deferred) reconfiguration decision — unless the scheduler's SLO
-/// gate withholds it — prices preprocessing under the resulting
-/// configuration, and schedules `FabricDone`.
-#[allow(clippy::too_many_arguments)]
-fn start_fabric<S: TraceSink + ?Sized>(
-    handle: Handle,
-    board: usize,
-    now: f64,
-    pool: &mut BoardPool,
-    pipe: &mut Pipeline,
-    stats: &mut RunStats,
-    sched: &Scheduler,
-    digest: &mut TraceDigest,
-    cfg: &ServeConfig,
-    sink: &mut S,
-    engine: &mut Engine,
-    memo: &mut CostMemo,
-) {
-    let (tenant, trace_id, workload, best, partial) = {
-        let rq = engine.inflight.get(handle);
-        (rq.tenant, rq.trace_id, rq.workload, rq.best, rq.partial)
-    };
-    let mut stall = 0.0;
-    if !partial && sched.allow_reconfig(tenant, now) {
-        if let Some(secs) = memo.maybe_reconfigure(tenant, &workload, best, pool, board) {
-            stall = secs;
-            stats.reconfigs += 1;
-            stats.reconfig_secs += stall;
-            stats.tenants[tenant].reconfigs += 1;
-            digest.push(0x2C);
-            digest.push(board as u64);
-        }
-    }
-    // A partial cache hit reuses the cached fabric output: the stage (and
-    // the reconfiguration decision above) is skipped outright.
-    let preprocess_secs = if partial {
-        0.0
-    } else {
-        memo.stage_total(tenant, &workload, pool, board) / cfg.compute_speedup
-    };
-    let done = now + stall + preprocess_secs;
-    pool.occupy_fabric(board, now, done);
-    if sink.enabled() {
-        if stall > 0.0 {
-            sink.span(Span {
-                track: Track::Board {
-                    board,
-                    resource: BoardResource::Icap,
-                },
-                kind: SpanKind::Reconfig,
-                tenant,
-                request: trace_id,
-                begin_secs: now,
-                end_secs: now + stall,
+    // ---- narration: the only places that touch the sink ----
+
+    /// Narrates one complete span of the request `tag` names.
+    fn span(&mut self, track: Track, kind: SpanKind, tag: Tag, begin_secs: f64, end_secs: f64) {
+        if self.sink.enabled() {
+            self.sink.span(Span {
+                track,
+                kind,
+                tenant: tag.tenant,
+                request: tag.request,
+                begin_secs,
+                end_secs,
             });
         }
-        sink.span(Span {
-            track: Track::Board {
-                board,
-                resource: BoardResource::Fabric,
-            },
-            kind: SpanKind::Preprocess,
-            tenant,
-            request: trace_id,
-            begin_secs: now + stall,
-            end_secs: done,
-        });
     }
-    // The fabric starting under an in-flight DMA transfer is pipeline
-    // overlap (the symmetric case — DMA starting under the fabric — is
-    // accounted at the transfer's start).
-    if !pool.dma_free(board) {
-        stats.overlap_secs += (done.min(pool.dma_until(board)) - now).max(0.0);
-    }
-    let rq = engine.inflight.get_mut(handle);
-    rq.fabric_start_secs = now;
-    rq.reconfig_secs = stall;
-    rq.preprocess_secs = preprocess_secs;
-    if !partial {
-        // The cache entry this completion refills saves future hits this
-        // (actually paid) fabric pass; a partial hit keeps the saved cost
-        // it copied out of the entry it reused.
-        rq.entry_preprocess_secs = preprocess_secs;
-    }
-    pipe.in_fabric[board] = Some(handle);
-    engine.queue.push(done, EventKind::FabricDone { board });
-}
 
-/// Starts the next queued subgraph hand-off on board `board`'s DMA engine
-/// if it is idle, scheduling the request's `ServiceDone`. The transfer
-/// size and inference tail were memoized into the [`Pipelined`] record at
-/// dispatch, so this path performs no cost-model work.
-#[allow(clippy::too_many_arguments)]
-fn start_handoff<S: TraceSink + ?Sized>(
-    board: usize,
-    now: f64,
-    pool: &mut BoardPool,
-    pipe: &mut Pipeline,
-    stats: &mut RunStats,
-    pcie: &agnn_hw::shell::PcieModel,
-    sink: &mut S,
-    engine: &mut Engine,
-) {
-    if !pool.dma_free(board) {
-        return;
+    /// Narrates one counter sample.
+    fn counter(&mut self, kind: CounterKind, time_secs: f64, value: f64) {
+        if self.sink.enabled() {
+            self.sink.counter(CounterSample {
+                kind,
+                time_secs,
+                value,
+            });
+        }
     }
-    let Some(handle) = pipe.handoffs[board].pop_front() else {
-        return;
-    };
-    pool.add_pending_handoffs(board, -1);
-    // The request leaves the pipeline here: reclaim its slab slot and
-    // carry the record by value through the final pricing.
-    let rq = engine.inflight.remove(handle);
-    let download_secs = pcie.transfer_secs(rq.subgraph_bytes);
-    let done = now + download_secs;
-    pool.occupy_dma(board, now, done);
-    if sink.enabled() {
-        sink.span(Span {
-            track: Track::Board {
-                board,
-                resource: BoardResource::Dma,
-            },
-            kind: SpanKind::Handoff,
+
+    /// Records the admission queue's depth after it changed at `now`.
+    fn sample_depth(&mut self, now: f64) {
+        self.depth.record(now, self.sched.len());
+        self.counter(CounterKind::QueueDepth, now, self.sched.len() as f64);
+    }
+
+    /// Samples the running cache-hit count (full plus partial hits).
+    fn sample_cache_hits(&mut self, now: f64) {
+        if self.sink.enabled() {
+            let s = self.cache.stats();
+            self.counter(
+                CounterKind::CacheHits,
+                now,
+                (s.hits + s.partial_hits) as f64,
+            );
+        }
+    }
+
+    /// Samples the wasted-work ledger's byte total.
+    fn sample_wasted(&mut self, time_secs: f64) {
+        let bytes = self.stats.wasted_work_bytes as f64;
+        self.counter(CounterKind::WastedWork, time_secs, bytes);
+    }
+
+    // ---- shared steps ----
+
+    /// Keeps `tenant`'s stream flowing while offered load remains.
+    fn offer_next(&mut self, tenant: usize) {
+        if self.offered < self.cfg.total_requests {
+            let at = self.arrivals.next(tenant);
+            self.queue.push(at, EventKind::Arrival { tenant });
+            self.offered += 1;
+        }
+    }
+
+    /// A fresh per-run request id for one of `tenant`'s requests.
+    fn next_tag(&mut self, tenant: usize) -> Tag {
+        let request = self.next_trace_id;
+        self.next_trace_id += 1;
+        Tag { tenant, request }
+    }
+
+    /// Counts one of `tenant`'s requests as expired in the queue.
+    fn record_expired(&mut self, tenant: usize) {
+        self.stats.tenants[tenant]
+            .outcomes
+            .record(RequestOutcome::ExpiredInQueue);
+        self.digest.push_all(&[0xE1, tenant as u64]);
+    }
+
+    /// Expires the arrivals coalesced onto a primary that will now never
+    /// complete (it expired in the queue or its stage was aborted):
+    /// nothing else would ever complete them.
+    fn cancel_waiters(&mut self, tenant: usize, arrival_secs: f64) {
+        if self.cache.enabled() {
+            for _waiter in self.cache.cancel(tenant, arrival_secs) {
+                self.record_expired(tenant);
+            }
+        }
+    }
+
+    /// Feeds a completion's latency back to the scheduler (SLO-aware
+    /// gating) and to the hedge trigger's shared predictor.
+    fn observe_latency(&mut self, tenant: usize, latency: &RequestLatency, now: f64) {
+        self.sched.on_complete(tenant, latency, now);
+        if self.cfg.hedge.enabled() {
+            self.predictor.observe(tenant, latency.total());
+        }
+    }
+
+    /// A DMA transfer on `board` over `[now, end]` that starts while the
+    /// fabric is busy is pipeline overlap. (The symmetric case — the
+    /// fabric starting under a transfer — is accounted in
+    /// [`start_fabric`](Run::start_fabric).)
+    fn dma_overlap(&mut self, board: usize, now: f64, end: f64) {
+        if !self.pool.fabric_free(board) {
+            self.stats.overlap_secs += (end.min(self.pool.fabric_until(board)) - now).max(0.0);
+        }
+    }
+
+    /// Board `board`'s fabric-pass seconds for `workload` under its
+    /// current configuration.
+    fn preprocess_secs(&mut self, tenant: usize, workload: &Workload, board: usize) -> f64 {
+        self.memo.stage_total(tenant, workload, self.pool, board) / self.cfg.compute_speedup
+    }
+
+    /// Prices `rq`'s fabric pass on `board` at `now` into its
+    /// `reconfig_secs` / `preprocess_secs`: the deferred reconfiguration
+    /// decision — unless the scheduler's SLO gate withholds it; `Fifo`
+    /// never does — then preprocessing under the resulting configuration.
+    /// A partial cache hit reuses the cached fabric output, so both are
+    /// skipped and the visit keeps the saved cost it copied out of the
+    /// entry; otherwise the entry this visit refills saves future hits
+    /// the pass just paid.
+    fn fabric_pass(&mut self, rq: &mut Visit, board: usize, now: f64) {
+        if rq.partial {
+            return;
+        }
+        if self.sched.allow_reconfig(rq.tenant, now) {
+            if let Some(stall) =
+                self.memo
+                    .maybe_reconfigure(rq.tenant, &rq.workload, rq.best, self.pool, board)
+            {
+                rq.reconfig_secs = stall;
+                self.stats.reconfigs += 1;
+                self.stats.reconfig_secs += stall;
+                self.stats.tenants[rq.tenant].reconfigs += 1;
+                self.digest.push(0x2C);
+                if self.tag_boards {
+                    self.digest.push(board as u64);
+                }
+            }
+        }
+        rq.preprocess_secs = self.preprocess_secs(rq.tenant, &rq.workload, board);
+        rq.entry_preprocess_secs = rq.preprocess_secs;
+    }
+
+    /// Schedules the `ServiceDone` of `rq`'s visit to `board`, completing
+    /// at `done` with `latency`.
+    fn schedule_completion(
+        &mut self,
+        rq: &Visit,
+        board: usize,
+        latency: RequestLatency,
+        done: f64,
+    ) {
+        let completion = self.completions.insert(Completion {
             tenant: rq.tenant,
-            request: rq.trace_id,
-            begin_secs: now,
-            end_secs: done,
+            board,
+            arrival_secs: rq.arrival_secs,
+            latency,
+            host_bytes: rq.host_bytes,
+            switch_bytes: rq.switch_bytes,
+            bucket: rq.bucket,
+            graph_bytes: rq.graph_bytes,
+            cum_delta: rq.cum_delta,
+            entry_preprocess_secs: rq.entry_preprocess_secs,
+            cached: false,
         });
+        self.queue.push(done, EventKind::ServiceDone { completion });
     }
-    if !pool.fabric_free(board) {
-        stats.overlap_secs += (done.min(pool.fabric_until(board)) - now).max(0.0);
+
+    // ---- event handlers: each returns whether a dispatch pass follows ----
+
+    /// In-queue expiry: before handling the event, drop every queued
+    /// request whose deadline has (strictly) passed — it can no longer
+    /// dispatch, so no board work is wasted on it. Coalesced duplicates
+    /// parked on an expired primary expire with it.
+    fn expire(&mut self, now: f64) {
+        if !self.deadlines_on {
+            return;
+        }
+        let mut expired = std::mem::take(&mut self.expired);
+        self.sched.expire(now, &self.stats.deadlines, &mut expired);
+        let any = !expired.is_empty();
+        for rq in expired.drain(..) {
+            self.record_expired(rq.tenant);
+            let tag = self.next_tag(rq.tenant);
+            self.span(Track::Queue, SpanKind::Cancelled, tag, rq.arrival_secs, now);
+            self.cancel_waiters(rq.tenant, rq.arrival_secs);
+        }
+        self.expired = expired;
+        if any {
+            self.sample_depth(now);
+        }
     }
-    let inference_secs = rq.inference_secs;
-    let latency = RequestLatency {
-        queue_secs: rq.dispatch_secs - rq.arrival_secs,
-        reconfig_secs: rq.reconfig_secs,
-        upload_secs: rq.upload_secs,
-        stage_wait_secs: (rq.fabric_start_secs - rq.ingest_done_secs) + (now - rq.fabric_done_secs),
-        preprocess_secs: rq.preprocess_secs,
-        download_secs,
-        inference_secs,
-        cache_secs: 0.0,
-    };
-    let completion = engine.completions.insert(Completion {
-        tenant: rq.tenant,
-        board,
-        arrival_secs: rq.arrival_secs,
-        latency,
-        host_bytes: rq.host_bytes,
-        switch_bytes: rq.switch_bytes,
-        bucket: rq.bucket,
-        graph_bytes: rq.graph_bytes,
-        cum_delta: rq.cum_delta,
-        entry_preprocess_secs: rq.entry_preprocess_secs,
-        cached: false,
-    });
-    engine
-        .queue
-        .push(done, EventKind::ServiceDone { completion });
+
+    /// A request of `tenant` arrives: the cache consult, then bounded
+    /// admission.
+    fn on_arrival(&mut self, now: f64, tenant: usize) -> bool {
+        self.digest.push_all(&[0xA1, tenant as u64, now.to_bits()]);
+        self.offer_next(tenant);
+        let bucket = self.tenants[tenant].drift_bucket(now, self.cfg.drift_step_secs);
+        // The cache consult, before the request ever queues: a fresh
+        // entry whose graph is still board-resident completes at lookup
+        // cost without a board slot; a duplicate of an in-flight request
+        // parks on that primary (hit-under-miss).
+        if self.cache.enabled() {
+            let costs = self.memo.bucket_costs(tenant, &self.tenants[tenant], now);
+            self.cache.observe(tenant, bucket, costs.coo_bytes);
+            let resident = self.pool.resident_boards(tenant).next().is_some();
+            if self.cache.full_hit(tenant, bucket, resident).is_some() {
+                self.stats.tenants[tenant].cache_hits += 1;
+                self.digest.push_all(&[0xCA, tenant as u64]);
+                self.sample_cache_hits(now);
+                let completion = self.completions.insert(Completion {
+                    tenant,
+                    board: 0,
+                    arrival_secs: now,
+                    latency: RequestLatency {
+                        cache_secs: CACHE_LOOKUP_SECS,
+                        ..RequestLatency::default()
+                    },
+                    host_bytes: 0,
+                    switch_bytes: 0,
+                    bucket,
+                    graph_bytes: 0,
+                    cum_delta: 0,
+                    entry_preprocess_secs: 0.0,
+                    cached: true,
+                });
+                self.queue.push(
+                    now + CACHE_LOOKUP_SECS,
+                    EventKind::ServiceDone { completion },
+                );
+                return false;
+            }
+            if self.cache.park(tenant, bucket, now) {
+                self.stats.tenants[tenant].cache_coalesced += 1;
+                self.digest.push_all(&[0xC0, tenant as u64]);
+                return false;
+            }
+        }
+        // Bounded admission: the scheduler's refusal (shared queue full,
+        // or a per-tenant quota exhausted) is the drop path — counted,
+        // never silently lost.
+        if !self.sched.admit(Request {
+            tenant,
+            arrival_secs: now,
+        }) {
+            self.stats.tenants[tenant].dropped += 1;
+            self.stats.tenants[tenant]
+                .outcomes
+                .record(RequestOutcome::DroppedAtAdmission);
+            self.digest.push(0xD0);
+            return false;
+        }
+        if self.cache.enabled() {
+            // Admitted: duplicate arrivals of the same bucket may now
+            // coalesce onto this primary until its completion fills the
+            // cache. (Dropped arrivals never register, so waiters cannot
+            // be orphaned.)
+            self.cache.register(tenant, bucket, now);
+        }
+        self.sample_depth(now);
+        true
+    }
+
+    /// Board `board` finished a graph-delta ingest (pipelined mode): the
+    /// request enters the fabric if it is idle, otherwise parks in the
+    /// staging buffer, and the freed DMA engine drains any waiting
+    /// hand-off.
+    fn on_ingest_done(&mut self, now: f64, board: usize) -> bool {
+        let handle = self.pipe.ingesting[board]
+            .take()
+            .expect("ingest completion without an ingest in flight");
+        self.pool.release_dma(board);
+        let rq = self.inflight.get_mut(handle);
+        rq.ingest_done_secs = now;
+        let tenant = rq.tenant;
+        self.digest.push_all(&[0x16, tenant as u64, board as u64]);
+        if self.pool.fabric_free(board) && self.pipe.staged[board].is_empty() {
+            self.start_fabric(handle, board, now);
+        } else {
+            self.pool.stage(board);
+            self.pipe.staged[board].push_back(handle);
+        }
+        self.start_handoff(board, now);
+        true
+    }
+
+    /// Board `board`'s fabric finished preprocessing (pipelined mode):
+    /// the hand-off queues for the DMA engine, and the earliest staged
+    /// request acquires the fabric immediately.
+    fn on_fabric_done(&mut self, now: f64, board: usize) -> bool {
+        let handle = self.pipe.in_fabric[board]
+            .take()
+            .expect("fabric completion without a request in the fabric");
+        self.pool.release_fabric(board);
+        let rq = self.inflight.get_mut(handle);
+        rq.fabric_done_secs = now;
+        let tenant = rq.tenant;
+        self.digest.push_all(&[0xFB, tenant as u64, board as u64]);
+        self.pipe.handoffs[board].push_back(handle);
+        self.pool.add_pending_handoffs(board, 1);
+        self.start_handoff(board, now);
+        if let Some(staged) = self.pipe.staged[board].pop_front() {
+            self.pool.unstage(board);
+            self.start_fabric(staged, board, now);
+        }
+        true
+    }
+
+    /// The outbound switch leg of a migration finished: the source
+    /// board's DMA engine stops streaming the graph out and frees.
+    fn on_migration_done(&mut self, now: f64, board: usize) -> bool {
+        self.pool.release_dma(board);
+        self.digest.push_all(&[0x37, board as u64]);
+        if self.cfg.overlap {
+            self.start_handoff(board, now);
+        }
+        true
+    }
+
+    /// A request completed: record its latency and outcome, free its
+    /// board, and refill its cache entry.
+    fn on_service_done(&mut self, now: f64, completion: Handle) -> bool {
+        let Completion {
+            tenant,
+            board,
+            arrival_secs,
+            latency,
+            host_bytes,
+            switch_bytes,
+            bucket,
+            graph_bytes,
+            cum_delta,
+            entry_preprocess_secs,
+            cached,
+        } = self.completions.remove(completion);
+        let outcome = self
+            .stats
+            .complete(tenant, arrival_secs, latency, host_bytes, switch_bytes);
+        self.observe_latency(tenant, &latency, now);
+        if outcome == RequestOutcome::ServedLate {
+            self.sample_wasted(now);
+        }
+        self.digest
+            .push_all(&[0x5D, tenant as u64, latency.total().to_bits()]);
+        if cached {
+            // A cache-served completion never held a board: nothing to
+            // release, no entry to refill.
+            self.stats.last_board_free = now;
+            return false;
+        }
+        if self.tag_boards {
+            self.digest.push(board as u64);
+        }
+        if self.cfg.overlap {
+            self.pool.release_dma(board);
+            self.pool.complete(board);
+            self.start_handoff(board, now);
+        } else {
+            self.pool.release(board);
+        }
+        self.stats.last_board_free = now;
+        if self.cache.enabled() {
+            // Refill the tenant's cache entry from this board-served
+            // completion and drain any arrivals that coalesced onto it
+            // while it was in flight. The entry's service cost
+            // substitutes the *paid* preprocess share with the entry's
+            // own (a partial hit paid 0 but reuses an entry worth
+            // `saved`).
+            let service_secs = latency.board_secs() - latency.preprocess_secs
+                + entry_preprocess_secs
+                + latency.inference_secs;
+            let waiters = self.cache.fill(
+                tenant,
+                bucket,
+                graph_bytes,
+                cum_delta,
+                entry_preprocess_secs,
+                service_secs,
+                arrival_secs,
+            );
+            for waited_since in waiters {
+                let wl = RequestLatency {
+                    cache_secs: now - waited_since,
+                    ..RequestLatency::default()
+                };
+                self.stats.complete(tenant, waited_since, wl, 0, 0);
+                self.observe_latency(tenant, &wl, now);
+                self.digest
+                    .push_all(&[0xCE, tenant as u64, wl.total().to_bits()]);
+            }
+        }
+        true
+    }
+
+    /// A dispatched request's deadline passed (pipelined mode): abort it
+    /// if it still waits on a stage that has not started.
+    fn on_deadline_expired(&mut self, now: f64, board: usize, handle: Handle, tag: u64) -> bool {
+        // Tag guard against slab recycling: only a live payload whose
+        // trace id matches is still this request — anything else means
+        // it already completed (or aborted) and the slot moved on.
+        let live = self
+            .inflight
+            .try_get(handle)
+            .is_some_and(|rq| rq.trace_id == tag);
+        if !live {
+            return false;
+        }
+        // A started stage always runs to completion: only a request
+        // still *waiting* — in the staging buffer for the fabric, or in
+        // the hand-off queue for the DMA engine — can be abandoned.
+        let staged_pos = self.pipe.staged[board].iter().position(|&h| h == handle);
+        let handoff_pos = self.pipe.handoffs[board].iter().position(|&h| h == handle);
+        if let Some(i) = staged_pos {
+            self.pipe.staged[board].remove(i).expect("index in bounds");
+            self.pool.unstage(board);
+        } else if let Some(i) = handoff_pos {
+            self.pipe.handoffs[board]
+                .remove(i)
+                .expect("index in bounds");
+            self.pool.add_pending_handoffs(board, -1);
+        } else {
+            return false;
+        }
+        let rq = self.inflight.remove(handle);
+        self.stats.tenants[rq.tenant]
+            .outcomes
+            .record(RequestOutcome::Aborted);
+        // The abort writes off everything the board already paid: the
+        // ingest, plus the reconfiguration and fabric pass once the
+        // hand-off was queued.
+        self.stats.wasted_secs += rq.upload_secs + rq.reconfig_secs + rq.preprocess_secs;
+        self.stats.wasted_work_bytes += rq.host_bytes + rq.switch_bytes;
+        self.digest
+            .push_all(&[0xAB, rq.tenant as u64, board as u64]);
+        self.span(
+            Track::Queue,
+            SpanKind::Cancelled,
+            rq.tag(),
+            rq.dispatch_secs,
+            now,
+        );
+        self.sample_wasted(now);
+        // The abort orphans the in-flight primary: its coalesced
+        // duplicates expire with it.
+        self.cancel_waiters(rq.tenant, rq.arrival_secs);
+        // The freed staging slot may let the board accept a queued
+        // request.
+        true
+    }
+
+    /// The faster leg of `tenant`'s hedged dispatch completed: the
+    /// cancelled leg's board frees. Both engines were held as one serial
+    /// visit, but `release` would also count a completion the loser
+    /// never made.
+    fn on_hedge_won(&mut self, now: f64, board: usize, tenant: usize) -> bool {
+        self.pool.release_dma(board);
+        self.pool.release_fabric(board);
+        self.stats.tenants[tenant]
+            .outcomes
+            .record(RequestOutcome::HedgeLoser);
+        self.digest.push_all(&[0x4F, tenant as u64, board as u64]);
+        self.stats.last_board_free = now;
+        true
+    }
+
+    // ---- dispatch ----
+
+    /// Dispatches while boards are free and work waits. Each pass offers
+    /// the scheduler's scan order to placement; placement and the
+    /// dispatch policy pick the (request, board) pair.
+    fn dispatch(&mut self, now: f64) {
+        while self.pool.any_free() && !self.sched.is_empty() {
+            let placer = Placer {
+                tenants: self.tenants,
+                cfg: self.cfg,
+                queue: self.sched.scan(),
+                memo: &mut self.memo,
+                pool: self.pool,
+                now,
+            };
+            let Some(placement) = placer.select() else {
+                break;
+            };
+            let (position, board) = match placement {
+                Placement::Serve { position, board } => (position, board),
+                Placement::Migrating { position, board } => {
+                    // SplitHot overflow: the queue outgrew its threshold
+                    // with every affine board busy, so the front request
+                    // claims an idle board instead.
+                    self.digest.push_all(&[0x51, board as u64]);
+                    (position, board)
+                }
+            };
+            let request = self.sched.take(position);
+            self.sample_depth(now);
+            let rq = self.begin_visit(request, board, now);
+            if self.cfg.overlap {
+                self.dispatch_pipelined(rq, board, now);
+            } else {
+                self.dispatch_serial(rq, board, now);
+            }
+        }
+    }
+
+    /// The dispatch prefix both lifecycles share: the request's trace id
+    /// and queue span, its memoized costs, its classification against
+    /// the result cache, and its ingest source — the upload delta, or a
+    /// migration from a peer board's DRAM.
+    fn begin_visit(&mut self, request: Request, board: usize, now: f64) -> Visit {
+        let Request {
+            tenant,
+            arrival_secs,
+        } = request;
+        // The request id its spans share; the queue span closes here
+        // (arrival → dispatch — the admission scheduler's share of the
+        // latency, cf. the sched module docs).
+        let tag = self.next_tag(tenant);
+        self.span(Track::Queue, SpanKind::Queue, tag, arrival_secs, now);
+        let spec = &self.tenants[tenant];
+        let costs = self.memo.bucket_costs(tenant, spec, now);
+        let best = self.memo.best_config(tenant, spec, now, self.pool);
+        let coo_bytes = costs.coo_bytes;
+
+        // Classify the dispatch against the result cache: a fresh entry
+        // lets this request skip preprocessing (partial hit — residency
+        // lapsed between arrival and dispatch or the entry landed while
+        // this request queued); otherwise it is the miss that will refill
+        // the entry at completion.
+        let bucket = spec.drift_bucket(now, self.cfg.drift_step_secs);
+        let (saved, cum_delta) = if self.cache.enabled() {
+            self.cache.observe(tenant, bucket, coo_bytes);
+            let saved = self.cache.serve_partial(tenant, bucket);
+            if saved.is_some() {
+                self.stats.tenants[tenant].cache_partial_hits += 1;
+                self.digest.push_all(&[0xCF, tenant as u64, board as u64]);
+                self.sample_cache_hits(now);
+            } else {
+                self.stats.tenants[tenant].cache_misses += 1;
+            }
+            (saved, self.cache.cum_delta(tenant))
+        } else {
+            (None, 0)
+        };
+
+        // The ingest source: a cold tenant pulls its graph from a peer
+        // board's DRAM over the PCIe switch when the policy allows and an
+        // idle-DMA peer holds a copy; everything else (warm or no peer)
+        // ingests from the host as before.
+        let source = if self.cfg.migrate.pulls_from_peers()
+            && self.pool.resident_bytes(board, tenant) == 0
+        {
+            self.pool.peer_source(tenant, board)
+        } else {
+            None
+        };
+        let (host_bytes, switch_bytes, switch_secs) = match source {
+            Some(source) => {
+                let transfer = self.pool.migrate_ingest(board, source, tenant, coo_bytes);
+                let switch_secs = self.switch.transfer_secs(transfer.switch_bytes);
+                let done = now + switch_secs;
+                // The outbound leg holds the source board's DMA engine
+                // until `MigrationDone` releases it.
+                self.pool.occupy_dma(source, now, done);
+                if self.cfg.overlap {
+                    self.dma_overlap(source, now, done);
+                }
+                self.digest
+                    .push_all(&[0x39, tenant as u64, board as u64, source as u64]);
+                let track = on_board(source, BoardResource::Dma);
+                self.span(track, SpanKind::MigrateOut, tag, now, done);
+                self.queue
+                    .push(done, EventKind::MigrationDone { board: source });
+                (transfer.host_bytes, transfer.switch_bytes, switch_secs)
+            }
+            None => (self.pool.upload_delta(board, tenant, coo_bytes), 0, 0.0),
+        };
+        // Residency moved (upload delta or migrated prefix): sample the
+        // board's DRAM occupancy.
+        if self.sink.enabled() {
+            let bytes = self.pool.resident_total_bytes(board) as f64;
+            self.counter(CounterKind::ResidentBytes { board }, now, bytes);
+        }
+
+        // The ingest leg prices the host bytes; a migration adds its
+        // switch leg on top (the peer prefix crossing board-to-board).
+        let upload_secs = switch_secs + self.pcie.transfer_secs(host_bytes);
+        let ingest_done_secs = now + upload_secs;
+        Visit {
+            tenant,
+            trace_id: tag.request,
+            arrival_secs,
+            dispatch_secs: now,
+            workload: costs.workload,
+            best,
+            subgraph_bytes: costs.subgraph_bytes,
+            inference_secs: costs.inference_secs,
+            upload_secs,
+            ingest_done_secs,
+            fabric_start_secs: ingest_done_secs,
+            fabric_done_secs: ingest_done_secs,
+            reconfig_secs: 0.0,
+            preprocess_secs: 0.0,
+            host_bytes,
+            switch_bytes,
+            bucket,
+            graph_bytes: coo_bytes,
+            cum_delta,
+            entry_preprocess_secs: saved.unwrap_or(0.0),
+            partial: saved.is_some(),
+        }
+    }
+
+    /// Pipelined dispatch: occupy only the DMA engine; the fabric (and
+    /// the reconfiguration decision) waits until the delta has landed.
+    fn dispatch_pipelined(&mut self, rq: Visit, board: usize, now: f64) {
+        let done = rq.ingest_done_secs;
+        self.pool.occupy_dma(board, now, done);
+        self.dma_overlap(board, now, done);
+        self.digest
+            .push_all(&[0x1D, rq.tenant as u64, board as u64]);
+        let track = on_board(board, BoardResource::Dma);
+        self.span(track, SpanKind::Ingest, rq.tag(), now, done);
+        let handle = self.inflight.insert(rq);
+        self.pipe.ingesting[board] = Some(handle);
+        self.queue.push(done, EventKind::IngestDone { board });
+        if let Some(d) = self.stats.deadlines[rq.tenant] {
+            // Stage-abort alarm: if the request still waits on an
+            // unstarted stage when this pops, its slot is abandoned.
+            // Tagged with the trace id so a recycled slab slot cannot be
+            // mis-aborted.
+            self.queue.push(
+                rq.arrival_secs + d,
+                EventKind::DeadlineExpired {
+                    board,
+                    handle,
+                    tag: rq.trace_id,
+                },
+            );
+        }
+    }
+
+    /// Serial dispatch: the board pays every stage back to back and both
+    /// slots stay held — the PR 1/PR 2 schedule bit-for-bit. The
+    /// lifecycle is priced analytically under the board's (possibly new)
+    /// configuration; the decomposition equals
+    /// [`BoardPool::service_secs`] term for term — the PCIe legs are
+    /// divisions, the fabric report comes from the memo. A partial cache
+    /// hit still ingests the delta and hands the subgraph off but skips
+    /// the fabric pass.
+    fn dispatch_serial(&mut self, mut rq: Visit, board: usize, now: f64) {
+        self.fabric_pass(&mut rq, board, now);
+        let primary = Leg::new(
+            board,
+            now,
+            RequestLatency {
+                queue_secs: now - rq.arrival_secs,
+                reconfig_secs: rq.reconfig_secs,
+                upload_secs: rq.upload_secs,
+                stage_wait_secs: 0.0,
+                preprocess_secs: rq.preprocess_secs,
+                download_secs: self.pcie.transfer_secs(rq.subgraph_bytes),
+                inference_secs: rq.inference_secs,
+                cache_secs: 0.0,
+            },
+            rq.host_bytes,
+            rq.switch_bytes,
+            rq.entry_preprocess_secs,
+        );
+        let win = match self.hedge_board(&rq, board, now) {
+            Some(second) => self.race(&rq, primary, second, now),
+            None => primary,
+        };
+        self.pool.occupy(win.board, now, win.done);
+        // Serial mode runs the stages back to back under both slots, so
+        // the whole timeline is known at dispatch: ICAP stall, then the
+        // DMA ingest, the fabric pass, and the hand-off closing at
+        // `win.done`. Only the winning leg is narrated; a cancelled hedge
+        // leg appears as one `Cancelled` span (see [`race`](Run::race)).
+        if self.sink.enabled() {
+            use BoardResource::{Dma, Fabric, Icap};
+            let (l, tag) = (win.latency, rq.tag());
+            let on = |resource| on_board(win.board, resource);
+            let ingest_at = now + l.reconfig_secs;
+            let fabric_at = ingest_at + l.upload_secs;
+            let pass_end = fabric_at + l.preprocess_secs;
+            let handoff_at = win.done - l.download_secs;
+            if l.reconfig_secs > 0.0 {
+                self.span(on(Icap), SpanKind::Reconfig, tag, now, ingest_at);
+            }
+            self.span(on(Dma), SpanKind::Ingest, tag, ingest_at, fabric_at);
+            self.span(on(Fabric), SpanKind::Preprocess, tag, fabric_at, pass_end);
+            self.span(on(Dma), SpanKind::Handoff, tag, handoff_at, win.done);
+        }
+        rq.host_bytes = win.host_bytes;
+        rq.switch_bytes = win.switch_bytes;
+        rq.entry_preprocess_secs = win.entry_preprocess_secs;
+        self.schedule_completion(&rq, win.board, win.latency, win.done);
+    }
+
+    /// The board a hedged dispatch re-offers `rq` to: once its queue
+    /// wait has outrun its tenant's predicted tail, a second free board
+    /// (see the module docs). `Off` — the default — never hedges.
+    fn hedge_board(&self, rq: &Visit, board: usize, now: f64) -> Option<usize> {
+        let HedgeKind::Latency { factor } = self.cfg.hedge else {
+            return None;
+        };
+        let wait = now - rq.arrival_secs;
+        if self.predictor.is_warm(rq.tenant)
+            && wait > factor * self.predictor.predicted_p99(rq.tenant)
+        {
+            self.pool.free_indices().find(|&b| b != board)
+        } else {
+            None
+        }
+    }
+
+    /// Races `primary` against a hedge leg on board `second` and returns
+    /// the winner; the loser's board stays occupied until it can free.
+    /// The hedge leg ingests from the host onto the second board's
+    /// *current* bitstream — no reconfiguration, no migration: the bet is
+    /// a cheap second chance, not a second ICAP switch.
+    fn race(&mut self, rq: &Visit, primary: Leg, second: usize, now: f64) -> Leg {
+        self.digest
+            .push_all(&[0x4E, rq.tenant as u64, second as u64]);
+        let host_bytes = self.pool.upload_delta(second, rq.tenant, rq.graph_bytes);
+        let upload_secs = self.pcie.transfer_secs(host_bytes);
+        let preprocess_secs = self.preprocess_secs(rq.tenant, &rq.workload, second);
+        let hedge = Leg::new(
+            second,
+            now,
+            RequestLatency {
+                reconfig_secs: 0.0,
+                upload_secs,
+                preprocess_secs,
+                ..primary.latency
+            },
+            host_bytes,
+            0,
+            preprocess_secs,
+        );
+        // Ties keep the primary — placement picked it.
+        let (win, lose) = if hedge.done < primary.done {
+            (hedge, primary)
+        } else {
+            (primary, hedge)
+        };
+        // A losing primary's *started* reconfiguration still runs to
+        // completion, so its board frees only once both the cancellation
+        // and the ICAP stall have passed.
+        let free_at = win.done.max(now + lose.latency.reconfig_secs);
+        self.stats.wasted_secs += free_at - now;
+        self.stats.wasted_work_bytes += lose.host_bytes + lose.switch_bytes;
+        self.pool.occupy(lose.board, now, free_at);
+        self.queue.push(
+            free_at,
+            EventKind::HedgeWon {
+                board: lose.board,
+                tenant: rq.tenant,
+            },
+        );
+        self.span(Track::Queue, SpanKind::Cancelled, rq.tag(), now, free_at);
+        self.sample_wasted(free_at);
+        win
+    }
+
+    /// Moves an ingested request into board `board`'s fabric at `now`:
+    /// prices its fabric pass ([`fabric_pass`](Run::fabric_pass)) and
+    /// schedules `FabricDone`.
+    fn start_fabric(&mut self, handle: Handle, board: usize, now: f64) {
+        let mut rq = *self.inflight.get(handle);
+        self.fabric_pass(&mut rq, board, now);
+        rq.fabric_start_secs = now;
+        let stall_end = now + rq.reconfig_secs;
+        let done = stall_end + rq.preprocess_secs;
+        self.pool.occupy_fabric(board, now, done);
+        if rq.reconfig_secs > 0.0 {
+            let track = on_board(board, BoardResource::Icap);
+            self.span(track, SpanKind::Reconfig, rq.tag(), now, stall_end);
+        }
+        let track = on_board(board, BoardResource::Fabric);
+        self.span(track, SpanKind::Preprocess, rq.tag(), stall_end, done);
+        // The fabric starting under an in-flight DMA transfer is
+        // pipeline overlap (the symmetric case is [`dma_overlap`]).
+        if !self.pool.dma_free(board) {
+            self.stats.overlap_secs += (done.min(self.pool.dma_until(board)) - now).max(0.0);
+        }
+        *self.inflight.get_mut(handle) = rq;
+        self.pipe.in_fabric[board] = Some(handle);
+        self.queue.push(done, EventKind::FabricDone { board });
+    }
+
+    /// Starts the next queued subgraph hand-off on board `board`'s DMA
+    /// engine if it is idle, scheduling the request's `ServiceDone`. The
+    /// transfer size and inference tail were memoized into the [`Visit`]
+    /// record at dispatch, so this path performs no cost-model work.
+    fn start_handoff(&mut self, board: usize, now: f64) {
+        if !self.pool.dma_free(board) {
+            return;
+        }
+        let Some(handle) = self.pipe.handoffs[board].pop_front() else {
+            return;
+        };
+        self.pool.add_pending_handoffs(board, -1);
+        // The request leaves the pipeline here: reclaim its slab slot and
+        // carry the record by value through the final pricing.
+        let rq = self.inflight.remove(handle);
+        let download_secs = self.pcie.transfer_secs(rq.subgraph_bytes);
+        let done = now + download_secs;
+        self.pool.occupy_dma(board, now, done);
+        let track = on_board(board, BoardResource::Dma);
+        self.span(track, SpanKind::Handoff, rq.tag(), now, done);
+        self.dma_overlap(board, now, done);
+        let latency = RequestLatency {
+            queue_secs: rq.dispatch_secs - rq.arrival_secs,
+            reconfig_secs: rq.reconfig_secs,
+            upload_secs: rq.upload_secs,
+            stage_wait_secs: (rq.fabric_start_secs - rq.ingest_done_secs)
+                + (now - rq.fabric_done_secs),
+            preprocess_secs: rq.preprocess_secs,
+            download_secs,
+            inference_secs: rq.inference_secs,
+            cache_secs: 0.0,
+        };
+        self.schedule_completion(&rq, board, latency, done);
+    }
 }
 
 /// Where (and how) the next dispatch lands.
@@ -2254,143 +2188,157 @@ enum Placement {
     Migrating { position: usize, board: usize },
 }
 
-/// The SplitHot fallback when every queued request is waiting for a busy
-/// affine/home board: once the queue outgrows the policy threshold, the
-/// front request claims the least-loaded free board as a
-/// [`Placement::Migrating`] dispatch instead of waiting.
-fn split_overflow(cfg: &ServeConfig, queue: &[Request], pool: &BoardPool) -> Option<Placement> {
-    let threshold = cfg.migrate.split_threshold()?;
-    if queue.len() < threshold {
-        return None;
-    }
-    let board = pool.least_loaded_free()?;
-    Some(Placement::Migrating { position: 0, board })
+/// What one placement decision reads: the scheduler's scan order —
+/// arrival order under [`SchedKind::Fifo`], the deficit-round-robin fair
+/// order under [`SchedKind::WeightedFair`] — plus the run state placement
+/// consults. Placement reads the scheduler's preference as a hint and
+/// positions index back into the scan, which the scheduler rebuilds per
+/// call, so a dispatch pass takes it once.
+struct Placer<'r> {
+    tenants: &'r [TenantSpec],
+    cfg: &'r ServeConfig,
+    queue: &'r [Request],
+    memo: &'r mut CostMemo,
+    pool: &'r BoardPool,
+    now: f64,
 }
 
-/// Picks the next dispatch, or `None` when no placement is currently
-/// possible (e.g. every home board of every queued request is busy under
-/// [`PlacementPolicy::TenantAffine`] and the migration policy keeps them
-/// waiting). `queue` is the scheduler's scan order — arrival order under
-/// [`SchedKind::Fifo`], the deficit-round-robin fair order under
-/// [`SchedKind::WeightedFair`] — so placement reads the scheduler's
-/// preference as a hint and positions index back into the scan.
-fn select_dispatch(
-    tenants: &[TenantSpec],
-    cfg: &ServeConfig,
-    queue: &[Request],
-    memo: &mut CostMemo,
-    pool: &BoardPool,
-    now: f64,
-) -> Option<Placement> {
-    match cfg.placement {
-        // The home board of the earliest-arrived dispatchable request
-        // serves; the dispatch policy then picks among the requests homed
-        // to that board (a home board never serves foreign tenants, so
-        // the reconfig-aware scan is restricted to its own backlog).
-        PlacementPolicy::TenantAffine => {
-            let Some(board) = queue.iter().find_map(|r| {
-                let home = tenants[r.tenant].home_board(r.tenant, pool.size());
-                pool.is_free(home).then_some(home)
-            }) else {
-                // Every home board is busy: wait, unless the queue has
-                // outgrown the SplitHot threshold.
-                return split_overflow(cfg, queue, pool);
-            };
-            let homed = |r: &Request| tenants[r.tenant].home_board(r.tenant, pool.size()) == board;
-            let position = pick_for_board(tenants, cfg, queue, memo, pool, board, now, homed)?;
-            Some(Placement::Serve { position, board })
-        }
-        // The least-loaded free board serves; its dispatch policy picks
-        // the request — with one board this is exactly the PR 1 scheduler.
-        PlacementPolicy::LeastLoaded => {
-            let board = pool.least_loaded_free()?;
-            let position = pick_for_board(tenants, cfg, queue, memo, pool, board, now, |_| true)?;
-            Some(Placement::Serve { position, board })
-        }
-        // Route a request to a board already holding its bitstream. A
-        // request whose bitstream lives on a *busy* board waits for it
-        // (bounded by the starvation guard) instead of reprogramming an
-        // idle board — that restraint is what turns reconfigurations into
-        // routing decisions. Only a bitstream no board holds claims the
-        // least-loaded free board and pays one switch.
-        PlacementPolicy::BitstreamAffine => {
-            let max_queue_delay_secs = match cfg.policy {
-                // FIFO promises strict arrival order, so the affinity
-                // scan must not overtake: placement only picks the front
-                // request's board (a zero starvation bound).
-                DispatchPolicy::Fifo => 0.0,
-                DispatchPolicy::ReconfigAware {
-                    max_queue_delay_secs,
-                } => max_queue_delay_secs,
-            };
-            let front = &queue[0];
-            if now - front.arrival_secs >= max_queue_delay_secs {
-                let front_best = memo.best_config(front.tenant, &tenants[front.tenant], now, pool);
-                let board = pool
-                    .free_with_config(front_best)
-                    .or_else(|| pool.least_loaded_free())?;
-                return Some(Placement::Serve { position: 0, board });
+impl Placer<'_> {
+    /// The library-optimal configuration for `request`'s tenant now.
+    fn best(&mut self, request: &Request) -> HwConfig {
+        let spec = &self.tenants[request.tenant];
+        self.memo
+            .best_config(request.tenant, spec, self.now, self.pool)
+    }
+
+    /// Picks the next dispatch, or `None` when no placement is currently
+    /// possible (e.g. every home board of every queued request is busy
+    /// under [`PlacementPolicy::TenantAffine`] and the migration policy
+    /// keeps them waiting).
+    fn select(mut self) -> Option<Placement> {
+        let queue = self.queue;
+        match self.cfg.placement {
+            // The home board of the earliest-arrived dispatchable request
+            // serves; the dispatch policy then picks among the requests
+            // homed to that board (a home board never serves foreign
+            // tenants, so the reconfig-aware scan is restricted to its
+            // own backlog).
+            PlacementPolicy::TenantAffine => {
+                let (tenants, boards) = (self.tenants, self.pool.size());
+                let home = |r: &Request| tenants[r.tenant].home_board(r.tenant, boards);
+                let Some(board) = queue.iter().map(home).find(|&home| self.pool.is_free(home))
+                else {
+                    // Every home board is busy: wait, unless the queue
+                    // has outgrown the SplitHot threshold.
+                    return self.split_overflow();
+                };
+                let position = self.pick_for_board(board, |r| home(r) == board)?;
+                Some(Placement::Serve { position, board })
             }
-            // Pass 1: the earliest request whose optimal bitstream is
-            // already programmed on a free board (with one board this is
-            // exactly the PR 1 reconfig-aware queue scan).
-            for (position, r) in queue.iter().enumerate() {
-                let best = memo.best_config(r.tenant, &tenants[r.tenant], now, pool);
-                if let Some(board) = pool.free_with_config(best) {
-                    return Some(Placement::Serve { position, board });
+            // The least-loaded free board serves; its dispatch policy
+            // picks the request — with one board this is exactly the PR 1
+            // scheduler.
+            PlacementPolicy::LeastLoaded => {
+                let board = self.pool.least_loaded_free()?;
+                let position = self.pick_for_board(board, |_| true)?;
+                Some(Placement::Serve { position, board })
+            }
+            // Route a request to a board already holding its bitstream. A
+            // request whose bitstream lives on a *busy* board waits for it
+            // (bounded by the starvation guard) instead of reprogramming
+            // an idle board — that restraint is what turns
+            // reconfigurations into routing decisions. Only a bitstream no
+            // board holds claims the least-loaded free board and pays one
+            // switch.
+            PlacementPolicy::BitstreamAffine => {
+                let max_queue_delay_secs = match self.cfg.policy {
+                    // FIFO promises strict arrival order, so the affinity
+                    // scan must not overtake: placement only picks the
+                    // front request's board (a zero starvation bound).
+                    DispatchPolicy::Fifo => 0.0,
+                    DispatchPolicy::ReconfigAware {
+                        max_queue_delay_secs,
+                    } => max_queue_delay_secs,
+                };
+                let front = &queue[0];
+                if self.now - front.arrival_secs >= max_queue_delay_secs {
+                    let front_best = self.best(front);
+                    let board = self
+                        .pool
+                        .free_with_config(front_best)
+                        .or_else(|| self.pool.least_loaded_free())?;
+                    return Some(Placement::Serve { position: 0, board });
                 }
-            }
-            // Pass 2: the earliest request whose bitstream no board holds
-            // claims the least-loaded free board.
-            for (position, r) in queue.iter().enumerate() {
-                let best = memo.best_config(r.tenant, &tenants[r.tenant], now, pool);
-                if !pool.any_with_config(best) {
-                    let board = pool.least_loaded_free()?;
-                    return Some(Placement::Serve { position, board });
+                // Pass 1: the earliest request whose optimal bitstream is
+                // already programmed on a free board (with one board this
+                // is exactly the PR 1 reconfig-aware queue scan).
+                for (position, r) in queue.iter().enumerate() {
+                    let best = self.best(r);
+                    if let Some(board) = self.pool.free_with_config(best) {
+                        return Some(Placement::Serve { position, board });
+                    }
                 }
+                // Pass 2: the earliest request whose bitstream no board
+                // holds claims the least-loaded free board.
+                for (position, r) in queue.iter().enumerate() {
+                    let best = self.best(r);
+                    if !self.pool.any_with_config(best) {
+                        let board = self.pool.least_loaded_free()?;
+                        return Some(Placement::Serve { position, board });
+                    }
+                }
+                // Every queued bitstream is held by a busy board: wait for
+                // it — unless the queue has outgrown the SplitHot
+                // threshold, in which case the hot tenant splits onto an
+                // idle board.
+                self.split_overflow()
             }
-            // Every queued bitstream is held by a busy board: wait for
-            // it — unless the queue has outgrown the SplitHot threshold,
-            // in which case the hot tenant splits onto an idle board.
-            split_overflow(cfg, queue, pool)
         }
     }
-}
 
-/// The queue position `board` serves next under the configured dispatch
-/// policy (PR 1's pick, parameterized by the board's bitstream), scanning
-/// only requests `eligible` admits — `TenantAffine` placement restricts
-/// the scan to the board's own tenants, everything else passes all.
-/// `None` when no queued request is eligible.
-#[allow(clippy::too_many_arguments)]
-fn pick_for_board(
-    tenants: &[TenantSpec],
-    cfg: &ServeConfig,
-    queue: &[Request],
-    memo: &mut CostMemo,
-    pool: &BoardPool,
-    board: usize,
-    now: f64,
-    eligible: impl Fn(&Request) -> bool,
-) -> Option<usize> {
-    let front_pos = queue.iter().position(&eligible)?;
-    match cfg.policy {
-        DispatchPolicy::Fifo => Some(front_pos),
-        DispatchPolicy::ReconfigAware {
-            max_queue_delay_secs,
-        } => {
-            let front = &queue[front_pos];
-            if now - front.arrival_secs >= max_queue_delay_secs {
-                return Some(front_pos);
+    /// The SplitHot fallback when every queued request is waiting for a
+    /// busy affine/home board: once the queue outgrows the policy
+    /// threshold, the front request claims the least-loaded free board
+    /// as a [`Placement::Migrating`] dispatch instead of waiting.
+    fn split_overflow(&self) -> Option<Placement> {
+        let threshold = self.cfg.migrate.split_threshold()?;
+        if self.queue.len() < threshold {
+            return None;
+        }
+        let board = self.pool.least_loaded_free()?;
+        Some(Placement::Migrating { position: 0, board })
+    }
+
+    /// The queue position `board` serves next under the configured
+    /// dispatch policy (PR 1's pick, parameterized by the board's
+    /// bitstream), scanning only requests `eligible` admits —
+    /// `TenantAffine` placement restricts the scan to the board's own
+    /// tenants, everything else passes all. `None` when no queued request
+    /// is eligible.
+    fn pick_for_board(
+        &mut self,
+        board: usize,
+        eligible: impl Fn(&Request) -> bool,
+    ) -> Option<usize> {
+        let queue = self.queue;
+        let front_pos = queue.iter().position(&eligible)?;
+        match self.cfg.policy {
+            DispatchPolicy::Fifo => Some(front_pos),
+            DispatchPolicy::ReconfigAware {
+                max_queue_delay_secs,
+            } => {
+                if self.now - queue[front_pos].arrival_secs >= max_queue_delay_secs {
+                    return Some(front_pos);
+                }
+                let current = self.pool.config(board);
+                queue
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| eligible(r))
+                    .find(|(_, r)| self.best(r) == current)
+                    .map(|(position, _)| position)
+                    .or(Some(front_pos))
             }
-            let current = pool.config(board);
-            queue
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| eligible(r))
-                .find(|(_, r)| memo.best_config(r.tenant, &tenants[r.tenant], now, pool) == current)
-                .map(|(position, _)| position)
-                .or(Some(front_pos))
         }
     }
 }
@@ -2453,6 +2401,7 @@ struct TenantMemo {
 #[derive(Debug)]
 struct CostMemo {
     step_secs: f64,
+    inference: GpuInferenceModel,
     rows: Vec<TenantMemo>,
 }
 
@@ -2466,6 +2415,7 @@ impl CostMemo {
         };
         CostMemo {
             step_secs,
+            inference: GpuInferenceModel::default(),
             rows: (0..tenant_count)
                 .map(|_| TenantMemo {
                     bucket: None,
@@ -2481,13 +2431,7 @@ impl CostMemo {
     /// The memoized drift-bucket row for `tenant` at `now`, rebuilt on a
     /// bucket miss (one workload construction plus two expansion passes
     /// per tenant per drift step, instead of per dispatch).
-    fn bucket_costs(
-        &mut self,
-        index: usize,
-        tenant: &TenantSpec,
-        now: f64,
-        inference: &GpuInferenceModel,
-    ) -> BucketCosts {
+    fn bucket_costs(&mut self, index: usize, tenant: &TenantSpec, now: f64) -> BucketCosts {
         let bucket = tenant.drift_bucket(now, self.step_secs);
         let row = &mut self.rows[index];
         if row.bucket != Some(bucket) {
@@ -2497,7 +2441,7 @@ impl CostMemo {
                 workload,
                 coo_bytes: workload.coo_bytes(),
                 subgraph_bytes: workload.subgraph_bytes(),
-                inference_secs: inference.analytic_inference_secs(
+                inference_secs: self.inference.analytic_inference_secs(
                     &tenant.gnn,
                     workload.subgraph_nodes(),
                     workload.subgraph_edges(),
