@@ -1348,7 +1348,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         }
     }
 
-    // ---- narration: the only places that touch the sink ----
+    // ---- narration: every span and counter sample is emitted here ----
 
     /// Narrates one complete span of the request `tag` names.
     fn span(&mut self, track: Track, kind: SpanKind, tag: Tag, begin_secs: f64, end_secs: f64) {
@@ -1517,7 +1517,8 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         self.queue.push(done, EventKind::ServiceDone { completion });
     }
 
-    // ---- event handlers: each returns whether a dispatch pass follows ----
+    // ---- event handlers: `expire` runs before each `on_*`, which returns
+    // whether a dispatch pass follows ----
 
     /// In-queue expiry: before handling the event, drop every queued
     /// request whose deadline has (strictly) passed — it can no longer
@@ -2132,7 +2133,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         let track = on_board(board, BoardResource::Fabric);
         self.span(track, SpanKind::Preprocess, rq.tag(), stall_end, done);
         // The fabric starting under an in-flight DMA transfer is
-        // pipeline overlap (the symmetric case is [`dma_overlap`]).
+        // pipeline overlap (the symmetric case is `Run::dma_overlap`).
         if !self.pool.dma_free(board) {
             self.stats.overlap_secs += (done.min(self.pool.dma_until(board)) - now).max(0.0);
         }
