@@ -11,7 +11,9 @@
 //!   algorithm [`crate::pipeline::convert`] runs;
 //! - [`order_edges_counting`], a COO→CSC transposition in O(E + V), is the
 //!   engine's: the UPE kernel's `sort_edges` charges cycles from chunk runs
-//!   alone, so its host-side sort only has to be fast.
+//!   alone, so its host-side sort only has to be fast. The kernel finds the
+//!   largest VID in the same scan that reads the chunk runs and hands it to
+//!   [`order_edges_counting_with_max`].
 
 use agnn_graph::{Edge, Vid};
 
@@ -75,18 +77,50 @@ pub fn order_edges_radix(edges: &[Edge]) -> Vec<Edge> {
 /// assert_eq!(order_edges_counting(&edges), order_edges_std(&edges));
 /// ```
 pub fn order_edges_counting(edges: &[Edge]) -> Vec<Edge> {
-    match counting_vertices(edges) {
+    order_edges_counting_with_max(edges, largest_vid(edges))
+}
+
+/// [`order_edges_counting`] for a caller that already knows the largest
+/// VID in `edges` (`None` when `edges` is empty), which saves the read that
+/// finds it.
+///
+/// # Panics
+///
+/// Panics in debug builds if `max_vid` is not the largest VID in `edges`.
+///
+/// # Examples
+///
+/// ```
+/// use agnn_algo::ordering::{order_edges_counting_with_max, order_edges_std};
+/// use agnn_graph::{Edge, Vid};
+///
+/// let edges = [Edge::new(Vid(2), Vid(1)), Edge::new(Vid(0), Vid(2))];
+/// let sorted = order_edges_counting_with_max(&edges, Some(Vid(2)));
+/// assert_eq!(sorted, order_edges_std(&edges));
+/// ```
+pub fn order_edges_counting_with_max(edges: &[Edge], max_vid: Option<Vid>) -> Vec<Edge> {
+    debug_assert_eq!(
+        max_vid,
+        largest_vid(edges),
+        "max_vid is not the largest VID"
+    );
+    match counting_vertices(edges.len(), max_vid) {
         Some(vertices) => transpose(edges, vertices),
         None => order_edges_radix(edges),
     }
 }
 
-/// The vertex count the counting passes size their arrays by, or `None`
-/// when [`order_edges_counting`] must take the radix fallback.
-fn counting_vertices(edges: &[Edge]) -> Option<usize> {
-    let max_vid = edges.iter().map(|e| e.src.0.max(e.dst.0)).max();
-    let vertices = max_vid.map_or(0, |v| u64::from(v) + 1);
-    let fits = vertices <= edges.len() as u64 && u32::try_from(edges.len()).is_ok();
+/// The largest VID in `edges`, or `None` when it is empty.
+fn largest_vid(edges: &[Edge]) -> Option<Vid> {
+    edges.iter().map(|e| e.src.max(e.dst)).max()
+}
+
+/// The vertex count the counting passes size their arrays by for `len`
+/// edges whose largest VID is `max_vid`, or `None` when
+/// [`order_edges_counting`] must take the radix fallback.
+fn counting_vertices(len: usize, max_vid: Option<Vid>) -> Option<usize> {
+    let vertices = max_vid.map_or(0, |v| u64::from(v.0) + 1);
+    let fits = vertices <= len as u64 && u32::try_from(len).is_ok();
     fits.then_some(vertices as usize)
 }
 
@@ -142,6 +176,10 @@ mod tests {
         pairs.iter().map(|&p| Edge::from(p)).collect()
     }
 
+    fn vertices_of(edges: &[Edge]) -> Option<usize> {
+        counting_vertices(edges.len(), largest_vid(edges))
+    }
+
     #[test]
     fn std_and_radix_agree_on_generated_graph() {
         let g = generate::power_law(100, 2_000, 0.9, 3);
@@ -188,13 +226,13 @@ mod tests {
     #[test]
     fn counting_takes_radix_fallback_only_for_sparse_vids() {
         let dense = edges_of(&[(1, 0), (0, 2), (2, 1)]);
-        assert_eq!(counting_vertices(&dense), Some(3));
-        assert_eq!(counting_vertices(&[]), Some(0));
+        assert_eq!(vertices_of(&dense), Some(3));
+        assert_eq!(vertices_of(&[]), Some(0));
         // VID 3 needs four count slots for three edges.
         let sparse = edges_of(&[(1, 0), (0, 3), (2, 1)]);
-        assert_eq!(counting_vertices(&sparse), None);
+        assert_eq!(vertices_of(&sparse), None);
         let top = edges_of(&[(u32::MAX, 0), (5, u32::MAX - 1), (0, 0)]);
-        assert_eq!(counting_vertices(&top), None);
+        assert_eq!(vertices_of(&top), None);
         assert_eq!(order_edges_counting(&top), order_edges_std(&top));
     }
 
@@ -204,7 +242,7 @@ mod tests {
             pairs in proptest::collection::vec((0u32..64, 0u32..64), 64..600),
         ) {
             let edges = edges_of(&pairs);
-            prop_assert!(counting_vertices(&edges).is_some());
+            prop_assert!(vertices_of(&edges).is_some());
             prop_assert_eq!(order_edges_counting(&edges), order_edges_std(&edges));
         }
 
@@ -217,7 +255,7 @@ mod tests {
                 .iter()
                 .map(|&(src, dst, pick)| Edge::from((src, if pick < 8 { dst % 3 } else { dst })))
                 .collect();
-            prop_assert!(counting_vertices(&edges).is_some());
+            prop_assert!(vertices_of(&edges).is_some());
             prop_assert_eq!(order_edges_counting(&edges), order_edges_std(&edges));
         }
 
@@ -229,7 +267,7 @@ mod tests {
                 .iter()
                 .flat_map(|&(src, dst, copies)| std::iter::repeat_n(Edge::from((src, dst)), copies))
                 .collect();
-            prop_assert!(counting_vertices(&edges).is_some());
+            prop_assert!(vertices_of(&edges).is_some());
             prop_assert_eq!(order_edges_counting(&edges), order_edges_std(&edges));
         }
 
@@ -248,6 +286,40 @@ mod tests {
         ) {
             let edges = edges_of(&pairs);
             prop_assert_eq!(order_edges_counting(&edges), order_edges_std(&edges));
+        }
+
+        #[test]
+        fn prop_counting_with_max_matches_std(
+            shape in 0u32..4,
+            raw in proptest::collection::vec((any::<u32>(), any::<u32>(), 0u32..10), 1..600),
+        ) {
+            // Dense and hub-heavy edges keep every VID below the edge
+            // count, so the counting passes run; sparse VIDs near
+            // `u32::MAX` take the radix fallback; the last shape is empty.
+            let n = raw.len() as u32;
+            let edges: Vec<Edge> = match shape {
+                0 => raw.iter().map(|&(src, dst, _)| Edge::from((src % n, dst % n))).collect(),
+                1 => raw
+                    .iter()
+                    .map(|&(src, dst, pick)| {
+                        let dst = if pick < 8 { dst % 3 } else { dst % n };
+                        Edge::from((src % n, dst.min(n - 1)))
+                    })
+                    .collect(),
+                2 => raw
+                    .iter()
+                    .map(|&(src, dst, _)| {
+                        Edge::from((u32::MAX - src % 1_000, u32::MAX - dst % 1_000))
+                    })
+                    .collect(),
+                _ => Vec::new(),
+            };
+            let max_vid = edges.iter().flat_map(|e| [e.src, e.dst]).max();
+            prop_assert_eq!(vertices_of(&edges).is_some(), shape != 2);
+            prop_assert_eq!(
+                order_edges_counting_with_max(&edges, max_vid),
+                order_edges_std(&edges)
+            );
         }
 
         #[test]

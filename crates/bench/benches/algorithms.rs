@@ -8,6 +8,8 @@ use agnn_algo::reshape::{
 };
 use agnn_algo::select::{reservoir_sample, uni_random_bitmap, uni_random_hashset};
 use agnn_graph::{generate, Vid};
+use agnn_hw::kernel::Reindexer;
+use agnn_hw::ScrConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,6 +75,9 @@ fn bench_reindexing(c: &mut Criterion) {
     let stream: Vec<Vid> = g.edges().iter().map(|e| e.dst).take(5_000).collect();
     group.bench_function("hashmap", |b| b.iter(|| reindex_hashmap(&stream)));
     group.bench_function("set_counting", |b| b.iter(|| reindex_set_counting(&stream)));
+    // Not a Table IV algorithm: the SCR reindexer's Fast host path.
+    let reindexer = Reindexer::new(ScrConfig::new(4, 64));
+    group.bench_function("hw_fast", |b| b.iter(|| reindexer.reindex(&stream)));
     group.finish();
 }
 

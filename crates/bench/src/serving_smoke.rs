@@ -63,7 +63,13 @@
 //! 10. `deadline_burst` — a gentler bursty-aggressor trace (mean 8 rps,
 //!     so the two-board pool oscillates between overload and drain)
 //!     with a 2 s deadline on both victim tenants and hedged dispatch
-//!     armed. The gate protects **`victim_goodput_p99_secs`** (the
+//!     armed. Armed is not exercised: under `LeastLoaded` placement a
+//!     request only waits while every board is busy, and the board a
+//!     completion frees goes to the queue, so no waiting request ever
+//!     finds a second free board and the row reports `hedges: 0`. The
+//!     hedge race and stage aborts are pinned by
+//!     `hedge_and_abort_paths_reproduce_pinned_digests` in
+//!     `tests/serve_traffic.rs` instead. The gate protects **`victim_goodput_p99_secs`** (the
 //!     worse victims' p99 over *on-time* completions only — the whole
 //!     point of enforcement is that this number sits inside the
 //!     deadline while the oblivious tail blows out to tens of seconds),
@@ -393,7 +399,9 @@ fn sweep_cases() -> Vec<SweepCase> {
             deadline_tenants(),
             // Serial two-board pool, hedged dispatch armed: the same
             // configuration `tests/serve_traffic.rs` validates against
-            // its deadline-oblivious twin.
+            // its deadline-oblivious twin. Under `LeastLoaded` no hedge
+            // ever launches (`hedges: 0`); the hedged paths are pinned in
+            // `tests/serve_traffic.rs`.
             built(base().boards(2).hedge(HedgeKind::latency())),
             BURST_VICTIMS,
             Some(DEADLINE_SECS),
@@ -986,9 +994,9 @@ mod tests {
     /// scenario's Perfetto document hashes to its recorded value, so a
     /// dropped, re-timed or re-labelled span or counter sample fails here
     /// even when the trace digest and every gated number still agree.
-    /// `deadline_burst` narrates hedge `Cancelled` spans and in-queue
-    /// expiry, `cache_replay` the cache-hit counters, `migration_drift`
-    /// the outbound switch legs.
+    /// `deadline_burst` narrates in-queue expiry as `Cancelled` spans (it
+    /// launches no hedge), `cache_replay` the cache-hit counters,
+    /// `migration_drift` the outbound switch legs.
     #[test]
     fn sweep_narration_is_pinned() {
         const PINNED: [(&str, u64); 10] = [

@@ -184,14 +184,18 @@ impl AutoGnnEngine {
 
         // 3. Uni-random selection (UPE kernel, Fig. 16). The trace is the
         // shared functional specification; the kernel replays it for cycle
-        // accounting (and network verification in structural fidelity).
+        // accounting (and network verification in structural fidelity,
+        // the only reader of the packed pool contents).
         let mut rng = StdRng::seed_from_u64(seed);
         let trace = agnn_algo::pipeline::sample(&csc, batch, params, &mut rng);
         for layer in &trace.layers {
-            let pool_values: Vec<Vec<u64>> = layer
-                .iter()
-                .map(|record| pool_contents(&csc, params.strategy, &record.parents))
-                .collect();
+            let pool_values: Vec<Vec<u64>> = match self.fidelity {
+                Fidelity::Structural => layer
+                    .iter()
+                    .map(|record| pool_contents(&csc, params.strategy, &record.parents))
+                    .collect(),
+                Fidelity::Fast => Vec::new(),
+            };
             let select_run = self.upe_kernel.select_layer(layer, &pool_values);
             cycles.selecting += select_run.cycles;
             upe_passes += select_run.upe_passes;

@@ -14,21 +14,31 @@
 //!   layer and every comparator/reducer tree explicitly (and asserts the
 //!   result against the software model) — used by the verification tests;
 //! - [`Fidelity::Fast`] computes the same result with plain software
-//!   operations — used for large experiment sweeps.
+//!   operations in host time linear in its input — used for large
+//!   experiment sweeps and paper-scale requests.
 //!
-//! Edge ordering shows the split most plainly. Its cycles and passes depend
-//! only on the chunk run lengths and chunk maxima, so both fidelities charge
-//! them through one function, [`sort_accounting`]. The sorted edges need not
-//! come from anything UPE-shaped, so both fidelities take them from one
-//! O(E + V) counting transposition ([`order_edges_counting`]). Fast stops
-//! there; Structural also replays every chunk sort on the UPE network and
-//! the whole merge tree, and asserts both the merged keys and the pass count
-//! against that ordering and the accounting.
+//! Cycles and passes depend only on counts, never on how the host found
+//! the result, so each kernel charges them the same way in both fidelities:
+//!
+//! - Edge ordering charges them through one function, [`sort_accounting`],
+//!   from the chunk run lengths and maxima. One scan over the edges yields
+//!   those and the largest VID, and the sorted edges come from one O(E + V)
+//!   counting transposition ([`order_edges_counting_with_max`]). Fast stops
+//!   there; Structural also replays every chunk sort on the UPE network and
+//!   the whole merge tree, and asserts both the merged keys and the pass
+//!   count against that ordering and the accounting.
+//! - Selection charges each pool from its length and draw count. Only
+//!   Structural reads the pool contents, to replay each draw through the
+//!   one-hot extraction network.
+//! - Reindexing charges each lookup from the number of mappings held. Fast
+//!   finds a VID's mapping in a hash index; Structural searches the mapping
+//!   bank window by window through the filter tree and asserts the result
+//!   against a linear search.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
-use agnn_algo::ordering::order_edges_counting;
+use agnn_algo::ordering::order_edges_counting_with_max;
 use agnn_algo::pipeline::PoolRecord;
 use agnn_algo::reindex::ReindexResult;
 use agnn_algo::sort::tree_merge;
@@ -179,21 +189,34 @@ impl UpeKernel {
     /// merge chunk runs round by round (Algorithm 1) and deconcatenate.
     ///
     /// Cycles and passes come from [`sort_accounting`] over the chunk
-    /// lengths and maxima. The sorted edges come from
-    /// [`order_edges_counting`] in both fidelities; [`Fidelity::Structural`]
+    /// lengths and maxima. The one scan over `edges` that reads those also
+    /// finds the largest VID, and the sorted edges come from
+    /// [`order_edges_counting_with_max`] in both fidelities, so the host
+    /// reads the edges once before sorting them. [`Fidelity::Structural`]
     /// also replays every chunk sort on the UPE network and the merge tree
     /// ([`tree_merge`]), and asserts that the merged keys equal that
     /// ordering and that the replayed passes equal the accounting.
     pub fn sort_edges(&self, edges: &[Edge]) -> SortRun {
         let width = self.config.width.max(1);
-        let (cycles, upe_passes) = sort_accounting(
-            self.config,
-            edges.chunks(width).map(|chunk| {
-                let max = chunk.iter().map(|e| e.sort_key()).max();
-                (chunk.len(), max.unwrap_or(0))
-            }),
-        );
-        let sorted = order_edges_counting(edges);
+        let (mut max_key, mut max_src) = (0u64, 0u32);
+        // Collected before the accounting consumes it, so the scan is a loop
+        // of its own that the compiler vectorizes for wide chunks.
+        let chunks: Vec<(usize, u64)> = edges
+            .chunks(width)
+            .map(|chunk| {
+                let mut chunk_max = 0;
+                for e in chunk {
+                    chunk_max = chunk_max.max(e.sort_key());
+                    max_src = max_src.max(e.src.0);
+                }
+                max_key = max_key.max(chunk_max);
+                (chunk.len(), chunk_max)
+            })
+            .collect();
+        let (cycles, upe_passes) = sort_accounting(self.config, chunks);
+        // The largest key carries the largest destination in its high word.
+        let max_vid = (!edges.is_empty()).then(|| Vid(max_src.max((max_key >> 32) as u32)));
+        let sorted = order_edges_counting_with_max(edges, max_vid);
         if self.fidelity == Fidelity::Structural {
             let (merged, passes) = self.replay_sort(edges);
             let keys = sorted.iter().map(|e| e.sort_key());
@@ -232,39 +255,56 @@ impl UpeKernel {
     /// `ceil(pool_len / width)` cycles for the final bitmap partition that
     /// extracts the sampled neighborhood; jobs are scheduled across UPEs.
     ///
-    /// In [`Fidelity::Structural`] every recorded draw is replayed through
-    /// the one-hot extraction network against the actual pool contents.
+    /// Cycles and passes come from each record's `pool_len` and draw count
+    /// alone. `pool_values` holds each pool's contents packed into the
+    /// UPE's 64-bit lanes, one entry per record, and only
+    /// [`Fidelity::Structural`] reads it: it replays every recorded draw
+    /// through the one-hot extraction network against those contents.
+    /// [`Fidelity::Fast`] ignores it, so a Fast caller may pass `&[]`.
+    ///
+    /// # Panics
+    ///
+    /// In [`Fidelity::Structural`], panics if `pool_values` does not hold
+    /// one pool of `pool_len` values per record.
     pub fn select_layer(&self, pools: &[PoolRecord], pool_values: &[Vec<u64>]) -> SelectRun {
         let width = self.config.width as u64;
-        let mut upe_passes = 0u64;
-        let mut job_cycles = Vec::with_capacity(pools.len());
-        for (record, values) in pools.iter().zip(pool_values) {
-            debug_assert_eq!(record.pool_len as usize, values.len());
-            let draws = record.positions.len() as u64;
-            let final_extract = u64::from(record.pool_len).div_ceil(width).max(1);
-            job_cycles.push(draws + final_extract);
-            upe_passes += draws + final_extract;
-            if self.fidelity == Fidelity::Structural {
-                for &position in &record.positions {
-                    // Chunk the pool to the UPE width and extract within the
-                    // chunk holding the drawn position.
-                    let chunk_index = position as usize / self.config.width;
-                    let chunk_start = chunk_index * self.config.width;
-                    let chunk_end = (chunk_start + self.config.width).min(values.len());
-                    let extracted = self.upe.extract_one_hot(
-                        &values[chunk_start..chunk_end],
-                        position as usize - chunk_start,
-                    );
-                    assert_eq!(
-                        extracted, values[position as usize],
-                        "one-hot extraction diverged"
-                    );
-                }
-            }
+        let job_cycles: Vec<u64> = pools
+            .iter()
+            .map(|record| {
+                let draws = record.positions.len() as u64;
+                draws + u64::from(record.pool_len).div_ceil(width).max(1)
+            })
+            .collect();
+        if self.fidelity == Fidelity::Structural {
+            self.replay_select(pools, pool_values);
         }
         SelectRun {
+            upe_passes: job_cycles.iter().sum(),
             cycles: schedule_makespan(job_cycles, self.config.count),
-            upe_passes,
+        }
+    }
+
+    /// Structural replay of selection: every recorded draw through the
+    /// one-hot extraction network, against the pool contents.
+    fn replay_select(&self, pools: &[PoolRecord], pool_values: &[Vec<u64>]) {
+        assert_eq!(pools.len(), pool_values.len(), "one pool per record");
+        let width = self.config.width;
+        for (record, values) in pools.iter().zip(pool_values) {
+            assert_eq!(record.pool_len as usize, values.len(), "pool length");
+            for &position in &record.positions {
+                // Chunk the pool to the UPE width and extract within the
+                // chunk holding the drawn position.
+                let chunk_start = position as usize / width * width;
+                let chunk_end = (chunk_start + width).min(values.len());
+                let extracted = self.upe.extract_one_hot(
+                    &values[chunk_start..chunk_end],
+                    position as usize - chunk_start,
+                );
+                assert_eq!(
+                    extracted, values[position as usize],
+                    "one-hot extraction diverged"
+                );
+            }
         }
     }
 }
@@ -446,14 +486,20 @@ impl Reindexer {
     /// the counter, assigns it as the new VID, and stores the input target
     /// and the counter value as a new mapping pair").
     ///
-    /// [`Fidelity::Structural`] still evaluates the filter tree window by
-    /// window to verify the datapath.
+    /// Cycles, the banks searched (hence `scr_passes`) and `peak_mappings`
+    /// follow from the number of mappings held, so the fidelities differ
+    /// only in how the host finds a mapping. [`Fidelity::Fast`] keeps a hash
+    /// index from old to new VID, O(1) per input. [`Fidelity::Structural`]
+    /// keeps the `(old, new)` pairs in insertion order, evaluates the filter
+    /// tree window by window to verify the datapath, and asserts its result
+    /// against a linear search.
     ///
     /// # Panics
     ///
     /// Panics if the mapping bank exceeds the SRAM capacity.
     pub fn reindex(&self, stream: &[Vid]) -> ReindexRun {
         let window = self.config.width * self.config.slots;
+        let mut index: HashMap<u32, u32> = HashMap::new();
         let mut mappings: Vec<(u32, u32)> = Vec::new();
         let mut new_ids = Vec::with_capacity(stream.len());
         let mut new_to_old = Vec::new();
@@ -461,37 +507,28 @@ impl Reindexer {
         let mut scr_passes = 0u64;
 
         for &old in stream {
-            let banks = mappings.len().div_ceil(window).max(1) as u64;
+            let banks = new_to_old.len().div_ceil(window).max(1) as u64;
             cycles += 1; // banked search: one cycle per lookup
             scr_passes += banks * self.config.slots as u64;
             let hit = match self.fidelity {
-                Fidelity::Structural => {
-                    let mut found = None;
-                    for chunk in mappings.chunks(self.config.width) {
-                        if let Some(renumbered) = self.scr.filter_lookup(chunk, old.0) {
-                            found = Some(renumbered);
-                            break;
-                        }
-                    }
-                    let expected = mappings.iter().find(|&&(o, _)| o == old.0).map(|&(_, r)| r);
-                    assert_eq!(found, expected, "SCR filter tree diverged");
-                    found
-                }
-                Fidelity::Fast => mappings
-                    .iter()
-                    .position(|&(o, _)| o == old.0)
-                    .map(|hit| mappings[hit].1),
+                Fidelity::Structural => self.filter_lookup(&mappings, old.0),
+                Fidelity::Fast => index.get(&old.0).copied(),
             };
             match hit {
                 Some(renumbered) => new_ids.push(Vid(renumbered)),
                 None => {
                     let fresh = new_to_old.len() as u32;
                     assert!(
-                        mappings.len() < self.sram_capacity,
+                        new_to_old.len() < self.sram_capacity,
                         "reindexer SRAM bank overflow at {} mappings",
-                        mappings.len()
+                        new_to_old.len()
                     );
-                    mappings.push((old.0, fresh));
+                    match self.fidelity {
+                        Fidelity::Structural => mappings.push((old.0, fresh)),
+                        Fidelity::Fast => {
+                            index.insert(old.0, fresh);
+                        }
+                    }
                     new_to_old.push(old);
                     new_ids.push(Vid(fresh));
                     cycles += 1; // insert
@@ -500,14 +537,25 @@ impl Reindexer {
         }
 
         ReindexRun {
+            peak_mappings: new_to_old.len(),
             result: ReindexResult {
                 new_ids,
                 new_to_old,
             },
             cycles,
             scr_passes,
-            peak_mappings: mappings.len(),
         }
+    }
+
+    /// Structural lookup: the filter tree over each `width`-pair window of
+    /// the mapping bank, asserted against a linear search.
+    fn filter_lookup(&self, mappings: &[(u32, u32)], old: u32) -> Option<u32> {
+        let found = mappings
+            .chunks(self.config.width)
+            .find_map(|chunk| self.scr.filter_lookup(chunk, old));
+        let expected = mappings.iter().find(|&&(o, _)| o == old).map(|&(_, r)| r);
+        assert_eq!(found, expected, "SCR filter tree diverged");
+        found
     }
 }
 
@@ -689,6 +737,11 @@ mod tests {
         // Pool 1: 3 draws + 1 extraction; pool 2: 1 draw + 1 extraction.
         assert_eq!(run.cycles, 6);
         assert_eq!(run.upe_passes, 6);
+        // Fast reads no pool contents.
+        assert_eq!(
+            upe_kernel(1, 8, Fidelity::Fast).select_layer(&pools, &[]),
+            run
+        );
     }
 
     #[test]
@@ -807,5 +860,92 @@ mod tests {
         let run = Reindexer::new(ScrConfig::new(1, 8)).reindex(&[]);
         assert_eq!(run.cycles, 0);
         assert_eq!(run.result.num_unique(), 0);
+        let structural = Reindexer::with_fidelity(ScrConfig::new(1, 8), Fidelity::Structural);
+        assert_eq!(structural.reindex(&[]), run);
+    }
+
+    /// A deterministic stream of `len` VIDs drawn from `uniques` values
+    /// spread over the `u32` range, so later inputs mostly repeat.
+    fn repeating_stream(len: u64, uniques: u64, seed: u64) -> Vec<Vid> {
+        (0..len)
+            .map(|i| {
+                let pick = (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) % uniques;
+                Vid((pick.wrapping_mul(2_654_435_761) % (1 << 32)) as u32)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reindex_accounting_is_pinned() {
+        // (slots, width, stream, cycles, scr_passes, peak_mappings) of
+        // `reindex`, recorded from the linear-search Fast reindexer this
+        // hash index replaced. The last two streams hold more mappings than
+        // one `slots * width` window, so lookups search several banks.
+        let pinned: [(usize, usize, Vec<Vid>, u64, u64, usize); 5] = [
+            (1, 8, Vec::new(), 0, 0, 0),
+            (
+                2,
+                4,
+                [5u32, 9, 5, 1, 9, 9, 2, 5].map(Vid).to_vec(),
+                12,
+                16,
+                4,
+            ),
+            (1, 8, vec![Vid(u32::MAX); 50], 51, 50, 1),
+            (2, 8, repeating_stream(3_000, 120, 3), 3_120, 33_832, 120),
+            (
+                4,
+                64,
+                repeating_stream(20_000, 1_500, 5),
+                21_500,
+                426_960,
+                1_500,
+            ),
+        ];
+        for (slots, width, stream, cycles, scr_passes, peak_mappings) in pinned {
+            let run = Reindexer::new(ScrConfig::new(slots, width)).reindex(&stream);
+            assert_eq!(
+                (run.cycles, run.scr_passes, run.peak_mappings),
+                (cycles, scr_passes, peak_mappings),
+                "slots {slots}, width {width}, {} inputs",
+                stream.len()
+            );
+            assert_eq!(run.result, reindex_hashmap(&stream));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "SRAM bank overflow")]
+    fn reindexer_rejects_more_mappings_than_sram_holds() {
+        let stream: Vec<Vid> = (0..=Reindexer::DEFAULT_SRAM_CAPACITY as u32)
+            .map(Vid)
+            .collect();
+        Reindexer::new(ScrConfig::new(1, 8)).reindex(&stream);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn prop_reindex_fidelities_match_hashmap(
+            raw in proptest::collection::vec((any::<u32>(), 0u32..4), 0..300),
+            uniques in 1u32..80,
+            slots in 1usize..=3,
+            width_log2 in 1u32..=3,
+        ) {
+            // Most inputs come from a few VIDs spread up to `u32::MAX`, so
+            // they repeat; one in four is drawn from the whole range.
+            let stream: Vec<Vid> = raw
+                .iter()
+                .map(|&(vid, pick)| {
+                    Vid(if pick == 0 { vid } else { u32::MAX - (vid % uniques) * 7_919 })
+                })
+                .collect();
+            let config = ScrConfig::new(slots, 1 << width_log2);
+            let run = |fidelity| Reindexer::with_fidelity(config, fidelity).reindex(&stream);
+            let (fast, structural) = (run(Fidelity::Fast), run(Fidelity::Structural));
+            prop_assert_eq!(&fast.result, &reindex_hashmap(&stream));
+            prop_assert_eq!(fast, structural);
+        }
     }
 }

@@ -103,3 +103,27 @@ fn subgraph_feeds_gnn_inference_end_to_end() {
         assert!(fwd.embeddings.frobenius_norm().is_finite());
     }
 }
+
+#[test]
+fn paper_default_request_matches_software_in_linear_time() {
+    // The Table III request (2-layer GraphSAGE, k = 10, batch 3000) on a
+    // 400k-edge graph: ~197k reindexer inputs over ~40k unique vertices,
+    // which a reindexer searching its mappings linearly took minutes to
+    // renumber in a debug build.
+    let setup = EvalSetup::default();
+    let params = setup.sample_params();
+    let coo = agnn_graph::generate::uniform(40_000, 400_000, 6);
+    let stride = coo.num_vertices() / setup.batch;
+    let batch: Vec<Vid> = (0..setup.batch)
+        .map(|i| Vid::from_index(i * stride))
+        .collect();
+    let golden = pipeline::preprocess(&coo, &batch, &params, 19);
+    let run = AutoGnnEngine::new(HwConfig::vpk180_default()).preprocess(&coo, &batch, &params, 19);
+    assert_eq!(run.output, golden);
+    // One lookup per input plus one insert per unique vertex (§IV-C).
+    let stats = &run.output.stats;
+    assert_eq!(
+        run.report.cycles.reindexing,
+        (stats.reindex_inputs + stats.subgraph_nodes) as u64
+    );
+}
