@@ -1,7 +1,6 @@
 //! Criterion benches of the serving layer: discrete-event replay
 //! throughput under FIFO vs reconfig-aware dispatch, the pool-size ×
-//! placement-policy sweep, the multi-core fan-out of independent seeded
-//! runs, and the arrival generators in isolation.
+//! placement-policy sweep, and the arrival generators in isolation.
 
 use agnn_graph::datasets::Dataset;
 use agnn_serve::pool::PlacementPolicy;
@@ -85,37 +84,6 @@ fn bench_board_pool_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// The parallel fan-out: one 8-run seeded batch through
-/// `agnn_serve::par_runs` at a single worker vs every core — the
-/// wall-clock lever multi-seed `million_requests` replays ride. Results
-/// merge in input order either way, so both arms produce identical
-/// reports.
-fn bench_parallel_runs(c: &mut Criterion) {
-    let mut group = c.benchmark_group("serve_par");
-    group.sample_size(10);
-    let batch = || -> Vec<(Vec<TenantSpec>, ServeConfig)> {
-        (0..8)
-            .map(|seed| {
-                (
-                    mixed_tenants(),
-                    ServeConfig::builder()
-                        .seed(seed)
-                        .total_requests(4_000)
-                        .policy(DispatchPolicy::reconfig_aware())
-                        .build()
-                        .expect("bench config is valid"),
-                )
-            })
-            .collect()
-    };
-    for (label, jobs) in [("jobs_1", 1), ("jobs_auto", agnn_serve::default_jobs())] {
-        group.bench_with_input(BenchmarkId::new("replay_8x4k", label), &jobs, |b, &jobs| {
-            b.iter(|| agnn_serve::par_runs(jobs, batch()))
-        });
-    }
-    group.finish();
-}
-
 fn bench_arrival_generators(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve_arrivals");
     let poisson = ArrivalProcess::Poisson { rate_rps: 100.0 };
@@ -148,7 +116,6 @@ criterion_group!(
     benches,
     bench_dispatch_policies,
     bench_board_pool_sweep,
-    bench_parallel_runs,
     bench_arrival_generators
 );
 criterion_main!(benches);

@@ -3,14 +3,8 @@
 //! Taobao regions on four pipelined boards with peer-to-peer graph
 //! rehydration — scaled to arbitrary offered load and replayed once per
 //! seed.
-//!
-//! Multi-seed replays fan out through [`agnn_serve::par_runs`] and come
-//! back **in seed order** (the fixed-order merge contract), so every
-//! per-seed trace digest the binary prints is independent of the job
-//! count — `--jobs 8` must print the same digest table as `--jobs 1`,
-//! and the test below pins that.
 
-use agnn_serve::{par_runs, MigratePolicy, ServeConfig, TenantSpec, TrafficReport};
+use agnn_serve::{MigratePolicy, ServeConfig, TenantSpec};
 
 /// The default seed of the single-seed replay (the smoke sweep's
 /// [`crate::serving_smoke::SMOKE_SEED`], so the 6 000-request prefix of
@@ -43,51 +37,26 @@ pub fn tenants() -> Vec<TenantSpec> {
     TenantSpec::taobao_regions(4.0, 900.0)
 }
 
-/// Replays the deployment once per seed at `requests` offered load,
-/// fanned across up to `jobs` worker threads; reports return in seed
-/// order regardless of the job count.
-pub fn seed_reports(requests: u64, seeds: &[u64], jobs: usize) -> Vec<TrafficReport> {
-    par_runs(
-        jobs,
-        seeds
-            .iter()
-            .map(|&seed| (tenants(), config(seed, requests)))
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Multi-seed digests match the serial loop for every job count, and
-    /// distinct seeds genuinely produce distinct traces.
+    /// Distinct seeds genuinely produce distinct traces.
     #[test]
-    fn per_seed_digests_match_serial_for_every_job_count() {
-        let seeds = [DEFAULT_SEED, DEFAULT_SEED + 1, DEFAULT_SEED + 2];
-        let requests = 1_000;
-        let serial: Vec<u64> = seeds
-            .iter()
-            .map(|&s| {
-                agnn_serve::TrafficSim::new(tenants(), config(s, requests))
-                    .run()
-                    .trace_digest
-            })
-            .collect();
-        assert_eq!(
-            serial
+    fn seeds_decorrelate_the_traces() {
+        let digests: std::collections::BTreeSet<u64> =
+            [DEFAULT_SEED, DEFAULT_SEED + 1, DEFAULT_SEED + 2]
                 .iter()
-                .collect::<std::collections::BTreeSet<_>>()
-                .len(),
-            seeds.len(),
-            "seeds must decorrelate the traces: {serial:?}"
-        );
-        for jobs in [1, 2, 4] {
-            let digests: Vec<u64> = seed_reports(requests, &seeds, jobs)
-                .iter()
-                .map(|r| r.trace_digest)
+                .map(|&seed| {
+                    agnn_serve::TrafficSim::new(tenants(), config(seed, 1_000))
+                        .run()
+                        .trace_digest
+                })
                 .collect();
-            assert_eq!(digests, serial, "jobs={jobs}");
-        }
+        assert_eq!(
+            digests.len(),
+            3,
+            "seeds must decorrelate the traces: {digests:?}"
+        );
     }
 }

@@ -14,31 +14,19 @@
 //! - every row member is equal as a [`Json`] value, nested objects
 //!   compared member by member — a one-ulp `p99_secs` drift, one extra
 //!   drop in a `tenant_drops` entry and a member present on one side
-//!   only all fail;
-//! - the one exception is `sim_events_per_sec`, the simulator's own
-//!   event throughput in *host* wall clock, which fails only when the
-//!   run is more than [`SIM_SPEED_TOLERANCE`] slower than the baseline.
+//!   only all fail.
 //!
-//! [`GateOutcome`] keeps the two kinds of failure apart: a deterministic
-//! mismatch means the models or the sweep changed and the baseline needs
-//! a refresh in the same change; a speed-floor miss compares this host's
-//! wall clock with the machine that wrote the baseline.
+//! Any mismatch means the models or the sweep changed and the baseline
+//! needs a refresh in the same change. The gate holds no host-timed
+//! member: the simulator's speed is judged by the repository benchmark
+//! (`perfbench/`), from repeated long runs.
 //!
 //! The documents involved — the per-run report (`agnn-serve-report/v7`),
-//! the sweep artifact (`agnn-bench-serving/v8`) and the checked-in
-//! baseline (`agnn-bench-serving-baseline/v7`) — are specified
+//! the sweep artifact (`agnn-bench-serving/v9`) and the checked-in
+//! baseline (`agnn-bench-serving-baseline/v8`) — are specified
 //! field-by-field, with the refresh rules, in `docs/SCHEMAS.md`.
 
 use std::collections::BTreeMap;
-
-/// Regression tolerance for `sim_events_per_sec`, the one gated member
-/// measured in *host* wall clock: a run fails when it is more than 40 %
-/// slower than the baseline. Shared CI runners jitter by tens of percent
-/// run to run, and the checked-in value captures the machine that wrote
-/// the baseline; 40 % absorbs that while still catching the failures the
-/// floor exists for (a simulator that got severalfold slower, or tracing
-/// overhead leaking into the default `NullSink` path).
-pub const SIM_SPEED_TOLERANCE: f64 = 0.40;
 
 /// A parsed JSON value. Objects keep insertion order irrelevant — lookups
 /// go through a sorted map, which is all the gate needs.
@@ -271,24 +259,6 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-/// What the gate decided.
-#[derive(Debug, Default)]
-pub struct GateOutcome {
-    /// Deterministic mismatches, each naming the scenario and member (or
-    /// the row-set problem). Any entry fails the gate.
-    pub mismatches: Vec<String>,
-    /// Rows whose `sim_events_per_sec` fell below the speed floor. Any entry
-    /// fails the gate.
-    pub slow: Vec<String>,
-}
-
-impl GateOutcome {
-    /// True when the run reproduced the baseline.
-    pub fn passed(&self) -> bool {
-        self.mismatches.is_empty() && self.slow.is_empty()
-    }
-}
-
 /// One `scenarios` row of a gate document: its name and its members.
 type Row<'a> = (&'a str, &'a BTreeMap<String, Json>);
 
@@ -349,26 +319,22 @@ fn diff(path: &str, base: Option<&Json>, run: Option<&Json>, out: &mut Vec<Strin
 }
 
 /// Gates the `run` document against `baseline`, both in the baseline
-/// form: exact everywhere except the `sim_events_per_sec` floor (see the
-/// [module docs](self)).
+/// form, exactly (see the [module docs](self)). Returns one message per
+/// mismatch, each naming the scenario and member (or the row-set
+/// problem); the run passes when the list is empty.
 ///
 /// # Errors
 ///
 /// Returns an error when either document lacks the gate schema (an
 /// object with a `scenarios` array of named rows).
-pub fn gate(baseline: &Json, run: &Json) -> Result<GateOutcome, String> {
+pub fn gate(baseline: &Json, run: &Json) -> Result<Vec<String>, String> {
     let (Some(base_doc), Some(run_doc)) = (baseline.as_obj(), run.as_obj()) else {
         return Err("gate documents must be JSON objects".to_string());
     };
     let (base_rows, run_rows) = (rows(baseline)?, rows(run)?);
-    let mut out = GateOutcome::default();
+    let mut out = Vec::new();
     for key in union(base_doc, run_doc).filter(|key| *key != "scenarios") {
-        diff(
-            key,
-            base_doc.get(key),
-            run_doc.get(key),
-            &mut out.mismatches,
-        );
+        diff(key, base_doc.get(key), run_doc.get(key), &mut out);
     }
 
     // The row set: the same names, in the same order, no duplicates.
@@ -376,20 +342,19 @@ pub fn gate(baseline: &Json, run: &Json) -> Result<GateOutcome, String> {
     for (side, rows) in [("baseline", &base_rows), ("run", &run_rows)] {
         let mut seen = std::collections::BTreeSet::new();
         for (name, _) in rows.iter().filter(|(name, _)| !seen.insert(*name)) {
-            out.mismatches.push(format!(
+            out.push(format!(
                 "scenario '{name}' appears more than once in the {side}"
             ));
         }
     }
     for (name, _) in &base_rows {
         if !run_map.contains_key(name) {
-            out.mismatches
-                .push(format!("scenario '{name}' is missing from the run"));
+            out.push(format!("scenario '{name}' is missing from the run"));
         }
     }
     for (name, _) in &run_rows {
         if !base_map.contains_key(name) {
-            out.mismatches.push(format!(
+            out.push(format!(
                 "scenario '{name}' is not in the baseline — refresh it with --write-baseline"
             ));
         }
@@ -401,7 +366,7 @@ pub fn gate(baseline: &Json, run: &Json) -> Result<GateOutcome, String> {
         .iter()
         .filter(|(name, _)| base_map.contains_key(name));
     if let Some(((b, _), (r, _))) = base_order.zip(run_order).find(|((b, _), (r, _))| b != r) {
-        out.mismatches.push(format!(
+        out.push(format!(
             "scenario order differs: the run lists '{r}' where the baseline lists '{b}'"
         ));
     }
@@ -412,20 +377,12 @@ pub fn gate(baseline: &Json, run: &Json) -> Result<GateOutcome, String> {
             continue;
         };
         for key in union(base_row, run_row) {
-            let path = format!("'{name}' {key}");
-            match (key.as_str(), base_row.get(key), run_row.get(key)) {
-                ("sim_events_per_sec", Some(Json::Num(base)), Some(Json::Num(run))) => {
-                    let floor = base * (1.0 - SIM_SPEED_TOLERANCE);
-                    if *run < floor {
-                        out.slow.push(format!(
-                            "{path}: {run:.0} events/s is below the floor {floor:.0} \
-                             ({:.1} % under the baseline {base:.0})",
-                            (1.0 - run / base) * 100.0
-                        ));
-                    }
-                }
-                (_, base, run) => diff(&path, base, run, &mut out.mismatches),
-            }
+            diff(
+                &format!("'{name}' {key}"),
+                base_row.get(key),
+                run_row.get(key),
+                &mut out,
+            );
         }
     }
     Ok(out)
@@ -492,7 +449,7 @@ mod tests {
         let text = crate::serving_smoke::render_baseline_json(&crate::serving_smoke::run_sweep());
         let doc = parse(&text).unwrap();
         let clean = gate(&doc, &doc).unwrap();
-        assert!(clean.passed(), "{clean:?}");
+        assert!(clean.is_empty(), "{clean:?}");
         (text, doc)
     }
 
@@ -544,16 +501,15 @@ mod tests {
         parse(&lines.join("\n")).unwrap()
     }
 
-    /// Asserts the gate fails `run` on deterministic mismatches alone, and
-    /// that each of `expected` is part of some mismatch message.
+    /// Asserts the gate fails `run` and that each of `expected` is part of
+    /// some mismatch message.
     fn assert_named(baseline: &Json, run: &Json, expected: &[String]) {
-        let outcome = gate(baseline, run).unwrap();
-        assert!(!outcome.passed() && outcome.slow.is_empty(), "{outcome:?}");
+        let mismatches = gate(baseline, run).unwrap();
+        assert!(!mismatches.is_empty(), "the gate passed");
         for e in expected {
             assert!(
-                outcome.mismatches.iter().any(|m| m.contains(e.as_str())),
-                "{e:?} not named in {:?}",
-                outcome.mismatches
+                mismatches.iter().any(|m| m.contains(e.as_str())),
+                "{e:?} not named in {mismatches:?}"
             );
         }
     }
@@ -569,16 +525,9 @@ mod tests {
     }
 
     #[test]
-    fn gate_passes_within_tolerance_and_fails_beyond() {
-        // The one tolerance left is the speed floor: a row 35 % slower than
-        // the baseline passes.
+    fn gate_fails_one_ulp_beyond_the_baseline() {
+        // Every member is exact: one ulp beyond fails.
         let (text, baseline) = sweep_baseline();
-        let (noisy, _) = replace_first(&text, "sim_events_per_sec", |old| {
-            (old.parse::<f64>().unwrap() * 0.65).to_string()
-        });
-        let outcome = gate(&baseline, &noisy).unwrap();
-        assert!(outcome.passed(), "{outcome:?}");
-        // Every deterministic member is exact: one ulp beyond fails.
         let (run, expected) = nudge(&text, "p99_secs", "p99_secs", 1);
         assert_named(&baseline, &run, &[expected]);
     }
@@ -689,26 +638,27 @@ mod tests {
     }
 
     #[test]
-    fn sim_speed_gate_is_inverted_and_generous() {
-        let row = |ev: f64| {
-            parse(&format!(
-                r#"{{"scenarios": [{{"name": "s", "p99_secs": 1.0, "sim_events_per_sec": {ev}}}]}}"#
-            ))
-            .unwrap()
-        };
-        let baseline = row(100_000.0);
-        // 35 % slower sits inside the 40 % CI-noise tolerance.
-        let noisy = gate(&baseline, &row(65_000.0)).unwrap();
-        assert!(noisy.passed(), "{noisy:?}");
-        // 70 % slower fails, as a speed-floor miss rather than a
-        // deterministic mismatch.
-        let slow = gate(&baseline, &row(30_000.0)).unwrap();
-        assert!(slow.mismatches.is_empty(), "{slow:?}");
-        assert_eq!(slow.slow.len(), 1, "{slow:?}");
-        assert!(slow.slow[0].contains("'s' sim_events_per_sec"), "{slow:?}");
-        // Faster never fails (the inversion).
-        let fast = gate(&baseline, &row(1_000_000.0)).unwrap();
-        assert!(fast.passed(), "{fast:?}");
+    fn gate_names_a_v7_baseline_with_the_speed_member() {
+        // A baseline written before the gate went exact carries the old
+        // schema tag and the host-timed `sim_events_per_sec` on its rows:
+        // both are named, so it cannot pass against a current run.
+        let (text, run) = sweep_baseline();
+        let rows = text.lines().count() - 2;
+        let old = edit_lines(&text, |l| {
+            l[0] = l[0].replacen("baseline/v8", "baseline/v7", 1);
+            for line in &mut l[1..=rows] {
+                let end = line.rfind('}').unwrap();
+                line.insert_str(end, ",\"sim_events_per_sec\":6282663.3");
+            }
+        });
+        let mut expected = vec!["schema: run".to_string()];
+        expected.extend((0..rows).map(|i| {
+            format!(
+                "'{}' sim_events_per_sec: in the baseline only",
+                row_name(&run, i)
+            )
+        }));
+        assert_named(&old, &run, &expected);
     }
 
     #[test]

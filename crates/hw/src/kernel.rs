@@ -137,7 +137,9 @@ pub fn sort_accounting(
         runs.push(len as u64);
     }
     let chunk_sort_cycles = u64::from(significant_bits(max_key).div_ceil(RADIX_STAGES_PER_CYCLE));
-    let mut cycles = schedule_makespan(runs.iter().map(|_| chunk_sort_cycles), config.count);
+    // Equal jobs under greedy list scheduling: every UPE takes one chunk
+    // per wave, so the makespan is the wave count times the chunk cost.
+    let mut cycles = (runs.len() as u64).div_ceil(config.count as u64) * chunk_sort_cycles;
 
     let half = (config.width / 2).max(1) as u64;
     while runs.len() > 1 {

@@ -63,12 +63,6 @@
 //!   duplicate in-flight requests coalesce onto one primary and complete
 //!   off its `ServiceDone` (hit-under-miss). [`cache::CacheKind::Off`]
 //!   is the default and replays the uncached schedule bit-for-bit;
-//! - [`par`] — multi-core fan-out of independent seeded runs
-//!   ([`par::par_runs`] / [`par::par_map`] over the vendored
-//!   `scoped_threadpool` stand-in): jobs are distributed from a shared
-//!   injector but results merge in **input order**, so for any job count
-//!   the batch is byte-identical to the `jobs = 1` serial loop — the
-//!   contract CI's parallel scenario sweep rides on;
 //! - [`metrics`] — deterministic latency histograms (p50/p95/p99/max),
 //!   per-lifecycle-stage breakdowns ([`metrics::StageHistograms`]),
 //!   per-tenant queue-wait distributions, drop and SLO-violation
@@ -104,12 +98,11 @@
 //! [`metrics::TrafficReport::to_json`]), and fails the job unless every
 //! gated scenario reproduces the checked-in baseline
 //! `ci/bench_serving_baseline.json` exactly — p99, reconfiguration
-//! count, host-upload bytes and the fairness, deadline and cache
-//! members alike. The simulator also gates **itself**: the deep rows
-//! carry `sim_events_per_sec` ([`metrics::SimPerf`]), the one wall-clock
-//! member, which fails only on a slowdown past 40 % because it rides
-//! CI-runner noise. Intentional changes update the baseline in the same
-//! PR:
+//! count, host-upload bytes, trace digest and the fairness, deadline and
+//! cache members alike. The gate holds no wall-clock member: the
+//! simulator's own speed ([`metrics::SimPerf`]) is reported, and judged
+//! by the repository benchmark (`perfbench/`) from repeated long runs.
+//! Intentional changes update the baseline in the same PR:
 //!
 //! ```text
 //! cargo run --release -p agnn-bench --bin bench_smoke -- \
@@ -142,7 +135,6 @@
 pub mod cache;
 pub mod engine;
 pub mod metrics;
-pub mod par;
 pub mod pool;
 pub mod sched;
 pub mod sim;
@@ -155,7 +147,6 @@ pub use metrics::{
     BoardStats, CompletedRequest, LatencyHistogram, OutcomeCounts, RequestLatency, RequestOutcome,
     SimPerf, StageHistograms, StallBreakdown, TenantStats, TrafficReport,
 };
-pub use par::{default_jobs, par_map, par_runs};
 pub use pool::{BoardPool, MigratePolicy, MigrationTransfer, PlacementPolicy};
 pub use sched::{LatencyPredictor, SchedKind, SchedPolicy, Scheduler};
 pub use sim::{

@@ -263,8 +263,8 @@ impl StallBreakdown {
 /// schedule stays bit-identical. `PartialEq` therefore ignores them
 /// (two reports of the same simulated run compare equal regardless of
 /// host speed), and byte-compare tests zero the field before rendering;
-/// [`TrafficReport::to_json`] is where they surface for the CI sim-speed
-/// gate.
+/// [`TrafficReport::to_json`] and the CI timing table are where they
+/// surface, as observability; no gate reads them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimPerf {
     /// Wall-clock seconds the event loop ran.
@@ -672,7 +672,7 @@ pub struct TrafficReport {
     /// The simulator's own speed (wall clock + events). The **only**
     /// non-deterministic report field: excluded from `PartialEq` (see
     /// [`SimPerf`]) and from [`fmt::Display`], included in
-    /// [`TrafficReport::to_json`] for the CI sim-speed gate.
+    /// [`TrafficReport::to_json`] as observability.
     pub sim: SimPerf,
     /// Order-sensitive digest of the full event trace; equal digests mean
     /// identical schedules, completions and latencies.

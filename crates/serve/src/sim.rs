@@ -199,7 +199,7 @@
 //! report and the pinned golden digests (the digest-equivalence
 //! invariant, proptested in `tests/serve_traffic.rs`). [`TrafficSim::run`]
 //! itself measures the event loop — wall-clock seconds and events
-//! processed land in [`TrafficReport::sim`] for the CI sim-speed gate.
+//! processed land in [`TrafficReport::sim`] as observability.
 //!
 //! Every per-request price — upload delta, preprocessing, hand-off,
 //! reconfiguration stall, inference tail — comes from the same models
