@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! # what CI runs (exit code 1 when the run does not reproduce the
-//! # baseline exactly):
+//! # baseline byte for byte):
 //! cargo run --release -p agnn-bench --bin bench_smoke -- \
 //!     --baseline ci/bench_serving_baseline.json --out BENCH_serving.json \
 //!     --trace-out BENCH_trace.json --timing-out BENCH_timing.md \
@@ -16,17 +16,20 @@
 //! ```
 //!
 //! `--baseline <file>` re-renders the run in the baseline form
-//! ([`serving_smoke::render_baseline_json`]) and compares the two
-//! documents with [`perfgate::gate`]: every member must match exactly,
-//! and each mismatch is listed. The gate holds no host-timed member; the
-//! simulator's speed is judged by the repository benchmark (`perfbench/`).
+//! ([`serving_smoke::render_baseline_json`]) and compares it with the
+//! file byte for byte through [`perfgate::gate`]: each baseline-only row
+//! is listed as `- …` and each run-only row as `+ …`. The gate holds no
+//! host-timed member; the simulator's speed is judged by the repository
+//! benchmark (`perfbench/`).
 //!
 //! `--timing-out <file>` writes the per-scenario timing table
 //! ([`serving_smoke::render_timing_table`]) — CI uploads it next to the
 //! metrics artifact so "which scenario got slow" needs no local rebuild.
 //!
-//! `--summary <file>` appends the gate's verdict, with every mismatch,
-//! as markdown (GitHub renders `$GITHUB_STEP_SUMMARY` on the job page).
+//! `--summary <file>` appends the gate's verdict as markdown, every
+//! mismatch line inside a fenced `diff` block (GitHub renders
+//! `$GITHUB_STEP_SUMMARY` on the job page, rows that moved in red and
+//! green).
 //!
 //! `--trace-out <file>` additionally replays the `migration_drift`
 //! scenario with a Perfetto trace sink attached
@@ -137,21 +140,20 @@ fn run() -> Result<(), String> {
 
     if let Some(path) = &args.baseline {
         let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let baseline = perfgate::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-        let current = perfgate::parse(&rendered).map_err(|e| format!("parsing the run: {e}"))?;
-        let mismatches = perfgate::gate(&baseline, &current)?;
+        let mismatches = perfgate::gate(&text, &rendered);
         let mut summary = String::from("\n### Serving perf gate\n\n");
         if mismatches.is_empty() {
             summary += &format!(
-                "Passed: {} scenarios reproduce `{path}` exactly.\n",
+                "Passed: {} scenarios reproduce `{path}` byte for byte.\n",
                 sweep.len()
             );
         } else {
-            summary += "Mismatches:\n\n";
-        }
-        for line in &mismatches {
-            eprintln!("PERF GATE MISMATCH: {line}");
-            summary += &format!("- `{line}`\n");
+            summary += &format!("The run does not reproduce `{path}`:\n\n```diff\n");
+            for line in &mismatches {
+                eprintln!("PERF GATE MISMATCH: {line}");
+                summary += &format!("{line}\n");
+            }
+            summary += "```\n";
         }
         // The verdict lands in the summary before it is returned, so a
         // failing gate still publishes what it found.
@@ -161,13 +163,13 @@ fn run() -> Result<(), String> {
         }
         if !mismatches.is_empty() {
             return Err(format!(
-                "{} mismatch(es) against {path} — if the change is intentional, \
+                "{} line(s) differ from {path} — if the change is intentional, \
                  refresh it with --write-baseline {path}",
                 mismatches.len()
             ));
         }
         println!(
-            "perf gate passed: {} scenario(s) reproduce {path} exactly",
+            "perf gate passed: {} scenario(s) reproduce {path} byte for byte",
             sweep.len()
         );
     }

@@ -2,24 +2,21 @@
 //!
 //! `bench_smoke` (see `src/bin/bench_smoke.rs`) replays the seeded
 //! serving scenario sweep, renders it in the checked-in baseline's form
-//! (`serving_smoke::render_baseline_json`), and hands both documents,
-//! parsed by this module's dependency-free JSON reader, to [`gate`].
-//! Every gated number is priced by the paper's cost and device models
-//! and is seed-deterministic, so the gate is exact:
-//!
-//! - the top-level members other than `scenarios` (schema tag, seed)
-//!   are equal;
-//! - both documents list the same scenario names, in the same order,
-//!   with no duplicates;
-//! - every row member is equal as a [`Json`] value, nested objects
-//!   compared member by member — a one-ulp `p99_secs` drift, one extra
-//!   drop in a `tenant_drops` entry and a member present on one side
-//!   only all fail.
+//! (`serving_smoke::render_baseline_json`, one scenario row per line),
+//! and hands both texts to [`gate`]. Every gated number is priced by the
+//! paper's cost and device models and is seed-deterministic, and the
+//! renderer prints each number in its shortest round-trip form, so the
+//! gate compares bytes: a one-ulp `p99_secs` drift, one extra drop in a
+//! `tenant_drops` entry, a renamed member and a reordered row all fail,
+//! and each mismatch line names its scenario.
 //!
 //! Any mismatch means the models or the sweep changed and the baseline
 //! needs a refresh in the same change. The gate holds no host-timed
 //! member: the simulator's speed is judged by the repository benchmark
 //! (`perfbench/`), from repeated long runs.
+//!
+//! The module also holds the dependency-free JSON reader ([`parse`])
+//! that checks the Perfetto trace before `bench_smoke` writes it.
 //!
 //! The documents involved — the per-run report (`agnn-serve-report/v7`),
 //! the sweep artifact (`agnn-bench-serving/v9`) and the checked-in
@@ -29,7 +26,7 @@
 use std::collections::BTreeMap;
 
 /// A parsed JSON value. Objects keep insertion order irrelevant — lookups
-/// go through a sorted map, which is all the gate needs.
+/// go through a sorted map.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -259,133 +256,37 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-/// One `scenarios` row of a gate document: its name and its members.
-type Row<'a> = (&'a str, &'a BTreeMap<String, Json>);
-
-/// The `scenarios` rows of a gate document, in document order.
-fn rows(doc: &Json) -> Result<Vec<Row<'_>>, String> {
-    doc.get("scenarios")
-        .and_then(Json::as_arr)
-        .ok_or("document has no 'scenarios' array")?
+/// Gates the `run` document against `baseline`, both in the baseline form
+/// (one scenario row per line), byte for byte (see the
+/// [module docs](self)). Returns nothing when the bytes are equal;
+/// otherwise each baseline-only line as `- …` and each run-only line as
+/// `+ …`, or, when both hold the same lines in a different order or
+/// count, one line saying so.
+pub fn gate(baseline: &str, run: &str) -> Vec<String> {
+    if baseline == run {
+        return Vec::new();
+    }
+    let (base, run): (Vec<&str>, Vec<&str>) =
+        (baseline.split('\n').collect(), run.split('\n').collect());
+    let mut out: Vec<String> = base
         .iter()
-        .map(|row| {
-            let members = row.as_obj().ok_or("scenario row is not an object")?;
-            let name = members
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("scenario row missing 'name'")?;
-            Ok((name, members))
-        })
-        .collect()
-}
-
-/// The first row of each name.
-fn by_name<'a>(rows: &[Row<'a>]) -> BTreeMap<&'a str, &'a BTreeMap<String, Json>> {
-    let mut map = BTreeMap::new();
-    for (name, row) in rows {
-        map.entry(*name).or_insert(*row);
-    }
-    map
-}
-
-/// The keys of `base`, then the keys only `run` has.
-fn union<'a>(
-    base: &'a BTreeMap<String, Json>,
-    run: &'a BTreeMap<String, Json>,
-) -> impl Iterator<Item = &'a String> {
-    base.keys()
-        .chain(run.keys().filter(|key| !base.contains_key(*key)))
-}
-
-/// Pushes one message per difference between the values at `path`,
-/// descending into objects so a message names the deepest member that
-/// differs.
-fn diff(path: &str, base: Option<&Json>, run: Option<&Json>, out: &mut Vec<String>) {
-    match (base, run) {
-        (Some(Json::Obj(b)), Some(Json::Obj(r))) => {
-            for key in union(b, r) {
-                diff(&format!("{path}.{key}"), b.get(key), r.get(key), out);
-            }
-        }
-        (Some(b), Some(r)) if b != r => {
-            // Numbers print in the renderers' shortest round-trip form.
-            let show = |v: &Json| v.as_f64().map_or(format!("{v:?}"), |x| x.to_string());
-            out.push(format!("{path}: run {}, baseline {}", show(r), show(b)));
-        }
-        (Some(_), None) => out.push(format!("{path}: in the baseline only")),
-        (None, Some(_)) => out.push(format!("{path}: in the run only")),
-        _ => {}
-    }
-}
-
-/// Gates the `run` document against `baseline`, both in the baseline
-/// form, exactly (see the [module docs](self)). Returns one message per
-/// mismatch, each naming the scenario and member (or the row-set
-/// problem); the run passes when the list is empty.
-///
-/// # Errors
-///
-/// Returns an error when either document lacks the gate schema (an
-/// object with a `scenarios` array of named rows).
-pub fn gate(baseline: &Json, run: &Json) -> Result<Vec<String>, String> {
-    let (Some(base_doc), Some(run_doc)) = (baseline.as_obj(), run.as_obj()) else {
-        return Err("gate documents must be JSON objects".to_string());
-    };
-    let (base_rows, run_rows) = (rows(baseline)?, rows(run)?);
-    let mut out = Vec::new();
-    for key in union(base_doc, run_doc).filter(|key| *key != "scenarios") {
-        diff(key, base_doc.get(key), run_doc.get(key), &mut out);
-    }
-
-    // The row set: the same names, in the same order, no duplicates.
-    let (base_map, run_map) = (by_name(&base_rows), by_name(&run_rows));
-    for (side, rows) in [("baseline", &base_rows), ("run", &run_rows)] {
-        let mut seen = std::collections::BTreeSet::new();
-        for (name, _) in rows.iter().filter(|(name, _)| !seen.insert(*name)) {
-            out.push(format!(
-                "scenario '{name}' appears more than once in the {side}"
-            ));
-        }
-    }
-    for (name, _) in &base_rows {
-        if !run_map.contains_key(name) {
-            out.push(format!("scenario '{name}' is missing from the run"));
-        }
-    }
-    for (name, _) in &run_rows {
-        if !base_map.contains_key(name) {
-            out.push(format!(
-                "scenario '{name}' is not in the baseline — refresh it with --write-baseline"
-            ));
-        }
-    }
-    let base_order = base_rows
-        .iter()
-        .filter(|(name, _)| run_map.contains_key(name));
-    let run_order = run_rows
-        .iter()
-        .filter(|(name, _)| base_map.contains_key(name));
-    if let Some(((b, _), (r, _))) = base_order.zip(run_order).find(|((b, _), (r, _))| b != r) {
+        .filter(|line| !run.contains(line))
+        .map(|line| format!("- {line}"))
+        .collect();
+    out.extend(
+        run.iter()
+            .filter(|line| !base.contains(line))
+            .map(|line| format!("+ {line}")),
+    );
+    if out.is_empty() {
+        let first = base.iter().zip(&run).position(|(b, r)| b != r);
+        let line = first.unwrap_or(base.len().min(run.len())) + 1;
         out.push(format!(
-            "scenario order differs: the run lists '{r}' where the baseline lists '{b}'"
+            "the run holds the baseline's lines in a different order or count \
+             (first difference at line {line})"
         ));
     }
-
-    // The members of every row both sides carry, in baseline order.
-    for (name, base_row) in &base_rows {
-        let Some(run_row) = run_map.get(name) else {
-            continue;
-        };
-        for key in union(base_row, run_row) {
-            diff(
-                &format!("'{name}' {key}"),
-                base_row.get(key),
-                run_row.get(key),
-                &mut out,
-            );
-        }
-    }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
@@ -444,227 +345,190 @@ mod tests {
     }
 
     /// The sweep in the baseline form, one scenario row per line: the
-    /// document shape the gate meets in CI.
-    fn sweep_baseline() -> (String, Json) {
+    /// document the gate meets in CI. It gates clean against itself.
+    fn sweep_baseline() -> String {
         let text = crate::serving_smoke::render_baseline_json(&crate::serving_smoke::run_sweep());
-        let doc = parse(&text).unwrap();
-        let clean = gate(&doc, &doc).unwrap();
-        assert!(clean.is_empty(), "{clean:?}");
-        (text, doc)
+        assert_eq!(gate(&text, &text), Vec::<String>::new());
+        text
     }
 
-    /// The name of row `i` of `doc`.
-    fn row_name(doc: &Json, i: usize) -> String {
-        rows(doc).unwrap()[i].0.to_string()
+    /// The scenario named on `line`.
+    fn scenario(line: &str) -> &str {
+        let at = line.find("\"name\":\"").expect("a scenario row") + 8;
+        line[at..].split('"').next().unwrap()
     }
 
-    /// `text` with the first value of `key` replaced by `f(old value)`, and
-    /// the name of the row that value sits in.
-    fn replace_first(text: &str, key: &str, f: impl Fn(&str) -> String) -> (Json, String) {
-        let at = text.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
-        let len = text[at..]
+    /// `text` with its lines edited (line `i + 1` holds row `i`; the
+    /// trailing newline survives).
+    fn edit_lines(text: &str, edit: impl FnOnce(&mut Vec<String>)) -> String {
+        let mut lines: Vec<String> = text.split('\n').map(String::from).collect();
+        edit(&mut lines);
+        lines.join("\n")
+    }
+
+    /// `text` with a `step`-unit (integers) or `step`-ulp (floats) nudge
+    /// to the first value of `key`, and the line that value sits on
+    /// before and after the nudge.
+    fn nudge(text: &str, key: &str, step: i64) -> (String, String, String) {
+        let tag = format!("\"{key}\":");
+        let i = text.split('\n').position(|l| l.contains(&tag)).expect(key);
+        let old = text.split('\n').nth(i).unwrap().to_string();
+        let at = old.find(&tag).unwrap() + tag.len();
+        let len = old[at..]
             .find(|c: char| !matches!(c, '0'..='9' | '.' | 'e' | 'E' | '-' | '+'))
             .unwrap();
-        let row_at = text[..at].rfind("\"name\":\"").unwrap() + 8;
-        let row = text[row_at..].split('"').next().unwrap().to_string();
-        let edited = format!(
-            "{}{}{}",
-            &text[..at],
-            f(&text[at..at + len]),
-            &text[at + len..]
-        );
-        (parse(&edited).unwrap(), row)
+        let value = &old[at..at + len];
+        let nudged = if value.contains(['.', 'e', 'E']) {
+            let bits = value.parse::<f64>().unwrap().to_bits();
+            f64::from_bits(bits.checked_add_signed(step).unwrap()).to_string()
+        } else {
+            let units = value.parse::<u64>().unwrap();
+            units.checked_add_signed(step).unwrap().to_string()
+        };
+        let new = format!("{}{nudged}{}", &old[..at], &old[at + len..]);
+        let run = edit_lines(text, |l| l[i].clone_from(&new));
+        (run, old, new)
     }
 
-    /// A `step`-unit (integers) or `step`-ulp (floats) nudge to the first
-    /// value of `key`, and the message prefix expected to name it.
-    fn nudge(text: &str, key: &str, member: &str, step: i64) -> (Json, String) {
-        let (run, row) = replace_first(text, key, |old| {
-            if old.contains(['.', 'e', 'E']) {
-                let bits = old.parse::<f64>().unwrap().to_bits();
-                f64::from_bits(bits.checked_add_signed(step).unwrap()).to_string()
-            } else {
-                (old.parse::<u64>()
-                    .unwrap()
-                    .checked_add_signed(step)
-                    .unwrap())
-                .to_string()
-            }
-        });
-        (run, format!("'{row}' {member}:"))
-    }
-
-    /// `text` with its lines edited (line `i + 1` holds row `i`).
-    fn edit_lines(text: &str, edit: impl FnOnce(&mut Vec<String>)) -> Json {
-        let mut lines: Vec<String> = text.lines().map(String::from).collect();
-        edit(&mut lines);
-        parse(&lines.join("\n")).unwrap()
-    }
-
-    /// Asserts the gate fails `run` and that each of `expected` is part of
-    /// some mismatch message.
-    fn assert_named(baseline: &Json, run: &Json, expected: &[String]) {
-        let mismatches = gate(baseline, run).unwrap();
-        assert!(!mismatches.is_empty(), "the gate passed");
-        for e in expected {
-            assert!(
-                mismatches.iter().any(|m| m.contains(e.as_str())),
-                "{e:?} not named in {mismatches:?}"
-            );
-        }
-    }
-
-    /// Asserts a one-unit or one-ulp rise of each `(key, member)` fails and
-    /// is named with its row.
-    fn assert_rises_fail(members: &[(&str, &str)]) {
-        let (text, baseline) = sweep_baseline();
-        for (key, member) in members {
-            let (run, expected) = nudge(&text, key, member, 1);
-            assert_named(&baseline, &run, &[expected]);
+    /// Asserts a `step` nudge of each of `keys` fails with exactly the old
+    /// and the new line, which name the nudged scenario.
+    fn assert_nudges_fail(text: &str, keys: &[&str], step: i64) {
+        for key in keys {
+            let (run, old, new) = nudge(text, key, step);
+            assert_eq!(gate(text, &run), [format!("- {old}"), format!("+ {new}")]);
+            assert_eq!(scenario(&old), scenario(&new), "{key}");
         }
     }
 
     #[test]
     fn gate_fails_one_ulp_beyond_the_baseline() {
         // Every member is exact: one ulp beyond fails.
-        let (text, baseline) = sweep_baseline();
-        let (run, expected) = nudge(&text, "p99_secs", "p99_secs", 1);
-        assert_named(&baseline, &run, &[expected]);
+        assert_nudges_fail(&sweep_baseline(), &["p99_secs"], 1);
     }
 
     #[test]
     fn gate_fails_on_missing_scenarios_and_notes_improvements() {
-        let (text, baseline) = sweep_baseline();
+        let text = sweep_baseline();
+        let missing = text.split('\n').nth(4).unwrap().to_string();
         let run = edit_lines(&text, |l| drop(l.remove(4)));
-        let missing = format!("'{}' is missing from the run", row_name(&baseline, 3));
-        assert_named(&baseline, &run, &[missing]);
+        assert_eq!(gate(&text, &run), [format!("- {missing}")]);
         // An improvement is a mismatch too, named so the refreshed baseline
         // records it rather than letting the numbers drift silently.
-        let (run, expected) = nudge(&text, "p99_secs", "p99_secs", -1);
-        assert_named(&baseline, &run, &[expected]);
+        assert_nudges_fail(&text, &["p99_secs"], -1);
     }
 
     #[test]
     fn gate_fails_on_scenarios_absent_from_the_baseline() {
-        let (text, baseline) = sweep_baseline();
-        let first = row_name(&baseline, 0);
-        let run = edit_lines(&text, |l| l.insert(2, l[1].replacen(&first, "extra", 1)));
-        assert_named(
-            &baseline,
-            &run,
-            &["'extra' is not in the baseline".to_string()],
-        );
+        let text = sweep_baseline();
+        let mut extra = String::new();
+        let run = edit_lines(&text, |l| {
+            extra = l[1].replacen(scenario(&l[1]), "extra", 1);
+            l.insert(2, extra.clone());
+        });
+        assert_eq!(gate(&text, &run), [format!("+ {extra}")]);
+        assert_eq!(scenario(&extra), "extra");
     }
 
     #[test]
     fn gate_fails_when_reconfigurations_regress() {
-        assert_rises_fail(&[("reconfigs", "reconfigs")]);
+        assert_nudges_fail(&sweep_baseline(), &["reconfigs"], 1);
     }
 
     #[test]
     fn gate_fails_when_host_upload_bytes_regress() {
-        assert_rises_fail(&[("host_upload_bytes", "host_upload_bytes")]);
+        assert_nudges_fail(&sweep_baseline(), &["host_upload_bytes"], 1);
     }
 
     #[test]
     fn gate_fails_when_the_victim_tail_regresses() {
-        assert_rises_fail(&[("victim_p99_secs", "victim_p99_secs")]);
+        assert_nudges_fail(&sweep_baseline(), &["victim_p99_secs"], 1);
     }
 
     #[test]
     fn gate_fails_when_a_tenant_starts_dropping() {
-        assert_rises_fail(&[("victim-feed", "tenant_drops.victim-feed")]);
+        assert_nudges_fail(&sweep_baseline(), &["victim-feed"], 1);
     }
 
     #[test]
     fn gate_fails_when_the_goodput_tail_regresses() {
-        assert_rises_fail(&[("victim_goodput_p99_secs", "victim_goodput_p99_secs")]);
+        assert_nudges_fail(&sweep_baseline(), &["victim_goodput_p99_secs"], 1);
     }
 
     #[test]
     fn gate_fails_when_the_waste_ledger_regresses() {
-        assert_rises_fail(&[
-            ("wasted_work_bytes", "wasted_work_bytes"),
-            ("wasted_secs", "wasted_secs"),
-        ]);
+        assert_nudges_fail(&sweep_baseline(), &["wasted_work_bytes", "wasted_secs"], 1);
     }
 
     #[test]
     fn cache_gates_are_inverted_floors() {
         // The cache members are higher-is-better. A one-ulp drop fails, as
         // under an inverted floor; being exact, the gate fails a rise too.
-        let (text, baseline) = sweep_baseline();
-        for key in ["hit_rate", "recompute_secs_saved"] {
-            for step in [-1, 1] {
-                let (run, expected) = nudge(&text, key, key, step);
-                assert_named(&baseline, &run, &[expected]);
-            }
+        let text = sweep_baseline();
+        for step in [-1, 1] {
+            assert_nudges_fail(&text, &["hit_rate", "recompute_secs_saved"], step);
         }
     }
 
     #[test]
     fn exact_gate_names_every_mismatch() {
         // The row-set and row-shape problems the per-member tests above do
-        // not cover: a reordered row, a duplicated row, and a member on one
-        // side only.
-        let (text, baseline) = sweep_baseline();
-        let name = |i: usize| row_name(&baseline, i);
-        let cases = [
-            (
-                edit_lines(&text, |l| l.swap(2, 3)),
-                vec![format!(
-                    "the run lists '{}' where the baseline lists '{}'",
-                    name(2),
-                    name(1)
-                )],
-            ),
-            (
-                edit_lines(&text, |l| l.insert(5, l[5].clone())),
-                vec![format!("'{}' appears more than once in the run", name(4))],
-            ),
-            (
-                edit_lines(&text, |l| {
-                    l[1] = l[1].replacen("\"reconfigs\"", "\"reconfigs_v2\"", 1);
-                }),
-                vec![
-                    format!("'{}' reconfigs: in the baseline only", name(0)),
-                    format!("'{}' reconfigs_v2: in the run only", name(0)),
-                ],
-            ),
-        ];
-        for (run, expected) in cases {
-            assert_named(&baseline, &run, &expected);
+        // not cover: a reordered row and a duplicated row (the same lines
+        // in a different order or count), and a renamed member.
+        let text = sweep_baseline();
+        for (run, line) in [
+            (edit_lines(&text, |l| l.swap(2, 3)), 3),
+            (edit_lines(&text, |l| l.insert(5, l[5].clone())), 7),
+        ] {
+            assert_eq!(
+                gate(&text, &run),
+                [format!(
+                    "the run holds the baseline's lines in a different order or count \
+                     (first difference at line {line})"
+                )]
+            );
         }
+        let old = text.split('\n').nth(1).unwrap().to_string();
+        let new = old.replacen("\"reconfigs\"", "\"reconfigs_v2\"", 1);
+        let run = edit_lines(&text, |l| l[1].clone_from(&new));
+        assert_eq!(gate(&text, &run), [format!("- {old}"), format!("+ {new}")]);
+        assert_eq!(scenario(&old), scenario(&new));
     }
 
     #[test]
     fn gate_names_a_v7_baseline_with_the_speed_member() {
         // A baseline written before the gate went exact carries the old
         // schema tag and the host-timed `sim_events_per_sec` on its rows:
-        // both are named, so it cannot pass against a current run.
-        let (text, run) = sweep_baseline();
-        let rows = text.lines().count() - 2;
-        let old = edit_lines(&text, |l| {
+        // every such line is named, so it cannot pass against a current run.
+        let run = sweep_baseline();
+        let rows = run.lines().count() - 2;
+        let old = edit_lines(&run, |l| {
             l[0] = l[0].replacen("baseline/v8", "baseline/v7", 1);
             for line in &mut l[1..=rows] {
                 let end = line.rfind('}').unwrap();
                 line.insert_str(end, ",\"sim_events_per_sec\":6282663.3");
             }
         });
-        let mut expected = vec!["schema: run".to_string()];
-        expected.extend((0..rows).map(|i| {
-            format!(
-                "'{}' sim_events_per_sec: in the baseline only",
-                row_name(&run, i)
-            )
-        }));
-        assert_named(&old, &run, &expected);
+        let mismatches = gate(&old, &run);
+        assert_eq!(mismatches.len(), 2 * (rows + 1));
+        let removed: Vec<&String> = mismatches.iter().filter(|m| m.starts_with("- ")).collect();
+        assert!(removed[0].contains("baseline/v7"), "{removed:?}");
+        for (i, line) in run.split('\n').skip(1).take(rows).enumerate() {
+            assert!(removed[i + 1].contains("sim_events_per_sec"));
+            assert_eq!(scenario(removed[i + 1]), scenario(line));
+            assert!(mismatches.contains(&format!("+ {line}")));
+        }
     }
 
     #[test]
     fn gate_rejects_documents_without_the_schema() {
-        assert!(gate(&Json::Null, &Json::Null).is_err());
-        let nameless = parse(r#"{"scenarios": [{"p99_secs": 1.0}]}"#).unwrap();
-        assert!(gate(&nameless, &nameless).is_err());
+        // Anything but the baseline's bytes fails, every baseline line
+        // named as missing.
+        let text = sweep_baseline();
+        for run in ["null", r#"{"scenarios": [{"p99_secs": 1.0}]}"#] {
+            let mismatches = gate(&text, run);
+            let removed = mismatches.iter().filter(|m| m.starts_with("- ")).count();
+            assert_eq!(removed, text.split('\n').count(), "{mismatches:?}");
+            assert_eq!(mismatches.last(), Some(&format!("+ {run}")));
+        }
     }
 }

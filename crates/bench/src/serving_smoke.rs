@@ -82,7 +82,7 @@
 //!
 //! `gated_members` names each gated member of a scenario row once.
 //! [`render_baseline_json`] writes those members as the checked-in
-//! baseline's rows, which [`crate::perfgate::gate`] compares exactly;
+//! baseline's rows, which [`crate::perfgate::gate`] compares byte for byte;
 //! [`render_json`] emits the `BENCH_serving.json` artifact, whose rows
 //! add the configuration echo and the full embedded report.
 //! [`perfetto_trace`] replays one named case with a
@@ -606,11 +606,11 @@ mod tests {
             .and_then(perfgate::Json::as_arr)
             .expect("artifact rows");
         assert_eq!(artifact_rows.len(), 10);
-        let baseline = perfgate::parse(&render_baseline_json(&a)).expect("baseline parses");
         // A second run reproduces the baseline exactly.
-        let again = perfgate::parse(&render_baseline_json(&b)).expect("baseline parses");
-        let mismatches = perfgate::gate(&baseline, &again).unwrap();
+        let text = render_baseline_json(&a);
+        let mismatches = perfgate::gate(&text, &render_baseline_json(&b));
         assert!(mismatches.is_empty(), "{mismatches:?}");
+        let baseline = perfgate::parse(&text).expect("baseline parses");
         // Every artifact row carries its baseline row's members verbatim.
         let baseline_rows = baseline.get("scenarios").and_then(perfgate::Json::as_arr);
         for (art, base) in artifact_rows
@@ -919,9 +919,8 @@ mod tests {
         let mut again = run_cases(grid_cases());
         // Baseline rows carry no wall-clock member, so two live runs
         // compare exactly.
-        let baseline = perfgate::parse(&render_baseline_json(&grid)).expect("grid baseline parses");
-        let rerun = perfgate::parse(&render_baseline_json(&again)).expect("grid baseline parses");
-        let mismatches = perfgate::gate(&baseline, &rerun).unwrap();
+        let mismatches =
+            perfgate::gate(&render_baseline_json(&grid), &render_baseline_json(&again));
         assert!(mismatches.is_empty(), "{mismatches:?}");
         for s in grid.iter_mut().chain(again.iter_mut()) {
             s.report.sim = agnn_serve::SimPerf::default();
@@ -942,24 +941,17 @@ mod tests {
         assert_eq!(digests.len(), grid.len(), "cells collapsed: {digests:?}");
     }
 
-    /// The checked-in baseline is fresh: a run passes the gate and
-    /// re-renders the checked-in file byte for byte (every member is
-    /// deterministic, so a refresh is reproducible on any host).
+    /// The checked-in baseline is fresh: a run re-renders the checked-in
+    /// file byte for byte (every member is deterministic, so a refresh is
+    /// reproducible on any host).
     #[test]
     fn checked_in_baseline_reproduces_exactly() {
         let text = include_str!("../../../ci/bench_serving_baseline.json");
-        let checked_in = perfgate::parse(text).expect("checked-in baseline parses");
-        let rendered = render_baseline_json(&run_all());
-        let run = perfgate::parse(&rendered).expect("run parses");
-        let mismatches = perfgate::gate(&checked_in, &run).unwrap();
+        let mismatches = perfgate::gate(text, &render_baseline_json(&run_all()));
         assert!(
             mismatches.is_empty(),
             "stale ci/bench_serving_baseline.json — refresh it with \
              `bench_smoke --write-baseline`: {mismatches:#?}"
-        );
-        assert_eq!(
-            rendered, text,
-            "ci/bench_serving_baseline.json is not the rendered baseline byte for byte"
         );
     }
 

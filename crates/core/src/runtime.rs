@@ -9,7 +9,7 @@
 use agnn_algo::pipeline::{PreprocessOutput, SampleParams, SampledSubgraph};
 use agnn_cost::{BitstreamLibrary, CostModel, ReconfigPolicy, Workload};
 use agnn_devices::fpga::FpgaModel;
-use agnn_devices::{ServiceStageSecs, StageSecs};
+use agnn_devices::StageSecs;
 use agnn_graph::{Coo, Vid};
 use agnn_hw::engine::{AutoGnnEngine, ReconfigEvent};
 use agnn_hw::floorplan::Floorplan;
@@ -265,16 +265,6 @@ impl AutoGnn {
         self.fpga.stage_secs(&report)
     }
 
-    /// Analytic per-*lifecycle*-stage seconds for `workload` under the
-    /// current configuration, with `delta_bytes` still to upload: the
-    /// staged counterpart of [`AutoGnn::analytic_stage_secs`]. Serving
-    /// simulators schedule each leg against its own board resource
-    /// (ingest and compute on the DMA engines, preprocess on the fabric).
-    pub fn analytic_service_secs(&self, workload: &Workload, delta_bytes: u64) -> ServiceStageSecs {
-        self.fpga
-            .service_secs(workload, self.engine.config(), &self.pcie(), delta_bytes)
-    }
-
     /// The PCIe link model of this board's shell — upload and hand-off
     /// pricing routes through it per stage.
     pub fn pcie(&self) -> PcieModel {
@@ -429,6 +419,9 @@ mod tests {
         assert!(first.upload_secs > 0.0, "cold start uploads the graph");
         let second = service.serve(&coo, &batch(4), 2);
         assert_eq!(second.upload_secs, 0.0, "resident graph needs no upload");
+        // The DRAM graph budget holds a 2M-edge graph with room to spare.
+        let workload = Workload::new(100_000, 2_000_000, 3_000, 10, 2);
+        assert!(service.dram_graph_capacity() > workload.coo_bytes());
     }
 
     #[test]
@@ -529,25 +522,6 @@ mod tests {
         assert!((staged_total + stall - record.total_secs()).abs() < 1e-15);
         assert_eq!(ServiceStage::Ingest.name(), "ingest");
         assert_eq!(StageResource::Fabric.name(), "fabric");
-    }
-
-    #[test]
-    fn analytic_service_secs_splits_the_analytic_total() {
-        let service = AutoGnn::new(SampleParams::new(10, 2));
-        let workload = Workload::new(100_000, 2_000_000, 3_000, 10, 2);
-        let staged = service.analytic_service_secs(&workload, workload.coo_bytes());
-        assert_eq!(
-            staged.preprocess,
-            service.analytic_stage_secs(&workload),
-            "fabric leg matches the flat analytic path"
-        );
-        assert_eq!(
-            staged.ingest,
-            service.pcie().transfer_secs(workload.coo_bytes())
-        );
-        let warm = service.analytic_service_secs(&workload, 0);
-        assert_eq!(warm.ingest, 0.0);
-        assert!(service.dram_graph_capacity() > workload.coo_bytes());
     }
 
     #[test]

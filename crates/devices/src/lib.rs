@@ -27,4 +27,4 @@ pub mod gpu;
 pub mod power;
 pub mod stage;
 
-pub use stage::{ServiceStageSecs, StageSecs};
+pub use stage::StageSecs;

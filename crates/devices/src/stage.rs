@@ -66,47 +66,6 @@ impl StageSecs {
     }
 }
 
-/// Per-lifecycle-stage seconds of one served request: the §II-B staged
-/// pipeline (PCIe ingest → fabric preprocessing → subgraph hand-off) as a
-/// timing breakdown. `ingest` and `compute` ride the PCIe DMA engines;
-/// `preprocess` occupies the reconfigurable fabric — which is why serving
-/// layers can overlap one request's ingest with another's preprocessing.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ServiceStageSecs {
-    /// Host→device graph-delta upload over DMA-main.
-    pub ingest: f64,
-    /// Fabric preprocessing, with its four-task breakdown.
-    pub preprocess: StageSecs,
-    /// Device→GPU subgraph hand-off over DMA-bypass.
-    pub compute: f64,
-}
-
-impl ServiceStageSecs {
-    /// Serial (un-pipelined) seconds: every stage back to back.
-    pub fn total(&self) -> f64 {
-        self.ingest + self.preprocess.total() + self.compute
-    }
-
-    /// Seconds on the PCIe DMA engines (ingest + hand-off).
-    pub fn dma_secs(&self) -> f64 {
-        self.ingest + self.compute
-    }
-
-    /// Seconds on the reconfigurable fabric.
-    pub fn fabric_secs(&self) -> f64 {
-        self.preprocess.total()
-    }
-
-    /// The stages as `(name, seconds)` pairs in lifecycle order.
-    pub fn as_pairs(&self) -> [(&'static str, f64); 3] {
-        [
-            ("ingest", self.ingest),
-            ("preprocess", self.preprocess.total()),
-            ("compute", self.compute),
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,20 +104,5 @@ mod tests {
     fn pairs_are_in_pipeline_order() {
         let names: Vec<&str> = sample().as_pairs().iter().map(|(n, _)| *n).collect();
         assert_eq!(names, ["ordering", "reshaping", "selecting", "reindexing"]);
-    }
-
-    #[test]
-    fn service_stage_secs_split_by_resource() {
-        let service = ServiceStageSecs {
-            ingest: 0.5,
-            preprocess: sample(),
-            compute: 0.25,
-        };
-        assert_eq!(service.total(), 10.75);
-        assert_eq!(service.dma_secs(), 0.75);
-        assert_eq!(service.fabric_secs(), 10.0);
-        let names: Vec<&str> = service.as_pairs().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, ["ingest", "preprocess", "compute"]);
-        assert_eq!(ServiceStageSecs::default().total(), 0.0);
     }
 }

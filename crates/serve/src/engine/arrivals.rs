@@ -12,7 +12,6 @@
 
 use rand::rngs::StdRng;
 
-use crate::engine::Component;
 use crate::tenant::{ArrivalProcess, TenantSpec};
 
 /// Arrivals pre-generated per refill. Large enough to amortize the
@@ -59,14 +58,10 @@ impl Stream {
 }
 
 /// The pool of per-tenant arrival streams backing a simulation run —
-/// the [`Component`] generating the load every other component reacts
-/// to.
+/// the load every board reacts to.
 #[derive(Debug)]
 pub struct ArrivalSource {
     streams: Vec<Stream>,
-    /// Simulated time of the last [`tick`](Component::tick) (observability
-    /// only — generation is driven by [`next`](ArrivalSource::next)).
-    now: f64,
 }
 
 impl ArrivalSource {
@@ -88,7 +83,7 @@ impl ArrivalSource {
                 s
             })
             .collect();
-        ArrivalSource { streams, now: 0.0 }
+        ArrivalSource { streams }
     }
 
     /// Consumes and returns `tenant`'s next arrival time. Infinite
@@ -102,21 +97,6 @@ impl ArrivalSource {
     /// `tenant`'s next arrival time without consuming it.
     pub fn peek(&self, tenant: usize) -> f64 {
         self.streams[tenant].peek()
-    }
-}
-
-impl Component for ArrivalSource {
-    /// The earliest pending arrival across every tenant.
-    fn next_tick(&self) -> Option<f64> {
-        self.streams
-            .iter()
-            .map(Stream::peek)
-            .min_by(|a, b| a.total_cmp(b))
-    }
-
-    fn tick(&mut self, now: f64) {
-        debug_assert!(now >= self.now, "time runs forward");
-        self.now = now;
     }
 }
 
@@ -155,10 +135,13 @@ mod tests {
         let ts = tenants();
         let mut src = ArrivalSource::new(&ts, 7);
         let (a, b) = (src.peek(0), src.peek(1));
-        assert_eq!(src.next_tick(), Some(a.min(b)));
         assert_eq!(src.peek(0).to_bits(), a.to_bits(), "peek is idempotent");
         assert_eq!(src.next(0).to_bits(), a.to_bits());
         assert!(src.peek(0) > a, "arrivals strictly increase");
-        src.tick(a);
+        assert_eq!(
+            src.peek(1).to_bits(),
+            b.to_bits(),
+            "streams are independent"
+        );
     }
 }

@@ -1,5 +1,5 @@
 //! The simulation engine: the event queue, the slab arena and the
-//! component model the event loop drives.
+//! arrival streams the event loop drives.
 //!
 //! `sim.rs` owns the *semantics* of a serving simulation — what an
 //! arrival, an ingest or a migration means. This module owns the
@@ -17,25 +17,10 @@
 //!   generation; the inner loop consumes a buffered `f64` instead of
 //!   running the thinning sampler inline.
 //!
-//! # The component model
-//!
-//! Everything the simulator advances — boards (DMA engine, fabric,
-//! ICAP), and the arrival processes feeding them — shares one surface:
-//!
-//! - [`Component::next_tick`] — the next simulated time the component
-//!   will act on its own (a busy horizon expiring, the next buffered
-//!   arrival), or `None` when it is idle;
-//! - [`Component::tick`] — observe the event loop's clock reaching a
-//!   new time.
-//!
 //! The simulator is **analytic**: a stage's duration is priced in
-//! closed form when it starts, so components do not step cycle by cycle
-//! — they schedule their completion into the [`queue::EventQueue`] and
-//! `next_tick` exposes that horizon uniformly (the discrete-event half
-//! of a discrete-event/cycle-box split; a future cycle-accurate
-//! component would implement the same trait and be driven between
-//! events). The event loop in `sim.rs` stays a thin driver: pop the
-//! next event, apply its semantics to the components, push the events
+//! closed form when it starts and its completion is scheduled into the
+//! [`queue::EventQueue`]. The event loop in `sim.rs` stays a thin driver:
+//! pop the next event, apply its semantics to the boards, push the events
 //! they schedule. See `docs/ARCHITECTURE.md` for the full narrative.
 
 pub mod arrivals;
@@ -45,16 +30,3 @@ pub mod slab;
 pub use arrivals::ArrivalSource;
 pub use queue::EventQueue;
 pub use slab::{Handle, Slab};
-
-/// The uniform surface of everything the event loop advances (boards,
-/// DMA engines, ICAP, arrival processes) — see the [module docs](self).
-pub trait Component {
-    /// The next simulated time this component acts on its own, or
-    /// `None` when it is idle (nothing scheduled, nothing buffered).
-    fn next_tick(&self) -> Option<f64>;
-
-    /// Observes the simulation clock reaching `now`. Analytic components
-    /// need no work here beyond bookkeeping — their state changes are
-    /// the events they scheduled.
-    fn tick(&mut self, now: f64);
-}

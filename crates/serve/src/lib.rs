@@ -36,9 +36,8 @@
 //!   [`engine::EventQueue`] (O(1) push/pop at serving densities,
 //!   bit-for-bit the binary-heap `(time, push-order)` contract it
 //!   replaced), a [`engine::Slab`] arena holding in-flight request state
-//!   behind 4-byte handles, batched pre-generated arrival streams
-//!   ([`engine::ArrivalSource`]) and the [`engine::Component`]
-//!   `next_tick`/`tick` clock abstraction — see `docs/ARCHITECTURE.md`;
+//!   behind 4-byte handles and batched pre-generated arrival streams
+//!   ([`engine::ArrivalSource`]) — see `docs/ARCHITECTURE.md`;
 //! - [`sim`] — the discrete-event scheduler itself, with drop
 //!   accounting and pluggable [`sim::DispatchPolicy`] — strict FIFO
 //!   versus a *reconfig-aware* policy that serves same-bitstream requests
@@ -85,8 +84,9 @@
 //!
 //! Every price the scheduler pays — upload delta, per-stage preprocessing,
 //! subgraph hand-off, ICAP stall, GPU inference tail — comes from the same
-//! calibrated models the runtime uses, through the analytic staged path
-//! ([`agnn_core::runtime::AutoGnn::analytic_service_secs`]), so a hundred
+//! calibrated models the runtime uses, priced analytically (the fabric
+//! pass through [`pool::BoardPool::stage_secs`], memoized per drift
+//! bucket; the PCIe legs as bytes over link bandwidth), so a hundred
 //! thousand requests replay in well under a second.
 //!
 //! # CI perf gate
@@ -142,7 +142,7 @@ pub mod tenant;
 pub mod trace;
 
 pub use cache::{CacheKind, CacheStats, ResultCache};
-pub use engine::{ArrivalSource, Component, EventQueue, Slab};
+pub use engine::{ArrivalSource, EventQueue, Slab};
 pub use metrics::{
     BoardStats, CompletedRequest, LatencyHistogram, OutcomeCounts, RequestLatency, RequestOutcome,
     SimPerf, StageHistograms, StallBreakdown, TenantStats, TrafficReport,
@@ -495,6 +495,18 @@ mod tests {
                 ServeConfig::builder().compute_speedup(f64::NAN),
                 ConfigError::NonPositiveComputeSpeedup { speedup: f64::NAN },
             ),
+            // `gain >= NaN` is false: every reconfiguration would be refused.
+            (
+                ServeConfig::builder().min_gain(f64::NAN),
+                ConfigError::NanKnob { knob: "min_gain" },
+            ),
+            // A NaN step makes every arrival its own drift bucket.
+            (
+                ServeConfig::builder().drift_step_secs(f64::NAN),
+                ConfigError::NanKnob {
+                    knob: "drift_step_secs",
+                },
+            ),
         ];
         for (builder, expected) in cases {
             // Debug form, because a NaN payload never compares equal.
@@ -518,6 +530,10 @@ mod tests {
             .unwrap();
         assert_eq!(cfg.hedge, HedgeKind::Latency { factor: 1.0 });
         assert_eq!(cfg.default_deadline_secs, Some(2.0));
+        // A zero or negative drift step is continuous drift, not an error.
+        for step in [0.0, -1.0] {
+            assert!(ServeConfig::builder().drift_step_secs(step).build().is_ok());
+        }
     }
 
     #[test]

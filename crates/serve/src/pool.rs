@@ -55,12 +55,10 @@
 use agnn_algo::pipeline::SampleParams;
 use agnn_core::runtime::AutoGnn;
 use agnn_cost::{BitstreamLibrary, ReconfigPolicy, Workload};
-use agnn_devices::ServiceStageSecs;
 use agnn_hw::engine::ReconfigEvent;
 use agnn_hw::shell::DELTA_BUFFERS;
 use agnn_hw::HwConfig;
 
-use crate::engine::Component;
 use crate::metrics::BoardStats;
 
 /// Requests a board can hold ingested-but-not-computing: one delta buffer
@@ -423,35 +421,12 @@ impl BoardPool {
         (0..self.boards.len()).any(|i| self.config(i) == config)
     }
 
-    /// Reprograms board `index` if `best` differs from its current
-    /// bitstream and the board's policy clears the gain threshold; returns
-    /// the stall seconds charged, or `None` when no switch happens.
-    pub fn maybe_reconfigure(
-        &mut self,
-        index: usize,
-        workload: &Workload,
-        best: HwConfig,
-    ) -> Option<f64> {
-        let board = &self.boards[index];
-        let current = board.runtime.config();
-        if best == current
-            || !board
-                .runtime
-                .policy()
-                .should_reconfigure(workload, current, best)
-        {
-            return None;
-        }
-        Some(self.apply_reconfigure(index, best))
-    }
-
     /// Reprograms board `index` to `best` unconditionally and charges the
     /// board's reconfiguration counters, returning the stall seconds. The
-    /// decision half of [`BoardPool::maybe_reconfigure`] lives with the
-    /// caller — the simulator routes it through a memo of
-    /// [`ReconfigPolicy::should_reconfigure`] verdicts (pure in workload
-    /// and the config pair) so repeated dispatches of one drift bucket
-    /// skip the cost-model estimates.
+    /// decision lives with the caller: the simulator asks
+    /// [`ReconfigPolicy::should_reconfigure`] through a per-tenant memo of
+    /// its verdicts (pure in the workload and the config pair), so repeated
+    /// dispatches of one drift bucket skip the cost-model estimates.
     pub fn apply_reconfigure(&mut self, index: usize, best: HwConfig) -> f64 {
         let board = &mut self.boards[index];
         let ReconfigEvent { seconds, .. } = board.runtime.force_reconfigure(best);
@@ -467,20 +442,6 @@ impl BoardPool {
             .runtime
             .analytic_stage_secs(workload)
             .total()
-    }
-
-    /// Analytic per-lifecycle-stage seconds for `workload` on board
-    /// `index` with `delta_bytes` still to upload — the staged price the
-    /// simulator schedules against the board's DMA and fabric slots.
-    pub fn service_secs(
-        &self,
-        index: usize,
-        workload: &Workload,
-        delta_bytes: u64,
-    ) -> ServiceStageSecs {
-        self.boards[index]
-            .runtime
-            .analytic_service_secs(workload, delta_bytes)
     }
 
     /// Updates tenant residency on board `index` to `coo_bytes` and
@@ -585,11 +546,6 @@ impl BoardPool {
         debug_assert!(!board.dma_busy, "board {index} double-dispatched");
         board.dma_busy = true;
         board.fabric_busy = true;
-        // Record the horizons too so the [`Component`] view of the board
-        // (`next_tick`) is meaningful in serial mode as well; serial
-        // overlap accounting never reads them.
-        board.dma_until = done;
-        board.fabric_until = done;
         board.busy_secs += (done - now).max(0.0);
     }
 
@@ -624,7 +580,8 @@ impl BoardPool {
     }
 
     /// When board `index`'s in-flight DMA transfer completes (meaningful
-    /// only while the engine is busy).
+    /// only while an [`occupy_dma`](BoardPool::occupy_dma) transfer is in
+    /// flight; the serial [`occupy`](BoardPool::occupy) leaves it as is).
     pub fn dma_until(&self, index: usize) -> f64 {
         self.boards[index].dma_until
     }
@@ -650,7 +607,9 @@ impl BoardPool {
         !self.boards[index].fabric_busy
     }
 
-    /// When board `index`'s fabric frees (meaningful only while busy).
+    /// When board `index`'s fabric frees (meaningful only while an
+    /// [`occupy_fabric`](BoardPool::occupy_fabric) pass runs; the serial
+    /// [`occupy`](BoardPool::occupy) leaves it as is).
     pub fn fabric_until(&self, index: usize) -> f64 {
         self.boards[index].fabric_until
     }
@@ -706,88 +665,12 @@ impl BoardPool {
     }
 }
 
-impl Component for Board {
-    /// The earliest simulated second one of the board's engines frees:
-    /// the in-flight DMA transfer or the fabric pass, whichever completes
-    /// first. `None` while both engines are idle (their `*_until` fields
-    /// are stale then and must not be read).
-    fn next_tick(&self) -> Option<f64> {
-        let dma = self.dma_busy.then_some(self.dma_until);
-        let fabric = self.fabric_busy.then_some(self.fabric_until);
-        match (dma, fabric) {
-            (Some(d), Some(f)) => Some(d.min(f)),
-            (dma, fabric) => dma.or(fabric),
-        }
-    }
-
-    /// Boards mutate on explicit completion events
-    /// ([`BoardPool::release_dma`] / [`BoardPool::release_fabric`] carry
-    /// the semantics), so the component clock only checks that time never
-    /// runs past an engine horizon without its completion having fired.
-    fn tick(&mut self, now: f64) {
-        debug_assert!(
-            self.next_tick().is_none_or(|t| now <= t),
-            "board ticked to {now} past an engine horizon"
-        );
-        let _ = now;
-    }
-}
-
-impl Component for BoardPool {
-    /// The earliest engine horizon across the pool — what a conservative
-    /// event core would use as its next synchronization point.
-    fn next_tick(&self) -> Option<f64> {
-        self.boards
-            .iter()
-            .filter_map(|b| b.next_tick())
-            .min_by(|a, b| a.total_cmp(b))
-    }
-
-    /// Forwards the clock to every board (each validates its own
-    /// horizon).
-    fn tick(&mut self, now: f64) {
-        for board in &mut self.boards {
-            board.tick(now);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn pool(size: usize) -> BoardPool {
         BoardPool::new(size, SampleParams::new(10, 2), ReconfigPolicy::default(), 3)
-    }
-
-    /// The [`Component`] view: `next_tick` is the earliest busy-engine
-    /// horizon (DMA or fabric, pool-wide the min over boards), `None`
-    /// when everything idles, and `tick` observes without mutating.
-    #[test]
-    fn component_next_tick_tracks_the_earliest_engine_horizon() {
-        let mut pool = pool(2);
-        assert_eq!(pool.next_tick(), None, "idle pool has no horizon");
-
-        pool.occupy_dma(0, 0.0, 5.0);
-        assert_eq!(pool.next_tick(), Some(5.0));
-        pool.occupy_fabric(0, 0.0, 3.0);
-        assert_eq!(pool.next_tick(), Some(3.0), "fabric frees first");
-        pool.occupy_dma(1, 0.0, 2.0);
-        assert_eq!(pool.next_tick(), Some(2.0), "pool min spans boards");
-
-        pool.tick(2.0); // At a horizon is fine; past one would assert.
-        pool.release_dma(1);
-        assert_eq!(pool.next_tick(), Some(3.0));
-        pool.release_fabric(0);
-        assert_eq!(pool.next_tick(), Some(5.0));
-        pool.release_dma(0);
-        assert_eq!(pool.next_tick(), None);
-
-        // The serial path records horizons too.
-        pool.occupy(0, 1.0, 4.0);
-        assert_eq!(pool.next_tick(), Some(4.0));
-        pool.release(0);
-        assert_eq!(pool.next_tick(), None);
     }
 
     #[test]
@@ -858,12 +741,17 @@ mod tests {
         pool.occupy_dma(0, 0.0, 1.0);
         assert!(!pool.is_free(0), "DMA in flight blocks admission");
         assert!(pool.fabric_free(0), "fabric still idle");
+        assert_eq!(pool.dma_until(0), 1.0);
         pool.release_dma(0);
         pool.occupy_fabric(0, 1.0, 3.0);
         assert!(pool.is_free(0), "fabric compute does not block ingest");
         assert!(pool.dma_free(0));
+        assert_eq!(pool.fabric_until(0), 3.0);
         pool.occupy_dma(0, 1.0, 2.0);
         assert!(!pool.is_free(0));
+        // Each engine keeps its own horizon: overlap accounting reads both.
+        assert_eq!(pool.dma_until(0), 2.0);
+        assert_eq!(pool.fabric_until(0), 3.0);
         pool.release_dma(0);
         pool.stage(0);
         assert!(!pool.is_free(0), "staging buffer full blocks admission");

@@ -203,9 +203,12 @@
 //!
 //! Every per-request price — upload delta, preprocessing, hand-off,
 //! reconfiguration stall, inference tail — comes from the same models
-//! `AutoGnn::serve` uses, via the analytic staged path
-//! ([`BoardPool::service_secs`]), so the simulator replays hundreds of
-//! thousands of requests in milliseconds.
+//! `AutoGnn::serve` uses, priced analytically so the simulator replays
+//! hundreds of thousands of requests in milliseconds. The fabric pass is
+//! [`BoardPool::stage_secs`] under the board's configuration, memoized
+//! per drift bucket in `CostMemo`; the ingest and hand-off legs divide
+//! their bytes by the shell's PCIe (or switch) bandwidth; the stall is
+//! [`BoardPool::apply_reconfigure`]'s, once `CostMemo` approves it.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -335,6 +338,13 @@ pub enum ConfigError {
         /// The rejected value.
         factor: f64,
     },
+    /// A knob that takes any number was set to NaN: a NaN `min_gain`
+    /// would silently disable every reconfiguration, a NaN
+    /// `drift_step_secs` would give each arrival its own drift bucket.
+    NanKnob {
+        /// The [`ServeConfig`] field holding the NaN.
+        knob: &'static str,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -363,6 +373,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::NonPositiveHedgeFactor { factor } => {
                 write!(f, "hedge factor must be positive and finite, got {factor}")
             }
+            ConfigError::NanKnob { knob } => write!(f, "{knob} must be a number, got NaN"),
         }
     }
 }
@@ -533,6 +544,14 @@ impl ServeConfig {
             return Err(ConfigError::NonPositiveComputeSpeedup {
                 speedup: self.compute_speedup,
             });
+        }
+        for (knob, value) in [
+            ("min_gain", self.min_gain),
+            ("drift_step_secs", self.drift_step_secs),
+        ] {
+            if value.is_nan() {
+                return Err(ConfigError::NanKnob { knob });
+            }
         }
         if let Some(secs) = self.default_deadline_secs {
             if !(secs > 0.0 && secs.is_finite()) {
@@ -729,8 +748,9 @@ impl ServeConfigBuilder {
 
     /// Validates and returns the configuration. Errors
     /// ([`ConfigError`]) on a zero board count or queue capacity, a
-    /// non-positive compute speedup, deadline or hedge factor, and
-    /// hedging on fewer than two boards or under pipelining.
+    /// non-positive compute speedup, deadline or hedge factor, a NaN
+    /// `min_gain` or `drift_step_secs`, and hedging on fewer than two
+    /// boards or under pipelining.
     pub fn build(self) -> Result<ServeConfig, ConfigError> {
         self.cfg.validate()?;
         Ok(self.cfg)
@@ -1995,11 +2015,9 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
     /// Serial dispatch: the board pays every stage back to back and both
     /// slots stay held — the PR 1/PR 2 schedule bit-for-bit. The
     /// lifecycle is priced analytically under the board's (possibly new)
-    /// configuration; the decomposition equals
-    /// [`BoardPool::service_secs`] term for term — the PCIe legs are
-    /// divisions, the fabric report comes from the memo. A partial cache
-    /// hit still ingests the delta and hands the subgraph off but skips
-    /// the fabric pass.
+    /// configuration: the PCIe legs are divisions, the fabric report
+    /// comes from the memo. A partial cache hit still ingests the delta
+    /// and hands the subgraph off but skips the fabric pass.
     fn dispatch_serial(&mut self, mut rq: Visit, board: usize, now: f64) {
         self.fabric_pass(&mut rq, board, now);
         let primary = Leg::new(
@@ -2503,8 +2521,10 @@ impl CostMemo {
         secs
     }
 
-    /// [`BoardPool::maybe_reconfigure`] with the policy verdict memoized
-    /// per `(workload, current, best)`: only a `true` verdict touches the
+    /// Reprograms board `board` to `best` when it differs from the
+    /// board's configuration and [`ReconfigPolicy::should_reconfigure`]
+    /// approves, returning the stall seconds. The verdict is memoized per
+    /// `(workload, current, best)`; only a `true` verdict touches the
     /// board (through [`BoardPool::apply_reconfigure`]).
     fn maybe_reconfigure(
         &mut self,
