@@ -9,11 +9,12 @@
 //! - [`order_edges_std`], a comparison sort, is the test oracle;
 //! - [`order_edges_radix`] is the Table IV `Ordering` baseline, the CPU
 //!   algorithm [`crate::pipeline::convert`] runs;
-//! - [`order_edges_counting`], a COO→CSC transposition in O(E + V), is the
-//!   engine's: the UPE kernel's `sort_edges` charges cycles from chunk runs
+//! - [`order_edges_counting`], a COO→CSC transposition in O(E + V), serves
+//!   the UPE kernel's `sort_edges`, which charges cycles from chunk runs
 //!   alone, so its host-side sort only has to be fast. The kernel finds the
 //!   largest VID in the same scan that reads the chunk runs and hands it to
-//!   [`order_edges_counting_with_max`].
+//!   [`order_edges_counting_with_max`]. The engine's conversion does not
+//!   sort edges at all: it writes the CSC with the same transposition.
 
 use agnn_graph::{Edge, Vid};
 

@@ -4,7 +4,7 @@
 use agnn_algo::pipeline::SampleParams;
 use agnn_graph::{generate, Vid};
 use agnn_hw::engine::AutoGnnEngine;
-use agnn_hw::kernel::{Fidelity, Reshaper, UpeKernel};
+use agnn_hw::kernel::{convert, Fidelity, Reshaper, UpeKernel};
 use agnn_hw::scr::Scr;
 use agnn_hw::upe::Upe;
 use agnn_hw::{HwConfig, ScrConfig, UpeConfig};
@@ -55,6 +55,9 @@ fn bench_kernels(c: &mut Criterion) {
     let reshaper = Reshaper::new(ScrConfig::new(4, 256));
     group.bench_function("reshaper", |b| {
         b.iter(|| reshaper.build_pointers(g.num_vertices(), &dsts))
+    });
+    group.bench_function("convert_fast", |b| {
+        b.iter(|| convert(&kernel, &reshaper, g.num_vertices(), g.edges()))
     });
     group.finish();
 }

@@ -18,8 +18,8 @@ use rand::SeedableRng;
 
 use crate::config::HwConfig;
 use crate::floorplan::Floorplan;
-use crate::kernel::{Fidelity, Reindexer, Reshaper, UpeKernel};
-use crate::metrics::{HwReport, StageCycles};
+use crate::kernel::{self, Fidelity, Reindexer, Reshaper, UpeKernel};
+use crate::metrics::HwReport;
 use crate::shell::{HwShell, ReconfigScope};
 
 /// On-chip scratchpad capacity in bytes; merge runs below this size never
@@ -152,35 +152,11 @@ impl AutoGnnEngine {
                 "batch node {b} out of range"
             );
         }
-        let mut cycles = StageCycles::default();
-        let mut dram = StageCycles::default();
-        let mut upe_passes = 0u64;
-        let mut scr_passes = 0u64;
+        let mut report = HwReport::default();
 
-        // 1. Edge ordering on the full graph (UPE kernel, Fig. 15).
-        let sort_run = self.upe_kernel.sort_edges(coo.edges());
-        cycles.ordering += sort_run.cycles;
-        dram.ordering += ordering_dram_bytes(
-            coo.num_edges(),
-            self.config.upe.width,
-            self.config.upe.count,
-        );
-        upe_passes += sort_run.upe_passes;
-
-        // 2. Data reshaping (SCR reshaper): pointer array over sorted dsts.
-        // The destinations reuse the sorted edges' buffer (`Vec`'s in-place
-        // collect), so ordering and reshaping hold 1.5 copies of the edge
-        // array at once rather than 2.
-        let indices: Vec<Vid> = sort_run.sorted.iter().map(|e| e.src).collect();
-        let sorted_dsts: Vec<Vid> = sort_run.sorted.into_iter().map(|e| e.dst).collect();
-        let reshape_run = self
-            .reshaper
-            .build_pointers(coo.num_vertices(), &sorted_dsts);
-        cycles.reshaping += reshape_run.cycles;
-        dram.reshaping += reshaping_dram_bytes(coo.num_edges(), coo.num_vertices());
-        scr_passes += reshape_run.scr_passes;
-        let csc = Csc::new(reshape_run.pointers, indices)
-            .expect("reshaper output satisfies CSC invariants");
+        // 1–2. Edge ordering (UPE kernel, Fig. 15) and data reshaping (SCR
+        // reshaper) on the full graph.
+        let csc = self.convert(coo.num_vertices(), coo.edges(), &mut report);
 
         // 3. Uni-random selection (UPE kernel, Fig. 16). The trace is the
         // shared functional specification; the kernel replays it for cycle
@@ -197,17 +173,17 @@ impl AutoGnnEngine {
                 Fidelity::Fast => Vec::new(),
             };
             let select_run = self.upe_kernel.select_layer(layer, &pool_values);
-            cycles.selecting += select_run.cycles;
-            upe_passes += select_run.upe_passes;
+            report.cycles.selecting += select_run.cycles;
+            report.upe_passes += select_run.upe_passes;
         }
-        dram.selecting += 4 * trace.pool_elements as u64 + 4 * trace.selections as u64;
+        report.dram_bytes.selecting += 4 * trace.pool_elements as u64 + 4 * trace.selections as u64;
 
         // 4. Subgraph reindexing (SCR reindexer, Fig. 13c).
         let reindex_run = self.reindexer.reindex(&trace.node_stream);
-        cycles.reindexing += reindex_run.cycles;
-        dram.reindexing +=
+        report.cycles.reindexing += reindex_run.cycles;
+        report.dram_bytes.reindexing +=
             4 * trace.node_stream.len() as u64 + 8 * reindex_run.result.num_unique() as u64;
-        scr_passes += reindex_run.scr_passes;
+        report.scr_passes += reindex_run.scr_passes;
 
         // 5. Final conversion of the sampled COO (§II-B): edge ordering and
         // data reshaping on the renumbered subgraph, charged to the same
@@ -224,24 +200,7 @@ impl AutoGnnEngine {
             .iter()
             .map(|e| Edge::new(old_to_new[&e.src], old_to_new[&e.dst]))
             .collect();
-        let sub_nodes = reindex_run.result.num_unique();
-        let sub_sort = self.upe_kernel.sort_edges(&sub_edges);
-        cycles.ordering += sub_sort.cycles;
-        dram.ordering += ordering_dram_bytes(
-            sub_edges.len(),
-            self.config.upe.width,
-            self.config.upe.count,
-        );
-        upe_passes += sub_sort.upe_passes;
-
-        let sub_dsts: Vec<Vid> = sub_sort.sorted.iter().map(|e| e.dst).collect();
-        let sub_srcs: Vec<Vid> = sub_sort.sorted.iter().map(|e| e.src).collect();
-        let sub_reshape = self.reshaper.build_pointers(sub_nodes, &sub_dsts);
-        cycles.reshaping += sub_reshape.cycles;
-        dram.reshaping += reshaping_dram_bytes(sub_edges.len(), sub_nodes);
-        scr_passes += sub_reshape.scr_passes;
-        let sub_csc = Csc::new(sub_reshape.pointers, sub_srcs)
-            .expect("subgraph reshaper output satisfies CSC invariants");
+        let sub_csc = self.convert(reindex_run.result.num_unique(), &sub_edges, &mut report);
 
         let subgraph = SampledSubgraph {
             csc: sub_csc,
@@ -260,13 +219,22 @@ impl AutoGnnEngine {
 
         EngineRun {
             output: PreprocessOutput { subgraph, stats },
-            report: HwReport {
-                cycles,
-                dram_bytes: dram,
-                upe_passes,
-                scr_passes,
-            },
+            report,
         }
+    }
+
+    /// COO→CSC conversion on the kernels ([`kernel::convert`]), charging
+    /// edge ordering and data reshaping, cycles and DRAM bytes, to `report`.
+    fn convert(&self, num_vertices: usize, edges: &[Edge], report: &mut HwReport) -> Csc {
+        let run = kernel::convert(&self.upe_kernel, &self.reshaper, num_vertices, edges);
+        report.cycles.ordering += run.ordering_cycles;
+        report.dram_bytes.ordering +=
+            ordering_dram_bytes(edges.len(), self.config.upe.width, self.config.upe.count);
+        report.upe_passes += run.upe_passes;
+        report.cycles.reshaping += run.reshaping_cycles;
+        report.dram_bytes.reshaping += reshaping_dram_bytes(edges.len(), num_vertices);
+        report.scr_passes += run.scr_passes;
+        run.csc
     }
 }
 

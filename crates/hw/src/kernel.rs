@@ -21,12 +21,25 @@
 //! the result, so each kernel charges them the same way in both fidelities:
 //!
 //! - Edge ordering charges them through one function, [`sort_accounting`],
-//!   from the chunk run lengths and maxima. One scan over the edges yields
-//!   those and the largest VID, and the sorted edges come from one O(E + V)
-//!   counting transposition ([`order_edges_counting_with_max`]). Fast stops
-//!   there; Structural also replays every chunk sort on the UPE network and
-//!   the whole merge tree, and asserts both the merged keys and the pass
-//!   count against that ordering and the accounting.
+//!   from the chunk run lengths and maxima. [`UpeKernel::sort_edges`]
+//!   orders an edge array with one O(E + V) counting transposition
+//!   ([`order_edges_counting_with_max`]); Structural also replays every
+//!   chunk sort on the UPE network and the whole merge tree, and asserts
+//!   both the merged keys and the pass count against that ordering and the
+//!   accounting.
+//! - Reshaping charges them through one function, [`reshape_accounting`],
+//!   from the pointer array alone: the SCR window's progress over the
+//!   sorted destinations follows from each target's pointer. Fast counts
+//!   the destinations into pointers; Structural replays every window
+//!   through the SCR adder tree and asserts the replayed cycles and passes
+//!   against the accounting.
+//! - Conversion ([`convert`]) runs both stages on a COO edge list without
+//!   materializing the sorted edges: one read over the edges yields the
+//!   chunk runs and the per-vertex counts, and the counting transposition
+//!   writes the CSC `indices` directly, its destination prefix sums being
+//!   the pointer array. Structural replays the chunk sorts, the merge tree
+//!   and the SCR windows against keys and destinations rebuilt from the
+//!   CSC.
 //! - Selection charges each pool from its length and draw count. Only
 //!   Structural reads the pool contents, to replay each draw through the
 //!   one-hot extraction network.
@@ -41,8 +54,9 @@ use std::collections::{BinaryHeap, HashMap};
 use agnn_algo::ordering::order_edges_counting_with_max;
 use agnn_algo::pipeline::PoolRecord;
 use agnn_algo::reindex::ReindexResult;
+use agnn_algo::reshape::pointer_array_sequential;
 use agnn_algo::sort::tree_merge;
-use agnn_graph::{Edge, Vid};
+use agnn_graph::{Csc, Edge, Vid};
 
 use crate::config::{ScrConfig, UpeConfig};
 use crate::scr::Scr;
@@ -358,11 +372,46 @@ impl Reshaper {
     /// itself"), and window elements below the current target are consumed,
     /// fetching the next COO segment (§IV-C).
     ///
+    /// Cycles and passes come from [`reshape_accounting`] over the pointer
+    /// array. [`Fidelity::Fast`] counts `sorted_dsts` into pointers;
+    /// [`Fidelity::Structural`] replays every window through the SCR adder
+    /// tree and asserts the replay against the accounting.
+    ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if `sorted_dsts` is not sorted.
+    /// Panics if a destination is not below `num_vertices`, and (in debug
+    /// builds) if `sorted_dsts` is not sorted.
     pub fn build_pointers(&self, num_vertices: usize, sorted_dsts: &[Vid]) -> ReshapeRun {
         debug_assert!(sorted_dsts.windows(2).all(|w| w[0] <= w[1]));
+        assert!(
+            sorted_dsts.last().is_none_or(|d| d.index() < num_vertices),
+            "destination out of range for {num_vertices} vertices"
+        );
+        match self.fidelity {
+            Fidelity::Fast => {
+                let pointers = pointer_array_sequential(num_vertices, sorted_dsts);
+                let (cycles, scr_passes) = reshape_accounting(self.config, &pointers);
+                ReshapeRun {
+                    pointers,
+                    cycles,
+                    scr_passes,
+                }
+            }
+            Fidelity::Structural => {
+                let run = self.replay_windows(num_vertices, sorted_dsts);
+                assert_eq!(
+                    (run.cycles, run.scr_passes),
+                    reshape_accounting(self.config, &run.pointers),
+                    "SCR reshaper accounting diverged"
+                );
+                run
+            }
+        }
+    }
+
+    /// Structural replay of reshaping: the dual-counter window walk, each
+    /// count through the SCR adder tree.
+    fn replay_windows(&self, num_vertices: usize, sorted_dsts: &[Vid]) -> ReshapeRun {
         let width = self.config.width;
         let slots = self.config.slots;
         let total = sorted_dsts.len();
@@ -416,17 +465,178 @@ impl Reshaper {
         }
     }
 
+    /// Destinations in `window` below `target`, counted by the SCR adder
+    /// tree and asserted against a binary search.
     fn count_below(&self, window: &[Vid], target: u32) -> u32 {
-        match self.fidelity {
-            Fidelity::Structural => {
-                let raw: Vec<u32> = window.iter().map(|v| v.0).collect();
-                let counted = self.scr.count_less_than(&raw, target);
-                let expected = window.partition_point(|&d| d.0 < target) as u32;
-                assert_eq!(counted, expected, "SCR adder tree diverged");
-                counted
+        let raw: Vec<u32> = window.iter().map(|v| v.0).collect();
+        let counted = self.scr.count_less_than(&raw, target);
+        let expected = window.partition_point(|&d| d.0 < target) as u32;
+        assert_eq!(counted, expected, "SCR adder tree diverged");
+        counted
+    }
+}
+
+/// Cycle and pass accounting of a reshaping run (§IV-C), from the pointer
+/// array alone. Returns `(cycles, scr_passes)`.
+///
+/// It replays [`Reshaper::build_pointers`]' window walk without the
+/// destinations: `pointers[t]` counts the sorted destinations below `t`, so
+/// the window `[consumed, window_end)` holds `clamp(pointers[t] - consumed,
+/// 0, len)` of them, and its last element is at least `t` exactly when
+/// `pointers[t] < window_end`.
+///
+/// # Panics
+///
+/// Panics if `pointers` is empty.
+pub fn reshape_accounting(config: ScrConfig, pointers: &[u32]) -> (u64, u64) {
+    let total = *pointers.last().expect("a pointer array is never empty") as usize;
+    let num_vertices = pointers.len() - 1;
+    let mut cycles = 0u64;
+    let mut scr_passes = 0u64;
+    let mut consumed = 0usize; // COO elements already consumed
+    let mut target = 0usize; // next pointer entry to finalize
+    while target <= num_vertices {
+        cycles += 1;
+        let window_end = (consumed + config.width).min(total);
+        let window_is_last = window_end == total;
+        // Slots take consecutive targets until one is not yet proven.
+        let mut finished = 0usize;
+        let slot_targets = target..(target + config.slots).min(num_vertices + 1);
+        for &below_t in &pointers[slot_targets] {
+            scr_passes += 1;
+            if !(window_is_last || (below_t as usize) < window_end) {
+                break;
             }
-            Fidelity::Fast => window.partition_point(|&d| d.0 < target) as u32,
+            finished += 1;
         }
+        target += finished;
+        if target > num_vertices {
+            break;
+        }
+        consumed = if finished == 0 {
+            // Whole window below the pending target: consume it all.
+            window_end
+        } else {
+            (pointers[target] as usize).clamp(consumed, window_end)
+        };
+    }
+    (cycles, scr_passes)
+}
+
+/// Outcome of a COO→CSC conversion run: edge ordering, then data
+/// reshaping.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConvertRun {
+    /// The converted graph.
+    pub csc: Csc,
+    /// Edge-ordering cycles (UPE kernel).
+    pub ordering_cycles: u64,
+    /// Set-partition network passes issued.
+    pub upe_passes: u64,
+    /// Data-reshaping cycles (SCR reshaper).
+    pub reshaping_cycles: u64,
+    /// Comparator-window evaluations issued.
+    pub scr_passes: u64,
+}
+
+/// COO→CSC conversion (§II-B): edge ordering on `upe`, then data reshaping
+/// on `reshaper`, over the `num_vertices` vertices `edges` connects.
+///
+/// One read over `edges`, in UPE-width chunks, collects each chunk's length
+/// and largest key for [`sort_accounting`] and counts the edges of each
+/// source and each destination. A stable scatter then groups the
+/// destinations by source, and a walk over the sources in order writes each
+/// source VID into its destination's next CSC slot, so every destination's
+/// sources arrive sorted. The destination prefix sums are the pointer
+/// array, which [`reshape_accounting`] charges. The result equals
+/// [`UpeKernel::sort_edges`] followed by [`Reshaper::build_pointers`] on the
+/// sorted destinations, cycles and passes included, without building the
+/// sorted edge array.
+///
+/// Each kernel in [`Fidelity::Structural`] also replays its stage against
+/// the CSC: the UPE chunk sorts and merge tree against the keys it holds,
+/// the SCR windows against its destinations.
+///
+/// # Panics
+///
+/// Panics if an endpoint is not below `num_vertices` or the edge count does
+/// not fit a `u32` pointer.
+pub fn convert(
+    upe: &UpeKernel,
+    reshaper: &Reshaper,
+    num_vertices: usize,
+    edges: &[Edge],
+) -> ConvertRun {
+    assert!(
+        u32::try_from(edges.len()).is_ok(),
+        "{} edges overflow a u32 pointer array",
+        edges.len()
+    );
+    // Source counts land one slot up, so the prefix sums below turn them
+    // into each source's first offset. Destination counts land two slots
+    // up: after the prefix sums `pointers[d + 1]` is the first offset of
+    // destination `d`, the transposition advances it to the next
+    // destination's first offset, and the extra last entry is dropped.
+    let mut src_heads = vec![0u32; num_vertices + 1];
+    let mut pointers = vec![0u32; num_vertices + 2];
+    let chunks: Vec<(usize, u64)> = edges
+        .chunks(upe.config.width.max(1))
+        .map(|chunk| {
+            let mut chunk_max = 0;
+            for e in chunk {
+                chunk_max = chunk_max.max(e.sort_key());
+                src_heads[e.src.index() + 1] += 1;
+                pointers[e.dst.index() + 2] += 1;
+            }
+            (chunk.len(), chunk_max)
+        })
+        .collect();
+    for heads in [&mut src_heads, &mut pointers] {
+        for v in 1..heads.len() {
+            heads[v] += heads[v - 1];
+        }
+    }
+    let mut dsts_by_src = vec![0u32; edges.len()];
+    for e in edges {
+        let head = &mut src_heads[e.src.index()];
+        dsts_by_src[*head as usize] = e.dst.0;
+        *head += 1;
+    }
+    // Each source's head now sits at its end, which is the next source's
+    // start.
+    let mut indices = vec![Vid(0); edges.len()];
+    let mut start = 0;
+    for (src, &end) in src_heads[..num_vertices].iter().enumerate() {
+        for &dst in &dsts_by_src[start as usize..end as usize] {
+            let head = &mut pointers[dst as usize + 1];
+            indices[*head as usize] = Vid(src as u32);
+            *head += 1;
+        }
+        start = end;
+    }
+    pointers.pop();
+
+    let (ordering_cycles, upe_passes) = sort_accounting(upe.config, chunks);
+    let (reshaping_cycles, scr_passes) = reshape_accounting(reshaper.config, &pointers);
+    let csc = Csc::new(pointers, indices).expect("conversion output satisfies CSC invariants");
+    if upe.fidelity == Fidelity::Structural {
+        let (merged, passes) = upe.replay_sort(edges);
+        let sorted = csc.to_coo();
+        let keys = sorted.edges().iter().map(|e| e.sort_key());
+        assert!(keys.eq(merged), "UPE merge tree diverged");
+        assert_eq!(passes, upe_passes, "UPE pass count diverged");
+    }
+    if reshaper.fidelity == Fidelity::Structural {
+        let sorted_dsts: Vec<Vid> = csc.to_coo().edges().iter().map(|e| e.dst).collect();
+        let replay = reshaper.build_pointers(num_vertices, &sorted_dsts);
+        assert_eq!(replay.pointers, csc.pointers(), "SCR reshaper diverged");
+    }
+    ConvertRun {
+        csc,
+        ordering_cycles,
+        upe_passes,
+        reshaping_cycles,
+        scr_passes,
     }
 }
 
@@ -566,9 +776,8 @@ mod tests {
     use super::*;
     use agnn_algo::ordering::order_edges_std;
     use agnn_algo::reindex::reindex_hashmap;
-    use agnn_algo::reshape::pointer_array_sequential;
     use agnn_graph::datasets::Dataset;
-    use agnn_graph::generate;
+    use agnn_graph::{generate, Coo};
     use proptest::prelude::*;
 
     fn upe_kernel(count: usize, width: usize, fidelity: Fidelity) -> UpeKernel {
@@ -671,7 +880,10 @@ mod tests {
             edges in proptest::collection::vec((0u32..3_000, 0u32..3_000), 0..400),
             count in 1usize..=8,
             width_log2 in 1u32..=6,
+            slots in 1usize..=8,
+            scr_width_log2 in 1u32..=6,
         ) {
+            // 3,000 vertices for at most 400 edges: the VIDs are sparse.
             let edges: Vec<Edge> = edges
                 .into_iter()
                 .map(|(src, dst)| Edge::new(Vid(src), Vid(dst)))
@@ -680,6 +892,25 @@ mod tests {
             let fast = upe_kernel(count, width, Fidelity::Fast).sort_edges(&edges);
             let structural = upe_kernel(count, width, Fidelity::Structural).sort_edges(&edges);
             prop_assert_eq!(&fast.sorted, &order_edges_std(&edges));
+
+            // Conversion equals ordering followed by reshaping, in both
+            // fidelities.
+            let scr = ScrConfig::new(slots, 1 << scr_width_log2);
+            let dsts: Vec<Vid> = fast.sorted.iter().map(|e| e.dst).collect();
+            let reshape = Reshaper::new(scr).build_pointers(3_000, &dsts);
+            let srcs: Vec<Vid> = fast.sorted.iter().map(|e| e.src).collect();
+            let expected = ConvertRun {
+                csc: Csc::new(reshape.pointers, srcs).expect("valid CSC"),
+                ordering_cycles: fast.cycles,
+                upe_passes: fast.upe_passes,
+                reshaping_cycles: reshape.cycles,
+                scr_passes: reshape.scr_passes,
+            };
+            for fidelity in [Fidelity::Fast, Fidelity::Structural] {
+                let upe = upe_kernel(count, width, fidelity);
+                let run = convert(&upe, &Reshaper::with_fidelity(scr, fidelity), 3_000, &edges);
+                prop_assert_eq!(&run, &expected);
+            }
             prop_assert_eq!(fast, structural);
         }
 
@@ -763,6 +994,37 @@ mod tests {
     }
 
     #[test]
+    fn convert_matches_golden_models_on_edge_cases() {
+        let coo = |num_vertices, pairs: &[(u32, u32)]| {
+            Coo::from_pairs(num_vertices, pairs.iter().copied()).expect("valid COO")
+        };
+        let cases = [
+            ("empty graph", coo(0, &[])),
+            ("isolated vertices", coo(4, &[])),
+            ("one edge", coo(9, &[(7, 3)])),
+            (
+                "duplicate edges",
+                coo(4, &[(2, 1), (0, 3), (2, 1), (2, 1), (0, 3)]),
+            ),
+            // More vertices than edges, with VIDs spread over the range.
+            (
+                "sparse VIDs",
+                coo(5_000, &[(4_999, 17), (0, 4_999), (17, 17), (3_210, 0)]),
+            ),
+        ];
+        for (name, coo) in cases {
+            let sorted = order_edges_std(coo.edges());
+            for fidelity in [Fidelity::Fast, Fidelity::Structural] {
+                let upe = upe_kernel(2, 4, fidelity);
+                let reshaper = Reshaper::with_fidelity(ScrConfig::new(2, 4), fidelity);
+                let run = convert(&upe, &reshaper, coo.num_vertices(), coo.edges());
+                assert_eq!(run.csc, Csc::from_coo(&coo), "{name} {fidelity:?}");
+                assert_eq!(run.csc.to_coo().edges(), sorted, "{name} {fidelity:?}");
+            }
+        }
+    }
+
+    #[test]
     fn reshaper_matches_golden_pointer_array() {
         let g = generate::power_law(64, 800, 1.0, 9);
         let mut dsts: Vec<Vid> = g.edges().iter().map(|e| e.dst).collect();
@@ -818,6 +1080,48 @@ mod tests {
         let one = Reshaper::new(ScrConfig::new(1, 256)).build_pointers(2_048, &dsts);
         let eight = Reshaper::new(ScrConfig::new(8, 256)).build_pointers(2_048, &dsts);
         assert!(eight.cycles * 2 < one.cycles);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_reshape_accounting_matches_window_replay(
+            drawn in proptest::collection::vec(0usize..12, 0..120),
+            shape in 0u32..4,
+            hub in any::<u32>(),
+            hub_degree in 0usize..3_000,
+            isolated in 0usize..40,
+            slots in 1usize..=64,
+            width_log2 in 1u32..=10,
+        ) {
+            // Degree sequences as drawn, with every edge on one hub, with
+            // trailing isolated vertices, or with no edges at all; an empty
+            // draw is a graph of no vertices.
+            let mut degrees = drawn;
+            match shape {
+                0 => {}
+                1 => {
+                    let hub = hub as usize % degrees.len().max(1);
+                    for (v, degree) in degrees.iter_mut().enumerate() {
+                        *degree = if v == hub { hub_degree } else { 0 };
+                    }
+                }
+                2 => degrees.extend(std::iter::repeat_n(0, isolated)),
+                _ => degrees.iter_mut().for_each(|degree| *degree = 0),
+            }
+            let sorted_dsts: Vec<Vid> = degrees
+                .iter()
+                .enumerate()
+                .flat_map(|(v, &degree)| std::iter::repeat_n(Vid::from_index(v), degree))
+                .collect();
+            let config = ScrConfig::new(slots, 1 << width_log2);
+            let run = Reshaper::with_fidelity(config, Fidelity::Structural)
+                .build_pointers(degrees.len(), &sorted_dsts);
+            let pointers = pointer_array_sequential(degrees.len(), &sorted_dsts);
+            let (cycles, scr_passes) = reshape_accounting(config, &pointers);
+            prop_assert_eq!(run, ReshapeRun { pointers, cycles, scr_passes });
+        }
     }
 
     #[test]

@@ -127,3 +127,67 @@ fn paper_default_request_matches_software_in_linear_time() {
         (stats.reindex_inputs + stats.subgraph_nodes) as u64
     );
 }
+
+/// The summed report of a fixed request list in one fidelity: each of the
+/// five `preprocess_convert` graphs, scaled to ~20k edges, under three
+/// kernel configurations, each with its own request shape (node-wise,
+/// layer-wise, empty batch).
+fn pinned_request_report(fidelity: Fidelity) -> agnn_hw::HwReport {
+    let requests = [
+        ((4, 16), (2, 32), SampleParams::new(10, 2), 16),
+        ((64, 64), (8, 256), SampleParams::layer_wise(8, 2), 4),
+        ((16, 512), (64, 64), SampleParams::new(5, 1), 0),
+    ];
+    let mut total = agnn_hw::HwReport::default();
+    for (seed, abbrev) in (1u64..).zip(["PH", "YL", "RD", "AM", "TB"]) {
+        let coo = scaled(
+            Dataset::from_abbrev(abbrev).expect("known dataset"),
+            20_000,
+            seed,
+        );
+        let stride = coo.num_vertices() / 17;
+        for ((count, width), (slots, scr_width), params, batch_len) in &requests {
+            let cfg = HwConfig {
+                upe: UpeConfig::new(*count, *width),
+                scr: ScrConfig::new(*slots, *scr_width),
+            };
+            let batch: Vec<Vid> = (0..*batch_len)
+                .map(|i| Vid::from_index(i * stride))
+                .collect();
+            let run = agnn_hw::engine::AutoGnnEngine::with_fidelity(cfg, fidelity).preprocess(
+                &coo,
+                &batch,
+                params,
+                seed * 31,
+            );
+            total = total.add(&run.report);
+        }
+    }
+    total
+}
+
+#[test]
+fn engine_report_is_pinned() {
+    // Recorded from the engine that ordered edges into a sorted edge array
+    // and rebuilt the pointer array with the reshaper's window replay; any
+    // change to the conversion path must reproduce it bit for bit.
+    let pinned = agnn_hw::HwReport {
+        cycles: agnn_hw::StageCycles {
+            ordering: 50_206,
+            reshaping: 6_272,
+            selecting: 3_379,
+            reindexing: 6_818,
+        },
+        dram_bytes: agnn_hw::StageCycles {
+            ordering: 4_870_592,
+            reshaping: 1_249_768,
+            selecting: 360_476,
+            reindexing: 33_736,
+        },
+        upe_passes: 668_721,
+        scr_passes: 59_068,
+    };
+    for fidelity in [Fidelity::Fast, Fidelity::Structural] {
+        assert_eq!(pinned_request_report(fidelity), pinned, "{fidelity:?}");
+    }
+}
