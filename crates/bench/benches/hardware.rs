@@ -1,10 +1,10 @@
-//! Criterion benches of the hardware simulator: network evaluation costs
-//! and the fidelity gap between structural and fast simulation.
+//! Criterion benches of the hardware simulator: datapath network
+//! evaluation, the conversion kernels and one engine request.
 
 use agnn_algo::pipeline::SampleParams;
 use agnn_graph::{generate, Vid};
 use agnn_hw::engine::AutoGnnEngine;
-use agnn_hw::kernel::{convert, Fidelity, Reshaper, UpeKernel};
+use agnn_hw::kernel::{convert, Reshaper, UpeKernel};
 use agnn_hw::scr::Scr;
 use agnn_hw::upe::Upe;
 use agnn_hw::{HwConfig, ScrConfig, UpeConfig};
@@ -62,9 +62,7 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_engine_fidelity(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_preprocess");
-    group.sample_size(10);
+fn bench_engine(c: &mut Criterion) {
     let g = generate::power_law(500, 5_000, 0.9, 9);
     let batch: Vec<Vid> = (0..8).map(Vid).collect();
     let params = SampleParams::new(5, 2);
@@ -72,18 +70,9 @@ fn bench_engine_fidelity(c: &mut Criterion) {
         upe: UpeConfig::new(8, 32),
         scr: ScrConfig::new(2, 64),
     };
-    group.bench_function("fast", |b| {
-        b.iter(|| {
-            AutoGnnEngine::with_fidelity(cfg, Fidelity::Fast).preprocess(&g, &batch, &params, 1)
-        })
+    c.bench_function("engine_preprocess", |b| {
+        b.iter(|| AutoGnnEngine::new(cfg).preprocess(&g, &batch, &params, 1))
     });
-    group.bench_function("structural", |b| {
-        b.iter(|| {
-            AutoGnnEngine::with_fidelity(cfg, Fidelity::Structural)
-                .preprocess(&g, &batch, &params, 1)
-        })
-    });
-    group.finish();
 }
 
 criterion_group!(
@@ -91,6 +80,6 @@ criterion_group!(
     bench_upe_networks,
     bench_scr,
     bench_kernels,
-    bench_engine_fidelity
+    bench_engine
 );
 criterion_main!(benches);

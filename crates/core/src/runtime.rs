@@ -13,7 +13,6 @@ use agnn_devices::StageSecs;
 use agnn_graph::{Coo, Vid};
 use agnn_hw::engine::{AutoGnnEngine, ReconfigEvent};
 use agnn_hw::floorplan::Floorplan;
-use agnn_hw::kernel::Fidelity;
 use agnn_hw::shell::{PcieModel, PcieSwitchModel};
 use agnn_hw::HwConfig;
 
@@ -177,14 +176,9 @@ pub struct AutoGnn {
 impl AutoGnn {
     /// A service on the default VPK180 with Table III sampling parameters.
     pub fn new(params: SampleParams) -> Self {
-        Self::with_fidelity(params, Fidelity::Fast)
-    }
-
-    /// A service with explicit simulation fidelity.
-    pub fn with_fidelity(params: SampleParams, fidelity: Fidelity) -> Self {
         let plan = Floorplan::vpk180();
         AutoGnn {
-            engine: AutoGnnEngine::with_fidelity(HwConfig::vpk180_default(), fidelity),
+            engine: AutoGnnEngine::new(HwConfig::vpk180_default()),
             library: BitstreamLibrary::for_floorplan(&plan),
             policy: ReconfigPolicy::default(),
             fpga: FpgaModel::default(),
@@ -200,14 +194,12 @@ impl AutoGnn {
         service
     }
 
-    /// A pristine peer board: same sampling parameters, policy and
-    /// fidelity, but factory-fresh hardware state (default bitstream, no
-    /// resident graph). Board pools fork one configured runtime into N
-    /// independent reconfiguration decision points.
+    /// A pristine peer board: same sampling parameters and policy, but
+    /// factory-fresh hardware state (default bitstream, no resident graph).
+    /// Board pools fork one configured runtime into N independent
+    /// reconfiguration decision points.
     pub fn fork(&self) -> Self {
-        let mut peer = Self::with_fidelity(self.params, self.engine.fidelity());
-        peer.policy = self.policy;
-        peer
+        Self::with_policy(self.params, self.policy)
     }
 
     /// Current hardware configuration.

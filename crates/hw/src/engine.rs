@@ -6,12 +6,12 @@
 //! to [`agnn_algo::pipeline::preprocess`] under the same seed (verified by
 //! the integration tests); on top of that the engine produces the per-stage
 //! cycle and DRAM-byte report every timing model consumes.
+//! [`crate::oracle::preprocess`] runs the same workflow on the structural
+//! datapath, and tests hold the engine to it.
 
 use std::collections::HashMap;
 
-use agnn_algo::pipeline::{
-    PreprocessOutput, PreprocessStats, SampleParams, SampledSubgraph, SelectionStrategy,
-};
+use agnn_algo::pipeline::{PreprocessOutput, PreprocessStats, SampleParams, SampledSubgraph};
 use agnn_graph::{Coo, Csc, Edge, Vid};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,7 +49,6 @@ pub struct ReconfigEvent {
 #[derive(Debug, Clone)]
 pub struct AutoGnnEngine {
     config: HwConfig,
-    fidelity: Fidelity,
     upe_kernel: UpeKernel,
     reshaper: Reshaper,
     reindexer: Reindexer,
@@ -57,52 +56,38 @@ pub struct AutoGnnEngine {
 }
 
 impl AutoGnnEngine {
-    /// Creates an engine in [`Fidelity::Fast`] on the VPK180 floorplan.
+    /// Creates an engine on the VPK180 floorplan.
     ///
     /// # Panics
     ///
     /// Panics if `config` does not fit the VPK180.
     pub fn new(config: HwConfig) -> Self {
-        Self::with_fidelity(config, Fidelity::Fast)
-    }
-
-    /// Creates an engine with an explicit fidelity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` does not fit the VPK180.
-    pub fn with_fidelity(config: HwConfig, fidelity: Fidelity) -> Self {
-        Self::with_floorplan(config, Floorplan::vpk180(), fidelity)
-    }
-
-    /// Creates an engine on an arbitrary floorplan (Fig. 26 board sweeps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` does not fit `plan`.
-    pub fn with_floorplan(config: HwConfig, plan: Floorplan, fidelity: Fidelity) -> Self {
+        let plan = Floorplan::vpk180();
         assert!(
             config.fits(&plan),
             "configuration {config:?} exceeds floorplan {plan:?}"
         );
         AutoGnnEngine {
             config,
-            fidelity,
-            upe_kernel: UpeKernel::with_fidelity(config.upe, fidelity),
-            reshaper: Reshaper::with_fidelity(config.scr, fidelity),
-            reindexer: Reindexer::with_fidelity(config.scr, fidelity),
+            upe_kernel: UpeKernel::new(config.upe),
+            reshaper: Reshaper::new(config.scr),
+            reindexer: Reindexer::new(config.scr),
             shell: HwShell::new(),
         }
+    }
+
+    /// [`AutoGnnEngine::new`]; perfbench is its only caller.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` does not fit the VPK180.
+    pub fn with_fidelity(config: HwConfig, _: Fidelity) -> Self {
+        Self::new(config)
     }
 
     /// Current kernel configuration.
     pub fn config(&self) -> HwConfig {
         self.config
-    }
-
-    /// Simulation fidelity this engine was built with.
-    pub fn fidelity(&self) -> Fidelity {
-        self.fidelity
     }
 
     /// The HW-shell (transfer state and models).
@@ -127,9 +112,9 @@ impl AutoGnnEngine {
         let seconds = self.shell.icap.reconfig_secs(scope);
         if scope != ReconfigScope::None {
             self.config = new;
-            self.upe_kernel = UpeKernel::with_fidelity(new.upe, self.fidelity);
-            self.reshaper = Reshaper::with_fidelity(new.scr, self.fidelity);
-            self.reindexer = Reindexer::with_fidelity(new.scr, self.fidelity);
+            self.upe_kernel = UpeKernel::new(new.upe);
+            self.reshaper = Reshaper::new(new.scr);
+            self.reindexer = Reindexer::new(new.scr);
         }
         ReconfigEvent { scope, seconds }
     }
@@ -159,30 +144,22 @@ impl AutoGnnEngine {
         let csc = self.convert(coo.num_vertices(), coo.edges(), &mut report);
 
         // 3. Uni-random selection (UPE kernel, Fig. 16). The trace is the
-        // shared functional specification; the kernel replays it for cycle
-        // accounting (and network verification in structural fidelity,
-        // the only reader of the packed pool contents).
+        // shared functional specification; the kernel charges its pools by
+        // length and draw count.
         let mut rng = StdRng::seed_from_u64(seed);
         let trace = agnn_algo::pipeline::sample(&csc, batch, params, &mut rng);
         for layer in &trace.layers {
-            let pool_values: Vec<Vec<u64>> = match self.fidelity {
-                Fidelity::Structural => layer
-                    .iter()
-                    .map(|record| pool_contents(&csc, params.strategy, &record.parents))
-                    .collect(),
-                Fidelity::Fast => Vec::new(),
-            };
-            let select_run = self.upe_kernel.select_layer(layer, &pool_values);
+            let select_run = self.upe_kernel.select_layer(layer, &[]);
             report.cycles.selecting += select_run.cycles;
             report.upe_passes += select_run.upe_passes;
         }
-        report.dram_bytes.selecting += 4 * trace.pool_elements as u64 + 4 * trace.selections as u64;
+        report.dram_bytes.selecting += selecting_dram_bytes(trace.pool_elements, trace.selections);
 
         // 4. Subgraph reindexing (SCR reindexer, Fig. 13c).
         let reindex_run = self.reindexer.reindex(&trace.node_stream);
         report.cycles.reindexing += reindex_run.cycles;
         report.dram_bytes.reindexing +=
-            4 * trace.node_stream.len() as u64 + 8 * reindex_run.result.num_unique() as u64;
+            reindexing_dram_bytes(trace.node_stream.len(), reindex_run.result.num_unique());
         report.scr_passes += reindex_run.scr_passes;
 
         // 5. Final conversion of the sampled COO (§II-B): edge ordering and
@@ -264,32 +241,23 @@ pub fn reshaping_dram_bytes(num_edges: usize, num_vertices: usize) -> u64 {
     4 * num_edges as u64 + 4 * (num_vertices as u64 + 1)
 }
 
-/// Reconstructs the selection-pool contents for a pool record, packed into
-/// the UPE's 64-bit lanes.
-fn pool_contents(csc: &Csc, strategy: SelectionStrategy, parents: &[Vid]) -> Vec<u64> {
-    match strategy {
-        SelectionStrategy::NodeWise => {
-            debug_assert_eq!(parents.len(), 1);
-            csc.neighbors(parents[0])
-                .iter()
-                .map(|s| u64::from(s.0))
-                .collect()
-        }
-        SelectionStrategy::LayerWise => parents
-            .iter()
-            .flat_map(|&parent| {
-                csc.neighbors(parent)
-                    .iter()
-                    .map(move |s| (u64::from(s.0) << 32) | u64::from(parent.0))
-            })
-            .collect(),
-    }
+/// DRAM traffic of uni-random selection: read every pool element, write
+/// every selection.
+pub fn selecting_dram_bytes(pool_elements: usize, selections: usize) -> u64 {
+    4 * pool_elements as u64 + 4 * selections as u64
+}
+
+/// DRAM traffic of subgraph reindexing: read the node stream, write one
+/// `(old, new)` pair per unique vertex.
+pub fn reindexing_dram_bytes(inputs: usize, uniques: usize) -> u64 {
+    4 * inputs as u64 + 8 * uniques as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{ScrConfig, UpeConfig};
+    use crate::oracle;
     use agnn_graph::generate;
 
     fn small_config() -> HwConfig {
@@ -311,11 +279,10 @@ mod tests {
     fn engine_output_equals_software_pipeline() {
         let (coo, batch, params) = workload();
         let expected = agnn_algo::pipeline::preprocess(&coo, &batch, &params, 42);
-        for fidelity in [Fidelity::Fast, Fidelity::Structural] {
-            let mut engine = AutoGnnEngine::with_fidelity(small_config(), fidelity);
-            let run = engine.preprocess(&coo, &batch, &params, 42);
-            assert_eq!(run.output, expected, "{fidelity:?}");
-        }
+        let run = AutoGnnEngine::new(small_config()).preprocess(&coo, &batch, &params, 42);
+        assert_eq!(run.output, expected);
+        let replayed = oracle::preprocess(small_config(), &coo, &batch, &params, 42);
+        assert_eq!(replayed.output, expected);
     }
 
     #[test]
@@ -324,19 +291,23 @@ mod tests {
         let batch = vec![Vid(1), Vid(2)];
         let params = SampleParams::layer_wise(6, 2);
         let expected = agnn_algo::pipeline::preprocess(&coo, &batch, &params, 7);
-        let mut engine = AutoGnnEngine::with_fidelity(small_config(), Fidelity::Structural);
-        let run = engine.preprocess(&coo, &batch, &params, 7);
+        let run = AutoGnnEngine::new(small_config()).preprocess(&coo, &batch, &params, 7);
         assert_eq!(run.output, expected);
+        // The oracle pushes the layer-wise pool lanes, `(src << 32) |
+        // parent`, through one-hot extraction.
+        assert_eq!(
+            oracle::preprocess(small_config(), &coo, &batch, &params, 7),
+            run
+        );
     }
 
     #[test]
     fn fidelities_agree_on_report() {
+        // The engine's accounting against the oracle's structural replay.
         let (coo, batch, params) = workload();
-        let fast = AutoGnnEngine::with_fidelity(small_config(), Fidelity::Fast)
-            .preprocess(&coo, &batch, &params, 1);
-        let structural = AutoGnnEngine::with_fidelity(small_config(), Fidelity::Structural)
-            .preprocess(&coo, &batch, &params, 1);
-        assert_eq!(fast.report, structural.report);
+        let engine = AutoGnnEngine::new(small_config()).preprocess(&coo, &batch, &params, 1);
+        let oracle = oracle::preprocess(small_config(), &coo, &batch, &params, 1);
+        assert_eq!(engine.report, oracle.report);
     }
 
     #[test]

@@ -5,48 +5,36 @@
 //! couples the *reshaper* and *reindexer* controllers around `n` SCR slots
 //! and an SRAM mapping bank.
 //!
-//! # Fidelity
+//! # Fidelity: accounting plus oracle
 //!
-//! Each kernel runs in one of two fidelities with **identical cycle
-//! accounting and identical functional output**:
-//!
-//! - [`Fidelity::Structural`] evaluates every prefix-sum/relocation network
-//!   layer and every comparator/reducer tree explicitly (and asserts the
-//!   result against the software model) — used by the verification tests;
-//! - [`Fidelity::Fast`] computes the same result with plain software
-//!   operations in host time linear in its input — used for large
-//!   experiment sweeps and paper-scale requests.
-//!
-//! Cycles and passes depend only on counts, never on how the host found
-//! the result, so each kernel charges them the same way in both fidelities:
+//! Each kernel runs one path: the golden functional algorithm for its
+//! output, plus a pure accounting of cycles and passes. Cycles and passes
+//! depend only on counts, never on how the host found the result:
 //!
 //! - Edge ordering charges them through one function, [`sort_accounting`],
 //!   from the chunk run lengths and maxima. [`UpeKernel::sort_edges`]
 //!   orders an edge array with one O(E + V) counting transposition
-//!   ([`order_edges_counting_with_max`]); Structural also replays every
-//!   chunk sort on the UPE network and the whole merge tree, and asserts
-//!   both the merged keys and the pass count against that ordering and the
-//!   accounting.
+//!   ([`order_edges_counting_with_max`]).
 //! - Reshaping charges them through one function, [`reshape_accounting`],
 //!   from the pointer array alone: the SCR window's progress over the
-//!   sorted destinations follows from each target's pointer. Fast counts
-//!   the destinations into pointers; Structural replays every window
-//!   through the SCR adder tree and asserts the replayed cycles and passes
-//!   against the accounting.
+//!   sorted destinations follows from each target's pointer.
 //! - Conversion ([`convert`]) runs both stages on a COO edge list without
 //!   materializing the sorted edges: one read over the edges yields the
 //!   chunk runs and the per-vertex counts, and the counting transposition
 //!   writes the CSC `indices` directly, its destination prefix sums being
-//!   the pointer array. Structural replays the chunk sorts, the merge tree
-//!   and the SCR windows against keys and destinations rebuilt from the
-//!   CSC.
-//! - Selection charges each pool from its length and draw count. Only
-//!   Structural reads the pool contents, to replay each draw through the
-//!   one-hot extraction network.
-//! - Reindexing charges each lookup from the number of mappings held. Fast
-//!   finds a VID's mapping in a hash index; Structural searches the mapping
-//!   bank window by window through the filter tree and asserts the result
-//!   against a linear search.
+//!   the pointer array.
+//! - Selection charges each pool from its length and draw count, without
+//!   reading the pool contents.
+//! - Reindexing charges each lookup from the number of mappings held, and
+//!   finds a VID's mapping in a hash index.
+//!
+//! The structural fidelity lives apart, in [`crate::oracle`]: it replays
+//! every chunk sort on the UPE radix network, the merge tree, every SCR
+//! window through the adder tree, every draw through the one-hot
+//! extraction network and every lookup through the filter tree, and
+//! derives the same outputs, cycles and passes from what it evaluated.
+//! Nothing on the simulation path calls it; the tests that compare the two
+//! fidelities hold every accounting function to its replay.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -55,19 +43,16 @@ use agnn_algo::ordering::order_edges_counting_with_max;
 use agnn_algo::pipeline::PoolRecord;
 use agnn_algo::reindex::ReindexResult;
 use agnn_algo::reshape::pointer_array_sequential;
-use agnn_algo::sort::tree_merge;
 use agnn_graph::{Csc, Edge, Vid};
 
 use crate::config::{ScrConfig, UpeConfig};
-use crate::scr::Scr;
-use crate::upe::Upe;
 
-/// Simulation fidelity; see the module docs.
+/// The one simulation path; see the module docs. Only the `with_fidelity`
+/// constructors take it, and the repository benchmark (`perfbench/`) is
+/// their only caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Fidelity {
-    /// Gate-level network evaluation with golden-model assertions.
-    Structural,
-    /// Software-equivalent computation, identical outputs and cycles.
+    /// Golden functional output plus count-based cycle accounting.
     #[default]
     Fast,
 }
@@ -176,23 +161,24 @@ pub fn sort_accounting(
 #[derive(Debug, Clone)]
 pub struct UpeKernel {
     config: UpeConfig,
-    upe: Upe,
-    fidelity: Fidelity,
 }
 
 impl UpeKernel {
-    /// Creates a kernel in [`Fidelity::Fast`].
+    /// Creates a kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`UpeConfig::new`] rejects `config`'s fields, which are
+    /// public and so may skip it.
     pub fn new(config: UpeConfig) -> Self {
-        Self::with_fidelity(config, Fidelity::Fast)
+        UpeKernel {
+            config: UpeConfig::new(config.count, config.width),
+        }
     }
 
-    /// Creates a kernel with an explicit fidelity.
-    pub fn with_fidelity(config: UpeConfig, fidelity: Fidelity) -> Self {
-        UpeKernel {
-            config,
-            upe: Upe::new(config.width),
-            fidelity,
-        }
+    /// [`UpeKernel::new`]; perfbench is its only caller.
+    pub fn with_fidelity(config: UpeConfig, _: Fidelity) -> Self {
+        Self::new(config)
     }
 
     /// The kernel configuration.
@@ -207,11 +193,9 @@ impl UpeKernel {
     /// Cycles and passes come from [`sort_accounting`] over the chunk
     /// lengths and maxima. The one scan over `edges` that reads those also
     /// finds the largest VID, and the sorted edges come from
-    /// [`order_edges_counting_with_max`] in both fidelities, so the host
-    /// reads the edges once before sorting them. [`Fidelity::Structural`]
-    /// also replays every chunk sort on the UPE network and the merge tree
-    /// ([`tree_merge`]), and asserts that the merged keys equal that
-    /// ordering and that the replayed passes equal the accounting.
+    /// [`order_edges_counting_with_max`], so the host reads the edges once
+    /// before sorting them. [`oracle::replay_sort`](crate::oracle::replay_sort)
+    /// replays the UPE network and the merge tree instead.
     pub fn sort_edges(&self, edges: &[Edge]) -> SortRun {
         let width = self.config.width.max(1);
         let (mut max_key, mut max_src) = (0u64, 0u32);
@@ -232,38 +216,11 @@ impl UpeKernel {
         let (cycles, upe_passes) = sort_accounting(self.config, chunks);
         // The largest key carries the largest destination in its high word.
         let max_vid = (!edges.is_empty()).then(|| Vid(max_src.max((max_key >> 32) as u32)));
-        let sorted = order_edges_counting_with_max(edges, max_vid);
-        if self.fidelity == Fidelity::Structural {
-            let (merged, passes) = self.replay_sort(edges);
-            let keys = sorted.iter().map(|e| e.sort_key());
-            assert!(keys.eq(merged), "UPE merge tree diverged");
-            assert_eq!(passes, upe_passes, "UPE pass count diverged");
-        }
         SortRun {
-            sorted,
+            sorted: order_edges_counting_with_max(edges, max_vid),
             cycles,
             upe_passes,
         }
-    }
-
-    /// Structural replay of edge ordering: each chunk's keys through the UPE
-    /// radix network, then the chunk runs through the merge tree. Returns
-    /// the merged keys and the partition passes issued.
-    fn replay_sort(&self, edges: &[Edge]) -> (Vec<u64>, u64) {
-        let mut passes = 0u64;
-        let runs = edges
-            .chunks(self.config.width.max(1))
-            .map(|chunk| {
-                let keys: Vec<u64> = chunk.iter().map(|e| e.sort_key()).collect();
-                let (sorted, bits) = self.upe.radix_sort_chunk(&keys);
-                passes += bits * 2; // zero-pass + one-pass per bit
-                let mut expected = keys;
-                expected.sort_unstable();
-                assert_eq!(sorted, expected, "UPE chunk sort diverged");
-                sorted
-            })
-            .collect();
-        (tree_merge(runs).0, passes)
     }
 
     /// Uni-random selection for one layer: each pool record is one UPE job
@@ -272,17 +229,11 @@ impl UpeKernel {
     /// extracts the sampled neighborhood; jobs are scheduled across UPEs.
     ///
     /// Cycles and passes come from each record's `pool_len` and draw count
-    /// alone. `pool_values` holds each pool's contents packed into the
-    /// UPE's 64-bit lanes, one entry per record, and only
-    /// [`Fidelity::Structural`] reads it: it replays every recorded draw
-    /// through the one-hot extraction network against those contents.
-    /// [`Fidelity::Fast`] ignores it, so a Fast caller may pass `&[]`.
-    ///
-    /// # Panics
-    ///
-    /// In [`Fidelity::Structural`], panics if `pool_values` does not hold
-    /// one pool of `pool_len` values per record.
-    pub fn select_layer(&self, pools: &[PoolRecord], pool_values: &[Vec<u64>]) -> SelectRun {
+    /// alone. `_pool_values` is unread: it stays for perfbench, its only
+    /// caller that passes pool contents; pass `&[]`.
+    /// [`oracle::replay_select`](crate::oracle::replay_select) replays the
+    /// draws through the one-hot extraction network instead.
+    pub fn select_layer(&self, pools: &[PoolRecord], _pool_values: &[Vec<u64>]) -> SelectRun {
         let width = self.config.width as u64;
         let job_cycles: Vec<u64> = pools
             .iter()
@@ -291,36 +242,9 @@ impl UpeKernel {
                 draws + u64::from(record.pool_len).div_ceil(width).max(1)
             })
             .collect();
-        if self.fidelity == Fidelity::Structural {
-            self.replay_select(pools, pool_values);
-        }
         SelectRun {
             upe_passes: job_cycles.iter().sum(),
             cycles: schedule_makespan(job_cycles, self.config.count),
-        }
-    }
-
-    /// Structural replay of selection: every recorded draw through the
-    /// one-hot extraction network, against the pool contents.
-    fn replay_select(&self, pools: &[PoolRecord], pool_values: &[Vec<u64>]) {
-        assert_eq!(pools.len(), pool_values.len(), "one pool per record");
-        let width = self.config.width;
-        for (record, values) in pools.iter().zip(pool_values) {
-            assert_eq!(record.pool_len as usize, values.len(), "pool length");
-            for &position in &record.positions {
-                // Chunk the pool to the UPE width and extract within the
-                // chunk holding the drawn position.
-                let chunk_start = position as usize / width * width;
-                let chunk_end = (chunk_start + width).min(values.len());
-                let extracted = self.upe.extract_one_hot(
-                    &values[chunk_start..chunk_end],
-                    position as usize - chunk_start,
-                );
-                assert_eq!(
-                    extracted, values[position as usize],
-                    "one-hot extraction diverged"
-                );
-            }
         }
     }
 }
@@ -341,23 +265,23 @@ pub struct ReshapeRun {
 #[derive(Debug, Clone)]
 pub struct Reshaper {
     config: ScrConfig,
-    scr: Scr,
-    fidelity: Fidelity,
 }
 
 impl Reshaper {
-    /// Creates a reshaper in [`Fidelity::Fast`].
+    /// Creates a reshaper.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`ScrConfig::new`] rejects `config`'s fields.
     pub fn new(config: ScrConfig) -> Self {
-        Self::with_fidelity(config, Fidelity::Fast)
+        Reshaper {
+            config: ScrConfig::new(config.slots, config.width),
+        }
     }
 
-    /// Creates a reshaper with an explicit fidelity.
-    pub fn with_fidelity(config: ScrConfig, fidelity: Fidelity) -> Self {
-        Reshaper {
-            config,
-            scr: Scr::new(config.width),
-            fidelity,
-        }
+    /// [`Reshaper::new`]; perfbench is its only caller.
+    pub fn with_fidelity(config: ScrConfig, _: Fidelity) -> Self {
+        Self::new(config)
     }
 
     /// The kernel configuration.
@@ -372,10 +296,10 @@ impl Reshaper {
     /// itself"), and window elements below the current target are consumed,
     /// fetching the next COO segment (§IV-C).
     ///
-    /// Cycles and passes come from [`reshape_accounting`] over the pointer
-    /// array. [`Fidelity::Fast`] counts `sorted_dsts` into pointers;
-    /// [`Fidelity::Structural`] replays every window through the SCR adder
-    /// tree and asserts the replay against the accounting.
+    /// The pointers are `sorted_dsts` counted per vertex, and cycles and
+    /// passes come from [`reshape_accounting`] over them.
+    /// [`oracle::replay_windows`](crate::oracle::replay_windows) replays
+    /// every window through the SCR adder tree instead.
     ///
     /// # Panics
     ///
@@ -387,100 +311,20 @@ impl Reshaper {
             sorted_dsts.last().is_none_or(|d| d.index() < num_vertices),
             "destination out of range for {num_vertices} vertices"
         );
-        match self.fidelity {
-            Fidelity::Fast => {
-                let pointers = pointer_array_sequential(num_vertices, sorted_dsts);
-                let (cycles, scr_passes) = reshape_accounting(self.config, &pointers);
-                ReshapeRun {
-                    pointers,
-                    cycles,
-                    scr_passes,
-                }
-            }
-            Fidelity::Structural => {
-                let run = self.replay_windows(num_vertices, sorted_dsts);
-                assert_eq!(
-                    (run.cycles, run.scr_passes),
-                    reshape_accounting(self.config, &run.pointers),
-                    "SCR reshaper accounting diverged"
-                );
-                run
-            }
-        }
-    }
-
-    /// Structural replay of reshaping: the dual-counter window walk, each
-    /// count through the SCR adder tree.
-    fn replay_windows(&self, num_vertices: usize, sorted_dsts: &[Vid]) -> ReshapeRun {
-        let width = self.config.width;
-        let slots = self.config.slots;
-        let total = sorted_dsts.len();
-        let mut pointers = vec![0u32; num_vertices + 1];
-        let mut cycles = 0u64;
-        let mut scr_passes = 0u64;
-        let mut consumed = 0usize; // COO elements already consumed
-        let mut target = 0usize; // next pointer entry to finalize
-
-        while target <= num_vertices {
-            cycles += 1;
-            let window_end = (consumed + width).min(total);
-            let window = &sorted_dsts[consumed..window_end];
-            let window_is_last = window_end == total;
-
-            // Each slot evaluates one consecutive target this cycle.
-            let mut finished = 0usize;
-            for slot in 0..slots {
-                let t = target + slot;
-                if t > num_vertices {
-                    break;
-                }
-                scr_passes += 1;
-                let in_window = self.count_below(window, t as u32);
-                // The count is final once the window shows an element >= t
-                // or the COO is exhausted.
-                let proven = window_is_last || window.last().is_some_and(|&d| d.index() >= t);
-                if proven {
-                    pointers[t] = consumed as u32 + in_window;
-                    finished += 1;
-                } else {
-                    break;
-                }
-            }
-            target += finished;
-            // Consume window elements strictly below the current target —
-            // they "can no longer contribute to the remaining targets".
-            let consumable = window.partition_point(|&d| d.index() < target);
-            if finished == 0 {
-                // Whole window below the pending target: consume it all.
-                consumed = window_end;
-            } else {
-                consumed += consumable;
-            }
-        }
-
+        let pointers = pointer_array_sequential(num_vertices, sorted_dsts);
+        let (cycles, scr_passes) = reshape_accounting(self.config, &pointers);
         ReshapeRun {
             pointers,
             cycles,
             scr_passes,
         }
     }
-
-    /// Destinations in `window` below `target`, counted by the SCR adder
-    /// tree and asserted against a binary search.
-    fn count_below(&self, window: &[Vid], target: u32) -> u32 {
-        let raw: Vec<u32> = window.iter().map(|v| v.0).collect();
-        let counted = self.scr.count_less_than(&raw, target);
-        let expected = window.partition_point(|&d| d.0 < target) as u32;
-        assert_eq!(counted, expected, "SCR adder tree diverged");
-        counted
-    }
 }
 
 /// Cycle and pass accounting of a reshaping run (§IV-C), from the pointer
 /// array alone. Returns `(cycles, scr_passes)`.
 ///
-/// It replays [`Reshaper::build_pointers`]' window walk without the
-/// destinations: `pointers[t]` counts the sorted destinations below `t`, so
+/// It walks the reshaper's windows without the destinations: `pointers[t]` counts the sorted destinations below `t`, so
 /// the window `[consumed, window_end)` holds `clamp(pointers[t] - consumed,
 /// 0, len)` of them, and its last element is at least `t` exactly when
 /// `pointers[t] < window_end`.
@@ -553,10 +397,6 @@ pub struct ConvertRun {
 /// sorted destinations, cycles and passes included, without building the
 /// sorted edge array.
 ///
-/// Each kernel in [`Fidelity::Structural`] also replays its stage against
-/// the CSC: the UPE chunk sorts and merge tree against the keys it holds,
-/// the SCR windows against its destinations.
-///
 /// # Panics
 ///
 /// Panics if an endpoint is not below `num_vertices` or the edge count does
@@ -618,21 +458,8 @@ pub fn convert(
 
     let (ordering_cycles, upe_passes) = sort_accounting(upe.config, chunks);
     let (reshaping_cycles, scr_passes) = reshape_accounting(reshaper.config, &pointers);
-    let csc = Csc::new(pointers, indices).expect("conversion output satisfies CSC invariants");
-    if upe.fidelity == Fidelity::Structural {
-        let (merged, passes) = upe.replay_sort(edges);
-        let sorted = csc.to_coo();
-        let keys = sorted.edges().iter().map(|e| e.sort_key());
-        assert!(keys.eq(merged), "UPE merge tree diverged");
-        assert_eq!(passes, upe_passes, "UPE pass count diverged");
-    }
-    if reshaper.fidelity == Fidelity::Structural {
-        let sorted_dsts: Vec<Vid> = csc.to_coo().edges().iter().map(|e| e.dst).collect();
-        let replay = reshaper.build_pointers(num_vertices, &sorted_dsts);
-        assert_eq!(replay.pointers, csc.pointers(), "SCR reshaper diverged");
-    }
     ConvertRun {
-        csc,
+        csc: Csc::new(pointers, indices).expect("conversion output satisfies CSC invariants"),
         ordering_cycles,
         upe_passes,
         reshaping_cycles,
@@ -658,9 +485,6 @@ pub struct ReindexRun {
 #[derive(Debug, Clone)]
 pub struct Reindexer {
     config: ScrConfig,
-    scr: Scr,
-    fidelity: Fidelity,
-    sram_capacity: usize,
 }
 
 impl Reindexer {
@@ -669,19 +493,20 @@ impl Reindexer {
     /// uniques at most.
     pub const DEFAULT_SRAM_CAPACITY: usize = 1 << 20;
 
-    /// Creates a reindexer in [`Fidelity::Fast`].
+    /// Creates a reindexer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`ScrConfig::new`] rejects `config`'s fields.
     pub fn new(config: ScrConfig) -> Self {
-        Self::with_fidelity(config, Fidelity::Fast)
+        Reindexer {
+            config: ScrConfig::new(config.slots, config.width),
+        }
     }
 
-    /// Creates a reindexer with an explicit fidelity.
-    pub fn with_fidelity(config: ScrConfig, fidelity: Fidelity) -> Self {
-        Reindexer {
-            config,
-            scr: Scr::new(config.width),
-            fidelity,
-            sram_capacity: Self::DEFAULT_SRAM_CAPACITY,
-        }
+    /// [`Reindexer::new`]; perfbench is its only caller.
+    pub fn with_fidelity(config: ScrConfig, _: Fidelity) -> Self {
+        Self::new(config)
     }
 
     /// The kernel configuration.
@@ -699,20 +524,17 @@ impl Reindexer {
     /// and the counter value as a new mapping pair").
     ///
     /// Cycles, the banks searched (hence `scr_passes`) and `peak_mappings`
-    /// follow from the number of mappings held, so the fidelities differ
-    /// only in how the host finds a mapping. [`Fidelity::Fast`] keeps a hash
-    /// index from old to new VID, O(1) per input. [`Fidelity::Structural`]
-    /// keeps the `(old, new)` pairs in insertion order, evaluates the filter
-    /// tree window by window to verify the datapath, and asserts its result
-    /// against a linear search.
+    /// follow from the number of mappings held, so the host finds a mapping
+    /// in a hash index from old to new VID, O(1) per input.
+    /// [`oracle::replay_reindex`](crate::oracle::replay_reindex) searches
+    /// the mapping bank through the filter tree instead.
     ///
     /// # Panics
     ///
-    /// Panics if the mapping bank exceeds the SRAM capacity.
+    /// Panics if the mapping bank exceeds [`Self::DEFAULT_SRAM_CAPACITY`].
     pub fn reindex(&self, stream: &[Vid]) -> ReindexRun {
         let window = self.config.width * self.config.slots;
         let mut index: HashMap<u32, u32> = HashMap::new();
-        let mut mappings: Vec<(u32, u32)> = Vec::new();
         let mut new_ids = Vec::with_capacity(stream.len());
         let mut new_to_old = Vec::new();
         let mut cycles = 0u64;
@@ -722,25 +544,16 @@ impl Reindexer {
             let banks = new_to_old.len().div_ceil(window).max(1) as u64;
             cycles += 1; // banked search: one cycle per lookup
             scr_passes += banks * self.config.slots as u64;
-            let hit = match self.fidelity {
-                Fidelity::Structural => self.filter_lookup(&mappings, old.0),
-                Fidelity::Fast => index.get(&old.0).copied(),
-            };
-            match hit {
-                Some(renumbered) => new_ids.push(Vid(renumbered)),
+            match index.get(&old.0) {
+                Some(&renumbered) => new_ids.push(Vid(renumbered)),
                 None => {
                     let fresh = new_to_old.len() as u32;
                     assert!(
-                        new_to_old.len() < self.sram_capacity,
+                        new_to_old.len() < Self::DEFAULT_SRAM_CAPACITY,
                         "reindexer SRAM bank overflow at {} mappings",
                         new_to_old.len()
                     );
-                    match self.fidelity {
-                        Fidelity::Structural => mappings.push((old.0, fresh)),
-                        Fidelity::Fast => {
-                            index.insert(old.0, fresh);
-                        }
-                    }
+                    index.insert(old.0, fresh);
                     new_to_old.push(old);
                     new_ids.push(Vid(fresh));
                     cycles += 1; // insert
@@ -758,30 +571,21 @@ impl Reindexer {
             scr_passes,
         }
     }
-
-    /// Structural lookup: the filter tree over each `width`-pair window of
-    /// the mapping bank, asserted against a linear search.
-    fn filter_lookup(&self, mappings: &[(u32, u32)], old: u32) -> Option<u32> {
-        let found = mappings
-            .chunks(self.config.width)
-            .find_map(|chunk| self.scr.filter_lookup(chunk, old));
-        let expected = mappings.iter().find(|&&(o, _)| o == old).map(|&(_, r)| r);
-        assert_eq!(found, expected, "SCR filter tree diverged");
-        found
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
+    use crate::HwConfig;
     use agnn_algo::ordering::order_edges_std;
     use agnn_algo::reindex::reindex_hashmap;
     use agnn_graph::datasets::Dataset;
     use agnn_graph::{generate, Coo};
     use proptest::prelude::*;
 
-    fn upe_kernel(count: usize, width: usize, fidelity: Fidelity) -> UpeKernel {
-        UpeKernel::with_fidelity(UpeConfig::new(count, width), fidelity)
+    fn upe_kernel(count: usize, width: usize) -> UpeKernel {
+        UpeKernel::new(UpeConfig::new(count, width))
     }
 
     /// The scoreboard as a linear scan over every worker per job: the
@@ -822,13 +626,13 @@ mod tests {
             let scale = dataset.scale_for_max_edges(5_000);
             graphs.push((abbrev, dataset.generate_scaled(scale, 11)));
         }
+        // The kernel's accounting and the oracle's UPE replay agree.
         for (name, g) in &graphs {
-            let expected = order_edges_std(g.edges());
-            for fidelity in [Fidelity::Fast, Fidelity::Structural] {
-                let run = upe_kernel(4, 16, fidelity).sort_edges(g.edges());
-                assert_eq!(run.sorted, expected, "{name} {fidelity:?}");
-                assert!(run.cycles > 0);
-            }
+            let run = upe_kernel(4, 16).sort_edges(g.edges());
+            assert_eq!(run.sorted, order_edges_std(g.edges()), "{name}");
+            assert!(run.cycles > 0);
+            let replay = oracle::replay_sort(UpeConfig::new(4, 16), g.edges());
+            assert_eq!(replay, run, "{name}");
         }
     }
 
@@ -862,7 +666,7 @@ mod tests {
         ];
         for (count, width, n, cycles, upe_passes) in PINNED {
             let g = generate::power_law(5_000, n, 0.9, n as u64);
-            let run = upe_kernel(count, width, Fidelity::Fast).sort_edges(g.edges());
+            let run = upe_kernel(count, width).sort_edges(g.edges());
             assert_eq!(
                 (run.cycles, run.upe_passes),
                 (cycles, upe_passes),
@@ -888,13 +692,14 @@ mod tests {
                 .into_iter()
                 .map(|(src, dst)| Edge::new(Vid(src), Vid(dst)))
                 .collect();
-            let width = 1 << width_log2;
-            let fast = upe_kernel(count, width, Fidelity::Fast).sort_edges(&edges);
-            let structural = upe_kernel(count, width, Fidelity::Structural).sort_edges(&edges);
+            // The kernels' accounting against the oracle's replay.
+            let upe = UpeConfig::new(count, 1 << width_log2);
+            let fast = UpeKernel::new(upe).sort_edges(&edges);
             prop_assert_eq!(&fast.sorted, &order_edges_std(&edges));
+            prop_assert_eq!(&oracle::replay_sort(upe, &edges), &fast);
 
-            // Conversion equals ordering followed by reshaping, in both
-            // fidelities.
+            // Conversion equals ordering followed by reshaping, in the
+            // kernels and in the oracle.
             let scr = ScrConfig::new(slots, 1 << scr_width_log2);
             let dsts: Vec<Vid> = fast.sorted.iter().map(|e| e.dst).collect();
             let reshape = Reshaper::new(scr).build_pointers(3_000, &dsts);
@@ -906,12 +711,9 @@ mod tests {
                 reshaping_cycles: reshape.cycles,
                 scr_passes: reshape.scr_passes,
             };
-            for fidelity in [Fidelity::Fast, Fidelity::Structural] {
-                let upe = upe_kernel(count, width, fidelity);
-                let run = convert(&upe, &Reshaper::with_fidelity(scr, fidelity), 3_000, &edges);
-                prop_assert_eq!(&run, &expected);
-            }
-            prop_assert_eq!(fast, structural);
+            let run = convert(&UpeKernel::new(upe), &Reshaper::new(scr), 3_000, &edges);
+            prop_assert_eq!(&run, &expected);
+            prop_assert_eq!(oracle::convert(HwConfig { upe, scr }, 3_000, &edges), expected);
         }
 
         #[test]
@@ -928,25 +730,28 @@ mod tests {
 
     #[test]
     fn sort_empty_and_single() {
-        let kernel = upe_kernel(2, 8, Fidelity::Structural);
-        assert!(kernel.sort_edges(&[]).sorted.is_empty());
+        let kernel = upe_kernel(2, 8);
         let one = [Edge::new(Vid(3), Vid(1))];
-        assert_eq!(kernel.sort_edges(&one).sorted, one.to_vec());
+        for edges in [&[][..], &one] {
+            let run = kernel.sort_edges(edges);
+            assert_eq!(run.sorted, edges.to_vec());
+            assert_eq!(oracle::replay_sort(kernel.config(), edges), run);
+        }
     }
 
     #[test]
     fn more_upes_reduce_sort_cycles() {
         let g = generate::power_law(200, 4_000, 0.8, 5);
-        let few = upe_kernel(2, 64, Fidelity::Fast).sort_edges(g.edges());
-        let many = upe_kernel(32, 64, Fidelity::Fast).sort_edges(g.edges());
+        let few = upe_kernel(2, 64).sort_edges(g.edges());
+        let many = upe_kernel(32, 64).sort_edges(g.edges());
         assert!(many.cycles < few.cycles);
     }
 
     #[test]
     fn wider_upes_reduce_sort_cycles() {
         let g = generate::power_law(200, 4_000, 0.8, 5);
-        let narrow = upe_kernel(8, 16, Fidelity::Fast).sort_edges(g.edges());
-        let wide = upe_kernel(8, 256, Fidelity::Fast).sort_edges(g.edges());
+        let narrow = upe_kernel(8, 16).sort_edges(g.edges());
+        let wide = upe_kernel(8, 256).sort_edges(g.edges());
         assert!(wide.cycles < narrow.cycles);
     }
 
@@ -965,16 +770,52 @@ mod tests {
             },
         ];
         let values = vec![vec![10, 11, 12, 13, 14], vec![20, 21, 22]];
-        let kernel = upe_kernel(1, 8, Fidelity::Structural);
-        let run = kernel.select_layer(&pools, &values);
+        // The kernel reads no pool contents.
+        let kernel = upe_kernel(1, 8);
+        let run = kernel.select_layer(&pools, &[]);
         // Pool 1: 3 draws + 1 extraction; pool 2: 1 draw + 1 extraction.
         assert_eq!(run.cycles, 6);
         assert_eq!(run.upe_passes, 6);
-        // Fast reads no pool contents.
-        assert_eq!(
-            upe_kernel(1, 8, Fidelity::Fast).select_layer(&pools, &[]),
-            run
-        );
+        // The oracle replays every draw through the one-hot extraction
+        // network against the contents.
+        assert_eq!(oracle::replay_select(kernel.config(), &pools, &values), run);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn prop_select_layer_matches_extraction_replay(
+            pools in proptest::collection::vec(
+                (0u32..40, proptest::collection::vec(any::<u32>(), 0..6)),
+                0..20,
+            ),
+            count in 1usize..=8,
+            width_log2 in 1u32..=6,
+        ) {
+            // Pools of up to 40 values, empty ones included (a parent with
+            // no in-neighbors), with draws inside each pool.
+            let records: Vec<PoolRecord> = pools
+                .iter()
+                .enumerate()
+                .map(|(i, (pool_len, draws))| PoolRecord {
+                    parents: vec![Vid::from_index(i)],
+                    pool_len: *pool_len,
+                    positions: match pool_len {
+                        0 => Vec::new(),
+                        _ => draws.iter().map(|draw| draw % pool_len).collect(),
+                    },
+                })
+                .collect();
+            let values: Vec<Vec<u64>> = records
+                .iter()
+                .enumerate()
+                .map(|(i, record)| (0..u64::from(record.pool_len)).map(|v| (v << 8) | i as u64).collect())
+                .collect();
+            let upe = UpeConfig::new(count, 1 << width_log2);
+            let run = UpeKernel::new(upe).select_layer(&records, &[]);
+            prop_assert_eq!(oracle::replay_select(upe, &records, &values), run);
+        }
     }
 
     #[test]
@@ -987,8 +828,8 @@ mod tests {
             })
             .collect();
         let values: Vec<Vec<u64>> = (0..8).map(|_| vec![1, 2, 3, 4]).collect();
-        let serial = upe_kernel(1, 8, Fidelity::Fast).select_layer(&pools, &values);
-        let parallel = upe_kernel(8, 8, Fidelity::Fast).select_layer(&pools, &values);
+        let serial = upe_kernel(1, 8).select_layer(&pools, &values);
+        let parallel = upe_kernel(8, 8).select_layer(&pools, &values);
         assert_eq!(serial.cycles, 8 * 3);
         assert_eq!(parallel.cycles, 3);
     }
@@ -1012,15 +853,26 @@ mod tests {
                 coo(5_000, &[(4_999, 17), (0, 4_999), (17, 17), (3_210, 0)]),
             ),
         ];
+        let config = HwConfig {
+            upe: UpeConfig::new(2, 4),
+            scr: ScrConfig::new(2, 4),
+        };
         for (name, coo) in cases {
-            let sorted = order_edges_std(coo.edges());
-            for fidelity in [Fidelity::Fast, Fidelity::Structural] {
-                let upe = upe_kernel(2, 4, fidelity);
-                let reshaper = Reshaper::with_fidelity(ScrConfig::new(2, 4), fidelity);
-                let run = convert(&upe, &reshaper, coo.num_vertices(), coo.edges());
-                assert_eq!(run.csc, Csc::from_coo(&coo), "{name} {fidelity:?}");
-                assert_eq!(run.csc.to_coo().edges(), sorted, "{name} {fidelity:?}");
-            }
+            let upe = UpeKernel::new(config.upe);
+            let run = convert(
+                &upe,
+                &Reshaper::new(config.scr),
+                coo.num_vertices(),
+                coo.edges(),
+            );
+            assert_eq!(run.csc, Csc::from_coo(&coo), "{name}");
+            assert_eq!(
+                run.csc.to_coo().edges(),
+                order_edges_std(coo.edges()),
+                "{name}"
+            );
+            let replay = oracle::convert(config, coo.num_vertices(), coo.edges());
+            assert_eq!(replay, run, "{name}");
         }
     }
 
@@ -1029,12 +881,10 @@ mod tests {
         let g = generate::power_law(64, 800, 1.0, 9);
         let mut dsts: Vec<Vid> = g.edges().iter().map(|e| e.dst).collect();
         dsts.sort_unstable();
-        let expected = pointer_array_sequential(64, &dsts);
-        for fidelity in [Fidelity::Fast, Fidelity::Structural] {
-            let reshaper = Reshaper::with_fidelity(ScrConfig::new(2, 16), fidelity);
-            let run = reshaper.build_pointers(64, &dsts);
-            assert_eq!(run.pointers, expected, "{fidelity:?}");
-        }
+        let config = ScrConfig::new(2, 16);
+        let run = Reshaper::new(config).build_pointers(64, &dsts);
+        assert_eq!(run.pointers, pointer_array_sequential(64, &dsts));
+        assert_eq!(oracle::replay_windows(config, 64, &dsts), run);
     }
 
     #[test]
@@ -1054,6 +904,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "power of two")]
+    fn upe_kernel_rejects_a_hand_built_width() {
+        UpeKernel::new(UpeConfig { count: 2, width: 3 });
+    }
+
+    #[test]
+    #[should_panic(expected = "slot count must be positive")]
+    fn reshaper_rejects_a_hand_built_zero_slot_config() {
+        // Zero slots would never finish a target, so the window walk would
+        // not terminate.
+        Reshaper::new(ScrConfig { slots: 0, width: 8 });
+    }
+
+    #[test]
     fn reshaper_handles_empty_graph() {
         let reshaper = Reshaper::new(ScrConfig::new(1, 8));
         let run = reshaper.build_pointers(5, &[]);
@@ -1065,9 +929,10 @@ mod tests {
         // One destination owning every edge exercises the consume-window
         // path where no target finishes for many cycles.
         let dsts = vec![Vid(3); 100];
-        let reshaper = Reshaper::with_fidelity(ScrConfig::new(1, 8), Fidelity::Structural);
-        let run = reshaper.build_pointers(5, &dsts);
+        let config = ScrConfig::new(1, 8);
+        let run = Reshaper::new(config).build_pointers(5, &dsts);
         assert_eq!(run.pointers, vec![0, 0, 0, 0, 100, 100]);
+        assert_eq!(oracle::replay_windows(config, 5, &dsts), run);
     }
 
     #[test]
@@ -1116,24 +981,23 @@ mod tests {
                 .flat_map(|(v, &degree)| std::iter::repeat_n(Vid::from_index(v), degree))
                 .collect();
             let config = ScrConfig::new(slots, 1 << width_log2);
-            let run = Reshaper::with_fidelity(config, Fidelity::Structural)
-                .build_pointers(degrees.len(), &sorted_dsts);
+            let replay = oracle::replay_windows(config, degrees.len(), &sorted_dsts);
             let pointers = pointer_array_sequential(degrees.len(), &sorted_dsts);
             let (cycles, scr_passes) = reshape_accounting(config, &pointers);
-            prop_assert_eq!(run, ReshapeRun { pointers, cycles, scr_passes });
+            let expected = ReshapeRun { pointers, cycles, scr_passes };
+            prop_assert_eq!(&replay, &expected);
+            prop_assert_eq!(Reshaper::new(config).build_pointers(degrees.len(), &sorted_dsts), expected);
         }
     }
 
     #[test]
     fn reindexer_matches_golden_model_both_fidelities() {
         let stream: Vec<Vid> = [5u32, 9, 5, 1, 9, 9, 2, 5].into_iter().map(Vid).collect();
-        let expected = reindex_hashmap(&stream);
-        for fidelity in [Fidelity::Fast, Fidelity::Structural] {
-            let reindexer = Reindexer::with_fidelity(ScrConfig::new(2, 4), fidelity);
-            let run = reindexer.reindex(&stream);
-            assert_eq!(run.result, expected, "{fidelity:?}");
-            assert_eq!(run.peak_mappings, 4);
-        }
+        let config = ScrConfig::new(2, 4);
+        let run = Reindexer::new(config).reindex(&stream);
+        assert_eq!(run.result, reindex_hashmap(&stream));
+        assert_eq!(run.peak_mappings, 4);
+        assert_eq!(oracle::replay_reindex(config, &stream), run);
     }
 
     #[test]
@@ -1166,8 +1030,7 @@ mod tests {
         let run = Reindexer::new(ScrConfig::new(1, 8)).reindex(&[]);
         assert_eq!(run.cycles, 0);
         assert_eq!(run.result.num_unique(), 0);
-        let structural = Reindexer::with_fidelity(ScrConfig::new(1, 8), Fidelity::Structural);
-        assert_eq!(structural.reindex(&[]), run);
+        assert_eq!(oracle::replay_reindex(ScrConfig::new(1, 8), &[]), run);
     }
 
     /// A deterministic stream of `len` VIDs drawn from `uniques` values
@@ -1248,10 +1111,9 @@ mod tests {
                 })
                 .collect();
             let config = ScrConfig::new(slots, 1 << width_log2);
-            let run = |fidelity| Reindexer::with_fidelity(config, fidelity).reindex(&stream);
-            let (fast, structural) = (run(Fidelity::Fast), run(Fidelity::Structural));
-            prop_assert_eq!(&fast.result, &reindex_hashmap(&stream));
-            prop_assert_eq!(fast, structural);
+            let run = Reindexer::new(config).reindex(&stream);
+            prop_assert_eq!(&run.result, &reindex_hashmap(&stream));
+            prop_assert_eq!(oracle::replay_reindex(config, &stream), run);
         }
     }
 }

@@ -12,7 +12,12 @@
 //!   (reindexer flavour) (Fig. 13b);
 //! - [`kernel`] — the UPE kernel (controller + scoreboard scheduler,
 //!   Fig. 12a) and SCR kernel (reshaper + reindexer with SRAM bank,
-//!   Fig. 13a/c), with cycle accounting exactly as the paper charges it;
+//!   Fig. 13a/c): golden functional output plus pure cycle accounting,
+//!   exactly as the paper charges it;
+//! - [`oracle`] — the same stages replayed on the [`upe`] and [`scr`]
+//!   networks, deriving outputs, cycles and passes from what they
+//!   evaluate; tests hold the kernels and the engine to it, and nothing on
+//!   the simulation path calls it;
 //! - [`shell`] — the fixed HW-shell: PCIe DMA-main/DMA-bypass transfer
 //!   models and the FPP/ICAP partial-reconfiguration timing model (§IV-B,
 //!   §V-B);
@@ -39,6 +44,7 @@ pub mod engine;
 pub mod floorplan;
 pub mod kernel;
 pub mod metrics;
+pub mod oracle;
 pub mod scr;
 pub mod shell;
 pub mod upe;

@@ -1,9 +1,10 @@
 //! Cross-crate verification: the hardware simulator's functional output is
-//! bit-identical to the software golden pipeline on every dataset class,
-//! in both fidelities and both selection strategies.
+//! bit-identical to the software golden pipeline on every dataset class and
+//! both selection strategies, and the engine's accounting equals the
+//! structural replay of `agnn_hw::oracle`.
 
 use agnn_algo::pipeline;
-use agnn_hw::kernel::Fidelity;
+use agnn_hw::oracle;
 use autognn::prelude::*;
 
 fn scaled(dataset: Dataset, max_edges: u64, seed: u64) -> Coo {
@@ -48,10 +49,9 @@ fn structural_fidelity_matches_fast_on_a_real_workload() {
         upe: UpeConfig::new(8, 32),
         scr: ScrConfig::new(4, 64),
     };
-    let fast = agnn_hw::engine::AutoGnnEngine::with_fidelity(cfg, Fidelity::Fast)
-        .preprocess(&coo, &batch, &params, 5);
-    let structural = agnn_hw::engine::AutoGnnEngine::with_fidelity(cfg, Fidelity::Structural)
-        .preprocess(&coo, &batch, &params, 5);
+    // The engine's accounting against the oracle's structural replay.
+    let fast = AutoGnnEngine::new(cfg).preprocess(&coo, &batch, &params, 5);
+    let structural = oracle::preprocess(cfg, &coo, &batch, &params, 5);
     assert_eq!(fast.output, structural.output);
     assert_eq!(fast.report, structural.report);
 }
@@ -128,11 +128,11 @@ fn paper_default_request_matches_software_in_linear_time() {
     );
 }
 
-/// The summed report of a fixed request list in one fidelity: each of the
-/// five `preprocess_convert` graphs, scaled to ~20k edges, under three
-/// kernel configurations, each with its own request shape (node-wise,
-/// layer-wise, empty batch).
-fn pinned_request_report(fidelity: Fidelity) -> agnn_hw::HwReport {
+/// The summed engine report of a fixed request list: each of the five
+/// `preprocess_convert` graphs, scaled to ~20k edges, under three kernel
+/// configurations, each with its own request shape (node-wise, layer-wise,
+/// empty batch). Each request's engine run must equal the oracle's.
+fn pinned_request_report() -> agnn_hw::HwReport {
     let requests = [
         ((4, 16), (2, 32), SampleParams::new(10, 2), 16),
         ((64, 64), (8, 256), SampleParams::layer_wise(8, 2), 4),
@@ -154,12 +154,9 @@ fn pinned_request_report(fidelity: Fidelity) -> agnn_hw::HwReport {
             let batch: Vec<Vid> = (0..*batch_len)
                 .map(|i| Vid::from_index(i * stride))
                 .collect();
-            let run = agnn_hw::engine::AutoGnnEngine::with_fidelity(cfg, fidelity).preprocess(
-                &coo,
-                &batch,
-                params,
-                seed * 31,
-            );
+            let run = AutoGnnEngine::new(cfg).preprocess(&coo, &batch, params, seed * 31);
+            let replay = oracle::preprocess(cfg, &coo, &batch, params, seed * 31);
+            assert_eq!(replay, run, "{abbrev} under {cfg:?}");
             total = total.add(&run.report);
         }
     }
@@ -187,7 +184,5 @@ fn engine_report_is_pinned() {
         upe_passes: 668_721,
         scr_passes: 59_068,
     };
-    for fidelity in [Fidelity::Fast, Fidelity::Structural] {
-        assert_eq!(pinned_request_report(fidelity), pinned, "{fidelity:?}");
-    }
+    assert_eq!(pinned_request_report(), pinned);
 }
