@@ -169,12 +169,50 @@ pub fn convert(coo: &Coo) -> Csc {
         .expect("radix ordering produces sorted, in-range edges")
 }
 
+/// Read access to the neighbor lists the sampler draws from: each
+/// destination's in-neighbors (sources), in ascending VID order, as a CSC
+/// holds them.
+///
+/// [`sample_from`] calls [`NeighborLists::prepare`] with each hop's
+/// frontier before it reads that frontier's lists, so an implementation may
+/// build lists on demand instead of converting the whole graph.
+pub trait NeighborLists {
+    /// Makes the lists of every vertex in `frontier` readable.
+    fn prepare(&mut self, frontier: &[Vid]);
+
+    /// The sources of `v`'s in-edges, ascending. Called only for vertices
+    /// of a prepared frontier.
+    fn neighbors(&self, v: Vid) -> &[Vid];
+}
+
+/// A converted graph holds every list already.
+impl NeighborLists for &Csc {
+    fn prepare(&mut self, _frontier: &[Vid]) {}
+
+    fn neighbors(&self, v: Vid) -> &[Vid] {
+        Csc::neighbors(self, v)
+    }
+}
+
 /// Graph sampling over a converted graph: `params.layers` hops of uni-random
-/// selection starting from `batch`.
+/// selection starting from `batch`; [`sample_from`] over `csc`'s lists.
 ///
 /// Deterministic in the RNG; the hardware engine consumes the RNG in exactly
 /// the same order, so software and hardware traces are bit-identical.
 pub fn sample(csc: &Csc, batch: &[Vid], params: &SampleParams, rng: &mut impl Rng) -> SampleTrace {
+    sample_from(&mut { csc }, batch, params, rng)
+}
+
+/// Graph sampling over any [`NeighborLists`]: `params.layers` hops of
+/// uni-random selection starting from `batch`, preparing each hop's
+/// frontier before reading its lists. The trace depends only on the lists'
+/// contents and the RNG.
+pub fn sample_from(
+    lists: &mut impl NeighborLists,
+    batch: &[Vid],
+    params: &SampleParams,
+    rng: &mut impl Rng,
+) -> SampleTrace {
     let mut trace = SampleTrace {
         node_stream: batch.to_vec(),
         ..SampleTrace::default()
@@ -184,12 +222,13 @@ pub fn sample(csc: &Csc, batch: &[Vid], params: &SampleParams, rng: &mut impl Rn
         if frontier.is_empty() {
             break;
         }
+        lists.prepare(&frontier);
         let mut layer_records = Vec::new();
         let selected = match params.strategy {
             SelectionStrategy::NodeWise => {
                 let mut layer_selected = Vec::new();
                 for &parent in &frontier {
-                    let pool = csc.neighbors(parent);
+                    let pool = lists.neighbors(parent);
                     trace.pool_elements += pool.len();
                     let positions = crate::select::uni_random_positions(pool.len(), params.k, rng);
                     trace.selections += positions.len();
@@ -211,7 +250,7 @@ pub fn sample(csc: &Csc, batch: &[Vid], params: &SampleParams, rng: &mut impl Rn
                 // Aggregate every neighbor array of the layer (§V-A).
                 let mut pool: Vec<(Vid, Vid)> = Vec::new();
                 for &parent in &frontier {
-                    for &src in csc.neighbors(parent) {
+                    for &src in lists.neighbors(parent) {
                         pool.push((src, parent));
                     }
                 }

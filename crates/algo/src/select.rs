@@ -52,14 +52,24 @@ pub fn uni_random_bitmap<T: Copy>(pool: &[T], k: usize, rng: &mut impl Rng) -> V
 /// identically; `uni_random_bitmap` is implemented on top of this one to
 /// guarantee it.
 pub fn uni_random_positions(pool_len: usize, k: usize, rng: &mut impl Rng) -> Vec<usize> {
-    // The unsampled bucket, kept in pool order as the UPE's set-partition
-    // extraction preserves relative order.
-    let mut unsampled: Vec<usize> = (0..pool_len).collect();
+    // The unsampled bucket is the pool minus the positions taken so far, in
+    // pool order, as the UPE's set-partition extraction preserves relative
+    // order. Each draw picks its `slot`-th element: start at `slot` and step
+    // past every taken position at or below the candidate, in ascending
+    // order, so a draw costs O(k) whatever the pool length.
     let take = k.min(pool_len);
+    let mut taken: Vec<usize> = Vec::with_capacity(take);
     let mut positions = Vec::with_capacity(take);
-    for _ in 0..take {
-        let slot = rng.gen_range(0..unsampled.len());
-        positions.push(unsampled.remove(slot));
+    for drawn in 0..take {
+        let slot = rng.gen_range(0..pool_len - drawn);
+        let mut position = slot;
+        let mut rank = 0;
+        while rank < taken.len() && taken[rank] <= position {
+            position += 1;
+            rank += 1;
+        }
+        taken.insert(rank, position);
+        positions.push(position);
     }
     positions
 }
@@ -166,6 +176,47 @@ mod tests {
                 (f64::from(c) - expected).abs() < expected * 0.25,
                 "count {c} vs expected {expected}"
             );
+        }
+    }
+
+    /// The unsampled bucket as a materialized `0..pool_len` array with one
+    /// `Vec::remove` per draw: the reference [`uni_random_positions`] must
+    /// reproduce draw for draw.
+    fn uni_random_positions_by_removal(
+        pool_len: usize,
+        k: usize,
+        rng: &mut impl Rng,
+    ) -> Vec<usize> {
+        let mut unsampled: Vec<usize> = (0..pool_len).collect();
+        let take = k.min(pool_len);
+        let mut positions = Vec::with_capacity(take);
+        for _ in 0..take {
+            let slot = rng.gen_range(0..unsampled.len());
+            positions.push(unsampled.remove(slot));
+        }
+        positions
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_positions_match_removal_reference(
+            drawn_len in 0usize..2_000,
+            small in any::<bool>(),
+            k in 0usize..64,
+            seed in any::<u64>(),
+        ) {
+            // Half the pools are shorter than most draw counts.
+            let pool_len = if small { drawn_len % 48 } else { drawn_len };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut reference_rng = StdRng::seed_from_u64(seed);
+            prop_assert_eq!(
+                uni_random_positions(pool_len, k, &mut rng),
+                uni_random_positions_by_removal(pool_len, k, &mut reference_rng)
+            );
+            // Both consumed the RNG identically.
+            prop_assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>());
         }
     }
 

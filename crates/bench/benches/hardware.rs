@@ -1,7 +1,8 @@
 //! Criterion benches of the hardware simulator: datapath network
-//! evaluation, the conversion kernels and one engine request.
+//! evaluation, the conversion kernels and whole engine requests.
 
 use agnn_algo::pipeline::SampleParams;
+use agnn_graph::datasets::Dataset;
 use agnn_graph::{generate, Vid};
 use agnn_hw::engine::AutoGnnEngine;
 use agnn_hw::kernel::{convert, Reshaper, UpeKernel};
@@ -63,6 +64,7 @@ fn bench_kernels(c: &mut Criterion) {
 }
 
 fn bench_engine(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine_preprocess");
     let g = generate::power_law(500, 5_000, 0.9, 9);
     let batch: Vec<Vid> = (0..8).map(Vid).collect();
     let params = SampleParams::new(5, 2);
@@ -70,9 +72,24 @@ fn bench_engine(c: &mut Criterion) {
         upe: UpeConfig::new(8, 32),
         scr: ScrConfig::new(2, 64),
     };
-    c.bench_function("engine_preprocess", |b| {
+    group.bench_function("small", |b| {
         b.iter(|| AutoGnnEngine::new(cfg).preprocess(&g, &batch, &params, 1))
     });
+    // The `preprocess_convert` request shape (batch 16, k = 10, 2 hops) on
+    // ~300k-edge graphs: RD's 2,987 vertices keep the sampler's reach below
+    // half the graph, so only the frontiers' lists are built; TB's 172
+    // vertices are within reach, so the whole graph is converted.
+    let params = SampleParams::new(10, 2);
+    for dataset in [Dataset::Reddit, Dataset::Taobao] {
+        let g = dataset.generate_scaled(dataset.scale_for_max_edges(300_000), 1);
+        let stride = g.num_vertices() / 16;
+        let batch: Vec<Vid> = (0..16).map(|i| Vid::from_index(i * stride)).collect();
+        let cfg = HwConfig::vpk180_default();
+        group.bench_function(format!("{}_300k_batch16", dataset.abbrev()), |b| {
+            b.iter(|| AutoGnnEngine::new(cfg).preprocess(&g, &batch, &params, 1))
+        });
+    }
+    group.finish();
 }
 
 criterion_group!(

@@ -6,19 +6,27 @@
 //! to [`agnn_algo::pipeline::preprocess`] under the same seed (verified by
 //! the integration tests); on top of that the engine produces the per-stage
 //! cycle and DRAM-byte report every timing model consumes.
+//!
+//! The simulated accelerator converts the whole graph, and the report
+//! charges that conversion in full, but the host builds only what the
+//! sampler reads. One counting read of the edges yields everything the
+//! conversion's cycles and DRAM bytes depend on. When the sampler may reach
+//! fewer than half the vertices, [`FrontierLists`] builds the neighbor
+//! lists of each hop's frontier on demand; otherwise [`kernel::convert`]
+//! builds the whole CSC, which is cheaper than gathering most of it.
 //! [`crate::oracle::preprocess`] runs the same workflow on the structural
 //! datapath, and tests hold the engine to it.
 
 use std::collections::HashMap;
 
-use agnn_algo::pipeline::{PreprocessOutput, PreprocessStats, SampleParams, SampledSubgraph};
-use agnn_graph::{Coo, Csc, Edge, Vid};
+use agnn_algo::pipeline::{self, PreprocessOutput, PreprocessStats, SampleParams, SampledSubgraph};
+use agnn_graph::{Coo, Edge, Vid};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::config::HwConfig;
+use crate::config::{HwConfig, UpeConfig};
 use crate::floorplan::Floorplan;
-use crate::kernel::{self, Fidelity, Reindexer, Reshaper, UpeKernel};
+use crate::kernel::{self, ConvertCost, Fidelity, FrontierLists, Reindexer, Reshaper, UpeKernel};
 use crate::metrics::HwReport;
 use crate::shell::{HwShell, ReconfigScope};
 
@@ -140,14 +148,25 @@ impl AutoGnnEngine {
         let mut report = HwReport::default();
 
         // 1–2. Edge ordering (UPE kernel, Fig. 15) and data reshaping (SCR
-        // reshaper) on the full graph.
-        let csc = self.convert(coo.num_vertices(), coo.edges(), &mut report);
-
+        // reshaper) on the full graph, charged in full from one counting
+        // read of its edges. The host builds the lists step 3 reads: the
+        // whole CSC when the sampler may reach half the vertices, otherwise
+        // each hop's frontier's lists as the sampler reaches them.
         // 3. Uni-random selection (UPE kernel, Fig. 16). The trace is the
         // shared functional specification; the kernel charges its pools by
         // length and draw count.
         let mut rng = StdRng::seed_from_u64(seed);
-        let trace = agnn_algo::pipeline::sample(&csc, batch, params, &mut rng);
+        let (num_vertices, edges, upe) = (coo.num_vertices(), coo.edges(), self.config.upe);
+        let trace = if may_reach_half(num_vertices, batch.len(), params) {
+            let run = kernel::convert(&self.upe_kernel, &self.reshaper, num_vertices, edges);
+            charge_conversion(&mut report, upe, num_vertices, edges.len(), run.cost);
+            pipeline::sample(&run.csc, batch, params, &mut rng)
+        } else {
+            let (mut lists, cost) =
+                FrontierLists::new(&self.upe_kernel, &self.reshaper, num_vertices, edges, batch);
+            charge_conversion(&mut report, upe, num_vertices, edges.len(), cost);
+            pipeline::sample_from(&mut lists, batch, params, &mut rng)
+        };
         for layer in &trace.layers {
             let select_run = self.upe_kernel.select_layer(layer, &[]);
             report.cycles.selecting += select_run.cycles;
@@ -177,10 +196,12 @@ impl AutoGnnEngine {
             .iter()
             .map(|e| Edge::new(old_to_new[&e.src], old_to_new[&e.dst]))
             .collect();
-        let sub_csc = self.convert(reindex_run.result.num_unique(), &sub_edges, &mut report);
+        let sub_nodes = reindex_run.result.num_unique();
+        let sub_run = kernel::convert(&self.upe_kernel, &self.reshaper, sub_nodes, &sub_edges);
+        charge_conversion(&mut report, upe, sub_nodes, sub_edges.len(), sub_run.cost);
 
         let subgraph = SampledSubgraph {
-            csc: sub_csc,
+            csc: sub_run.csc,
             new_to_old: reindex_run.result.new_to_old,
             batch_new: batch.iter().map(|b| old_to_new[b]).collect(),
         };
@@ -199,20 +220,45 @@ impl AutoGnnEngine {
             report,
         }
     }
+}
 
-    /// COO→CSC conversion on the kernels ([`kernel::convert`]), charging
-    /// edge ordering and data reshaping, cycles and DRAM bytes, to `report`.
-    fn convert(&self, num_vertices: usize, edges: &[Edge], report: &mut HwReport) -> Csc {
-        let run = kernel::convert(&self.upe_kernel, &self.reshaper, num_vertices, edges);
-        report.cycles.ordering += run.ordering_cycles;
-        report.dram_bytes.ordering +=
-            ordering_dram_bytes(edges.len(), self.config.upe.width, self.config.upe.count);
-        report.upe_passes += run.upe_passes;
-        report.cycles.reshaping += run.reshaping_cycles;
-        report.dram_bytes.reshaping += reshaping_dram_bytes(edges.len(), num_vertices);
-        report.scr_passes += run.scr_passes;
-        run.csc
+/// Whether sampling `batch_len` vertices for `params.layers` hops may read
+/// the lists of at least half of `num_vertices`: hop `h` reads at most
+/// `batch_len·k^h` lists, so the bound is `batch_len·Σ_{h<layers} k^h ≥
+/// num_vertices / 2`. Past it, gathering loses to the full conversion: on
+/// the benchmark's 172-vertex TB graph (batch 16, k = 10, 2 hops), where
+/// the second hop's frontier holds most vertices, gathering made the
+/// median request ~60% slower (2-vCPU x86 host).
+fn may_reach_half(num_vertices: usize, batch_len: usize, params: &SampleParams) -> bool {
+    let half = (num_vertices as u64).div_ceil(2);
+    let mut reach = 0u64;
+    let mut hop_lists = batch_len as u64;
+    for _ in 0..params.layers {
+        reach = reach.saturating_add(hop_lists);
+        if reach >= half || hop_lists == 0 {
+            break;
+        }
+        hop_lists = hop_lists.saturating_mul(params.k as u64);
     }
+    reach >= half
+}
+
+/// Charges a COO→CSC conversion of `num_edges` edges over `num_vertices`
+/// vertices to `report`: its [`ConvertCost`] cycles and passes, plus the
+/// edge-ordering and data-reshaping DRAM traffic.
+pub(crate) fn charge_conversion(
+    report: &mut HwReport,
+    upe: UpeConfig,
+    num_vertices: usize,
+    num_edges: usize,
+    cost: ConvertCost,
+) {
+    report.cycles.ordering += cost.ordering_cycles;
+    report.dram_bytes.ordering += ordering_dram_bytes(num_edges, upe.width, upe.count);
+    report.upe_passes += cost.upe_passes;
+    report.cycles.reshaping += cost.reshaping_cycles;
+    report.dram_bytes.reshaping += reshaping_dram_bytes(num_edges, num_vertices);
+    report.scr_passes += cost.scr_passes;
 }
 
 /// DRAM traffic of edge ordering. The chunk sort and the merge cascade are
@@ -299,6 +345,79 @@ mod tests {
             oracle::preprocess(small_config(), &coo, &batch, &params, 7),
             run
         );
+    }
+
+    #[test]
+    fn reach_bound_keeps_the_full_conversion_for_tiny_graphs() {
+        let params = SampleParams::new(10, 2);
+        // The benchmark's TB graph (172 vertices) under a batch of 16.
+        assert!(may_reach_half(172, 16, &params));
+        assert!(!may_reach_half(2_000, 16, &params));
+        // `16·(1 + 10) = 176` lists reach exactly half of 352 vertices.
+        assert!(may_reach_half(352, 16, &params));
+        assert!(!may_reach_half(353, 16, &params));
+        // No hop, or no batch, reads nothing.
+        assert!(!may_reach_half(10, 16, &SampleParams::new(10, 0)));
+        assert!(!may_reach_half(10, 0, &params));
+        assert!(may_reach_half(0, 0, &params));
+        // Deep sampling saturates instead of overflowing or spinning.
+        assert!(may_reach_half(
+            usize::MAX,
+            1,
+            &SampleParams::new(10, u32::MAX)
+        ));
+        assert!(!may_reach_half(1 << 20, 1, &SampleParams::new(0, u32::MAX)));
+    }
+
+    #[test]
+    fn engine_equals_software_pipeline_on_both_sides_of_the_reach_bound() {
+        // 1,000 vertices, 5,000 of the 8,403 edges on hub 0. Batches of one
+        // or two vertices stay below the bound at every depth and build
+        // lists hop by hop; 200 vertices at k = 3 reach half the graph
+        // from two layers on, which converts it whole.
+        let mut pairs: Vec<(u32, u32)> = generate::power_law(1_000, 3_400, 0.8, 21)
+            .edges()
+            .iter()
+            .map(|e| (e.src.0, e.dst.0))
+            .collect();
+        pairs.extend((0..5_000).map(|i| (i % 997 + 1, 0)));
+        // Vertex 1's list leads to the hub at the second hop.
+        pairs.extend([(0, 1), (0, 1), (5, 1)]);
+        let coo = Coo::from_pairs(1_000, pairs).expect("valid COO");
+        let wide: Vec<Vid> = (0..200).map(|i| Vid(i * 5)).collect();
+        let requests: [(&[Vid], usize); 4] = [
+            (&[Vid(0)], 2), // the batch's list holds the hub
+            (&[Vid(1)], 3), // a later frontier's list holds the hub
+            (&[Vid(7), Vid(7), Vid(300)], 4),
+            (&wide, 3),
+        ];
+        for layers in 1..=6 {
+            for (batch, k) in requests {
+                for params in [
+                    SampleParams::new(k, layers),
+                    SampleParams::layer_wise(k, layers),
+                ] {
+                    let expected = agnn_algo::pipeline::preprocess(&coo, batch, &params, 5);
+                    let run =
+                        AutoGnnEngine::new(small_config()).preprocess(&coo, batch, &params, 5);
+                    assert_eq!(run.output, expected, "{} vertices, {params:?}", batch.len());
+                }
+            }
+        }
+        // The hub requests' reports equal the oracle's full-graph replay.
+        for (batch, k) in &requests[..2] {
+            let params = SampleParams::new(*k, 3);
+            assert!(!may_reach_half(coo.num_vertices(), batch.len(), &params));
+            assert_eq!(
+                AutoGnnEngine::new(small_config()).preprocess(&coo, batch, &params, 5),
+                oracle::preprocess(small_config(), &coo, batch, &params, 5)
+            );
+        }
+        assert!(may_reach_half(
+            coo.num_vertices(),
+            200,
+            &SampleParams::new(3, 2)
+        ));
     }
 
     #[test]

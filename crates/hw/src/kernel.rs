@@ -18,11 +18,16 @@
 //! - Reshaping charges them through one function, [`reshape_accounting`],
 //!   from the pointer array alone: the SCR window's progress over the
 //!   sorted destinations follows from each target's pointer.
-//! - Conversion ([`convert`]) runs both stages on a COO edge list without
-//!   materializing the sorted edges: one read over the edges yields the
-//!   chunk runs and the per-vertex counts, and the counting transposition
-//!   writes the CSC `indices` directly, its destination prefix sums being
-//!   the pointer array.
+//! - Conversion runs both stages on a COO edge list without materializing
+//!   the sorted edges, and splits accounting from materialization. One
+//!   counting read over the edges yields the chunk runs and the pointer
+//!   array (the destination counts' prefix sums), which are all the two
+//!   accounting functions need. [`convert`] also
+//!   counts each source in that read and then places every list with a
+//!   counting transposition that writes the CSC `indices` directly.
+//!   [`FrontierLists`] charges the same cost from the same read but builds
+//!   only the lists the sampler asks for, hop by hop, with the same
+//!   transposition over just the edges it gathers.
 //! - Selection charges each pool from its length and draw count, without
 //!   reading the pool contents.
 //! - Reindexing charges each lookup from the number of mappings held, and
@@ -40,7 +45,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use agnn_algo::ordering::order_edges_counting_with_max;
-use agnn_algo::pipeline::PoolRecord;
+use agnn_algo::pipeline::{NeighborLists, PoolRecord};
 use agnn_algo::reindex::ReindexResult;
 use agnn_algo::reshape::pointer_array_sequential;
 use agnn_graph::{Csc, Edge, Vid};
@@ -120,10 +125,16 @@ pub fn schedule_makespan(job_cycles: impl IntoIterator<Item = u64>, workers: usi
 ///   below the UPE count, the controller chains the remaining merge tree as
 ///   a pipelined cascade whose throughput is the root merger's `width/2`
 ///   elements per cycle, charged once.
+///
+/// # Panics
+///
+/// Panics if [`UpeConfig::new`] rejects `config`'s fields, which are public
+/// and so may skip it (no UPE would take a chunk).
 pub fn sort_accounting(
     config: UpeConfig,
     chunks: impl IntoIterator<Item = (usize, u64)>,
 ) -> (u64, u64) {
+    let config = UpeConfig::new(config.count, config.width);
     let significant_bits = |max: u64| 64 - max.leading_zeros();
     let mut runs = Vec::new();
     let mut max_key = 0u64;
@@ -140,7 +151,7 @@ pub fn sort_accounting(
     // per wave, so the makespan is the wave count times the chunk cost.
     let mut cycles = (runs.len() as u64).div_ceil(config.count as u64) * chunk_sort_cycles;
 
-    let half = (config.width / 2).max(1) as u64;
+    let half = (config.width / 2) as u64;
     while runs.len() > 1 {
         if runs.len() / 2 < config.count {
             // Job counts only shrink from here: the cascade covers the rest.
@@ -331,8 +342,10 @@ impl Reshaper {
 ///
 /// # Panics
 ///
-/// Panics if `pointers` is empty.
+/// Panics if `pointers` is empty, or if [`ScrConfig::new`] rejects
+/// `config`'s fields (with no slot, no target would ever finish).
 pub fn reshape_accounting(config: ScrConfig, pointers: &[u32]) -> (u64, u64) {
+    let config = ScrConfig::new(config.slots, config.width);
     let total = *pointers.last().expect("a pointer array is never empty") as usize;
     let num_vertices = pointers.len() - 1;
     let mut cycles = 0u64;
@@ -367,12 +380,10 @@ pub fn reshape_accounting(config: ScrConfig, pointers: &[u32]) -> (u64, u64) {
     (cycles, scr_passes)
 }
 
-/// Outcome of a COO→CSC conversion run: edge ordering, then data
-/// reshaping.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConvertRun {
-    /// The converted graph.
-    pub csc: Csc,
+/// What a COO→CSC conversion charges: edge ordering on the UPE kernel, then
+/// data reshaping on the SCR reshaper.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConvertCost {
     /// Edge-ordering cycles (UPE kernel).
     pub ordering_cycles: u64,
     /// Set-partition network passes issued.
@@ -383,19 +394,131 @@ pub struct ConvertRun {
     pub scr_passes: u64,
 }
 
+impl ConvertCost {
+    /// The cost of converting a graph, from what its counting read yields:
+    /// each UPE-width chunk's `(len, max_key)` for [`sort_accounting`] and
+    /// the CSC pointer array for [`reshape_accounting`].
+    fn of(
+        upe: UpeConfig,
+        scr: ScrConfig,
+        chunks: impl IntoIterator<Item = (usize, u64)>,
+        pointers: &[u32],
+    ) -> Self {
+        let (ordering_cycles, upe_passes) = sort_accounting(upe, chunks);
+        let (reshaping_cycles, scr_passes) = reshape_accounting(scr, pointers);
+        ConvertCost {
+            ordering_cycles,
+            upe_passes,
+            reshaping_cycles,
+            scr_passes,
+        }
+    }
+}
+
+/// Outcome of a COO→CSC conversion run: edge ordering, then data
+/// reshaping.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConvertRun {
+    /// The converted graph.
+    pub csc: Csc,
+    /// What the conversion charges.
+    pub cost: ConvertCost,
+}
+
+/// The counting read every conversion starts with: one pass over `edges`
+/// in `width`-sized chunks that collects each chunk's length and largest
+/// key, counts the edges of each destination and hands each edge to
+/// `visit`, which range-checks its source. Returns the chunk runs and the
+/// CSC pointer array (the destination counts' prefix sums, `num_vertices +
+/// 1` entries).
+///
+/// # Panics
+///
+/// Panics if a destination is not below `num_vertices` or the edge count
+/// does not fit a `u32` pointer.
+fn count_edges(
+    width: usize,
+    num_vertices: usize,
+    edges: &[Edge],
+    mut visit: impl FnMut(&Edge),
+) -> (Vec<(usize, u64)>, Vec<u32>) {
+    assert!(
+        u32::try_from(edges.len()).is_ok(),
+        "{} edges overflow a u32 pointer array",
+        edges.len()
+    );
+    // Counts land one slot up, so the prefix sums below turn them into
+    // each destination's first offset.
+    let mut pointers = vec![0u32; num_vertices + 1];
+    let chunks: Vec<(usize, u64)> = edges
+        .chunks(width)
+        .map(|chunk| {
+            let mut chunk_max = 0;
+            for e in chunk {
+                chunk_max = chunk_max.max(e.sort_key());
+                pointers[e.dst.index() + 1] += 1;
+                visit(e);
+            }
+            (chunk.len(), chunk_max)
+        })
+        .collect();
+    for v in 1..pointers.len() {
+        pointers[v] += pointers[v - 1];
+    }
+    (chunks, pointers)
+}
+
+/// The counting transposition that places every neighbor list, in
+/// [`convert`] and in [`FrontierLists`] alike: appends the lists of
+/// `edges`' destinations to `indices`. On entry `src_heads[s + 1]` counts
+/// the `edges` of source `s` (one slot per source plus one), and
+/// `dst_heads[d]` is the offset where destination `d`'s list starts, at or
+/// past the current end of `indices`. A stable scatter groups the destinations
+/// by source, then a walk over the sources in order writes each source into
+/// its destination's next slot, so every list's sources arrive in ascending
+/// order. Each `dst_heads[d]` of an edge's destination is left at its
+/// list's end.
+fn transpose(
+    edges: &[Edge],
+    mut src_heads: Vec<u32>,
+    dst_heads: &mut [u32],
+    indices: &mut Vec<Vid>,
+) {
+    for v in 1..src_heads.len() {
+        src_heads[v] += src_heads[v - 1];
+    }
+    let mut dsts_by_src = vec![0u32; edges.len()];
+    for e in edges {
+        let head = &mut src_heads[e.src.index()];
+        dsts_by_src[*head as usize] = e.dst.0;
+        *head += 1;
+    }
+    // Grown only after the scatter: grown before it, a 300k-edge
+    // conversion ran ~10% slower (2-vCPU x86 host).
+    indices.resize(indices.len() + edges.len(), Vid(0));
+    // Each source's head now sits at its end, which is the next source's
+    // start.
+    let num_sources = src_heads.len() - 1;
+    let mut start = 0;
+    for (src, &end) in src_heads[..num_sources].iter().enumerate() {
+        for &dst in &dsts_by_src[start as usize..end as usize] {
+            let head = &mut dst_heads[dst as usize];
+            indices[*head as usize] = Vid(src as u32);
+            *head += 1;
+        }
+        start = end;
+    }
+}
+
 /// COO→CSC conversion (§II-B): edge ordering on `upe`, then data reshaping
 /// on `reshaper`, over the `num_vertices` vertices `edges` connects.
 ///
-/// One read over `edges`, in UPE-width chunks, collects each chunk's length
-/// and largest key for [`sort_accounting`] and counts the edges of each
-/// source and each destination. A stable scatter then groups the
-/// destinations by source, and a walk over the sources in order writes each
-/// source VID into its destination's next CSC slot, so every destination's
-/// sources arrive sorted. The destination prefix sums are the pointer
-/// array, which [`reshape_accounting`] charges. The result equals
-/// [`UpeKernel::sort_edges`] followed by [`Reshaper::build_pointers`] on the
-/// sorted destinations, cycles and passes included, without building the
-/// sorted edge array.
+/// The counting read over `edges` also counts each source's edges, and
+/// both stages are charged from what it yields. The
+/// counting transposition then writes every source VID straight into its
+/// destination's CSC slot. The result equals [`UpeKernel::sort_edges`]
+/// followed by [`Reshaper::build_pointers`] on the sorted destinations,
+/// cycles and passes included, without building the sorted edge array.
 ///
 /// # Panics
 ///
@@ -407,63 +530,180 @@ pub fn convert(
     num_vertices: usize,
     edges: &[Edge],
 ) -> ConvertRun {
-    assert!(
-        u32::try_from(edges.len()).is_ok(),
-        "{} edges overflow a u32 pointer array",
-        edges.len()
+    let mut src_counts = vec![0u32; num_vertices + 1];
+    let (chunks, mut pointers) = count_edges(upe.config.width, num_vertices, edges, |e| {
+        src_counts[e.src.index() + 1] += 1;
+    });
+    let cost = ConvertCost::of(upe.config, reshaper.config, chunks, &pointers);
+    let mut indices = Vec::new();
+    transpose(
+        edges,
+        src_counts,
+        &mut pointers[..num_vertices],
+        &mut indices,
     );
-    // Source counts land one slot up, so the prefix sums below turn them
-    // into each source's first offset. Destination counts land two slots
-    // up: after the prefix sums `pointers[d + 1]` is the first offset of
-    // destination `d`, the transposition advances it to the next
-    // destination's first offset, and the extra last entry is dropped.
-    let mut src_heads = vec![0u32; num_vertices + 1];
-    let mut pointers = vec![0u32; num_vertices + 2];
-    let chunks: Vec<(usize, u64)> = edges
-        .chunks(upe.config.width.max(1))
-        .map(|chunk| {
-            let mut chunk_max = 0;
-            for e in chunk {
-                chunk_max = chunk_max.max(e.sort_key());
-                src_heads[e.src.index() + 1] += 1;
-                pointers[e.dst.index() + 2] += 1;
-            }
-            (chunk.len(), chunk_max)
-        })
-        .collect();
-    for heads in [&mut src_heads, &mut pointers] {
-        for v in 1..heads.len() {
-            heads[v] += heads[v - 1];
-        }
-    }
-    let mut dsts_by_src = vec![0u32; edges.len()];
-    for e in edges {
-        let head = &mut src_heads[e.src.index()];
-        dsts_by_src[*head as usize] = e.dst.0;
-        *head += 1;
-    }
-    // Each source's head now sits at its end, which is the next source's
-    // start.
-    let mut indices = vec![Vid(0); edges.len()];
-    let mut start = 0;
-    for (src, &end) in src_heads[..num_vertices].iter().enumerate() {
-        for &dst in &dsts_by_src[start as usize..end as usize] {
-            let head = &mut pointers[dst as usize + 1];
-            indices[*head as usize] = Vid(src as u32);
-            *head += 1;
-        }
-        start = end;
-    }
-    pointers.pop();
-
-    let (ordering_cycles, upe_passes) = sort_accounting(upe.config, chunks);
-    let (reshaping_cycles, scr_passes) = reshape_accounting(reshaper.config, &pointers);
+    // Each destination's head now sits at its end, the next destination's
+    // start: shift the heads back one slot.
+    pointers.copy_within(..num_vertices, 1);
+    pointers[0] = 0;
     ConvertRun {
         csc: Csc::new(pointers, indices).expect("conversion output satisfies CSC invariants"),
-        ordering_cycles,
-        upe_passes,
-        reshaping_cycles,
-        scr_passes,
+        cost,
+    }
+}
+
+/// The `FrontierLists::ends` entry of a vertex whose list is not built.
+const UNBUILT: u32 = u32::MAX;
+/// The `FrontierLists::ends` entry of a vertex whose in-edges the current
+/// read gathers.
+const PENDING: u32 = u32::MAX - 1;
+
+/// A graph's neighbor lists, built only for the vertices the sampler
+/// reaches, while the conversion of the whole graph is charged in full.
+///
+/// [`FrontierLists::new`] makes the counting read [`convert`] starts with:
+/// it yields the whole conversion's [`ConvertCost`] and the pointer array,
+/// hence every vertex's in-degree, and gathers the batch's in-edges on the
+/// way. Before each later hop, [`NeighborLists::prepare`] gathers the
+/// in-edges of the frontier's vertices whose lists are not built yet in one
+/// more read, stopping once it holds them all. Gathered edges are placed by
+/// the same counting transposition [`convert`] runs, so each list equals
+/// the full CSC's. No buffer is sized by the graph's edge count: only the
+/// gathered edges are copied.
+#[derive(Debug)]
+pub struct FrontierLists<'a> {
+    edges: &'a [Edge],
+    /// The whole graph's CSC pointer array.
+    pointers: Vec<u32>,
+    /// Per vertex: the end of its list in `indices`, or `UNBUILT`, or
+    /// `PENDING` while a read gathers its in-edges.
+    ends: Vec<u32>,
+    /// The built lists, one after another in build order.
+    indices: Vec<Vid>,
+}
+
+impl<'a> FrontierLists<'a> {
+    /// Charges the conversion of the `num_vertices`-vertex graph `edges` on
+    /// `upe` and `reshaper`, and builds the lists of `batch` in the same
+    /// read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint or a batch vertex is not below `num_vertices`,
+    /// or the edge count does not fit a `u32` list offset below the
+    /// sentinels.
+    pub fn new(
+        upe: &UpeKernel,
+        reshaper: &Reshaper,
+        num_vertices: usize,
+        edges: &'a [Edge],
+        batch: &[Vid],
+    ) -> (Self, ConvertCost) {
+        assert!(
+            edges.len() < PENDING as usize,
+            "{} edges overflow a u32 list offset",
+            edges.len()
+        );
+        let mut ends = vec![UNBUILT; num_vertices];
+        let pending = mark_pending(&mut ends, batch);
+        let mut gathered = Vec::new();
+        let mut max_src = 0;
+        let (chunks, pointers) = count_edges(upe.config.width, num_vertices, edges, |e| {
+            max_src = max_src.max(e.src.0);
+            if ends[e.dst.index()] == PENDING {
+                gathered.push(*e);
+            }
+        });
+        assert!(
+            edges.is_empty() || (max_src as usize) < num_vertices,
+            "source {max_src} out of range for {num_vertices} vertices"
+        );
+        let cost = ConvertCost::of(upe.config, reshaper.config, chunks, &pointers);
+        let mut lists = FrontierLists {
+            edges,
+            pointers,
+            ends,
+            indices: Vec::new(),
+        };
+        lists.place(&pending, &gathered);
+        (lists, cost)
+    }
+
+    /// In-degree of `v` in the whole graph.
+    fn degree(&self, v: Vid) -> u32 {
+        self.pointers[v.index() + 1] - self.pointers[v.index()]
+    }
+
+    /// Appends the lists of the `pending` vertices to `indices` from
+    /// `gathered`, exactly their in-edges.
+    fn place(&mut self, pending: &[Vid], gathered: &[Edge]) {
+        let mut end = self.indices.len() as u32;
+        for &v in pending {
+            // The list's start; the transposition advances it to its end.
+            self.ends[v.index()] = end;
+            end += self.degree(v);
+        }
+        debug_assert_eq!(self.indices.len() + gathered.len(), end as usize);
+        if gathered.is_empty() {
+            return;
+        }
+        let mut src_counts = vec![0u32; self.ends.len() + 1];
+        for e in gathered {
+            src_counts[e.src.index() + 1] += 1;
+        }
+        transpose(gathered, src_counts, &mut self.ends, &mut self.indices);
+    }
+}
+
+/// Marks each vertex of `frontier` whose list is not built as pending and
+/// returns those vertices, each once, in frontier order.
+///
+/// # Panics
+///
+/// Panics if a frontier vertex is out of range.
+fn mark_pending(ends: &mut [u32], frontier: &[Vid]) -> Vec<Vid> {
+    let num_vertices = ends.len();
+    frontier
+        .iter()
+        .copied()
+        .filter(|v| {
+            let end = ends
+                .get_mut(v.index())
+                .unwrap_or_else(|| panic!("vertex {v} out of range for {num_vertices} vertices"));
+            let unbuilt = *end == UNBUILT;
+            if unbuilt {
+                *end = PENDING;
+            }
+            unbuilt
+        })
+        .collect()
+}
+
+impl NeighborLists for FrontierLists<'_> {
+    fn prepare(&mut self, frontier: &[Vid]) {
+        let pending = mark_pending(&mut self.ends, frontier);
+        let wanted: usize = pending.iter().map(|&v| self.degree(v) as usize).sum();
+        let mut gathered = Vec::with_capacity(wanted);
+        if wanted > 0 {
+            for e in self.edges {
+                if self.ends[e.dst.index()] == PENDING {
+                    gathered.push(*e);
+                    if gathered.len() == wanted {
+                        break;
+                    }
+                }
+            }
+        }
+        self.place(&pending, &gathered);
+    }
+
+    /// # Panics
+    ///
+    /// Panics if `v`'s list was not prepared.
+    fn neighbors(&self, v: Vid) -> &[Vid] {
+        let end = self.ends[v.index()];
+        assert!(end < PENDING, "the list of vertex {v} was not prepared");
+        &self.indices[(end - self.degree(v)) as usize..end as usize]
     }
 }
 
@@ -706,10 +946,12 @@ mod tests {
             let srcs: Vec<Vid> = fast.sorted.iter().map(|e| e.src).collect();
             let expected = ConvertRun {
                 csc: Csc::new(reshape.pointers, srcs).expect("valid CSC"),
-                ordering_cycles: fast.cycles,
-                upe_passes: fast.upe_passes,
-                reshaping_cycles: reshape.cycles,
-                scr_passes: reshape.scr_passes,
+                cost: ConvertCost {
+                    ordering_cycles: fast.cycles,
+                    upe_passes: fast.upe_passes,
+                    reshaping_cycles: reshape.cycles,
+                    scr_passes: reshape.scr_passes,
+                },
             };
             let run = convert(&UpeKernel::new(upe), &Reshaper::new(scr), 3_000, &edges);
             prop_assert_eq!(&run, &expected);
@@ -876,6 +1118,167 @@ mod tests {
         }
     }
 
+    /// Converts `coo` in full and on demand under `config`, building the
+    /// lists of `frontiers[0]` in the counting read and preparing each
+    /// later frontier in turn. The on-demand cost must equal the full
+    /// conversion's, and after each step every vertex built so far must
+    /// hold its CSC list.
+    fn check_frontier_lists(name: &str, coo: &Coo, config: HwConfig, frontiers: &[Vec<Vid>]) {
+        let (upe, reshaper) = (UpeKernel::new(config.upe), Reshaper::new(config.scr));
+        let n = coo.num_vertices();
+        let csc = Csc::from_coo(coo);
+        let full = convert(&upe, &reshaper, n, coo.edges());
+        assert_eq!(full.csc, csc, "{name}");
+        let (batch, later) = frontiers
+            .split_first()
+            .map_or((&[][..], &[][..]), |(b, l)| (&b[..], l));
+        let (mut lists, cost) = FrontierLists::new(&upe, &reshaper, n, coo.edges(), batch);
+        assert_eq!(cost, full.cost, "{name}");
+        let mut built: Vec<Vid> = batch.to_vec();
+        let check = |lists: &FrontierLists<'_>, built: &[Vid]| {
+            for &v in built {
+                assert_eq!(lists.neighbors(v), csc.neighbors(v), "{name}: vertex {v}");
+            }
+        };
+        check(&lists, &built);
+        for frontier in later {
+            lists.prepare(frontier);
+            built.extend_from_slice(frontier);
+            check(&lists, &built);
+        }
+        // No buffer sized by the edge count: only the lists built.
+        let distinct: std::collections::HashSet<Vid> = built.iter().copied().collect();
+        let built_len: usize = distinct.iter().map(|&v| csc.neighbors(v).len()).sum();
+        assert_eq!(lists.indices.len(), built_len, "{name}");
+    }
+
+    #[test]
+    fn frontier_lists_match_csc_on_edge_cases() {
+        let coo = |num_vertices, pairs: &[(u32, u32)]| {
+            Coo::from_pairs(num_vertices, pairs.iter().copied()).expect("valid COO")
+        };
+        let config = HwConfig {
+            upe: UpeConfig::new(2, 4),
+            scr: ScrConfig::new(2, 4),
+        };
+        let hub: Vec<(u32, u32)> = (0..40)
+            .map(|i| (i % 9, 3))
+            .chain([(3, 1), (8, 1)])
+            .collect();
+        let cases: [(&str, Coo, Vec<Vec<Vid>>); 5] = [
+            ("empty graph", coo(0, &[]), vec![]),
+            (
+                "isolated vertices",
+                coo(4, &[]),
+                vec![vec![Vid(2)], vec![Vid(0), Vid(2)]],
+            ),
+            (
+                "duplicate edges",
+                coo(4, &[(2, 1), (0, 3), (2, 1), (2, 1), (0, 3)]),
+                vec![vec![Vid(1)], vec![Vid(1), Vid(3), Vid(3)], vec![]],
+            ),
+            // The batch's lists, then a later frontier's, hold most edges.
+            (
+                "hub in the batch",
+                coo(9, &hub),
+                vec![vec![Vid(3)], vec![Vid(1)]],
+            ),
+            (
+                "hub in a later hop",
+                coo(9, &hub),
+                vec![vec![Vid(1)], vec![Vid(3), Vid(8)]],
+            ),
+        ];
+        for (name, coo, frontiers) in cases {
+            check_frontier_lists(name, &coo, config, &frontiers);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn frontier_lists_reject_an_out_of_range_source() {
+        // The batch's lists hold no edge of source 7, and the counting read
+        // still checks it.
+        let edges = [Edge::new(Vid(7), Vid(1))];
+        let config = HwConfig::vpk180_default();
+        FrontierLists::new(
+            &UpeKernel::new(config.upe),
+            &Reshaper::new(config.scr),
+            4,
+            &edges,
+            &[Vid(0)],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "was not prepared")]
+    fn frontier_lists_reject_an_unprepared_read() {
+        let coo = Coo::from_pairs(3, [(0, 1), (1, 2)]).expect("valid COO");
+        let config = HwConfig::vpk180_default();
+        let (lists, _) = FrontierLists::new(
+            &UpeKernel::new(config.upe),
+            &Reshaper::new(config.scr),
+            3,
+            coo.edges(),
+            &[Vid(1)],
+        );
+        lists.neighbors(Vid(2));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_frontier_lists_match_csc_and_convert(
+            num_vertices in 0usize..60,
+            pairs in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..300),
+            shape in 0u32..4,
+            frontiers in proptest::collection::vec(
+                proptest::collection::vec(any::<u32>(), 0..8),
+                0..5,
+            ),
+            count in 1usize..=8,
+            width_log2 in 1u32..=6,
+            slots in 1usize..=8,
+            scr_width_log2 in 1u32..=6,
+        ) {
+            // Edges as drawn; with most of them on one hub destination;
+            // with each edge repeated (multi-edges); or none, leaving every
+            // vertex isolated. Frontier VIDs repeat within and across hops.
+            let n = num_vertices as u32;
+            let mut pairs: Vec<(u32, u32)> = if n == 0 {
+                Vec::new()
+            } else {
+                pairs.iter().map(|&(src, dst)| (src % n, dst % n)).collect()
+            };
+            match shape {
+                0 => {}
+                1 => {
+                    for (i, pair) in pairs.iter_mut().enumerate() {
+                        if i % 5 != 0 {
+                            pair.1 = n / 2;
+                        }
+                    }
+                }
+                2 => pairs = pairs.iter().flat_map(|&pair| [pair, pair]).collect(),
+                _ => pairs.clear(),
+            }
+            let coo = Coo::from_pairs(num_vertices, pairs).expect("valid COO");
+            let frontiers: Vec<Vec<Vid>> = frontiers
+                .iter()
+                .map(|frontier| match n {
+                    0 => Vec::new(),
+                    _ => frontier.iter().map(|&v| Vid(v % n)).collect(),
+                })
+                .collect();
+            let config = HwConfig {
+                upe: UpeConfig::new(count, 1 << width_log2),
+                scr: ScrConfig::new(slots, 1 << scr_width_log2),
+            };
+            check_frontier_lists("random graph", &coo, config, &frontiers);
+        }
+    }
+
     #[test]
     fn reshaper_matches_golden_pointer_array() {
         let g = generate::power_law(64, 800, 1.0, 9);
@@ -907,6 +1310,18 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn upe_kernel_rejects_a_hand_built_width() {
         UpeKernel::new(UpeConfig { count: 2, width: 3 });
+    }
+
+    #[test]
+    #[should_panic(expected = "slot count must be positive")]
+    fn reshape_accounting_rejects_a_hand_built_zero_slot_config() {
+        reshape_accounting(ScrConfig { slots: 0, width: 8 }, &[0, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "UPE count must be positive")]
+    fn sort_accounting_rejects_a_hand_built_zero_count_config() {
+        sort_accounting(UpeConfig { count: 0, width: 8 }, [(8, 255)]);
     }
 
     #[test]

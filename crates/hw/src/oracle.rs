@@ -47,13 +47,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{HwConfig, ScrConfig, UpeConfig};
-use crate::engine::{
-    ordering_dram_bytes, reindexing_dram_bytes, reshaping_dram_bytes, selecting_dram_bytes,
-    EngineRun,
-};
+use crate::engine::{charge_conversion, reindexing_dram_bytes, selecting_dram_bytes, EngineRun};
 use crate::kernel::{
-    schedule_makespan, ConvertRun, ReindexRun, Reindexer, ReshapeRun, SelectRun, SortRun,
-    RADIX_STAGES_PER_CYCLE,
+    schedule_makespan, ConvertCost, ConvertRun, ReindexRun, Reindexer, ReshapeRun, SelectRun,
+    SortRun, RADIX_STAGES_PER_CYCLE,
 };
 use crate::metrics::HwReport;
 use crate::scr::Scr;
@@ -204,8 +201,11 @@ pub fn pool_contents(csc: &Csc, strategy: SelectionStrategy, parents: &[Vid]) ->
 ///
 /// # Panics
 ///
-/// Panics if an adder-tree count diverges from a binary search.
+/// Panics if an adder-tree count diverges from a binary search, or if
+/// [`ScrConfig::new`] rejects `config`'s fields (with no slot, no target
+/// would ever finish).
 pub fn replay_windows(config: ScrConfig, num_vertices: usize, sorted_dsts: &[Vid]) -> ReshapeRun {
+    let config = ScrConfig::new(config.slots, config.width);
     let scr = Scr::new(config.width);
     let total = sorted_dsts.len();
     let mut pointers = vec![0u32; num_vertices + 1];
@@ -280,10 +280,12 @@ pub fn convert(config: HwConfig, num_vertices: usize, edges: &[Edge]) -> Convert
     let reshape = replay_windows(config.scr, num_vertices, &dsts);
     ConvertRun {
         csc: Csc::new(reshape.pointers, indices).expect("replayed conversion is a valid CSC"),
-        ordering_cycles: sort.cycles,
-        upe_passes: sort.upe_passes,
-        reshaping_cycles: reshape.cycles,
-        scr_passes: reshape.scr_passes,
+        cost: ConvertCost {
+            ordering_cycles: sort.cycles,
+            upe_passes: sort.upe_passes,
+            reshaping_cycles: reshape.cycles,
+            scr_passes: reshape.scr_passes,
+        },
     }
 }
 
@@ -432,19 +434,19 @@ fn convert_into(
     report: &mut HwReport,
 ) -> Csc {
     let run = convert(config, num_vertices, edges);
-    report.cycles.ordering += run.ordering_cycles;
-    report.dram_bytes.ordering +=
-        ordering_dram_bytes(edges.len(), config.upe.width, config.upe.count);
-    report.upe_passes += run.upe_passes;
-    report.cycles.reshaping += run.reshaping_cycles;
-    report.dram_bytes.reshaping += reshaping_dram_bytes(edges.len(), num_vertices);
-    report.scr_passes += run.scr_passes;
+    charge_conversion(report, config.upe, num_vertices, edges.len(), run.cost);
     run.csc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "slot count must be positive")]
+    fn replay_windows_rejects_a_hand_built_zero_slot_config() {
+        replay_windows(ScrConfig { slots: 0, width: 8 }, 2, &[Vid(0), Vid(1)]);
+    }
 
     #[test]
     #[should_panic(expected = "one pool per record")]
