@@ -61,10 +61,11 @@ impl StageResource {
     }
 }
 
-/// One completed lifecycle stage: what ran, on which resource, for how
-/// long. The staged entry points ([`AutoGnn::ingest`],
-/// [`AutoGnn::preprocess`], [`AutoGnn::compute`]) each return one; a
-/// serial [`AutoGnn::serve`] is their back-to-back sum.
+/// One completed DMA stage: what ran, on which resource, for how long.
+/// [`AutoGnn::ingest`] and [`AutoGnn::compute`] each return one;
+/// [`AutoGnn::preprocess`] returns a [`PreprocessRun`] whose
+/// `stage_secs.total()` is the fabric occupancy. A serial
+/// [`AutoGnn::serve`] is the three stages back to back.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageRecord {
     /// Which lifecycle stage ran.
@@ -83,19 +84,6 @@ pub struct PreprocessRun {
     pub output: PreprocessOutput,
     /// Per-task fabric seconds (ordering/reshaping/selecting/reindexing).
     pub stage_secs: StageSecs,
-}
-
-impl PreprocessRun {
-    /// The stage summary (`Preprocess` on `Fabric` for
-    /// `stage_secs.total()`), derived so it can never disagree with the
-    /// per-task breakdown.
-    pub fn record(&self) -> StageRecord {
-        StageRecord {
-            stage: ServiceStage::Preprocess,
-            resource: StageResource::Fabric,
-            secs: self.stage_secs.total(),
-        }
-    }
 }
 
 /// One served preprocessing request.
@@ -122,29 +110,6 @@ impl ServiceRecord {
             + self.upload_secs
             + self.download_secs
             + self.reconfig.map_or(0.0, |r| r.seconds)
-    }
-
-    /// The request as its staged timeline, in lifecycle order. The
-    /// reconfiguration stall (if any) precedes the first stage and is not
-    /// a stage itself — schedulers account for it at fabric acquisition.
-    pub fn stages(&self) -> [StageRecord; 3] {
-        [
-            StageRecord {
-                stage: ServiceStage::Ingest,
-                resource: StageResource::Dma,
-                secs: self.upload_secs,
-            },
-            StageRecord {
-                stage: ServiceStage::Preprocess,
-                resource: StageResource::Fabric,
-                secs: self.stage_secs.total(),
-            },
-            StageRecord {
-                stage: ServiceStage::Compute,
-                resource: StageResource::Dma,
-                secs: self.download_secs,
-            },
-        ]
     }
 }
 
@@ -215,12 +180,6 @@ impl AutoGnn {
     /// The reconfiguration policy in force.
     pub fn policy(&self) -> ReconfigPolicy {
         self.policy
-    }
-
-    /// Replaces the reconfiguration policy (serving layers tune the
-    /// threshold per deployment).
-    pub fn set_policy(&mut self, policy: ReconfigPolicy) {
-        self.policy = policy;
     }
 
     /// The pre-compiled bitstream library the cost model searches.
@@ -300,25 +259,6 @@ impl AutoGnn {
             stage: ServiceStage::Ingest,
             resource: StageResource::Dma,
             secs: upload_secs,
-        }
-    }
-
-    /// Lifecycle stage 1, migration variant — **ingest from a peer
-    /// board**: the first `peer_resident_bytes` of the graph stream in
-    /// from a peer board's DRAM over the PCIe switch, and only growth the
-    /// peer never saw re-crosses the host link. Occupies this board's
-    /// [`StageResource::Dma`] engine for the whole record (the peer's DMA
-    /// engine is occupied for the switch leg — schedulers price that on
-    /// the source board).
-    pub fn ingest_from_peer(&mut self, coo: &Coo, peer_resident_bytes: u64) -> StageRecord {
-        let (secs, _switch, _host) = self
-            .engine
-            .shell_mut()
-            .upload_graph_from_peer(coo.byte_size(), peer_resident_bytes);
-        StageRecord {
-            stage: ServiceStage::Ingest,
-            resource: StageResource::Dma,
-            secs,
         }
     }
 
@@ -492,8 +432,10 @@ mod tests {
         assert_eq!(run.stage_secs, record.stage_secs);
         assert_eq!(compute.secs, record.download_secs);
         assert_eq!(reconfig, record.reconfig);
-        let total: f64 =
-            ingest.secs + run.record().secs + compute.secs + reconfig.map_or(0.0, |r| r.seconds);
+        let total: f64 = ingest.secs
+            + run.stage_secs.total()
+            + compute.secs
+            + reconfig.map_or(0.0, |r| r.seconds);
         assert!((total - record.total_secs()).abs() < 1e-15);
     }
 
@@ -501,17 +443,13 @@ mod tests {
     fn stage_records_carry_their_resources() {
         let coo = generate::power_law(300, 3_000, 0.8, 13);
         let mut service = AutoGnn::new(SampleParams::new(4, 2));
-        let record = service.serve(&coo, &batch(4), 1);
-        let stages = record.stages();
-        assert_eq!(stages[0].stage, ServiceStage::Ingest);
-        assert_eq!(stages[0].resource, StageResource::Dma);
-        assert_eq!(stages[1].stage, ServiceStage::Preprocess);
-        assert_eq!(stages[1].resource, StageResource::Fabric);
-        assert_eq!(stages[2].stage, ServiceStage::Compute);
-        assert_eq!(stages[2].resource, StageResource::Dma);
-        let staged_total: f64 = stages.iter().map(|s| s.secs).sum();
-        let stall = record.reconfig.map_or(0.0, |r| r.seconds);
-        assert!((staged_total + stall - record.total_secs()).abs() < 1e-15);
+        let ingest = service.ingest(&coo);
+        assert_eq!(ingest.stage, ServiceStage::Ingest);
+        assert_eq!(ingest.resource, StageResource::Dma);
+        let run = service.preprocess(&coo, &batch(4), 1);
+        let compute = service.compute(&run.output.subgraph);
+        assert_eq!(compute.stage, ServiceStage::Compute);
+        assert_eq!(compute.resource, StageResource::Dma);
         assert_eq!(ServiceStage::Ingest.name(), "ingest");
         assert_eq!(StageResource::Fabric.name(), "fabric");
     }
@@ -521,25 +459,22 @@ mod tests {
         let coo = generate::power_law(400, 8_000, 0.9, 14);
         let mut host = AutoGnn::new(SampleParams::new(4, 2));
         let cold = host.ingest(&coo);
-        assert!(cold.secs > 0.0);
+        assert_eq!(cold.secs, host.pcie().transfer_secs(coo.byte_size()));
 
-        // A peer that held the whole graph rehydrates over the switch.
-        let mut peer = AutoGnn::new(SampleParams::new(4, 2));
-        let migrated = peer.ingest_from_peer(&coo, coo.byte_size());
-        assert_eq!(migrated.stage, ServiceStage::Ingest);
-        assert_eq!(migrated.resource, StageResource::Dma);
+        // A peer that held the whole graph rehydrates it over the switch.
+        let migrated = host.pcie_switch().transfer_secs(coo.byte_size());
         assert!(
-            migrated.secs < cold.secs,
+            migrated < cold.secs,
             "switch bandwidth must beat the host link: {} vs {}",
-            migrated.secs,
+            migrated,
             cold.secs
         );
         assert!(
-            peer.pcie_switch().bandwidth > peer.pcie().bandwidth,
+            host.pcie_switch().bandwidth > host.pcie().bandwidth,
             "the peer path only exists because the switch fabric is faster"
         );
-        // Rehydration leaves the graph resident: the next ingest is free.
-        assert_eq!(peer.ingest(&coo).secs, 0.0);
+        // The cold upload leaves the graph resident: the next ingest is free.
+        assert_eq!(host.ingest(&coo).secs, 0.0);
     }
 
     #[test]

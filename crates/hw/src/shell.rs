@@ -88,8 +88,8 @@ impl PcieSwitchModel {
 /// crosses the switch and only growth the peer never saw crosses the
 /// host link. Locally resident bytes never move, and the two legs
 /// partition the growth delta exactly. The single source of this
-/// arithmetic — [`HwShell::upload_graph_from_peer`] and pool-level
-/// migration accounting must never disagree on it.
+/// arithmetic: the serving simulator's board pool prices every migration
+/// through it.
 pub fn peer_transfer_split(total_bytes: u64, peer_bytes: u64, resident_bytes: u64) -> (u64, u64) {
     let switch_bytes = peer_bytes.min(total_bytes).saturating_sub(resident_bytes);
     let host_bytes = total_bytes.saturating_sub(peer_bytes.max(resident_bytes));
@@ -215,31 +215,6 @@ impl HwShell {
         (self.pcie.transfer_secs(delta), delta)
     }
 
-    /// Uploads a graph whose first `peer_bytes` live in a **peer board's**
-    /// DRAM: that prefix crosses the PCIe switch at peer-to-peer bandwidth
-    /// and only the remainder (growth the peer never saw) re-crosses the
-    /// host link. Returns `(seconds, switch_bytes, host_bytes)`; like
-    /// [`HwShell::upload_graph`], bytes already resident locally are never
-    /// moved at all.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph exceeds DRAM capacity.
-    pub fn upload_graph_from_peer(&mut self, total_bytes: u64, peer_bytes: u64) -> (f64, u64, u64) {
-        assert!(
-            total_bytes <= self.dram.capacity,
-            "graph of {total_bytes} bytes exceeds device DRAM capacity"
-        );
-        let resident = self.resident_graph_bytes;
-        let (switch_bytes, host_bytes) = peer_transfer_split(total_bytes, peer_bytes, resident);
-        self.resident_graph_bytes = resident.max(total_bytes);
-        (
-            self.pcie_switch.transfer_secs(switch_bytes) + self.pcie.transfer_secs(host_bytes),
-            switch_bytes,
-            host_bytes,
-        )
-    }
-
     /// Drops residency (e.g. switching to an unrelated graph).
     pub fn evict_graph(&mut self) {
         self.resident_graph_bytes = 0;
@@ -322,35 +297,25 @@ mod tests {
 
     #[test]
     fn peer_upload_splits_bytes_between_switch_and_host() {
-        let mut shell = HwShell::new();
         // A peer holds 800k of a graph that has since grown to 1M: the
         // warm prefix crosses the switch, only the growth hits the host.
-        let (secs, switch_bytes, host_bytes) = shell.upload_graph_from_peer(1_000_000, 800_000);
-        assert_eq!(switch_bytes, 800_000);
-        assert_eq!(host_bytes, 200_000);
-        assert_eq!(shell.resident_graph_bytes(), 1_000_000);
-        let expected = shell.pcie_switch.transfer_secs(800_000) + shell.pcie.transfer_secs(200_000);
-        assert!((secs - expected).abs() < 1e-15);
-        // Fully resident: nothing moves on either path.
         assert_eq!(
-            shell.upload_graph_from_peer(1_000_000, 800_000),
-            (0.0, 0, 0)
+            peer_transfer_split(1_000_000, 800_000, 0),
+            (800_000, 200_000)
         );
+        // Fully resident: nothing moves on either path.
+        assert_eq!(peer_transfer_split(1_000_000, 800_000, 1_000_000), (0, 0));
     }
 
     #[test]
     fn peer_upload_never_removes_locally_resident_bytes() {
-        let mut shell = HwShell::new();
-        shell.upload_graph(600_000);
         // Peer holds 900k of a 1M graph; the local 600k stay put, the
         // switch tops up to the peer's 900k, the host supplies the rest.
-        let (_, switch_bytes, host_bytes) = shell.upload_graph_from_peer(1_000_000, 900_000);
-        assert_eq!(switch_bytes, 300_000);
-        assert_eq!(host_bytes, 100_000);
+        assert_eq!(
+            peer_transfer_split(1_000_000, 900_000, 600_000),
+            (300_000, 100_000)
+        );
         // A peer holding more than the current graph caps at the graph.
-        shell.evict_graph();
-        let (_, switch_bytes, host_bytes) = shell.upload_graph_from_peer(500_000, 2_000_000);
-        assert_eq!(switch_bytes, 500_000);
-        assert_eq!(host_bytes, 0);
+        assert_eq!(peer_transfer_split(500_000, 2_000_000, 0), (500_000, 0));
     }
 }

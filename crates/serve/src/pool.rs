@@ -19,6 +19,15 @@
 //! comes from [`agnn_hw::shell::DELTA_BUFFERS`]: one request may sit
 //! ingested-but-waiting per board).
 //!
+//! In pipelined mode each board is also the only owner of the requests
+//! in its slots: the simulator's slab handles of the request being
+//! ingested, the staging FIFO, the request in the fabric and the
+//! hand-off FIFO live on the board, and only the board's own methods move
+//! a handle from one to the next (`start_ingest` → `end_ingest` →
+//! `next_staged` → `start_fabric` → `end_fabric` → `next_handoff`).
+//! Admission reads those queues directly, and a stage abort
+//! (`BoardPool::abort`) removes a handle from whichever queue holds it.
+//!
 //! Residency is **capacity-bounded**: each board's DRAM holds at most
 //! [`AutoGnn::dram_graph_capacity`] bytes of resident graphs (§V-B — the
 //! 15 GB left after bitstream staging). When a tenant mix outgrows that,
@@ -52,6 +61,8 @@
 //! pool runs stay comparable across the whole perf trajectory — which is
 //! what the CI `bench-smoke` gate (see [`crate`] docs) relies on.
 
+use std::collections::VecDeque;
+
 use agnn_algo::pipeline::SampleParams;
 use agnn_core::runtime::AutoGnn;
 use agnn_cost::{BitstreamLibrary, ReconfigPolicy, Workload};
@@ -59,11 +70,12 @@ use agnn_hw::engine::ReconfigEvent;
 use agnn_hw::shell::DELTA_BUFFERS;
 use agnn_hw::HwConfig;
 
+use crate::engine::Handle;
 use crate::metrics::BoardStats;
 
 /// Requests a board can hold ingested-but-not-computing: one delta buffer
 /// feeds the fabric while the other fills over DMA.
-pub const STAGING_DEPTH: u32 = (DELTA_BUFFERS - 1) as u32;
+pub const STAGING_DEPTH: usize = DELTA_BUFFERS - 1;
 
 /// How the pool routes an admitted request to a board.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -191,11 +203,16 @@ struct Board {
     /// Simulated second the fabric frees (stale once `fabric_busy`
     /// clears).
     fabric_until: f64,
-    /// Ingested requests waiting for the fabric, bounded by
+    /// The pipelined request whose graph delta is crossing the DMA engine.
+    ingesting: Option<Handle>,
+    /// Ingested requests waiting for the fabric, at most
     /// [`STAGING_DEPTH`] (the delta buffers not currently being filled).
-    staged: u32,
-    /// Subgraph hand-offs waiting for the DMA engine.
-    pending_handoffs: u32,
+    staged: VecDeque<Handle>,
+    /// The pipelined request the fabric is preprocessing.
+    in_fabric: Option<Handle>,
+    /// Preprocessed requests whose subgraph hand-off waits for the DMA
+    /// engine.
+    handoffs: VecDeque<Handle>,
     /// Fabric occupancy (reconfig + preprocess; in serial mode the whole
     /// request interval, as in PR 2).
     busy_secs: f64,
@@ -230,8 +247,10 @@ impl Board {
             dma_until: 0.0,
             fabric_busy: false,
             fabric_until: 0.0,
-            staged: 0,
-            pending_handoffs: 0,
+            ingesting: None,
+            staged: VecDeque::new(),
+            in_fabric: None,
+            handoffs: VecDeque::new(),
             busy_secs: 0.0,
             dma_secs: 0.0,
             completed: 0,
@@ -249,10 +268,10 @@ impl Board {
 
     /// Whether the board can accept a new request's ingest: DMA engine
     /// idle, a staging buffer free, and no subgraph hand-off queued for
-    /// the engine. In serial mode `staged`/`pending_handoffs` never set,
-    /// so this is exactly the PR 2 single-slot "free" predicate.
+    /// the engine. In serial mode the queues stay empty, so this is
+    /// exactly the single-slot "not busy" predicate.
     fn can_accept(&self) -> bool {
-        !self.dma_busy && self.staged < STAGING_DEPTH && self.pending_handoffs == 0
+        !self.dma_busy && self.staged.len() < STAGING_DEPTH && self.handoffs.is_empty()
     }
 
     /// Removes `tenant` from this board's DRAM entirely, returning the
@@ -558,8 +577,8 @@ impl BoardPool {
         board.completed += 1;
     }
 
-    /// Occupies board `index`'s DMA engine until `done` (pipelined ingest
-    /// or subgraph hand-off).
+    /// Occupies board `index`'s DMA engine until `done` (a subgraph
+    /// hand-off, or a migration's outbound switch leg).
     pub fn occupy_dma(&mut self, index: usize, now: f64, done: f64) {
         let board = &mut self.boards[index];
         debug_assert!(!board.dma_busy, "board {index} DMA double-booked");
@@ -586,16 +605,6 @@ impl BoardPool {
         self.boards[index].dma_until
     }
 
-    /// Occupies board `index`'s fabric until `done` (reconfiguration stall
-    /// + preprocessing).
-    pub fn occupy_fabric(&mut self, index: usize, now: f64, done: f64) {
-        let board = &mut self.boards[index];
-        debug_assert!(!board.fabric_busy, "board {index} fabric double-booked");
-        board.fabric_busy = true;
-        board.fabric_until = done;
-        board.busy_secs += (done - now).max(0.0);
-    }
-
     /// Frees board `index`'s fabric.
     pub fn release_fabric(&mut self, index: usize) {
         debug_assert!(self.boards[index].fabric_busy);
@@ -607,43 +616,118 @@ impl BoardPool {
         !self.boards[index].fabric_busy
     }
 
-    /// When board `index`'s fabric frees (meaningful only while an
-    /// [`occupy_fabric`](BoardPool::occupy_fabric) pass runs; the serial
-    /// [`occupy`](BoardPool::occupy) leaves it as is).
+    /// When board `index`'s fabric frees (meaningful only while a
+    /// pipelined fabric pass runs; the serial [`occupy`](BoardPool::occupy)
+    /// leaves it as is).
     pub fn fabric_until(&self, index: usize) -> f64 {
         self.boards[index].fabric_until
     }
 
-    /// Parks an ingested request in one of board `index`'s staging
-    /// buffers (it waits there for the fabric; admission stops once all
-    /// [`STAGING_DEPTH`] buffers hold a request).
-    pub fn stage(&mut self, index: usize) {
+    /// Starts `handle`'s graph-delta ingest on board `index`'s DMA
+    /// engine, in flight until `done` (pipelined mode).
+    pub(crate) fn start_ingest(&mut self, index: usize, handle: Handle, now: f64, done: f64) {
+        self.occupy_dma(index, now, done);
+        self.boards[index].ingesting = Some(handle);
+    }
+
+    /// Ends board `index`'s ingest: the DMA engine frees and the landed
+    /// request joins the back of the staging FIFO. Returns its handle.
+    pub(crate) fn end_ingest(&mut self, index: usize) -> Handle {
+        self.release_dma(index);
         let board = &mut self.boards[index];
-        debug_assert!(board.staged < STAGING_DEPTH, "staging buffer overrun");
-        board.staged += 1;
+        let handle = board
+            .ingesting
+            .take()
+            .expect("ingest completion without an ingest in flight");
+        // Admission required a free staging buffer, and nothing else
+        // fills one while the ingest runs.
+        debug_assert!(board.staged.len() < STAGING_DEPTH, "staging buffer overrun");
+        board.staged.push_back(handle);
+        handle
     }
 
-    /// Releases one of board `index`'s staging buffers (a staged request
-    /// acquired the fabric).
-    pub fn unstage(&mut self, index: usize) {
-        debug_assert!(self.boards[index].staged > 0);
-        self.boards[index].staged -= 1;
-    }
-
-    /// Adjusts the count of subgraph hand-offs waiting for board
-    /// `index`'s DMA engine (they outrank new ingests).
-    pub fn add_pending_handoffs(&mut self, index: usize, delta: i32) {
+    /// Takes the front of board `index`'s staging FIFO when the fabric is
+    /// idle.
+    pub(crate) fn next_staged(&mut self, index: usize) -> Option<Handle> {
         let board = &mut self.boards[index];
-        board.pending_handoffs = board
-            .pending_handoffs
-            .checked_add_signed(delta)
-            .expect("pending hand-off count underflow");
+        if board.fabric_busy {
+            return None;
+        }
+        board.staged.pop_front()
     }
 
-    /// Counts one completed request on board `index` (pipelined mode; the
-    /// serial path counts inside [`BoardPool::release`]).
-    pub fn complete(&mut self, index: usize) {
+    /// Occupies board `index`'s fabric with `handle` until `done`
+    /// (reconfiguration stall + preprocessing).
+    pub(crate) fn start_fabric(&mut self, index: usize, handle: Handle, now: f64, done: f64) {
+        let board = &mut self.boards[index];
+        debug_assert!(!board.fabric_busy, "board {index} fabric double-booked");
+        board.fabric_busy = true;
+        board.fabric_until = done;
+        board.busy_secs += (done - now).max(0.0);
+        board.in_fabric = Some(handle);
+    }
+
+    /// Ends board `index`'s fabric pass: the fabric frees and the request
+    /// joins the back of the hand-off FIFO. Returns its handle.
+    pub(crate) fn end_fabric(&mut self, index: usize) -> Handle {
+        self.release_fabric(index);
+        let board = &mut self.boards[index];
+        let handle = board
+            .in_fabric
+            .take()
+            .expect("fabric completion without a request in the fabric");
+        board.handoffs.push_back(handle);
+        handle
+    }
+
+    /// Takes the front of board `index`'s hand-off FIFO when the DMA
+    /// engine is idle; the caller occupies the engine for the transfer.
+    pub(crate) fn next_handoff(&mut self, index: usize) -> Option<Handle> {
+        let board = &mut self.boards[index];
+        if board.dma_busy {
+            return None;
+        }
+        board.handoffs.pop_front()
+    }
+
+    /// Ends board `index`'s hand-off transfer: the DMA engine frees and
+    /// the board counts one completed request (pipelined mode; the serial
+    /// path counts inside [`BoardPool::release`]).
+    pub(crate) fn end_handoff(&mut self, index: usize) {
+        self.release_dma(index);
         self.boards[index].completed += 1;
+    }
+
+    /// Abandons `handle` if it still waits in board `index`'s staging or
+    /// hand-off FIFO, returning whether it did. A started stage (ingest,
+    /// fabric pass, hand-off transfer) always runs to completion.
+    pub(crate) fn abort(&mut self, index: usize, handle: Handle) -> bool {
+        let board = &mut self.boards[index];
+        for queue in [&mut board.staged, &mut board.handoffs] {
+            if let Some(i) = queue.iter().position(|&h| h == handle) {
+                queue.remove(i);
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Panics unless every board's DMA and fabric slots are free and its
+    /// pipeline queues are empty — the state a drained run must leave.
+    pub(crate) fn assert_drained(&self) {
+        for (i, b) in self.boards.iter().enumerate() {
+            assert!(
+                !b.dma_busy && !b.fabric_busy,
+                "board {i}: a slot is still held at drain"
+            );
+            assert!(
+                b.ingesting.is_none()
+                    && b.staged.is_empty()
+                    && b.in_fabric.is_none()
+                    && b.handoffs.is_empty(),
+                "board {i}: a request is still queued at drain"
+            );
+        }
     }
 
     /// Per-board statistics snapshot, in board order.
@@ -735,29 +819,36 @@ mod tests {
         assert_eq!(PlacementPolicy::default(), PlacementPolicy::LeastLoaded);
     }
 
+    /// Ingests request `handle` on board 0 over `[now, done]` and lands it
+    /// in the staging FIFO.
+    fn ingest(pool: &mut BoardPool, handle: Handle, now: f64, done: f64) {
+        pool.start_ingest(0, handle, now, done);
+        assert_eq!(pool.end_ingest(0), handle);
+    }
+
     #[test]
     fn dma_and_fabric_slots_are_independent() {
         let mut pool = pool(1);
-        pool.occupy_dma(0, 0.0, 1.0);
+        pool.start_ingest(0, 7, 0.0, 1.0);
         assert!(!pool.is_free(0), "DMA in flight blocks admission");
         assert!(pool.fabric_free(0), "fabric still idle");
         assert_eq!(pool.dma_until(0), 1.0);
-        pool.release_dma(0);
-        pool.occupy_fabric(0, 1.0, 3.0);
+        assert_eq!(pool.end_ingest(0), 7);
+        assert_eq!(pool.next_staged(0), Some(7), "an idle fabric takes it");
+        pool.start_fabric(0, 7, 1.0, 3.0);
         assert!(pool.is_free(0), "fabric compute does not block ingest");
         assert!(pool.dma_free(0));
         assert_eq!(pool.fabric_until(0), 3.0);
-        pool.occupy_dma(0, 1.0, 2.0);
+        pool.start_ingest(0, 8, 1.0, 2.0);
         assert!(!pool.is_free(0));
         // Each engine keeps its own horizon: overlap accounting reads both.
         assert_eq!(pool.dma_until(0), 2.0);
         assert_eq!(pool.fabric_until(0), 3.0);
-        pool.release_dma(0);
-        pool.stage(0);
+        assert_eq!(pool.end_ingest(0), 8);
+        assert_eq!(pool.next_staged(0), None, "a busy fabric leaves it staged");
         assert!(!pool.is_free(0), "staging buffer full blocks admission");
-        pool.unstage(0);
-        pool.release_fabric(0);
-        assert!(pool.is_free(0));
+        assert_eq!(pool.end_fabric(0), 7);
+        assert_eq!(pool.next_staged(0), Some(8), "the freed fabric takes it");
         let stats = pool.stats();
         assert_eq!(stats[0].dma_secs, 2.0, "uploads charged to the DMA clock");
         assert_eq!(stats[0].busy_secs, 2.0, "fabric interval charged");
@@ -766,10 +857,42 @@ mod tests {
     #[test]
     fn pending_handoffs_block_admission() {
         let mut pool = pool(1);
-        pool.add_pending_handoffs(0, 1);
+        ingest(&mut pool, 3, 0.0, 1.0);
+        assert_eq!(pool.next_staged(0), Some(3));
+        pool.start_fabric(0, 3, 1.0, 2.0);
+        assert_eq!(pool.end_fabric(0), 3);
         assert!(!pool.is_free(0), "queued hand-off owns the DMA engine next");
-        pool.add_pending_handoffs(0, -1);
+        pool.occupy_dma(0, 2.0, 2.5);
+        assert_eq!(pool.next_handoff(0), None, "waits for the busy engine");
+        pool.release_dma(0);
+        assert_eq!(pool.next_handoff(0), Some(3));
+        pool.occupy_dma(0, 2.5, 3.0);
+        assert!(!pool.is_free(0), "the hand-off transfer holds the engine");
+        pool.end_handoff(0);
         assert!(pool.is_free(0));
+        assert_eq!(pool.stats()[0].completed, 1);
+        pool.assert_drained();
+    }
+
+    #[test]
+    fn aborting_a_waiting_request_restores_admission() {
+        let mut pool = pool(1);
+        ingest(&mut pool, 0, 0.0, 1.0);
+        assert_eq!(pool.next_staged(0), Some(0));
+        pool.start_fabric(0, 0, 1.0, 5.0);
+        ingest(&mut pool, 1, 1.0, 2.0);
+        assert!(!pool.is_free(0), "request 1 fills the staging buffer");
+        assert!(!pool.abort(0, 9), "an absent handle is not aborted");
+        assert!(!pool.abort(0, 0), "a started fabric pass runs on");
+        assert!(!pool.is_free(0), "a missed abort changes nothing");
+        assert!(pool.abort(0, 1), "a staged request is abandoned");
+        assert!(pool.is_free(0));
+        assert_eq!(pool.end_fabric(0), 0);
+        assert!(!pool.is_free(0), "request 0's hand-off is queued");
+        assert!(pool.abort(0, 0), "a queued hand-off is abandoned");
+        assert!(pool.is_free(0));
+        assert!(!pool.abort(0, 0), "an aborted request is gone");
+        pool.assert_drained();
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //! [`crate::engine::Slab`] arena and events carry 4-byte handles;
 //! arrivals are pre-generated in per-tenant batches
 //! ([`crate::engine::ArrivalSource`]) — the inner loop performs no heap
-//! allocation in steady state. Seven event kinds drive the simulation:
+//! allocation in steady state. A request has one record, its `Visit`,
+//! in one slab from dispatch (or a cache hit at arrival) to its
+//! `ServiceDone`; a hedge leg is a copy of it on the second board, and
+//! its latency is read off it in one place for both lifecycles. Seven
+//! event kinds drive the simulation:
 //!
 //! - **`Arrival`** — a tenant's request arrives. It is offered to the
 //!   configured [`crate::sched::SchedPolicy`] (refusals — shared queue
@@ -118,7 +122,10 @@
 //! the fabric, and the finished subgraph streams out under the next
 //! request's preprocessing. The admission queue and the dispatch/placement
 //! policies are untouched — only the meaning of "board free" narrows from
-//! "fully idle" to "can accept an ingest".
+//! "fully idle" to "can accept an ingest". Each board owns the requests
+//! in its slots — the one ingesting, the staging FIFO, the one in the
+//! fabric and the hand-off FIFO — so admission reads the queues
+//! themselves and a stage abort is one [`BoardPool`] call.
 //!
 //! # The scheduler seam
 //!
@@ -179,10 +186,10 @@
 //!   closes the queue span (arrival → dispatch), narrates a migration's
 //!   outbound DMA leg on the source board and samples the board's
 //!   resident DRAM bytes;
-//! - **`dispatch_serial`** — the whole back-to-back
-//!   reconfig/ingest/preprocess/hand-off timeline at once; a cancelled
-//!   hedge leg appears as one `Cancelled` span (from `race`), with a
-//!   wasted-work sample;
+//! - **`dispatch_serial`** — the winning visit's whole back-to-back
+//!   reconfig/ingest/preprocess/hand-off timeline at once;
+//! - **`race`** (serial, hedged) — the cancelled leg as one `Cancelled`
+//!   span, with a wasted-work sample;
 //! - **`dispatch_pipelined`** — the DMA ingest span;
 //! - **`start_fabric`** (pipelined, from `on_ingest_done` and
 //!   `on_fabric_done`) — the ICAP stall and preprocessing spans;
@@ -210,7 +217,6 @@
 //! their bytes by the shell's PCIe (or switch) bandwidth; the stall is
 //! [`BoardPool::apply_reconfigure`]'s, once `CostMemo` approves it.
 
-use std::collections::VecDeque;
 use std::time::Instant;
 
 use agnn_cost::{CostModel, ReconfigPolicy, Workload};
@@ -757,29 +763,34 @@ impl ServeConfigBuilder {
     }
 }
 
-/// A dispatched request's board visit. The shared dispatch prefix
-/// ([`Run::begin_visit`]) prices its ingest in both modes; serial dispatch
-/// prices the remaining stages at once, while in pipelined mode the record
-/// waits in the in-flight slab and its timestamps accumulate as stages
-/// complete.
+/// The one record of a request from dispatch (or a cache hit at
+/// arrival) to its `ServiceDone`. The shared dispatch prefix
+/// ([`Run::begin_visit`]) prices its ingest and hand-off in both modes;
+/// serial dispatch prices the remaining stages at once (a hedge leg is a
+/// copy on the second board), while in pipelined mode the record waits
+/// in the slab and its timestamps accumulate as stages complete.
 #[derive(Debug, Clone, Copy)]
 struct Visit {
     tenant: usize,
+    board: usize,
     /// Per-run monotone request id linking this request's trace spans.
     trace_id: u64,
     arrival_secs: f64,
     dispatch_secs: f64,
     workload: Workload,
     best: HwConfig,
-    /// Hand-off bytes and inference seconds, memoized at dispatch (pure
-    /// in the dispatch-time workload) so the hand-off stage prices the
-    /// transfer without re-running the neighborhood-expansion model.
-    subgraph_bytes: u64,
+    /// Hand-off transfer and inference seconds, priced at dispatch (pure
+    /// in the dispatch-time workload) so the hand-off stage runs no
+    /// cost-model work.
+    download_secs: f64,
     inference_secs: f64,
     upload_secs: f64,
+    /// Stage timestamps. Serial visits leave all four at the ingest
+    /// end, so their stage wait is exactly `+0.0`.
     ingest_done_secs: f64,
     fabric_start_secs: f64,
     fabric_done_secs: f64,
+    handoff_start_secs: f64,
     reconfig_secs: f64,
     preprocess_secs: f64,
     host_bytes: u64,
@@ -794,6 +805,9 @@ struct Visit {
     cum_delta: u64,
     entry_preprocess_secs: f64,
     partial: bool,
+    /// Served from the cache at arrival: the request held no board slot,
+    /// so its completion frees nothing and fills nothing.
+    cached: bool,
 }
 
 impl Visit {
@@ -801,6 +815,31 @@ impl Visit {
         Tag {
             tenant: self.tenant,
             request: self.trace_id,
+        }
+    }
+
+    /// When a serial visit ends: its stages run back to back from
+    /// dispatch.
+    fn serial_done(&self) -> f64 {
+        self.dispatch_secs
+            + self.reconfig_secs
+            + self.upload_secs
+            + self.preprocess_secs
+            + self.download_secs
+    }
+
+    /// The request's latency components, for either lifecycle.
+    fn latency(&self) -> RequestLatency {
+        RequestLatency {
+            queue_secs: self.dispatch_secs - self.arrival_secs,
+            reconfig_secs: self.reconfig_secs,
+            upload_secs: self.upload_secs,
+            stage_wait_secs: (self.fabric_start_secs - self.ingest_done_secs)
+                + (self.handoff_start_secs - self.fabric_done_secs),
+            preprocess_secs: self.preprocess_secs,
+            download_secs: self.download_secs,
+            inference_secs: self.inference_secs,
+            cache_secs: if self.cached { CACHE_LOOKUP_SECS } else { 0.0 },
         }
     }
 }
@@ -812,10 +851,9 @@ struct Tag {
     request: u64,
 }
 
-/// Queued event payloads. Kept pointer-small on purpose: the completion
-/// record (a [`RequestLatency`] plus byte counters, ~100 bytes) lives in
-/// a [`Slab`] and `ServiceDone` carries its 4-byte handle, so a queue
-/// entry is a couple of words and bucket sorts move almost nothing.
+/// Queued event payloads. Kept pointer-small on purpose: the [`Visit`]
+/// record lives in a [`Slab`] and events carry its 4-byte handle, so a
+/// queue entry is a couple of words and bucket sorts move almost nothing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum EventKind {
     /// A request of `tenant` arrives.
@@ -827,48 +865,20 @@ enum EventKind {
     /// Board `board`'s **outbound** switch leg of a migration finished:
     /// its DMA engine stops reading the graph out of DRAM and frees.
     MigrationDone { board: usize },
-    /// A request completed; the [`Completion`] record is in the slab.
-    ServiceDone { completion: Handle },
+    /// A request completed; its [`Visit`] record is in the slab.
+    ServiceDone { visit: Handle },
     /// A dispatched request's deadline passed (pipelined mode): abort it
-    /// if a stage it needs has not started — it still waits in board
-    /// `board`'s staging buffer or hand-off queue. `tag` is the
-    /// request's trace id: slab slots recycle (the arena is not
-    /// generational), so an event whose handle is vacant or holds a
-    /// different request by pop time must not fire.
-    DeadlineExpired {
-        board: usize,
-        handle: Handle,
-        tag: u64,
-    },
+    /// if a stage it needs has not started — it still waits in its
+    /// board's staging buffer or hand-off queue. `tag` is the request's
+    /// trace id: slab slots recycle (the arena is not generational), so
+    /// an event whose handle is vacant or holds a different request by
+    /// pop time must not fire.
+    DeadlineExpired { visit: Handle, tag: u64 },
     /// The faster leg of `tenant`'s hedged dispatch completed (and any
     /// reconfiguration the losing leg started has drained): board
     /// `board`'s engines — held by the cancelled leg — free without
     /// counting a completion.
     HedgeWon { board: usize, tenant: usize },
-}
-
-/// The deferred payload of a `ServiceDone` event, slab-resident between
-/// the completion's scheduling and its pop.
-#[derive(Debug, Clone, Copy)]
-struct Completion {
-    tenant: usize,
-    board: usize,
-    arrival_secs: f64,
-    latency: RequestLatency,
-    host_bytes: u64,
-    switch_bytes: u64,
-    /// Cache bookkeeping (inert when the run's cache is `Off`): the
-    /// drift bucket / graph size / delta-counter snapshot taken at
-    /// dispatch — the entry this completion fills — plus the
-    /// preprocessing cost the entry records.
-    bucket: u64,
-    graph_bytes: u64,
-    cum_delta: u64,
-    entry_preprocess_secs: f64,
-    /// Served from the cache at admission (full hit or coalesced): the
-    /// request held no board slot, so completion frees nothing and fills
-    /// nothing.
-    cached: bool,
 }
 
 /// FNV-1a accumulator for the order-sensitive event-trace digest.
@@ -1011,34 +1021,6 @@ impl RunStats {
     }
 }
 
-/// Per-board pipeline state (pipelined mode only): [`Slab`] handles of
-/// the [`Visit`] records currently ingesting / staged / preprocessing and
-/// the hand-offs waiting for the DMA engine — the payloads stay put in
-/// the arena while 4-byte handles move through the queues. Slot
-/// occupancy and busy horizons live on the [`BoardPool`] boards
-/// themselves — the pool's `stage`/`unstage` and `add_pending_handoffs`
-/// counters mirror these queues' lengths.
-struct Pipeline {
-    ingesting: Vec<Option<Handle>>,
-    /// FIFO of ingested requests waiting for the fabric, at most
-    /// [`crate::pool::STAGING_DEPTH`] deep (the pool enforces the bound
-    /// at admission).
-    staged: Vec<VecDeque<Handle>>,
-    in_fabric: Vec<Option<Handle>>,
-    handoffs: Vec<VecDeque<Handle>>,
-}
-
-impl Pipeline {
-    fn new(boards: usize) -> Self {
-        Pipeline {
-            ingesting: vec![None; boards],
-            staged: vec![VecDeque::new(); boards],
-            in_fabric: vec![None; boards],
-            handoffs: vec![VecDeque::new(); boards],
-        }
-    }
-}
-
 impl TrafficSim {
     /// A simulator over `tenants` with `config`. The board pool is built
     /// here (one forked `AutoGnn` runtime per board) and reset at the
@@ -1170,9 +1152,9 @@ impl TrafficSim {
                 EventKind::IngestDone { board } => run.on_ingest_done(now, board),
                 EventKind::FabricDone { board } => run.on_fabric_done(now, board),
                 EventKind::MigrationDone { board } => run.on_migration_done(now, board),
-                EventKind::ServiceDone { completion } => run.on_service_done(now, completion),
-                EventKind::DeadlineExpired { board, handle, tag } => {
-                    run.on_deadline_expired(now, board, handle, tag)
+                EventKind::ServiceDone { visit } => run.on_service_done(now, visit),
+                EventKind::DeadlineExpired { visit, tag } => {
+                    run.on_deadline_expired(now, visit, tag)
                 }
                 EventKind::HedgeWon { board, tenant } => run.on_hedge_won(now, board, tenant),
             };
@@ -1181,44 +1163,6 @@ impl TrafficSim {
             }
         }
         run.finish(wall_start)
-    }
-}
-
-/// One priced serial board visit: the placement pick, or the hedge leg
-/// racing it. The stages run back to back from dispatch under both
-/// slots, so the visit ends at `done`.
-#[derive(Debug, Clone, Copy)]
-struct Leg {
-    board: usize,
-    latency: RequestLatency,
-    done: f64,
-    host_bytes: u64,
-    switch_bytes: u64,
-    /// The preprocessing cost the cache entry this leg refills records.
-    entry_preprocess_secs: f64,
-}
-
-impl Leg {
-    fn new(
-        board: usize,
-        now: f64,
-        latency: RequestLatency,
-        host_bytes: u64,
-        switch_bytes: u64,
-        entry_preprocess_secs: f64,
-    ) -> Self {
-        Leg {
-            board,
-            done: now
-                + latency.reconfig_secs
-                + latency.upload_secs
-                + latency.preprocess_secs
-                + latency.download_secs,
-            latency,
-            host_bytes,
-            switch_bytes,
-            entry_preprocess_secs,
-        }
     }
 }
 
@@ -1246,10 +1190,9 @@ struct Run<'a, S: TraceSink + ?Sized> {
     pcie: PcieModel,
     switch: PcieSwitchModel,
     queue: EventQueue<EventKind>,
-    /// Pipelined visits between dispatch and hand-off start.
-    inflight: Slab<Visit>,
-    /// `ServiceDone` payloads between scheduling and their pop.
-    completions: Slab<Completion>,
+    /// Every request between dispatch (or a cache hit) and its
+    /// `ServiceDone`.
+    visits: Slab<Visit>,
     /// Independent seeded arrival streams, pre-generated in batches
     /// (bit-identical to on-demand draws — the streams are
     /// schedule-independent).
@@ -1283,7 +1226,6 @@ struct Run<'a, S: TraceSink + ?Sized> {
     stats: RunStats,
     depth: DepthTimeline,
     digest: TraceDigest,
-    pipe: Pipeline,
     /// Self-metrics (events popped) and the monotone request id spans
     /// carry — none of it feeds back into the schedule.
     events: u64,
@@ -1316,8 +1258,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
             pcie: pool.pcie(),
             switch: pool.switch(),
             queue: EventQueue::with_width(width_secs),
-            inflight: Slab::with_capacity(4 * pool.size()),
-            completions: Slab::with_capacity(4 * pool.size()),
+            visits: Slab::with_capacity(4 * pool.size()),
             arrivals: ArrivalSource::new(tenants, cfg.seed),
             offered: 0,
             sched: cfg.scheduler.instantiate(tenants, cfg.queue_capacity),
@@ -1329,7 +1270,6 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
             stats: RunStats::new(tenants, deadlines, cfg.log_requests),
             depth: DepthTimeline::with_stride(cfg.depth_stride),
             digest: TraceDigest::new(),
-            pipe: Pipeline::new(pool.size()),
             events: 0,
             next_trace_id: 0,
             tenants,
@@ -1343,8 +1283,14 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         run
     }
 
-    /// The report of a drained run.
+    /// The report of a drained run, once conservation holds: no request
+    /// is left in flight and every board is idle.
     fn finish(self, wall_start: Instant) -> TrafficReport {
+        assert!(
+            self.visits.is_empty(),
+            "a request is still in flight at drain"
+        );
+        self.pool.assert_drained();
         let stats = self.stats;
         TrafficReport {
             tenants: stats.tenants,
@@ -1481,7 +1427,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         self.memo.stage_total(tenant, workload, self.pool, board) / self.cfg.compute_speedup
     }
 
-    /// Prices `rq`'s fabric pass on `board` at `now` into its
+    /// Prices `rq`'s fabric pass on its board at `now` into its
     /// `reconfig_secs` / `preprocess_secs`: the deferred reconfiguration
     /// decision — unless the scheduler's SLO gate withholds it; `Fifo`
     /// never does — then preprocessing under the resulting configuration.
@@ -1489,10 +1435,11 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
     /// skipped and the visit keeps the saved cost it copied out of the
     /// entry; otherwise the entry this visit refills saves future hits
     /// the pass just paid.
-    fn fabric_pass(&mut self, rq: &mut Visit, board: usize, now: f64) {
+    fn fabric_pass(&mut self, rq: &mut Visit, now: f64) {
         if rq.partial {
             return;
         }
+        let board = rq.board;
         if self.sched.allow_reconfig(rq.tenant, now) {
             if let Some(stall) =
                 self.memo
@@ -1510,31 +1457,6 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         }
         rq.preprocess_secs = self.preprocess_secs(rq.tenant, &rq.workload, board);
         rq.entry_preprocess_secs = rq.preprocess_secs;
-    }
-
-    /// Schedules the `ServiceDone` of `rq`'s visit to `board`, completing
-    /// at `done` with `latency`.
-    fn schedule_completion(
-        &mut self,
-        rq: &Visit,
-        board: usize,
-        latency: RequestLatency,
-        done: f64,
-    ) {
-        let completion = self.completions.insert(Completion {
-            tenant: rq.tenant,
-            board,
-            arrival_secs: rq.arrival_secs,
-            latency,
-            host_bytes: rq.host_bytes,
-            switch_bytes: rq.switch_bytes,
-            bucket: rq.bucket,
-            graph_bytes: rq.graph_bytes,
-            cum_delta: rq.cum_delta,
-            entry_preprocess_secs: rq.entry_preprocess_secs,
-            cached: false,
-        });
-        self.queue.push(done, EventKind::ServiceDone { completion });
     }
 
     // ---- event handlers: `expire` runs before each `on_*`, which returns
@@ -1581,26 +1503,37 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
                 self.stats.tenants[tenant].cache_hits += 1;
                 self.digest.push_all(&[0xCA, tenant as u64]);
                 self.sample_cache_hits(now);
-                let completion = self.completions.insert(Completion {
+                // Served at lookup cost: no board stage runs and no trace
+                // id is drawn (it narrates no span), so the stage fields
+                // stay zero and `workload`/`best` are never priced.
+                let visit = self.visits.insert(Visit {
                     tenant,
                     board: 0,
+                    trace_id: u64::MAX,
                     arrival_secs: now,
-                    latency: RequestLatency {
-                        cache_secs: CACHE_LOOKUP_SECS,
-                        ..RequestLatency::default()
-                    },
+                    dispatch_secs: now,
+                    workload: costs.workload,
+                    best: self.pool.config(0),
+                    download_secs: 0.0,
+                    inference_secs: 0.0,
+                    upload_secs: 0.0,
+                    ingest_done_secs: 0.0,
+                    fabric_start_secs: 0.0,
+                    fabric_done_secs: 0.0,
+                    handoff_start_secs: 0.0,
+                    reconfig_secs: 0.0,
+                    preprocess_secs: 0.0,
                     host_bytes: 0,
                     switch_bytes: 0,
                     bucket,
                     graph_bytes: 0,
                     cum_delta: 0,
                     entry_preprocess_secs: 0.0,
+                    partial: false,
                     cached: true,
                 });
-                self.queue.push(
-                    now + CACHE_LOOKUP_SECS,
-                    EventKind::ServiceDone { completion },
-                );
+                self.queue
+                    .push(now + CACHE_LOOKUP_SECS, EventKind::ServiceDone { visit });
                 return false;
             }
             if self.cache.park(tenant, bucket, now) {
@@ -1639,20 +1572,11 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
     /// staging buffer, and the freed DMA engine drains any waiting
     /// hand-off.
     fn on_ingest_done(&mut self, now: f64, board: usize) -> bool {
-        let handle = self.pipe.ingesting[board]
-            .take()
-            .expect("ingest completion without an ingest in flight");
-        self.pool.release_dma(board);
-        let rq = self.inflight.get_mut(handle);
+        let rq = self.visits.get_mut(self.pool.end_ingest(board));
         rq.ingest_done_secs = now;
         let tenant = rq.tenant;
         self.digest.push_all(&[0x16, tenant as u64, board as u64]);
-        if self.pool.fabric_free(board) && self.pipe.staged[board].is_empty() {
-            self.start_fabric(handle, board, now);
-        } else {
-            self.pool.stage(board);
-            self.pipe.staged[board].push_back(handle);
-        }
+        self.start_fabric(board, now);
         self.start_handoff(board, now);
         true
     }
@@ -1661,21 +1585,12 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
     /// the hand-off queues for the DMA engine, and the earliest staged
     /// request acquires the fabric immediately.
     fn on_fabric_done(&mut self, now: f64, board: usize) -> bool {
-        let handle = self.pipe.in_fabric[board]
-            .take()
-            .expect("fabric completion without a request in the fabric");
-        self.pool.release_fabric(board);
-        let rq = self.inflight.get_mut(handle);
+        let rq = self.visits.get_mut(self.pool.end_fabric(board));
         rq.fabric_done_secs = now;
         let tenant = rq.tenant;
         self.digest.push_all(&[0xFB, tenant as u64, board as u64]);
-        self.pipe.handoffs[board].push_back(handle);
-        self.pool.add_pending_handoffs(board, 1);
         self.start_handoff(board, now);
-        if let Some(staged) = self.pipe.staged[board].pop_front() {
-            self.pool.unstage(board);
-            self.start_fabric(staged, board, now);
-        }
+        self.start_fabric(board, now);
         true
     }
 
@@ -1692,30 +1607,23 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
 
     /// A request completed: record its latency and outcome, free its
     /// board, and refill its cache entry.
-    fn on_service_done(&mut self, now: f64, completion: Handle) -> bool {
-        let Completion {
+    fn on_service_done(&mut self, now: f64, visit: Handle) -> bool {
+        let rq = self.visits.remove(visit);
+        let (tenant, board, latency) = (rq.tenant, rq.board, rq.latency());
+        let outcome = self.stats.complete(
             tenant,
-            board,
-            arrival_secs,
+            rq.arrival_secs,
             latency,
-            host_bytes,
-            switch_bytes,
-            bucket,
-            graph_bytes,
-            cum_delta,
-            entry_preprocess_secs,
-            cached,
-        } = self.completions.remove(completion);
-        let outcome = self
-            .stats
-            .complete(tenant, arrival_secs, latency, host_bytes, switch_bytes);
+            rq.host_bytes,
+            rq.switch_bytes,
+        );
         self.observe_latency(tenant, &latency, now);
         if outcome == RequestOutcome::ServedLate {
             self.sample_wasted(now);
         }
         self.digest
             .push_all(&[0x5D, tenant as u64, latency.total().to_bits()]);
-        if cached {
+        if rq.cached {
             // A cache-served completion never held a board: nothing to
             // release, no entry to refill.
             self.stats.last_board_free = now;
@@ -1725,8 +1633,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
             self.digest.push(board as u64);
         }
         if self.cfg.overlap {
-            self.pool.release_dma(board);
-            self.pool.complete(board);
+            self.pool.end_handoff(board);
             self.start_handoff(board, now);
         } else {
             self.pool.release(board);
@@ -1740,16 +1647,16 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
             // own (a partial hit paid 0 but reuses an entry worth
             // `saved`).
             let service_secs = latency.board_secs() - latency.preprocess_secs
-                + entry_preprocess_secs
+                + rq.entry_preprocess_secs
                 + latency.inference_secs;
             let waiters = self.cache.fill(
                 tenant,
-                bucket,
-                graph_bytes,
-                cum_delta,
-                entry_preprocess_secs,
+                rq.bucket,
+                rq.graph_bytes,
+                rq.cum_delta,
+                rq.entry_preprocess_secs,
                 service_secs,
-                arrival_secs,
+                rq.arrival_secs,
             );
             for waited_since in waiters {
                 let wl = RequestLatency {
@@ -1767,34 +1674,25 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
 
     /// A dispatched request's deadline passed (pipelined mode): abort it
     /// if it still waits on a stage that has not started.
-    fn on_deadline_expired(&mut self, now: f64, board: usize, handle: Handle, tag: u64) -> bool {
+    fn on_deadline_expired(&mut self, now: f64, handle: Handle, tag: u64) -> bool {
         // Tag guard against slab recycling: only a live payload whose
         // trace id matches is still this request — anything else means
         // it already completed (or aborted) and the slot moved on.
-        let live = self
-            .inflight
+        let Some(board) = self
+            .visits
             .try_get(handle)
-            .is_some_and(|rq| rq.trace_id == tag);
-        if !live {
+            .filter(|rq| rq.trace_id == tag)
+            .map(|rq| rq.board)
+        else {
             return false;
-        }
+        };
         // A started stage always runs to completion: only a request
         // still *waiting* — in the staging buffer for the fabric, or in
         // the hand-off queue for the DMA engine — can be abandoned.
-        let staged_pos = self.pipe.staged[board].iter().position(|&h| h == handle);
-        let handoff_pos = self.pipe.handoffs[board].iter().position(|&h| h == handle);
-        if let Some(i) = staged_pos {
-            self.pipe.staged[board].remove(i).expect("index in bounds");
-            self.pool.unstage(board);
-        } else if let Some(i) = handoff_pos {
-            self.pipe.handoffs[board]
-                .remove(i)
-                .expect("index in bounds");
-            self.pool.add_pending_handoffs(board, -1);
-        } else {
+        if !self.pool.abort(board, handle) {
             return false;
         }
-        let rq = self.inflight.remove(handle);
+        let rq = self.visits.remove(handle);
         self.stats.tenants[rq.tenant]
             .outcomes
             .record(RequestOutcome::Aborted);
@@ -1868,9 +1766,9 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
             self.sample_depth(now);
             let rq = self.begin_visit(request, board, now);
             if self.cfg.overlap {
-                self.dispatch_pipelined(rq, board, now);
+                self.dispatch_pipelined(rq, now);
             } else {
-                self.dispatch_serial(rq, board, now);
+                self.dispatch_serial(rq, now);
             }
         }
     }
@@ -1960,17 +1858,19 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         let ingest_done_secs = now + upload_secs;
         Visit {
             tenant,
+            board,
             trace_id: tag.request,
             arrival_secs,
             dispatch_secs: now,
             workload: costs.workload,
             best,
-            subgraph_bytes: costs.subgraph_bytes,
+            download_secs: self.pcie.transfer_secs(costs.subgraph_bytes),
             inference_secs: costs.inference_secs,
             upload_secs,
             ingest_done_secs,
             fabric_start_secs: ingest_done_secs,
             fabric_done_secs: ingest_done_secs,
+            handoff_start_secs: ingest_done_secs,
             reconfig_secs: 0.0,
             preprocess_secs: 0.0,
             host_bytes,
@@ -1980,21 +1880,21 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
             cum_delta,
             entry_preprocess_secs: saved.unwrap_or(0.0),
             partial: saved.is_some(),
+            cached: false,
         }
     }
 
     /// Pipelined dispatch: occupy only the DMA engine; the fabric (and
     /// the reconfiguration decision) waits until the delta has landed.
-    fn dispatch_pipelined(&mut self, rq: Visit, board: usize, now: f64) {
-        let done = rq.ingest_done_secs;
-        self.pool.occupy_dma(board, now, done);
+    fn dispatch_pipelined(&mut self, rq: Visit, now: f64) {
+        let (board, done) = (rq.board, rq.ingest_done_secs);
+        let handle = self.visits.insert(rq);
+        self.pool.start_ingest(board, handle, now, done);
         self.dma_overlap(board, now, done);
         self.digest
             .push_all(&[0x1D, rq.tenant as u64, board as u64]);
         let track = on_board(board, BoardResource::Dma);
         self.span(track, SpanKind::Ingest, rq.tag(), now, done);
-        let handle = self.inflight.insert(rq);
-        self.pipe.ingesting[board] = Some(handle);
         self.queue.push(done, EventKind::IngestDone { board });
         if let Some(d) = self.stats.deadlines[rq.tenant] {
             // Stage-abort alarm: if the request still waits on an
@@ -2004,8 +1904,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
             self.queue.push(
                 rq.arrival_secs + d,
                 EventKind::DeadlineExpired {
-                    board,
-                    handle,
+                    visit: handle,
                     tag: rq.trace_id,
                 },
             );
@@ -2018,60 +1917,42 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
     /// configuration: the PCIe legs are divisions, the fabric report
     /// comes from the memo. A partial cache hit still ingests the delta
     /// and hands the subgraph off but skips the fabric pass.
-    fn dispatch_serial(&mut self, mut rq: Visit, board: usize, now: f64) {
-        self.fabric_pass(&mut rq, board, now);
-        let primary = Leg::new(
-            board,
-            now,
-            RequestLatency {
-                queue_secs: now - rq.arrival_secs,
-                reconfig_secs: rq.reconfig_secs,
-                upload_secs: rq.upload_secs,
-                stage_wait_secs: 0.0,
-                preprocess_secs: rq.preprocess_secs,
-                download_secs: self.pcie.transfer_secs(rq.subgraph_bytes),
-                inference_secs: rq.inference_secs,
-                cache_secs: 0.0,
-            },
-            rq.host_bytes,
-            rq.switch_bytes,
-            rq.entry_preprocess_secs,
-        );
-        let win = match self.hedge_board(&rq, board, now) {
-            Some(second) => self.race(&rq, primary, second, now),
-            None => primary,
+    fn dispatch_serial(&mut self, mut rq: Visit, now: f64) {
+        self.fabric_pass(&mut rq, now);
+        let win = match self.hedge_board(&rq, now) {
+            Some(second) => self.race(rq, second, now),
+            None => rq,
         };
-        self.pool.occupy(win.board, now, win.done);
+        let done = win.serial_done();
+        self.pool.occupy(win.board, now, done);
         // Serial mode runs the stages back to back under both slots, so
         // the whole timeline is known at dispatch: ICAP stall, then the
         // DMA ingest, the fabric pass, and the hand-off closing at
-        // `win.done`. Only the winning leg is narrated; a cancelled hedge
+        // `done`. Only the winning leg is narrated; a cancelled hedge
         // leg appears as one `Cancelled` span (see [`race`](Run::race)).
         if self.sink.enabled() {
             use BoardResource::{Dma, Fabric, Icap};
-            let (l, tag) = (win.latency, rq.tag());
+            let tag = win.tag();
             let on = |resource| on_board(win.board, resource);
-            let ingest_at = now + l.reconfig_secs;
-            let fabric_at = ingest_at + l.upload_secs;
-            let pass_end = fabric_at + l.preprocess_secs;
-            let handoff_at = win.done - l.download_secs;
-            if l.reconfig_secs > 0.0 {
+            let ingest_at = now + win.reconfig_secs;
+            let fabric_at = ingest_at + win.upload_secs;
+            let pass_end = fabric_at + win.preprocess_secs;
+            let handoff_at = done - win.download_secs;
+            if win.reconfig_secs > 0.0 {
                 self.span(on(Icap), SpanKind::Reconfig, tag, now, ingest_at);
             }
             self.span(on(Dma), SpanKind::Ingest, tag, ingest_at, fabric_at);
             self.span(on(Fabric), SpanKind::Preprocess, tag, fabric_at, pass_end);
-            self.span(on(Dma), SpanKind::Handoff, tag, handoff_at, win.done);
+            self.span(on(Dma), SpanKind::Handoff, tag, handoff_at, done);
         }
-        rq.host_bytes = win.host_bytes;
-        rq.switch_bytes = win.switch_bytes;
-        rq.entry_preprocess_secs = win.entry_preprocess_secs;
-        self.schedule_completion(&rq, win.board, win.latency, win.done);
+        let visit = self.visits.insert(win);
+        self.queue.push(done, EventKind::ServiceDone { visit });
     }
 
     /// The board a hedged dispatch re-offers `rq` to: once its queue
     /// wait has outrun its tenant's predicted tail, a second free board
     /// (see the module docs). `Off` — the default — never hedges.
-    fn hedge_board(&self, rq: &Visit, board: usize, now: f64) -> Option<usize> {
+    fn hedge_board(&self, rq: &Visit, now: f64) -> Option<usize> {
         let HedgeKind::Latency { factor } = self.cfg.hedge else {
             return None;
         };
@@ -2079,38 +1960,35 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         if self.predictor.is_warm(rq.tenant)
             && wait > factor * self.predictor.predicted_p99(rq.tenant)
         {
-            self.pool.free_indices().find(|&b| b != board)
+            self.pool.free_indices().find(|&b| b != rq.board)
         } else {
             None
         }
     }
 
-    /// Races `primary` against a hedge leg on board `second` and returns
-    /// the winner; the loser's board stays occupied until it can free.
-    /// The hedge leg ingests from the host onto the second board's
-    /// *current* bitstream — no reconfiguration, no migration: the bet is
-    /// a cheap second chance, not a second ICAP switch.
-    fn race(&mut self, rq: &Visit, primary: Leg, second: usize, now: f64) -> Leg {
-        self.digest
-            .push_all(&[0x4E, rq.tenant as u64, second as u64]);
-        let host_bytes = self.pool.upload_delta(second, rq.tenant, rq.graph_bytes);
-        let upload_secs = self.pcie.transfer_secs(host_bytes);
-        let preprocess_secs = self.preprocess_secs(rq.tenant, &rq.workload, second);
-        let hedge = Leg::new(
-            second,
-            now,
-            RequestLatency {
-                reconfig_secs: 0.0,
-                upload_secs,
-                preprocess_secs,
-                ..primary.latency
-            },
-            host_bytes,
-            0,
+    /// Races the priced `primary` visit against a hedge leg on board
+    /// `second` and returns the winning visit; the loser's board stays
+    /// occupied until it can free. The hedge leg ingests from the host
+    /// onto the second board's *current* bitstream — no reconfiguration,
+    /// no migration: the bet is a cheap second chance, not a second ICAP
+    /// switch.
+    fn race(&mut self, primary: Visit, second: usize, now: f64) -> Visit {
+        let tenant = primary.tenant;
+        self.digest.push_all(&[0x4E, tenant as u64, second as u64]);
+        let host_bytes = self.pool.upload_delta(second, tenant, primary.graph_bytes);
+        let preprocess_secs = self.preprocess_secs(tenant, &primary.workload, second);
+        let hedge = Visit {
+            board: second,
+            reconfig_secs: 0.0,
+            upload_secs: self.pcie.transfer_secs(host_bytes),
             preprocess_secs,
-        );
+            host_bytes,
+            switch_bytes: 0,
+            entry_preprocess_secs: preprocess_secs,
+            ..primary
+        };
         // Ties keep the primary — placement picked it.
-        let (win, lose) = if hedge.done < primary.done {
+        let (win, lose) = if hedge.serial_done() < primary.serial_done() {
             (hedge, primary)
         } else {
             (primary, hedge)
@@ -2118,7 +1996,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         // A losing primary's *started* reconfiguration still runs to
         // completion, so its board frees only once both the cancellation
         // and the ICAP stall have passed.
-        let free_at = win.done.max(now + lose.latency.reconfig_secs);
+        let free_at = win.serial_done().max(now + lose.reconfig_secs);
         self.stats.wasted_secs += free_at - now;
         self.stats.wasted_work_bytes += lose.host_bytes + lose.switch_bytes;
         self.pool.occupy(lose.board, now, free_at);
@@ -2126,24 +2004,27 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
             free_at,
             EventKind::HedgeWon {
                 board: lose.board,
-                tenant: rq.tenant,
+                tenant,
             },
         );
-        self.span(Track::Queue, SpanKind::Cancelled, rq.tag(), now, free_at);
+        self.span(Track::Queue, SpanKind::Cancelled, win.tag(), now, free_at);
         self.sample_wasted(free_at);
         win
     }
 
-    /// Moves an ingested request into board `board`'s fabric at `now`:
-    /// prices its fabric pass ([`fabric_pass`](Run::fabric_pass)) and
-    /// schedules `FabricDone`.
-    fn start_fabric(&mut self, handle: Handle, board: usize, now: f64) {
-        let mut rq = *self.inflight.get(handle);
-        self.fabric_pass(&mut rq, board, now);
+    /// Moves the front staged request into board `board`'s fabric at
+    /// `now` if the fabric is idle: prices its fabric pass
+    /// ([`fabric_pass`](Run::fabric_pass)) and schedules `FabricDone`.
+    fn start_fabric(&mut self, board: usize, now: f64) {
+        let Some(handle) = self.pool.next_staged(board) else {
+            return;
+        };
+        let mut rq = *self.visits.get(handle);
+        self.fabric_pass(&mut rq, now);
         rq.fabric_start_secs = now;
         let stall_end = now + rq.reconfig_secs;
         let done = stall_end + rq.preprocess_secs;
-        self.pool.occupy_fabric(board, now, done);
+        self.pool.start_fabric(board, handle, now, done);
         if rq.reconfig_secs > 0.0 {
             let track = on_board(board, BoardResource::Icap);
             self.span(track, SpanKind::Reconfig, rq.tag(), now, stall_end);
@@ -2155,44 +2036,26 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         if !self.pool.dma_free(board) {
             self.stats.overlap_secs += (done.min(self.pool.dma_until(board)) - now).max(0.0);
         }
-        *self.inflight.get_mut(handle) = rq;
-        self.pipe.in_fabric[board] = Some(handle);
+        *self.visits.get_mut(handle) = rq;
         self.queue.push(done, EventKind::FabricDone { board });
     }
 
     /// Starts the next queued subgraph hand-off on board `board`'s DMA
     /// engine if it is idle, scheduling the request's `ServiceDone`. The
-    /// transfer size and inference tail were memoized into the [`Visit`]
-    /// record at dispatch, so this path performs no cost-model work.
+    /// transfer and inference tail were priced into the [`Visit`] record
+    /// at dispatch, so this path performs no cost-model work.
     fn start_handoff(&mut self, board: usize, now: f64) {
-        if !self.pool.dma_free(board) {
-            return;
-        }
-        let Some(handle) = self.pipe.handoffs[board].pop_front() else {
+        let Some(visit) = self.pool.next_handoff(board) else {
             return;
         };
-        self.pool.add_pending_handoffs(board, -1);
-        // The request leaves the pipeline here: reclaim its slab slot and
-        // carry the record by value through the final pricing.
-        let rq = self.inflight.remove(handle);
-        let download_secs = self.pcie.transfer_secs(rq.subgraph_bytes);
-        let done = now + download_secs;
+        let rq = self.visits.get_mut(visit);
+        rq.handoff_start_secs = now;
+        let (done, tag) = (now + rq.download_secs, rq.tag());
         self.pool.occupy_dma(board, now, done);
         let track = on_board(board, BoardResource::Dma);
-        self.span(track, SpanKind::Handoff, rq.tag(), now, done);
+        self.span(track, SpanKind::Handoff, tag, now, done);
         self.dma_overlap(board, now, done);
-        let latency = RequestLatency {
-            queue_secs: rq.dispatch_secs - rq.arrival_secs,
-            reconfig_secs: rq.reconfig_secs,
-            upload_secs: rq.upload_secs,
-            stage_wait_secs: (rq.fabric_start_secs - rq.ingest_done_secs)
-                + (now - rq.fabric_done_secs),
-            preprocess_secs: rq.preprocess_secs,
-            download_secs,
-            inference_secs: rq.inference_secs,
-            cache_secs: 0.0,
-        };
-        self.schedule_completion(&rq, board, latency, done);
+        self.queue.push(done, EventKind::ServiceDone { visit });
     }
 }
 
