@@ -1,5 +1,5 @@
 //! A million served requests at interactive speed — the scale target of
-//! the calendar-queue simulator core (`crates/serve/src/engine/`).
+//! the simulator core (`crates/serve/src/engine/`).
 //!
 //! Replays the gated `migration_drift` deployment shape — six
 //! memory-pressured Taobao regions on four pipelined boards with

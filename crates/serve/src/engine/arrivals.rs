@@ -1,60 +1,23 @@
-//! Batched per-tenant arrival generation.
+//! Per-tenant arrival streams.
 //!
 //! Arrival streams are **schedule-independent**: tenant `i`'s stream is
 //! `t₀ = next_after(0, rngᵢ)`, `tₖ₊₁ = next_after(tₖ, rngᵢ)` with
 //! `rngᵢ` derived only from the deployment seed
 //! ([`TenantSpec::arrival_rng`]) — nothing the scheduler or the boards
-//! do can perturb it. That independence is what lets this source
-//! pre-generate arrivals in batches: the inner event loop consumes a
-//! buffered `f64` instead of running the Lewis–Shedler thinning loop
-//! (and its RNG draws) inline, and the generated sequence is
-//! *identical* to the on-demand one — the golden digests do not move.
+//! do can perturb it. Each stream holds only its next arrival and draws
+//! the one after when that arrival is consumed.
 
 use rand::rngs::StdRng;
 
 use crate::tenant::{ArrivalProcess, TenantSpec};
 
-/// Arrivals pre-generated per refill. Large enough to amortize the
-/// refill call, small enough that a drained queue never sits on much
-/// speculative work.
-const BATCH: usize = 64;
-
-/// One tenant's buffered arrival stream.
+/// One tenant's arrival stream.
 #[derive(Debug)]
 struct Stream {
     arrival: ArrivalProcess,
     rng: StdRng,
-    /// The next `BATCH` arrival times, consumed front to back.
-    buffer: Vec<f64>,
-    cursor: usize,
-    /// Last generated arrival time — the chain point for the next refill.
-    last: f64,
-}
-
-impl Stream {
-    fn refill(&mut self) {
-        self.buffer.clear();
-        self.cursor = 0;
-        for _ in 0..BATCH {
-            self.last = self.arrival.next_after(self.last, &mut self.rng);
-            self.buffer.push(self.last);
-        }
-    }
-
-    #[inline]
-    fn peek(&self) -> f64 {
-        self.buffer[self.cursor]
-    }
-
-    #[inline]
-    fn next(&mut self) -> f64 {
-        let at = self.buffer[self.cursor];
-        self.cursor += 1;
-        if self.cursor == self.buffer.len() {
-            self.refill();
-        }
-        at
-    }
+    /// The next arrival time, already drawn.
+    next: f64,
 }
 
 /// The pool of per-tenant arrival streams backing a simulation run —
@@ -65,22 +28,20 @@ pub struct ArrivalSource {
 }
 
 impl ArrivalSource {
-    /// Builds one buffered stream per tenant from the deployment seed,
-    /// pre-generating each tenant's first batch.
+    /// Builds one stream per tenant from the deployment seed, drawing
+    /// each tenant's first arrival.
     pub fn new(tenants: &[TenantSpec], seed: u64) -> Self {
         let streams = tenants
             .iter()
             .enumerate()
             .map(|(i, t)| {
-                let mut s = Stream {
+                let mut rng = t.arrival_rng(seed, i);
+                let next = t.arrival.next_after(0.0, &mut rng);
+                Stream {
                     arrival: t.arrival,
-                    rng: t.arrival_rng(seed, i),
-                    buffer: Vec::with_capacity(BATCH),
-                    cursor: 0,
-                    last: 0.0,
-                };
-                s.refill();
-                s
+                    rng,
+                    next,
+                }
             })
             .collect();
         ArrivalSource { streams }
@@ -91,12 +52,15 @@ impl ArrivalSource {
     /// decides when to stop consuming.
     #[inline]
     pub fn next(&mut self, tenant: usize) -> f64 {
-        self.streams[tenant].next()
+        let s = &mut self.streams[tenant];
+        let at = s.next;
+        s.next = s.arrival.next_after(at, &mut s.rng);
+        at
     }
 
     /// `tenant`'s next arrival time without consuming it.
     pub fn peek(&self, tenant: usize) -> f64 {
-        self.streams[tenant].peek()
+        self.streams[tenant].next
     }
 }
 
@@ -112,9 +76,9 @@ mod tests {
         ]
     }
 
-    /// The digest-preserving property: batching changes *when* arrival
-    /// times are generated, never *which* — the buffered stream equals
-    /// the on-demand chain draw for draw.
+    /// The digest-preserving property: the source yields exactly the
+    /// `next_after` chain from the tenant's seeded generator, draw for
+    /// draw.
     #[test]
     fn batched_stream_equals_on_demand_generation() {
         let ts = tenants();
@@ -122,7 +86,7 @@ mod tests {
         for (i, t) in ts.iter().enumerate() {
             let mut rng = t.arrival_rng(42, i);
             let mut at = 0.0;
-            for k in 0..(BATCH * 3 + 7) {
+            for k in 0..199 {
                 at = t.arrival.next_after(at, &mut rng);
                 let got = src.next(i);
                 assert_eq!(got.to_bits(), at.to_bits(), "tenant {i} draw {k}");

@@ -5,17 +5,14 @@
 //! arrival, an ingest or a migration means. This module owns the
 //! *mechanics* that make replaying millions of them cheap:
 //!
-//! - [`queue::EventQueue`] — a calendar-queue priority queue replacing
-//!   the original `BinaryHeap`, popping events in exact global
-//!   `(time, push-order)` order (the same-timestamp contract every
-//!   golden trace digest depends on) with amortized `O(1)` bucket
-//!   operations instead of `O(log n)` sifts.
+//! - [`queue::EventQueue`] — a binary heap popping events in exact
+//!   global `(time, push-order)` order (the same-timestamp contract
+//!   every golden trace digest depends on).
 //! - [`slab::Slab`] — a `u32`-handle arena for in-flight request state,
 //!   so queue nodes carry 4-byte handles instead of ~120-byte payloads
 //!   and the steady-state loop recycles slots instead of allocating.
-//! - [`arrivals::ArrivalSource`] — per-tenant batched arrival
-//!   generation; the inner loop consumes a buffered `f64` instead of
-//!   running the thinning sampler inline.
+//! - [`arrivals::ArrivalSource`] — per-tenant arrival streams, each
+//!   holding its next arrival and drawing the following one on demand.
 //!
 //! The simulator is **analytic**: a stage's duration is priced in
 //! closed form when it starts and its completion is scheduled into the

@@ -1,99 +1,64 @@
-//! The calendar-queue event queue.
+//! The event queue.
 //!
-//! The simulator's original event core was a `BinaryHeap<Event>` with a
-//! reversed `Ord`: pop the earliest `(time, seq)` pair, where `seq` is a
-//! monotone counter assigned at push so same-timestamp events replay in
-//! push order and every trace digest is bit-stable. That contract is the
-//! load-bearing one — this queue keeps it exactly (proptested below
-//! against the reference heap) while replacing the heap's `O(log n)`
-//! sift-up/sift-down per event with amortized `O(1)` bucket operations.
+//! A `BinaryHeap` popping the earliest `(time, seq)` pair, where `seq`
+//! is a monotone counter assigned at push, so same-timestamp events
+//! replay in push order and every trace digest is bit-stable. The
+//! serving runs hold about ten pending events at a time, so a plain
+//! binary heap's `O(log n)` sifts cost a few nanoseconds per operation.
 //!
-//! # Design
+//! # The key
 //!
-//! A classic calendar queue (Brown 1988) specialised for a simulator
-//! whose pushes never precede the event currently being processed:
-//!
-//! - Simulated time is divided into fixed-width slots of `width`
-//!   seconds; slot index `abs = floor(time / width)` (a `u64`).
-//! - `NUM_BUCKETS` = 256 physical buckets hold the **current year** of
-//!   the calendar — the window `[cursor, cursor + 256)` of absolute
-//!   slots, mapped by `abs & 255`. A 4×`u64` occupancy bitmap finds the
-//!   next non-empty bucket with a couple of `trailing_zeros`.
-//! - Events beyond the window land in an unsorted **overflow** rung.
-//!   Whenever the cursor advances, overflow events whose slot entered
-//!   the window are flushed into their buckets; when the whole window
-//!   drains, the cursor jumps straight to the earliest overflow slot.
-//! - A bucket is sorted **lazily**, only when the cursor reaches it
-//!   (descending `(time, seq)`, so popping is a `Vec::pop` from the
-//!   tail). Events pushed into the already-sorted cursor bucket are
-//!   placed by binary search, preserving the sorted order.
-//!
-//! # Ordering invariants (why pop order is exact)
-//!
-//! 1. Every bucketed event's slot lies in `[cursor, cursor + 256)`, and
-//!    all events sharing a physical bucket share one absolute slot — so
-//!    sorting a bucket by `(time, seq)` totally orders it, and bucket
-//!    order equals time order across buckets.
-//! 2. The overflow rung always holds slots `>= cursor + 256` (flushed on
-//!    every cursor change), so the bitmap scan never skips an earlier
-//!    overflow event.
-//! 3. An event pushed at or after the current pop time with a slot the
-//!    cursor already passed (possible only through float truncation at a
-//!    slot boundary) is clamped **into** the cursor bucket with its true
-//!    timestamp — position 1's sort still orders it exactly.
+//! Each entry carries one `u128` key, `(time.to_bits() << 64) | seq`.
+//! For finite, sign-positive `f64`s the IEEE-754 bit pattern orders
+//! like the value (and like `f64::total_cmp`), so comparing keys
+//! compares times first and push order second. [`EventQueue::push`]
+//! rejects every other time (NaN, the infinities, negatives and `-0.0`).
 //!
 //! The same-timestamp contract — equal `time`, lower `seq` pops first —
-//! is pinned by `tests::same_timestamp_events_pop_in_push_order` and
-//! the reference-heap proptest.
+//! is pinned by `tests::same_timestamp_events_pop_in_push_order` and a
+//! proptest against a linear-scan oracle.
 
-/// Number of physical buckets (one "year" of the calendar). A power of
-/// two so the slot-to-bucket map is a mask.
-const NUM_BUCKETS: usize = 256;
-const BUCKET_MASK: u64 = (NUM_BUCKETS - 1) as u64;
-/// Occupancy-bitmap words (`NUM_BUCKETS / 64`).
-const OCC_WORDS: usize = NUM_BUCKETS / 64;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
-/// Default bucket width in simulated seconds. The serving scenarios run
-/// tens to hundreds of events per simulated second, so 1/16 s keeps
-/// buckets a handful of events deep; [`EventQueue::with_width`] tunes it
-/// when the caller knows the event rate.
-pub const DEFAULT_WIDTH_SECS: f64 = 1.0 / 16.0;
-
-/// One scheduled event: a timestamp, the push-order tie-breaker, and the
-/// caller's payload.
-#[derive(Debug, Clone, Copy)]
+/// One scheduled event: the packed `(time, seq)` key and the caller's
+/// payload.
+#[derive(Debug)]
 struct Entry<K> {
-    time: f64,
-    seq: u64,
+    key: u128,
     kind: K,
 }
 
-/// A calendar-queue priority queue popping events in exact global
-/// `(time, seq)` order, where `seq` is assigned monotonically at
-/// [`push`](EventQueue::push) — the drop-in replacement for the
-/// simulator's former `BinaryHeap` core (see the [module docs](self)).
+// Reversed on the key: `BinaryHeap` is a max-heap, and the earliest key
+// must pop first. The payload never takes part in the order.
+impl<K> Ord for Entry<K> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
+    }
+}
+
+impl<K> PartialOrd for Entry<K> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<K> PartialEq for Entry<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl<K> Eq for Entry<K> {}
+
+/// A priority queue popping events in exact global `(time, seq)` order,
+/// where `seq` is assigned monotonically at [`push`](EventQueue::push)
+/// (see the [module docs](self)).
 #[derive(Debug)]
 pub struct EventQueue<K> {
-    /// The current calendar year: bucket `i` holds the unique in-window
-    /// slot `abs` with `abs & 255 == i`.
-    buckets: Vec<Vec<Entry<K>>>,
-    /// One bit per non-empty bucket.
-    occupied: [u64; OCC_WORDS],
-    /// Events in slots at or beyond `cursor + NUM_BUCKETS`, unsorted.
-    overflow: Vec<Entry<K>>,
-    /// Smallest slot present in `overflow` (meaningless when empty).
-    overflow_min_slot: u64,
-    /// Absolute slot the queue is currently draining.
-    cursor: u64,
-    /// Whether the cursor bucket has been sorted (descending
-    /// `(time, seq)`) since the cursor arrived at it.
-    cursor_sorted: bool,
-    /// Slot width in simulated seconds.
-    width: f64,
+    heap: BinaryHeap<Entry<K>>,
     /// Next sequence number (total pushes so far).
     seq: u64,
-    /// Events currently queued.
-    len: usize,
 }
 
 impl<K> Default for EventQueue<K> {
@@ -103,203 +68,52 @@ impl<K> Default for EventQueue<K> {
 }
 
 impl<K> EventQueue<K> {
-    /// An empty queue with the [default bucket width](DEFAULT_WIDTH_SECS).
+    /// An empty queue.
     pub fn new() -> Self {
-        Self::with_width(DEFAULT_WIDTH_SECS)
+        EventQueue {
+            heap: BinaryHeap::new(),
+            seq: 0,
+        }
     }
 
-    /// An empty queue with `width`-second buckets. Correct for any
-    /// positive finite width — width only moves the constant factor
-    /// (too coarse: long sorted buckets; too fine: long bitmap walks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is not positive and finite.
-    pub fn with_width(width: f64) -> Self {
-        assert!(
-            width > 0.0 && width.is_finite(),
-            "bucket width must be positive and finite"
-        );
-        EventQueue {
-            buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
-            occupied: [0; OCC_WORDS],
-            overflow: Vec::new(),
-            overflow_min_slot: 0,
-            cursor: 0,
-            cursor_sorted: false,
-            width,
-            seq: 0,
-            len: 0,
-        }
+    /// An empty queue; `width` is unused. Kept for callers written
+    /// against the earlier calendar queue, which sized its buckets with it.
+    pub fn with_width(_width: f64) -> Self {
+        Self::new()
     }
 
     /// Events currently queued.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    #[inline]
-    fn slot_of(&self, time: f64) -> u64 {
-        (time / self.width) as u64
+        self.heap.is_empty()
     }
 
     /// Schedules `kind` at `time`, assigning the next sequence number —
     /// among equal timestamps, earlier pushes pop earlier.
     ///
-    /// `time` must be finite and non-negative (simulated seconds).
+    /// # Panics
+    ///
+    /// Panics unless `time` is finite and sign-positive (`-0.0` is
+    /// rejected): the packed key orders only those times correctly.
     pub fn push(&mut self, time: f64, kind: K) {
-        debug_assert!(time.is_finite() && time >= 0.0, "event time {time}");
-        let seq = self.seq;
+        assert!(
+            time.is_finite() && time.is_sign_positive(),
+            "event time {time} is not finite and sign-positive"
+        );
+        let key = (u128::from(time.to_bits()) << 64) | u128::from(self.seq);
         self.seq += 1;
-        let entry = Entry { time, seq, kind };
-        let slot = self.slot_of(time);
-        if self.len == 0 {
-            // Empty queue: re-anchor the calendar at the push.
-            debug_assert!(self.overflow.is_empty());
-            self.cursor = slot;
-            self.cursor_sorted = false;
-        }
-        // Invariant 3: a slot the cursor passed (float truncation at a
-        // boundary) clamps into the cursor bucket; the true timestamp
-        // still sorts it exactly.
-        let slot = slot.max(self.cursor);
-        if slot >= self.cursor + NUM_BUCKETS as u64 {
-            if self.overflow.is_empty() || slot < self.overflow_min_slot {
-                self.overflow_min_slot = slot;
-            }
-            self.overflow.push(entry);
-        } else {
-            let idx = (slot & BUCKET_MASK) as usize;
-            let bucket = &mut self.buckets[idx];
-            if bucket.is_empty() {
-                self.occupied[idx >> 6] |= 1u64 << (idx & 63);
-            }
-            if slot == self.cursor && self.cursor_sorted {
-                // Keep the drained-from bucket sorted: descending
-                // (time, seq), and this entry holds the largest seq, so
-                // it belongs *before* equal-time entries (pops after
-                // them — push order preserved).
-                let at = bucket.partition_point(|e| {
-                    e.time
-                        .total_cmp(&entry.time)
-                        .then(e.seq.cmp(&entry.seq))
-                        .is_gt()
-                });
-                bucket.insert(at, entry);
-            } else {
-                bucket.push(entry);
-            }
-        }
-        self.len += 1;
+        self.heap.push(Entry { key, kind });
     }
 
     /// Removes and returns the earliest event as `(time, kind)` — exact
     /// global `(time, seq)` order, ties in push order.
     pub fn pop(&mut self) -> Option<(f64, K)> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            let idx = (self.cursor & BUCKET_MASK) as usize;
-            if !self.buckets[idx].is_empty() {
-                break;
-            }
-            self.advance_cursor(idx);
-        }
-        let idx = (self.cursor & BUCKET_MASK) as usize;
-        let bucket = &mut self.buckets[idx];
-        if !self.cursor_sorted {
-            bucket.sort_unstable_by(|a, b| b.time.total_cmp(&a.time).then(b.seq.cmp(&a.seq)));
-            self.cursor_sorted = true;
-        }
-        let entry = bucket.pop().expect("cursor bucket is non-empty");
-        if bucket.is_empty() {
-            self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
-        }
-        self.len -= 1;
-        Some((entry.time, entry.kind))
-    }
-
-    /// Moves the cursor to the next non-empty slot: the nearest occupied
-    /// bucket in window order, else the earliest overflow slot. Flushes
-    /// newly in-window overflow events on every move (invariant 2).
-    /// Only called while events remain somewhere.
-    fn advance_cursor(&mut self, from_idx: usize) {
-        match self.next_occupied(from_idx) {
-            Some(idx) => {
-                let delta = (idx as u64).wrapping_sub(from_idx as u64) & BUCKET_MASK;
-                // `from_idx`'s bit is clear (its bucket just drained), so
-                // delta == 0 means a full wrap of 256 slots.
-                let delta = if delta == 0 {
-                    NUM_BUCKETS as u64
-                } else {
-                    delta
-                };
-                self.cursor += delta;
-            }
-            None => {
-                debug_assert!(!self.overflow.is_empty(), "len > 0 but nothing queued");
-                self.cursor = self.overflow_min_slot;
-            }
-        }
-        self.cursor_sorted = false;
-        self.flush_overflow();
-    }
-
-    /// First occupied bucket index at or after `from` in circular window
-    /// order, or `None` when every bucket is empty.
-    fn next_occupied(&self, from: usize) -> Option<usize> {
-        let word = from >> 6;
-        let bit = from & 63;
-        let masked = self.occupied[word] & (!0u64 << bit);
-        if masked != 0 {
-            return Some((word << 6) + masked.trailing_zeros() as usize);
-        }
-        for offset in 1..=OCC_WORDS {
-            let w = (word + offset) % OCC_WORDS;
-            let bits = if w == word {
-                self.occupied[w] & !(!0u64 << bit)
-            } else {
-                self.occupied[w]
-            };
-            if bits != 0 {
-                return Some((w << 6) + bits.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
-    /// Drops overflow events whose slot entered the window into their
-    /// buckets, maintaining invariant 2 (`overflow ⊆ [cursor + 256, ∞)`).
-    fn flush_overflow(&mut self) {
-        if self.overflow.is_empty() || self.overflow_min_slot >= self.cursor + NUM_BUCKETS as u64 {
-            return;
-        }
-        let mut min_slot = u64::MAX;
-        let mut i = 0;
-        while i < self.overflow.len() {
-            let slot = self.slot_of(self.overflow[i].time).max(self.cursor);
-            if slot < self.cursor + NUM_BUCKETS as u64 {
-                // swap-extract keeps the pass O(overflow); bucket order
-                // does not matter, the lazy sort restores (time, seq).
-                // The swapped-in tail element lands at `i` — re-examine.
-                let entry = self.overflow.swap_remove(i);
-                let idx = (slot & BUCKET_MASK) as usize;
-                if self.buckets[idx].is_empty() {
-                    self.occupied[idx >> 6] |= 1u64 << (idx & 63);
-                }
-                self.buckets[idx].push(entry);
-            } else {
-                min_slot = min_slot.min(slot);
-                i += 1;
-            }
-        }
-        self.overflow_min_slot = min_slot;
+        let Entry { key, kind } = self.heap.pop()?;
+        Some((f64::from_bits((key >> 64) as u64), kind))
     }
 }
 
@@ -309,119 +123,42 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
 
-    /// The simulator's former event core, kept as the ordering oracle: a
-    /// max-`BinaryHeap` whose reversed `Ord` pops the earliest
-    /// `(time, seq)` pair — `seq` assigned monotonically at push.
-    struct ReferenceHeap<K> {
-        heap: BinaryHeap<RefEntry<K>>,
+    /// The ordering oracle: pending `(time, seq, kind)` triples in a
+    /// `Vec`, popped by a linear scan for the minimum
+    /// `(time.total_cmp, seq)`.
+    #[derive(Default)]
+    struct LinearScan {
+        pending: Vec<(f64, u64, usize)>,
         seq: u64,
     }
 
-    struct RefEntry<K> {
-        time: f64,
-        seq: u64,
-        kind: K,
-    }
-
-    impl<K> PartialEq for RefEntry<K> {
-        fn eq(&self, other: &Self) -> bool {
-            self.cmp(other) == Ordering::Equal
-        }
-    }
-    impl<K> Eq for RefEntry<K> {}
-    impl<K> PartialOrd for RefEntry<K> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl<K> Ord for RefEntry<K> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            other
-                .time
-                .total_cmp(&self.time)
-                .then_with(|| other.seq.cmp(&self.seq))
-        }
-    }
-
-    impl<K> ReferenceHeap<K> {
-        fn new() -> Self {
-            ReferenceHeap {
-                heap: BinaryHeap::new(),
-                seq: 0,
-            }
-        }
-        fn push(&mut self, time: f64, kind: K) {
-            self.heap.push(RefEntry {
-                time,
-                seq: self.seq,
-                kind,
-            });
+    impl LinearScan {
+        fn push(&mut self, time: f64, kind: usize) {
+            self.pending.push((time, self.seq, kind));
             self.seq += 1;
         }
-        fn pop(&mut self) -> Option<(f64, K)> {
-            self.heap.pop().map(|e| (e.time, e.kind))
+
+        fn pop(&mut self) -> Option<(f64, usize)> {
+            let at = (0..self.pending.len()).min_by(|&a, &b| {
+                let (ta, sa, _) = self.pending[a];
+                let (tb, sb, _) = self.pending[b];
+                ta.total_cmp(&tb).then(sa.cmp(&sb))
+            })?;
+            let (time, _, kind) = self.pending.swap_remove(at);
+            Some((time, kind))
         }
     }
 
-    /// One simulated-push step: the next event lands `delta` seconds
-    /// after the current pop time (0 = a same-timestamp tie).
-    fn drive<F: FnMut(usize) -> f64>(n: usize, width: f64, pops_per_push: f64, mut delta: F) {
-        let mut q = EventQueue::with_width(width);
-        let mut r = ReferenceHeap::new();
-        let mut now = 0.0f64;
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut popped = 0usize;
-        for i in 0..n {
-            let t = now + delta(i);
-            q.push(t, i);
-            r.push(t, i);
-            if rng.gen::<f64>() < pops_per_push {
-                let got = q.pop();
-                let want = r.pop();
-                assert_eq!(
-                    got.map(|(t, k)| (t.to_bits(), k)),
-                    want.map(|(t, k)| (t.to_bits(), k)),
-                    "pop #{popped} diverged"
-                );
-                if let Some((t, _)) = want {
-                    now = now.max(t);
-                }
-                popped += 1;
-            }
-        }
-        loop {
-            let got = q.pop();
-            let want = r.pop();
-            assert_eq!(
-                got.map(|(t, k)| (t.to_bits(), k)),
-                want.map(|(t, k)| (t.to_bits(), k)),
-                "drain pop #{popped} diverged"
-            );
-            popped += 1;
-            match want {
-                Some((t, _)) => now = now.max(t),
-                None => break,
-            }
-        }
-        assert!(q.is_empty());
-    }
-
-    /// The satellite regression test: a seeded 100k-event stream (bursty
-    /// ties, Poisson-ish gaps, occasional far-future jumps into the
-    /// overflow rung) drains in exactly the reference heap's order.
-    #[test]
-    fn drains_a_seeded_100k_stream_in_reference_heap_order() {
-        let mut rng = StdRng::seed_from_u64(0xCA1E_04A8);
-        drive(100_000, DEFAULT_WIDTH_SECS, 0.9, move |_| {
-            match rng.gen_range(0..10u32) {
-                0..=2 => 0.0,                         // same-timestamp tie
-                3..=8 => rng.gen::<f64>() * 0.5,      // in-window gap
-                _ => 20.0 + rng.gen::<f64>() * 100.0, // overflow rung
-            }
-        });
+    /// Pops both queues and asserts they agree bit for bit; returns the
+    /// popped time.
+    fn pop_both(q: &mut EventQueue<usize>, oracle: &mut LinearScan) -> Option<f64> {
+        let want = oracle.pop();
+        assert_eq!(
+            q.pop().map(|(t, k)| (t.to_bits(), k)),
+            want.map(|(t, k)| (t.to_bits(), k))
+        );
+        want.map(|(t, _)| t)
     }
 
     #[test]
@@ -432,8 +169,7 @@ mod tests {
         q.push(0.5, "early");
         q.push(1.0, "c");
         assert_eq!(q.pop(), Some((0.5, "early")));
-        // Pushing a tie *while draining* the sorted cursor bucket must
-        // still land in push order.
+        // A tie pushed while draining still pops in push order.
         q.push(1.0, "d");
         assert_eq!(q.pop(), Some((1.0, "a")));
         assert_eq!(q.pop(), Some((1.0, "b")));
@@ -444,23 +180,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_queue_re_anchors_after_a_long_idle_gap() {
-        let mut q = EventQueue::new();
-        q.push(0.0, 0);
-        assert_eq!(q.pop(), Some((0.0, 0)));
-        // A push years past the drained window must not walk the bitmap.
-        q.push(1.0e7, 1);
-        q.push(1.0e7 + 0.001, 2);
-        assert_eq!(q.pop(), Some((1.0e7, 1)));
-        assert_eq!(q.pop(), Some((1.0e7 + 0.001, 2)));
-    }
-
-    #[test]
     fn len_tracks_pushes_and_pops() {
         let mut q = EventQueue::<u32>::new();
         assert!(q.is_empty());
         for i in 0..100 {
-            q.push(i as f64 * 3.0, i); // spans many windows
+            q.push(i as f64 * 3.0, i);
         }
         assert_eq!(q.len(), 100);
         for _ in 0..40 {
@@ -470,35 +194,51 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bucket width")]
-    fn zero_width_is_rejected() {
-        EventQueue::<u32>::with_width(0.0);
+    fn push_rejects_times_that_are_not_finite_and_sign_positive() {
+        for time in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -0.0] {
+            let rejected = std::panic::catch_unwind(|| EventQueue::new().push(time, ()));
+            assert!(rejected.is_err(), "push accepted {time}");
+        }
+        let mut q = EventQueue::new();
+        q.push(0.0, ());
+        q.push(f64::MIN_POSITIVE / 2.0, ()); // subnormal
+        q.push(f64::MAX, ());
+        assert_eq!(q.len(), 3);
     }
 
     proptest! {
-        /// The tentpole's ordering pin: on random event streams — heavy
-        /// same-timestamp ties, slot-boundary times, far-future overflow
-        /// pushes, extreme widths — the calendar queue pops bit-for-bit
-        /// the reference heap's `(time, seq)` order.
+        /// On random streams — heavy same-timestamp ties, ties pushed
+        /// while draining, pops interleaved with pushes — the queue pops
+        /// bit for bit the linear-scan oracle's `(time, seq)` order.
         #[test]
-        fn matches_reference_heap_on_random_streams(
+        fn pops_the_linear_scan_minimum_on_random_streams(
             seed in proptest::any::<u64>(),
-            width_pick in 0usize..4,
             pops_permille in 100usize..1500,
             n in 1usize..400,
         ) {
-            let width = [1e-4, 1.0 / 16.0, 1.0, 64.0][width_pick];
-            let pops_per_push = pops_permille as f64 / 1000.0;
             let mut rng = StdRng::seed_from_u64(seed);
-            drive(n, width, pops_per_push, move |_| {
-                match rng.gen_range(0..12u32) {
-                    0..=3 => 0.0,                            // tie
-                    4 => width * rng.gen_range(1..5u32) as f64, // exact slot boundary
-                    5..=9 => rng.gen::<f64>() * width * 8.0, // near window
-                    10 => rng.gen::<f64>() * width * 1_000.0, // deep overflow
-                    _ => rng.gen::<f64>() * 1e-9,            // sub-slot jitter
+            let pops_per_push = pops_permille as f64 / 1000.0;
+            let mut q = EventQueue::new();
+            let mut oracle = LinearScan::default();
+            // Pushes land at or after the latest pop, as in the simulator.
+            let mut now = 0.0f64;
+            for i in 0..n {
+                let delta = match rng.gen_range(0..8u32) {
+                    0..=3 => 0.0,                         // tie with `now`
+                    4 => rng.gen_range(1..4u32) as f64,   // tie among pushes
+                    5 => rng.gen::<f64>() * 1e-9,         // near-tie
+                    _ => rng.gen::<f64>() * 100.0,
+                };
+                q.push(now + delta, i);
+                oracle.push(now + delta, i);
+                if rng.gen::<f64>() < pops_per_push {
+                    if let Some(t) = pop_both(&mut q, &mut oracle) {
+                        now = t;
+                    }
                 }
-            });
+            }
+            while pop_both(&mut q, &mut oracle).is_some() {}
+            prop_assert!(q.is_empty());
         }
     }
 }

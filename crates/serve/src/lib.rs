@@ -32,11 +32,10 @@
 //!   the other tenants) and [`sched::SloAware`] (a per-tenant latency
 //!   EWMA gates bitstream reconfiguration on predicted p99 vs the
 //!   tenant's SLO budget — stalls nobody's tail needs stop being paid);
-//! - [`engine`] — the simulation mechanics: a calendar-queue
-//!   [`engine::EventQueue`] (O(1) push/pop at serving densities,
-//!   bit-for-bit the binary-heap `(time, push-order)` contract it
-//!   replaced), a [`engine::Slab`] arena holding in-flight request state
-//!   behind 4-byte handles and batched pre-generated arrival streams
+//! - [`engine`] — the simulation mechanics: a binary-heap
+//!   [`engine::EventQueue`] popping events in `(time, push-order)`
+//!   order, a [`engine::Slab`] arena holding in-flight request state
+//!   behind 4-byte handles and per-tenant arrival streams
 //!   ([`engine::ArrivalSource`]) — see `docs/ARCHITECTURE.md`;
 //! - [`sim`] — the discrete-event scheduler itself, with drop
 //!   accounting and pluggable [`sim::DispatchPolicy`] — strict FIFO

@@ -494,14 +494,10 @@ pub struct TenantStats {
 }
 
 impl TenantStats {
-    /// Drop rate in `[0, 1]`.
+    /// Admission refusals as a share of [`arrivals`](Self::arrivals), in
+    /// `[0, 1]` (expired and aborted arrivals count in the denominator).
     pub fn drop_rate(&self) -> f64 {
-        let offered = self.completed + self.dropped;
-        if offered == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / offered as f64
-        }
+        share(self.dropped, self.arrivals())
     }
 
     /// Requests this tenant arrived with that reached a terminal outcome
@@ -1040,6 +1036,15 @@ impl TrafficReport {
     }
 }
 
+/// `part / whole`, or 0 when `whole` is 0.
+fn share(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
+    }
+}
+
 /// Appends `"key":value,` (the trailing comma is trimmed by [`close_obj`]).
 fn push_field(out: &mut String, key: &str, value: &str) {
     out.push('"');
@@ -1117,11 +1122,7 @@ impl fmt::Display for TrafficReport {
             "TOTAL",
             self.completed(),
             self.dropped(),
-            if self.completed() + self.dropped() == 0 {
-                0.0
-            } else {
-                self.dropped() as f64 / (self.completed() + self.dropped()) as f64 * 100.0
-            },
+            share(self.dropped(), self.outcomes().arrival_terminal()) * 100.0,
             overall.quantile(0.50) * 1e3,
             overall.quantile(0.99) * 1e3,
             overall.max() * 1e3,

@@ -2,19 +2,17 @@
 //!
 //! # Event model
 //!
-//! A calendar-queue event core ([`crate::engine::EventQueue`]) advances
+//! A binary-heap event queue ([`crate::engine::EventQueue`]) advances
 //! simulated time (`now: f64` seconds; ties broken by a monotone
-//! push-order sequence number, so replays are bit-stable — the same
-//! contract the original binary heap kept, proptested against it in
-//! `engine/queue.rs`). In-flight request state lives in a
-//! [`crate::engine::Slab`] arena and events carry 4-byte handles;
-//! arrivals are pre-generated in per-tenant batches
-//! ([`crate::engine::ArrivalSource`]) — the inner loop performs no heap
-//! allocation in steady state. A request has one record, its `Visit`,
-//! in one slab from dispatch (or a cache hit at arrival) to its
-//! `ServiceDone`; a hedge leg is a copy of it on the second board, and
-//! its latency is read off it in one place for both lifecycles. Seven
-//! event kinds drive the simulation:
+//! push-order sequence number, so replays are bit-stable). In-flight
+//! request state lives in a [`crate::engine::Slab`] arena and events
+//! carry 4-byte handles; each tenant's arrival stream
+//! ([`crate::engine::ArrivalSource`]) draws its next arrival on demand
+//! — the inner loop performs no heap allocation in steady state. A
+//! request has one record, its `Visit`, in one slab from dispatch (or a
+//! cache hit at arrival) to its `ServiceDone`; a hedge leg is a copy of
+//! it on the second board, and its latency is read off it in one place
+//! for both lifecycles. Seven event kinds drive the simulation:
 //!
 //! - **`Arrival`** — a tenant's request arrives. It is offered to the
 //!   configured [`crate::sched::SchedPolicy`] (refusals — shared queue
@@ -1193,9 +1191,7 @@ struct Run<'a, S: TraceSink + ?Sized> {
     /// Every request between dispatch (or a cache hit) and its
     /// `ServiceDone`.
     visits: Slab<Visit>,
-    /// Independent seeded arrival streams, pre-generated in batches
-    /// (bit-identical to on-demand draws — the streams are
-    /// schedule-independent).
+    /// Independent seeded arrival streams (schedule-independent).
     arrivals: ArrivalSource,
     /// Arrivals generated so far (the offered load stops at
     /// [`ServeConfig::total_requests`]).
@@ -1242,11 +1238,6 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         sink: &'a mut S,
     ) -> Self {
         pool.reset();
-        // Size the calendar-queue buckets off the offered load: at the
-        // tenants' combined peak rate one bucket holds a handful of
-        // events. Width only moves constants, never ordering.
-        let total_peak: f64 = tenants.iter().map(|t| t.arrival.peak_rate()).sum();
-        let width_secs = (1.0 / (4.0 * total_peak)).clamp(1e-6, 1.0);
         // Effective per-tenant deadlines: the tenant's own, falling back
         // to the pool-wide default.
         let deadlines: Vec<Option<f64>> = tenants
@@ -1257,7 +1248,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
             tag_boards: pool.size() > 1 || cfg.overlap,
             pcie: pool.pcie(),
             switch: pool.switch(),
-            queue: EventQueue::with_width(width_secs),
+            queue: EventQueue::new(),
             visits: Slab::with_capacity(4 * pool.size()),
             arrivals: ArrivalSource::new(tenants, cfg.seed),
             offered: 0,
@@ -1496,7 +1487,9 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         // cost without a board slot; a duplicate of an in-flight request
         // parks on that primary (hit-under-miss).
         if self.cache.enabled() {
-            let costs = self.memo.bucket_costs(tenant, &self.tenants[tenant], now);
+            let costs = self
+                .memo
+                .bucket_costs(tenant, &self.tenants[tenant], now, self.pool);
             self.cache.observe(tenant, bucket, costs.coo_bytes);
             let resident = self.pool.resident_boards(tenant).next().is_some();
             if self.cache.full_hit(tenant, bucket, resident).is_some() {
@@ -1788,8 +1781,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         let tag = self.next_tag(tenant);
         self.span(Track::Queue, SpanKind::Queue, tag, arrival_secs, now);
         let spec = &self.tenants[tenant];
-        let costs = self.memo.bucket_costs(tenant, spec, now);
-        let best = self.memo.best_config(tenant, spec, now, self.pool);
+        let costs = self.memo.bucket_costs(tenant, spec, now, self.pool);
         let coo_bytes = costs.coo_bytes;
 
         // Classify the dispatch against the result cache: a fresh entry
@@ -1863,7 +1855,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
             arrival_secs,
             dispatch_secs: now,
             workload: costs.workload,
-            best,
+            best: costs.best,
             download_secs: self.pcie.transfer_secs(costs.subgraph_bytes),
             inference_secs: costs.inference_secs,
             upload_secs,
@@ -2090,7 +2082,8 @@ impl Placer<'_> {
     fn best(&mut self, request: &Request) -> HwConfig {
         let spec = &self.tenants[request.tenant];
         self.memo
-            .best_config(request.tenant, spec, self.now, self.pool)
+            .bucket_costs(request.tenant, spec, self.now, self.pool)
+            .best
     }
 
     /// Picks the next dispatch, or `None` when no placement is currently
@@ -2245,6 +2238,11 @@ struct BucketCosts {
     /// [`GpuInferenceModel::analytic_inference_secs`] under the tenant's
     /// GNN for this bucket's subgraph.
     inference_secs: f64,
+    /// The library-optimal configuration ([`CostModel::choose_config`]),
+    /// which the dispatch scan re-reads for every queued request inside
+    /// a drift step. Sound pool-wide: all boards search the same
+    /// bitstream library.
+    best: HwConfig,
 }
 
 /// One tenant's memo: the current drift-bucket row plus small keyed
@@ -2253,13 +2251,9 @@ struct BucketCosts {
 /// drifted into a newer bucket).
 #[derive(Debug)]
 struct TenantMemo {
-    /// Drift bucket `costs` belongs to (`None` until first touched).
-    bucket: Option<u64>,
-    costs: BucketCosts,
-    /// `bucket → library-optimal configuration` (the
-    /// [`CostModel::choose_config`] pick the dispatch scan re-reads for
-    /// every queued request inside a drift step).
-    best: Option<(u64, HwConfig)>,
+    /// The current drift bucket and its costs (`None` until first
+    /// touched).
+    bucket: Option<(u64, BucketCosts)>,
     /// `(workload, config) → fabric preprocessing seconds` (the
     /// [`BoardPool::stage_secs`] total). An [`FxHashMap`] — the
     /// multiply-rotate hash is deterministic across processes (no
@@ -2289,20 +2283,12 @@ struct CostMemo {
 
 impl CostMemo {
     fn new(tenant_count: usize, step_secs: f64) -> Self {
-        let empty = BucketCosts {
-            workload: Workload::new(0, 0, 0, 0, 0),
-            coo_bytes: 0,
-            subgraph_bytes: 0,
-            inference_secs: 0.0,
-        };
         CostMemo {
             step_secs,
             inference: GpuInferenceModel::default(),
             rows: (0..tenant_count)
                 .map(|_| TenantMemo {
                     bucket: None,
-                    costs: empty,
-                    best: None,
                     stages: FxHashMap::default(),
                     verdicts: FxHashMap::default(),
                 })
@@ -2311,51 +2297,37 @@ impl CostMemo {
     }
 
     /// The memoized drift-bucket row for `tenant` at `now`, rebuilt on a
-    /// bucket miss (one workload construction plus two expansion passes
-    /// per tenant per drift step, instead of per dispatch).
-    fn bucket_costs(&mut self, index: usize, tenant: &TenantSpec, now: f64) -> BucketCosts {
-        let bucket = tenant.drift_bucket(now, self.step_secs);
-        let row = &mut self.rows[index];
-        if row.bucket != Some(bucket) {
-            let workload = tenant.workload_at(now, self.step_secs);
-            row.bucket = Some(bucket);
-            row.costs = BucketCosts {
-                workload,
-                coo_bytes: workload.coo_bytes(),
-                subgraph_bytes: workload.subgraph_bytes(),
-                inference_secs: self.inference.analytic_inference_secs(
-                    &tenant.gnn,
-                    workload.subgraph_nodes(),
-                    workload.subgraph_edges(),
-                ),
-            };
-        }
-        row.costs
-    }
-
-    /// The library-optimal configuration for `tenant`'s current drift
-    /// bucket, memoized per tenant. The workload (and its `powf` drift
-    /// factors) is only built on a bucket miss — the dispatch scan hits
-    /// the memo for every queued request inside a drift step. The memo is
-    /// sound pool-wide: all boards search the same bitstream library.
-    fn best_config(
+    /// bucket miss (one workload construction, two expansion passes and
+    /// one library search per tenant per drift step, instead of per
+    /// dispatch).
+    fn bucket_costs(
         &mut self,
         index: usize,
         tenant: &TenantSpec,
         now: f64,
         pool: &BoardPool,
-    ) -> HwConfig {
+    ) -> BucketCosts {
         let bucket = tenant.drift_bucket(now, self.step_secs);
         let row = &mut self.rows[index];
-        if let Some((cached_bucket, config)) = row.best {
-            if cached_bucket == bucket {
-                return config;
+        match row.bucket {
+            Some((cached, costs)) if cached == bucket => costs,
+            _ => {
+                let workload = tenant.workload_at(now, self.step_secs);
+                let costs = BucketCosts {
+                    workload,
+                    coo_bytes: workload.coo_bytes(),
+                    subgraph_bytes: workload.subgraph_bytes(),
+                    inference_secs: self.inference.analytic_inference_secs(
+                        &tenant.gnn,
+                        workload.subgraph_nodes(),
+                        workload.subgraph_edges(),
+                    ),
+                    best: CostModel.choose_config(&workload, pool.library()),
+                };
+                row.bucket = Some((bucket, costs));
+                costs
             }
         }
-        let workload = tenant.workload_at(now, self.step_secs);
-        let best = CostModel.choose_config(&workload, pool.library());
-        row.best = Some((bucket, best));
-        best
     }
 
     /// [`BoardPool::stage_secs`] under board `board`'s current

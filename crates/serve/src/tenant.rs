@@ -57,9 +57,7 @@ impl ArrivalProcess {
     }
 
     /// The peak instantaneous rate — the thinning envelope of
-    /// [`next_after`](ArrivalProcess::next_after), and the simulator's
-    /// estimate of a tenant's worst-case event rate when sizing its
-    /// calendar-queue buckets.
+    /// [`next_after`](ArrivalProcess::next_after).
     pub fn peak_rate(&self) -> f64 {
         match *self {
             ArrivalProcess::Poisson { rate_rps } => rate_rps,

@@ -68,6 +68,41 @@ fn backpressure_is_fully_accounted() {
     assert_eq!(per_tenant, 10_000, "per-tenant accounting sums to offered");
 }
 
+/// With deadlines on, arrivals also end expired in the queue (or
+/// aborted), so the drop rate divides refusals by every arrival, not by
+/// completions plus refusals alone — per tenant and in the TOTAL row.
+#[test]
+fn drop_rate_counts_expired_arrivals() {
+    let cfg = ServeConfig::builder()
+        .seed(17)
+        .total_requests(10_000)
+        .queue_capacity(8)
+        .default_deadline_secs(0.5)
+        .build()
+        .unwrap();
+    let report = simulate(drift_heavy_tenants(), cfg);
+    assert!(report.dropped() > 0, "tiny queue under load must drop");
+    assert!(report.expired_in_queue() > 0, "tight deadline must expire");
+    for t in &report.tenants {
+        let want = t.dropped as f64 / t.arrivals() as f64;
+        assert_eq!(t.drop_rate().to_bits(), want.to_bits(), "{}", t.name);
+    }
+    let arrivals = report.outcomes().arrival_terminal();
+    assert_eq!(arrivals, 10_000);
+    assert!(report.completed() + report.dropped() < arrivals);
+    let total = format!(
+        "{:>7.2}%",
+        report.dropped() as f64 / arrivals as f64 * 100.0
+    );
+    let row = report
+        .to_string()
+        .lines()
+        .find(|l| l.starts_with("TOTAL"))
+        .map(str::to_owned)
+        .expect("TOTAL row");
+    assert!(row.contains(&total), "{row} lacks {total}");
+}
+
 #[test]
 fn reconfig_aware_beats_fifo_on_p99_under_drift() {
     let mk = |policy| {
