@@ -213,6 +213,7 @@ pub fn replay_windows(config: ScrConfig, num_vertices: usize, sorted_dsts: &[Vid
     let mut scr_passes = 0u64;
     let mut consumed = 0usize; // COO elements already consumed
     let mut target = 0usize; // next pointer entry to finalize
+    let mut lanes = Vec::with_capacity(config.width);
 
     while target <= num_vertices {
         cycles += 1;
@@ -228,7 +229,7 @@ pub fn replay_windows(config: ScrConfig, num_vertices: usize, sorted_dsts: &[Vid
                 break;
             }
             scr_passes += 1;
-            let in_window = count_below(&scr, window, t as u32);
+            let in_window = count_below(&scr, window, t as u32, &mut lanes);
             // The count is final once the window shows an element >= t
             // or the COO is exhausted.
             let proven = window_is_last || window.last().is_some_and(|&d| d.index() >= t);
@@ -259,10 +260,9 @@ pub fn replay_windows(config: ScrConfig, num_vertices: usize, sorted_dsts: &[Vid
 }
 
 /// Destinations in `window` below `target`, counted by the SCR adder tree
-/// and asserted against a binary search.
-fn count_below(scr: &Scr, window: &[Vid], target: u32) -> u32 {
-    let raw: Vec<u32> = window.iter().map(|v| v.0).collect();
-    let counted = scr.count_less_than(&raw, target);
+/// (reduced in `lanes`) and asserted against a binary search.
+fn count_below(scr: &Scr, window: &[Vid], target: u32, lanes: &mut Vec<u32>) -> u32 {
+    let counted = scr.count_less_than_in(window.iter().map(|v| v.0), target, lanes);
     let expected = window.partition_point(|&d| d.0 < target) as u32;
     assert_eq!(counted, expected, "SCR adder tree diverged");
     counted
@@ -310,11 +310,12 @@ pub fn replay_reindex(config: ScrConfig, stream: &[Vid]) -> ReindexRun {
     let mut new_to_old = Vec::new();
     let mut cycles = 0u64;
     let mut scr_passes = 0u64;
+    let mut lanes = Vec::with_capacity(config.width);
 
     for &old in stream {
         cycles += 1;
         scr_passes += (mappings.len().div_ceil(bank).max(1) * config.slots) as u64;
-        match filter_lookup(&scr, &mappings, old.0) {
+        match filter_lookup(&scr, &mappings, old.0, &mut lanes) {
             Some(renumbered) => new_ids.push(Vid(renumbered)),
             None => {
                 let fresh = mappings.len() as u32;
@@ -342,12 +343,17 @@ pub fn replay_reindex(config: ScrConfig, stream: &[Vid]) -> ReindexRun {
     }
 }
 
-/// The filter tree over each `width`-pair window of the mapping bank,
-/// asserted against a linear search.
-fn filter_lookup(scr: &Scr, mappings: &[(u32, u32)], old: u32) -> Option<u32> {
+/// The filter tree over each `width`-pair window of the mapping bank
+/// (reduced in `lanes`), asserted against a linear search.
+fn filter_lookup(
+    scr: &Scr,
+    mappings: &[(u32, u32)],
+    old: u32,
+    lanes: &mut Vec<(bool, u32)>,
+) -> Option<u32> {
     let found = mappings
         .chunks(scr.width())
-        .find_map(|chunk| scr.filter_lookup(chunk, old));
+        .find_map(|chunk| scr.filter_lookup_in(chunk, old, lanes));
     let expected = mappings.iter().find(|&&(o, _)| o == old).map(|&(_, r)| r);
     assert_eq!(found, expected, "SCR filter tree diverged");
     found

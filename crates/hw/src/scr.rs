@@ -57,14 +57,23 @@ impl Scr {
     ///
     /// Panics if the window exceeds the comparator width.
     pub fn count_less_than(&self, window: &[u32], target: u32) -> u32 {
+        self.count_less_than_in(window.iter().copied(), target, &mut Vec::new())
+    }
+
+    /// [`count_less_than`](Scr::count_less_than) reducing in `lanes`, a
+    /// buffer the caller reuses across calls (its contents are replaced).
+    pub(crate) fn count_less_than_in(
+        &self,
+        window: impl ExactSizeIterator<Item = u32>,
+        target: u32,
+        lanes: &mut Vec<u32>,
+    ) -> u32 {
         assert!(window.len() <= self.width, "window exceeds SCR width");
         // Comparator array: one bit per lane.
-        let mut level: Vec<u32> = window.iter().map(|&e| u32::from(e < target)).collect();
+        lanes.clear();
+        lanes.extend(window.map(|e| u32::from(e < target)));
         // Adder tree: log2 layers of pairwise sums (width up to log n bits).
-        while level.len() > 1 {
-            level = level.chunks(2).map(|pair| pair.iter().sum()).collect();
-        }
-        level.first().copied().unwrap_or(0)
+        reduce_tree(lanes, |a, b| a + b).unwrap_or(0)
     }
 
     /// Reindexer datapath: search the `(original, renumbered)` mapping
@@ -78,30 +87,48 @@ impl Scr {
     ///
     /// Panics if the window exceeds the comparator width.
     pub fn filter_lookup(&self, window: &[(u32, u32)], target: u32) -> Option<u32> {
+        self.filter_lookup_in(window, target, &mut Vec::new())
+    }
+
+    /// [`filter_lookup`](Scr::filter_lookup) reducing in `lanes`, a buffer
+    /// the caller reuses across calls (its contents are replaced).
+    pub(crate) fn filter_lookup_in(
+        &self,
+        window: &[(u32, u32)],
+        target: u32,
+        lanes: &mut Vec<(bool, u32)>,
+    ) -> Option<u32> {
         assert!(window.len() <= self.width, "window exceeds SCR width");
         // Comparator array: lane carries (hit, value) — value gated to 0 on miss.
-        let mut level: Vec<(bool, u32)> = window
-            .iter()
-            .map(|&(original, renumbered)| {
-                let hit = original == target;
-                (hit, if hit { renumbered } else { 0 })
-            })
-            .collect();
+        lanes.clear();
+        lanes.extend(window.iter().map(|&(original, renumbered)| {
+            let hit = original == target;
+            (hit, if hit { renumbered } else { 0 })
+        }));
         // Filter tree: OR both the hit bit and the gated value.
-        while level.len() > 1 {
-            level = level
-                .chunks(2)
-                .map(|pair| {
-                    pair.iter()
-                        .fold((false, 0u32), |(h, v), &(ph, pv)| (h | ph, v | pv))
-                })
-                .collect();
-        }
-        match level.first() {
-            Some(&(true, value)) => Some(value),
+        match reduce_tree(lanes, |(h, v), (ph, pv)| (h | ph, v | pv)) {
+            Some((true, value)) => Some(value),
             _ => None,
         }
     }
+}
+
+/// Collapses `lanes` one tree level at a time, in place: lane `i` of the
+/// next level combines lanes `2i` and `2i + 1` of this one, and an odd
+/// last lane passes through. Returns the root (`None` for no lanes).
+fn reduce_tree<T: Copy>(lanes: &mut Vec<T>, combine: impl Fn(T, T) -> T) -> Option<T> {
+    while lanes.len() > 1 {
+        let next = lanes.len().div_ceil(2);
+        for i in 0..next {
+            // Reads lanes 2i and 2i + 1 before writing lane i <= 2i.
+            lanes[i] = match lanes.get(2 * i + 1) {
+                Some(&right) => combine(lanes[2 * i], right),
+                None => lanes[2 * i],
+            };
+        }
+        lanes.truncate(next);
+    }
+    lanes.first().copied()
 }
 
 #[cfg(test)]

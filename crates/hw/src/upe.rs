@@ -65,9 +65,10 @@ impl Upe {
         let mut sums: Vec<u32> = cond.iter().map(|&c| u32::from(c)).collect();
         let mut stride = 1;
         while stride < self.width {
-            let prev = sums.clone();
-            for lane in stride..sums.len() {
-                sums[lane] = prev[lane] + prev[lane - stride];
+            // High lanes first, so each lane still reads the previous
+            // layer's value `stride` lanes to its left.
+            for lane in (stride..sums.len()).rev() {
+                sums[lane] += sums[lane - stride];
             }
             stride <<= 1;
         }
@@ -99,9 +100,10 @@ impl Upe {
 
         // Relocation router (Fig. 12c): one layer per displacement bit, LSB
         // first; each mux lane accepts at most one element per layer.
+        let mut next: Vec<Option<(u64, usize)>> = vec![None; lanes.len()];
         for layer in 0..self.depth() {
             let shift = 1usize << layer;
-            let mut next: Vec<Option<(u64, usize)>> = vec![None; lanes.len()];
+            next.fill(None);
             for (lane, slot) in lanes.iter().enumerate() {
                 if let Some((value, disp)) = *slot {
                     let (target, rest) = if disp & shift != 0 {
@@ -116,7 +118,7 @@ impl Upe {
                     next[target] = Some((value, rest));
                 }
             }
-            lanes = next;
+            std::mem::swap(&mut lanes, &mut next);
         }
 
         lanes[..kept]

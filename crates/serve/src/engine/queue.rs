@@ -17,6 +17,15 @@
 //! The same-timestamp contract — equal `time`, lower `seq` pops first —
 //! is pinned by `tests::same_timestamp_events_pop_in_push_order` and a
 //! proptest against a linear-scan oracle.
+//!
+//! # Deferred root removal
+//!
+//! Almost every event the simulator pops schedules at least one more, so
+//! [`EventQueue::pop`] copies the root out and leaves it in place: the
+//! next [`push`](EventQueue::push) overwrites it and sifts the new entry
+//! down once, instead of a pop's sift plus a push's. A second pop with no
+//! push between removes the stale root first. Keys are unique, so the
+//! pop order is the `(time, seq)` order whatever the heap's shape.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -59,20 +68,41 @@ pub struct EventQueue<K> {
     heap: BinaryHeap<Entry<K>>,
     /// Next sequence number (total pushes so far).
     seq: u64,
+    /// The heap's root was already returned by `pop` and awaits removal
+    /// (see the [module docs](self)).
+    popped_root: bool,
 }
 
-impl<K> Default for EventQueue<K> {
+impl<K: Copy> Default for EventQueue<K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
 impl<K> EventQueue<K> {
+    /// Bytes of one queued entry: the 16-byte key plus the payload, padded
+    /// to the key's alignment. Every sift moves whole entries, so callers
+    /// pin their payload's footprint against this.
+    pub(crate) const ENTRY_BYTES: usize = std::mem::size_of::<Entry<K>>();
+
+    /// Events currently queued.
+    pub fn len(&self) -> usize {
+        self.heap.len() - usize::from(self.popped_root)
+    }
+
+    /// True when nothing is queued.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<K: Copy> EventQueue<K> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
             seq: 0,
+            popped_root: false,
         }
     }
 
@@ -80,16 +110,6 @@ impl<K> EventQueue<K> {
     /// against the earlier calendar queue, which sized its buckets with it.
     pub fn with_width(_width: f64) -> Self {
         Self::new()
-    }
-
-    /// Events currently queued.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Schedules `kind` at `time`, assigning the next sequence number —
@@ -106,13 +126,25 @@ impl<K> EventQueue<K> {
         );
         let key = (u128::from(time.to_bits()) << 64) | u128::from(self.seq);
         self.seq += 1;
-        self.heap.push(Entry { key, kind });
+        let entry = Entry { key, kind };
+        if self.popped_root {
+            self.popped_root = false;
+            // `PeekMut` sifts the overwritten root down when it drops.
+            *self.heap.peek_mut().expect("a popped root is still held") = entry;
+        } else {
+            self.heap.push(entry);
+        }
     }
 
     /// Removes and returns the earliest event as `(time, kind)` — exact
     /// global `(time, seq)` order, ties in push order.
     pub fn pop(&mut self) -> Option<(f64, K)> {
-        let Entry { key, kind } = self.heap.pop()?;
+        if self.popped_root {
+            self.popped_root = false;
+            self.heap.pop();
+        }
+        let &Entry { key, kind } = self.heap.peek()?;
+        self.popped_root = true;
         Some((f64::from_bits((key >> 64) as u64), kind))
     }
 }
@@ -175,6 +207,32 @@ mod tests {
         assert_eq!(q.pop(), Some((1.0, "b")));
         assert_eq!(q.pop(), Some((1.0, "c")));
         assert_eq!(q.pop(), Some((1.0, "d")));
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn a_popped_root_is_replaced_or_removed() {
+        let mut q = EventQueue::new();
+        for (time, kind) in [(3.0, 'c'), (1.0, 'a'), (2.0, 'b')] {
+            q.push(time, kind);
+        }
+        assert_eq!(q.pop(), Some((1.0, 'a')));
+        assert_eq!(q.len(), 2);
+        // The next push overwrites the popped root, even when it is the
+        // new minimum.
+        q.push(0.5, 'z');
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop(), Some((0.5, 'z')));
+        // Two pops in a row remove the stale root in between.
+        assert_eq!(q.pop(), Some((2.0, 'b')));
+        assert_eq!(q.pop(), Some((3.0, 'c')));
+        assert_eq!(q.len(), 0);
+        q.push(4.0, 'd');
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((4.0, 'd')));
         assert_eq!(q.pop(), None);
         assert!(q.is_empty());
     }

@@ -6,6 +6,7 @@
 
 use crate::cache::CacheStats;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Smallest representable latency bucket (1 µs).
 const HIST_FLOOR_SECS: f64 = 1e-6;
@@ -35,13 +36,117 @@ impl Default for LatencyHistogram {
     }
 }
 
+/// The ladder's defining formula: the bucket of `secs` by `log2`.
+/// [`LatencyHistogram::bucket_of`] reads the same bucket from
+/// [`BucketTable`] and falls back to this next to each bucket edge.
+fn bucket_by_log2(secs: f64) -> usize {
+    if secs <= HIST_FLOOR_SECS {
+        return 0;
+    }
+    let octaves = (secs / HIST_FLOOR_SECS).log2();
+    ((octaves * BUCKETS_PER_OCTAVE) as usize).min(NUM_BUCKETS)
+}
+
+/// Low bits of an `f64` dropped to name its table interval: the
+/// exponent and the top four mantissa bits remain, so each octave splits
+/// into 16 intervals, each narrower than a bucket (at most
+/// `log2(17/16)` ≈ 0.09 octave against 1/8), and holds at most one edge.
+const INTERVAL_SHIFT: u32 = 52 - 4;
+
+/// Half-width, in ULPs, of the band around each bucket edge where
+/// [`LatencyHistogram::bucket_of`] evaluates [`bucket_by_log2`] itself.
+/// `log2` is accurate to about one ULP of its result, so the formula can
+/// step back and forth only within a few dozen ULPs of an edge; outside
+/// the band it is monotone and the table is exact.
+const EDGE_BAND_ULPS: u64 = 256;
+
+/// One table interval: the bucket just below `edge` (the one edge whose
+/// band reaches this interval, as `f64` bits), or the interval's bucket
+/// when no band does (`edge` is then `u64::MAX`, never reached).
+#[derive(Debug, Clone, Copy)]
+struct Interval {
+    edge: u64,
+    base: u32,
+}
+
+/// [`bucket_by_log2`] tabulated over the ladder: one [`Interval`] per
+/// `INTERVAL_SHIFT` interval of positive `f64`s from the floor up to the
+/// last edge's band. Built once per process.
+#[derive(Debug)]
+struct BucketTable {
+    /// Interval index (`bits >> INTERVAL_SHIFT`) of `intervals[0]`.
+    first: u64,
+    intervals: Vec<Interval>,
+}
+
+impl BucketTable {
+    fn get() -> &'static BucketTable {
+        static TABLE: OnceLock<BucketTable> = OnceLock::new();
+        TABLE.get_or_init(BucketTable::build)
+    }
+
+    /// The bits of the smallest `f64` above the floor that
+    /// [`bucket_by_log2`] puts in bucket `bucket` or higher, by binary
+    /// search over the bit patterns (which order like positive values).
+    fn edge(bucket: usize) -> u64 {
+        let (mut below, mut at) = (HIST_FLOOR_SECS.to_bits(), f64::MAX.to_bits());
+        while at - below > 1 {
+            let mid = below + (at - below) / 2;
+            if bucket_by_log2(f64::from_bits(mid)) >= bucket {
+                at = mid;
+            } else {
+                below = mid;
+            }
+        }
+        at
+    }
+
+    fn build() -> BucketTable {
+        // `edges[i]` opens bucket `i + 1`.
+        let edges: Vec<u64> = (1..=NUM_BUCKETS).map(Self::edge).collect();
+        let first = HIST_FLOOR_SECS.to_bits() >> INTERVAL_SHIFT;
+        let last = (edges[NUM_BUCKETS - 1] + EDGE_BAND_ULPS) >> INTERVAL_SHIFT;
+        let intervals = (first..=last)
+            .map(|interval| {
+                let lo = interval << INTERVAL_SHIFT;
+                let hi = lo + (1 << INTERVAL_SHIFT) - 1;
+                let mut banded = (0..NUM_BUCKETS).filter(|&i| {
+                    edges[i] - EDGE_BAND_ULPS <= hi && edges[i] + EDGE_BAND_ULPS >= lo
+                });
+                match (banded.next(), banded.next()) {
+                    (Some(i), None) => Interval {
+                        edge: edges[i],
+                        base: i as u32,
+                    },
+                    (None, _) => Interval {
+                        edge: u64::MAX,
+                        base: edges.partition_point(|&e| e <= lo) as u32,
+                    },
+                    (Some(_), Some(_)) => unreachable!("two bucket edges in one table interval"),
+                }
+            })
+            .collect();
+        BucketTable { first, intervals }
+    }
+}
+
 impl LatencyHistogram {
+    /// The ladder bucket of `secs` — [`bucket_by_log2`]'s bucket for
+    /// every `f64`, read from [`BucketTable`] away from the bucket edges.
     fn bucket_of(secs: f64) -> usize {
         if secs <= HIST_FLOOR_SECS {
             return 0;
         }
-        let octaves = (secs / HIST_FLOOR_SECS).log2();
-        ((octaves * BUCKETS_PER_OCTAVE) as usize).min(NUM_BUCKETS)
+        let bits = secs.to_bits();
+        let table = BucketTable::get();
+        let interval = (bits >> INTERVAL_SHIFT).wrapping_sub(table.first);
+        if let Some(&Interval { edge, base }) = table.intervals.get(interval as usize) {
+            if bits.wrapping_sub(edge).wrapping_add(EDGE_BAND_ULPS) > 2 * EDGE_BAND_ULPS {
+                return base as usize + usize::from(bits >= edge);
+            }
+        }
+        // NaN, the overflow range and the bands around the edges.
+        bucket_by_log2(secs)
     }
 
     /// Upper bound of bucket `i` in seconds.
@@ -560,7 +665,9 @@ pub struct DepthSample {
 pub struct DepthTimeline {
     samples: Vec<DepthSample>,
     stride: u64,
-    transitions: u64,
+    /// Transitions left before the next kept sample (a countdown, so
+    /// keeping every `stride`-th transition costs no division).
+    until_sample: u64,
     max_depth: usize,
     area: f64,
     last_time: f64,
@@ -573,7 +680,7 @@ impl DepthTimeline {
         DepthTimeline {
             samples: Vec::new(),
             stride: stride.max(1),
-            transitions: 0,
+            until_sample: 0,
             max_depth: 0,
             area: 0.0,
             last_time: 0.0,
@@ -587,10 +694,11 @@ impl DepthTimeline {
         self.last_time = time_secs;
         self.last_depth = depth;
         self.max_depth = self.max_depth.max(depth);
-        if self.transitions.is_multiple_of(self.stride) {
+        if self.until_sample == 0 {
             self.samples.push(DepthSample { time_secs, depth });
+            self.until_sample = self.stride;
         }
-        self.transitions += 1;
+        self.until_sample -= 1;
     }
 
     /// The retained samples, in time order.
@@ -1264,6 +1372,72 @@ mod tests {
         h.record(1e9); // far beyond the ladder
         assert_eq!(h.quantile(0.99), 1e9);
         assert_eq!(h.max(), 1e9);
+    }
+
+    /// `bucket_of` agrees with `bucket_by_log2` on `secs`.
+    fn assert_bucket(secs: f64) {
+        assert_eq!(
+            LatencyHistogram::bucket_of(secs),
+            bucket_by_log2(secs),
+            "bucket of {secs:e} (bits {:#x})",
+            secs.to_bits()
+        );
+    }
+
+    #[test]
+    fn bucket_of_equals_the_log2_formula_around_every_edge() {
+        // Inside the band the formula itself answers; just outside it the
+        // table does, so both sides of each band are checked too.
+        let band = EDGE_BAND_ULPS as i64;
+        let offsets = (-8..=8).chain((1..=8).flat_map(|k| [-band - k, band + k]));
+        let offsets: Vec<i64> = offsets.collect();
+        for bucket in 1..=NUM_BUCKETS {
+            let edge = BucketTable::edge(bucket);
+            assert!(bucket_by_log2(f64::from_bits(edge)) >= bucket);
+            assert!(bucket_by_log2(f64::from_bits(edge - 1)) < bucket);
+            for &offset in &offsets {
+                assert_bucket(f64::from_bits(edge.wrapping_add_signed(offset)));
+            }
+        }
+    }
+
+    #[test]
+    fn bucket_of_equals_the_log2_formula_on_random_and_special_values() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x0B0C_4E75);
+        for _ in 0..200_000 {
+            // Log-uniform over 1e-9 .. 1e6 seconds.
+            let secs = 10f64.powf(rng.gen_range(-9.0..6.0));
+            assert_bucket(secs);
+            assert_bucket(f64::from_bits(
+                secs.to_bits() ^ rng.gen_range(0..1u64 << 20),
+            ));
+        }
+        let specials = [
+            0.0,
+            -0.0,
+            -1.0,
+            -1e-300,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0, // subnormal
+            f64::from_bits(1),       // the smallest subnormal
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            HIST_FLOOR_SECS,
+            f64::from_bits(HIST_FLOOR_SECS.to_bits() + 1),
+            1e-6 * 2f64.powi(36),
+            1e300,
+        ];
+        for secs in specials {
+            assert_bucket(secs);
+        }
+        assert_eq!(LatencyHistogram::bucket_of(f64::NAN), 0);
+        assert_eq!(LatencyHistogram::bucket_of(f64::INFINITY), NUM_BUCKETS);
     }
 
     #[test]

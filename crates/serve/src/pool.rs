@@ -203,6 +203,9 @@ struct Board {
     /// Simulated second the fabric frees (stale once `fabric_busy`
     /// clears).
     fabric_until: f64,
+    /// [`Board::can_accept`], refreshed by [`BoardPool`] on every slot
+    /// and queue change.
+    accepting: bool,
     /// The pipelined request whose graph delta is crossing the DMA engine.
     ingesting: Option<Handle>,
     /// Ingested requests waiting for the fabric, at most
@@ -247,6 +250,7 @@ impl Board {
             dma_until: 0.0,
             fabric_busy: false,
             fabric_until: 0.0,
+            accepting: true,
             ingesting: None,
             staged: VecDeque::new(),
             in_fabric: None,
@@ -329,6 +333,9 @@ impl Board {
 #[derive(Debug)]
 pub struct BoardPool {
     boards: Vec<Board>,
+    /// Boards whose `Board::accepting` is set, so the dispatch loop's
+    /// per-event "any board free?" test reads one counter.
+    accepting_count: usize,
     tenant_count: usize,
     /// Per-board DRAM budget for resident graphs.
     graph_capacity: u64,
@@ -356,6 +363,7 @@ impl BoardPool {
         }
         boards.push(Board::new(prototype, tenant_count));
         BoardPool {
+            accepting_count: size,
             boards,
             tenant_count,
             graph_capacity,
@@ -372,6 +380,22 @@ impl BoardPool {
     pub fn reset(&mut self) {
         for board in &mut self.boards {
             *board = Board::new(board.runtime.fork(), self.tenant_count);
+        }
+        self.accepting_count = self.boards.len();
+    }
+
+    /// Re-derives board `index`'s admission flag after its slots or
+    /// queues changed.
+    fn refresh(&mut self, index: usize) {
+        let board = &mut self.boards[index];
+        let accepting = board.can_accept();
+        if accepting != board.accepting {
+            board.accepting = accepting;
+            if accepting {
+                self.accepting_count += 1;
+            } else {
+                self.accepting_count -= 1;
+            }
         }
     }
 
@@ -400,12 +424,18 @@ impl BoardPool {
     /// Whether board `index` can admit a new request (see
     /// `Board::can_accept`); in serial mode this is exactly "not busy".
     pub fn is_free(&self, index: usize) -> bool {
-        self.boards[index].can_accept()
+        let board = &self.boards[index];
+        debug_assert_eq!(board.accepting, board.can_accept(), "board {index}");
+        board.accepting
     }
 
     /// True when at least one board can admit a request.
     pub fn any_free(&self) -> bool {
-        self.boards.iter().any(Board::can_accept)
+        debug_assert_eq!(
+            self.accepting_count,
+            self.boards.iter().filter(|b| b.can_accept()).count()
+        );
+        self.accepting_count > 0
     }
 
     /// Indices of admission-ready boards, in board order.
@@ -413,7 +443,7 @@ impl BoardPool {
         self.boards
             .iter()
             .enumerate()
-            .filter(|(_, b)| b.can_accept())
+            .filter(|(_, b)| b.accepting)
             .map(|(i, _)| i)
     }
 
@@ -566,6 +596,7 @@ impl BoardPool {
         board.dma_busy = true;
         board.fabric_busy = true;
         board.busy_secs += (done - now).max(0.0);
+        self.refresh(index);
     }
 
     /// Marks board `index` fully free again (serial service completion).
@@ -575,6 +606,7 @@ impl BoardPool {
         board.dma_busy = false;
         board.fabric_busy = false;
         board.completed += 1;
+        self.refresh(index);
     }
 
     /// Occupies board `index`'s DMA engine until `done` (a subgraph
@@ -585,12 +617,14 @@ impl BoardPool {
         board.dma_busy = true;
         board.dma_until = done;
         board.dma_secs += (done - now).max(0.0);
+        self.refresh(index);
     }
 
     /// Frees board `index`'s DMA engine.
     pub fn release_dma(&mut self, index: usize) {
         debug_assert!(self.boards[index].dma_busy);
         self.boards[index].dma_busy = false;
+        self.refresh(index);
     }
 
     /// Whether board `index`'s DMA engine is idle.
@@ -643,6 +677,7 @@ impl BoardPool {
         // fills one while the ingest runs.
         debug_assert!(board.staged.len() < STAGING_DEPTH, "staging buffer overrun");
         board.staged.push_back(handle);
+        self.refresh(index);
         handle
     }
 
@@ -653,7 +688,9 @@ impl BoardPool {
         if board.fabric_busy {
             return None;
         }
-        board.staged.pop_front()
+        let handle = board.staged.pop_front();
+        self.refresh(index);
+        handle
     }
 
     /// Occupies board `index`'s fabric with `handle` until `done`
@@ -677,6 +714,7 @@ impl BoardPool {
             .take()
             .expect("fabric completion without a request in the fabric");
         board.handoffs.push_back(handle);
+        self.refresh(index);
         handle
     }
 
@@ -687,7 +725,9 @@ impl BoardPool {
         if board.dma_busy {
             return None;
         }
-        board.handoffs.pop_front()
+        let handle = board.handoffs.pop_front();
+        self.refresh(index);
+        handle
     }
 
     /// Ends board `index`'s hand-off transfer: the DMA engine frees and
@@ -703,13 +743,14 @@ impl BoardPool {
     /// fabric pass, hand-off transfer) always runs to completion.
     pub(crate) fn abort(&mut self, index: usize, handle: Handle) -> bool {
         let board = &mut self.boards[index];
-        for queue in [&mut board.staged, &mut board.handoffs] {
-            if let Some(i) = queue.iter().position(|&h| h == handle) {
-                queue.remove(i);
-                return true;
-            }
-        }
-        false
+        let aborted = [&mut board.staged, &mut board.handoffs]
+            .into_iter()
+            .any(|queue| match queue.iter().position(|&h| h == handle) {
+                Some(i) => queue.remove(i).is_some(),
+                None => false,
+            });
+        self.refresh(index);
+        aborted
     }
 
     /// Panics unless every board's DMA and fabric slots are free and its
