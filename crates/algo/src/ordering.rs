@@ -162,11 +162,6 @@ fn transpose(edges: &[Edge], vertices: usize) -> Vec<Edge> {
     sorted
 }
 
-/// Returns whether `edges` is ordered by (dst, src).
-pub fn is_ordered(edges: &[Edge]) -> bool {
-    edges.windows(2).all(|w| w[0].sort_key() <= w[1].sort_key())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,6 +174,11 @@ mod tests {
 
     fn vertices_of(edges: &[Edge]) -> Option<usize> {
         counting_vertices(edges.len(), largest_vid(edges))
+    }
+
+    /// Whether `edges` is ordered by (dst, src).
+    fn is_ordered(edges: &[Edge]) -> bool {
+        edges.windows(2).all(|w| w[0].sort_key() <= w[1].sort_key())
     }
 
     #[test]

@@ -56,8 +56,8 @@ impl SampleParams {
     }
 
     /// Total node draws the analytic cost model expects:
-    /// `s = b·(k^(l+1) − 1)/(k − 1)` (Table I; see `DESIGN.md` on the
-    /// geometric-sum reading of the paper's formula). Saturates at
+    /// `s = b·(k^(l+1) − 1)/(k − 1)` (Table I; see `docs/FIDELITY.md` on
+    /// the geometric-sum reading of the paper's formula). Saturates at
     /// `u64::MAX` when the geometric sum overflows — large `k`·`layers`
     /// products exceed any physical frontier long before `2^64` draws.
     pub fn expected_selections(&self, batch_size: usize) -> u64 {

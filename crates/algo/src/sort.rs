@@ -154,15 +154,6 @@ fn sort_digit<T: Copy, F: Fn(&T) -> u64>(items: &mut [T], key: &F, varying: u64,
     buckets.sort_each(items, key, varying);
 }
 
-/// Number of radix passes the sort performs for keys up to `max_key`
-/// (used by the timing models).
-pub fn radix_pass_count(max_key: u64) -> u32 {
-    if max_key == 0 {
-        return 0;
-    }
-    (64 - max_key.leading_zeros()).div_ceil(8)
-}
-
 /// Merges two sorted slices into one sorted vector (stable: ties take from
 /// `a` first).
 ///
@@ -259,14 +250,6 @@ mod tests {
         expected.sort_unstable();
         radix_sort_u64(&mut keys);
         assert_eq!(keys, expected);
-    }
-
-    #[test]
-    fn pass_count_scales_with_key_width() {
-        assert_eq!(radix_pass_count(0), 0);
-        assert_eq!(radix_pass_count(0xff), 1);
-        assert_eq!(radix_pass_count(0x100), 2);
-        assert_eq!(radix_pass_count(u64::MAX), 8);
     }
 
     #[test]

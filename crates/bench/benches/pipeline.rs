@@ -3,7 +3,8 @@
 //! configuration search.
 
 use agnn_algo::pipeline::{preprocess, SampleParams};
-use agnn_cost::{BitstreamLibrary, CostModel, SearchSpace, Workload};
+use agnn_cost::optimizer::{search, SearchSpace};
+use agnn_cost::{BitstreamLibrary, CostModel, Workload};
 use agnn_devices::fpga::FpgaModel;
 use agnn_gnn::features::FeatureTable;
 use agnn_gnn::models::{forward, GnnModel, GnnSpec};
@@ -50,6 +51,7 @@ fn bench_cost_and_search(c: &mut Criterion) {
     let w = Workload::new(2_450_000, 123_000_000, 3_000, 10, 2);
     let plan = Floorplan::vpk180();
     let library = BitstreamLibrary::for_floorplan(&plan);
+    let fpga = FpgaModel::default();
     // The paper reports cost evaluation under 0.1 ms; the full search
     // across the 10x10 library should stay well under that budget.
     group.bench_function("table_i_estimate", |b| {
@@ -59,7 +61,7 @@ fn bench_cost_and_search(c: &mut Criterion) {
         b.iter(|| CostModel.choose_config(&w, &library))
     });
     group.bench_function("timing_aware_full_search", |b| {
-        b.iter(|| FpgaModel::default().search(&w, &plan, SearchSpace::Full))
+        b.iter(|| search(&plan, SearchSpace::Full, |c| fpga.analytic_secs(&w, c)))
     });
     group.finish();
 }

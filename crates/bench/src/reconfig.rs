@@ -5,7 +5,8 @@ use agnn_core::scenario::{
     consecutive_inference, evaluation_pairs, growth_study, mixed_edges_secs, pair_preprocess_secs,
 };
 use agnn_core::systems::{evaluate, mv_tuned_config, SystemContext, SystemKind};
-use agnn_cost::{CostModel, SearchSpace, Workload};
+use agnn_cost::optimizer::{search, SearchSpace};
+use agnn_cost::{CostModel, Workload};
 use agnn_devices::fpga::FpgaModel;
 use agnn_gnn::models::GnnSpec;
 use agnn_graph::datasets::Dataset;
@@ -36,11 +37,11 @@ pub fn fig22() {
         let spec = d.spec();
         let w = setup.workload(spec.nodes, spec.edges);
         let stat_cfg = mv_tuned_config(&plan);
-        let secs = |cfg: HwConfig| fpga.stage_secs(&fpga.analytic_report(&w, cfg)).total();
+        let secs = |cfg: HwConfig| fpga.analytic_secs(&w, cfg);
         let stat = secs(stat_cfg);
-        let area = secs(fpga.search(&w, &plan, SearchSpace::AreaOnly));
-        let scr = secs(fpga.search(&w, &plan, SearchSpace::ScrOnly));
-        let upe = secs(fpga.search(&w, &plan, SearchSpace::Full));
+        let area = secs(search(&plan, SearchSpace::AreaOnly, secs));
+        let scr = secs(search(&plan, SearchSpace::ScrOnly, secs));
+        let upe = secs(search(&plan, SearchSpace::Full, secs));
         println!(
             "{:<4} {:>8.0}% {:>8.0}% {:>8.0}% {:>8.0}%",
             d.abbrev(),

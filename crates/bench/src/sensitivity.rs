@@ -2,6 +2,7 @@
 
 use agnn_core::config::EvalSetup;
 use agnn_core::systems::{evaluate, SystemContext, SystemKind};
+use agnn_cost::optimizer::{search, SearchSpace};
 use agnn_devices::accel::{self, AccelTarget};
 use agnn_devices::boards;
 use agnn_devices::fpga::FpgaModel;
@@ -123,8 +124,8 @@ pub fn fig26() {
             let mut ctx = SystemContext::new(w, gnn);
             ctx.plan = plan;
             let gpu = evaluate(&ctx, SystemKind::Gpu);
-            let cfg = fpga.search(&w, &plan, agnn_cost::SearchSpace::Full);
-            let pre = fpga.stage_secs(&fpga.analytic_report(&w, cfg)).total();
+            let secs = |c| fpga.analytic_secs(&w, c);
+            let pre = secs(search(&plan, SearchSpace::Full, secs));
             let dynp_total = pre
                 + evaluate(&ctx, SystemKind::DynPre).transfer_secs
                 + evaluate(&ctx, SystemKind::DynPre).inference_secs;

@@ -38,15 +38,6 @@ impl EvalSetup {
     pub fn workload(&self, nodes: u64, edges: u64) -> agnn_cost::Workload {
         agnn_cost::Workload::new(nodes, edges, self.batch as u64, self.k as u64, self.layers)
     }
-
-    /// A scaled-down copy (for functional runs): divides the batch size,
-    /// keeping `k` and layers.
-    pub fn scaled_batch(&self, divisor: usize) -> EvalSetup {
-        EvalSetup {
-            batch: (self.batch / divisor.max(1)).max(1),
-            ..*self
-        }
-    }
 }
 
 #[cfg(test)]
@@ -70,12 +61,5 @@ mod tests {
         assert_eq!(w.batch, 3_000);
         assert_eq!(w.k, 10);
         assert_eq!(w.layers, 2);
-    }
-
-    #[test]
-    fn scaled_batch_never_reaches_zero() {
-        let s = EvalSetup::default().scaled_batch(1_000_000);
-        assert_eq!(s.batch, 1);
-        assert_eq!(s.k, 10, "k is preserved");
     }
 }

@@ -13,7 +13,7 @@ use agnn_devices::StageSecs;
 use agnn_graph::{Coo, Vid};
 use agnn_hw::engine::{AutoGnnEngine, ReconfigEvent};
 use agnn_hw::floorplan::Floorplan;
-use agnn_hw::shell::{PcieModel, PcieSwitchModel};
+use agnn_hw::shell::PcieModel;
 use agnn_hw::HwConfig;
 
 /// The lifecycle stages of one served request (§II-B's staged flow:
@@ -151,40 +151,9 @@ impl AutoGnn {
         }
     }
 
-    /// A service with an explicit reconfiguration policy — serving layers
-    /// that build board fleets set the deployment threshold in one call.
-    pub fn with_policy(params: SampleParams, policy: ReconfigPolicy) -> Self {
-        let mut service = Self::new(params);
-        service.policy = policy;
-        service
-    }
-
-    /// A pristine peer board: same sampling parameters and policy, but
-    /// factory-fresh hardware state (default bitstream, no resident graph).
-    /// Board pools fork one configured runtime into N independent
-    /// reconfiguration decision points.
-    pub fn fork(&self) -> Self {
-        Self::with_policy(self.params, self.policy)
-    }
-
     /// Current hardware configuration.
     pub fn config(&self) -> HwConfig {
         self.engine.config()
-    }
-
-    /// The sampling parameters served.
-    pub fn params(&self) -> SampleParams {
-        self.params
-    }
-
-    /// The reconfiguration policy in force.
-    pub fn policy(&self) -> ReconfigPolicy {
-        self.policy
-    }
-
-    /// The pre-compiled bitstream library the cost model searches.
-    pub fn library(&self) -> &BitstreamLibrary {
-        &self.library
     }
 
     /// Previews the reconfiguration decision for `workload` without
@@ -207,32 +176,10 @@ impl AutoGnn {
         self.engine.reconfigure(config)
     }
 
-    /// Analytic per-stage preprocessing seconds for `workload` under the
-    /// *current* configuration — the price of one request without running
-    /// functional preprocessing, so serving simulators can replay hundreds
-    /// of thousands of requests cheaply.
-    pub fn analytic_stage_secs(&self, workload: &Workload) -> StageSecs {
-        let report = self.fpga.analytic_report(workload, self.engine.config());
-        self.fpga.stage_secs(&report)
-    }
-
     /// The PCIe link model of this board's shell — upload and hand-off
     /// pricing routes through it per stage.
     pub fn pcie(&self) -> PcieModel {
         self.engine.shell().pcie
-    }
-
-    /// The board-to-board PCIe switch model of this board's shell —
-    /// cross-board graph migrations price their transfers through it.
-    pub fn pcie_switch(&self) -> PcieSwitchModel {
-        self.engine.shell().pcie_switch
-    }
-
-    /// Device-DRAM bytes available for resident graphs (bitstream staging
-    /// is already carved out, §V-B). Board pools bound per-board tenant
-    /// residency against this.
-    pub fn dram_graph_capacity(&self) -> u64 {
-        self.engine.shell().dram.capacity
     }
 
     /// The cost-model workload `coo` and `batch` present under this
@@ -327,6 +274,7 @@ impl AutoGnn {
 mod tests {
     use super::*;
     use agnn_graph::generate;
+    use agnn_hw::shell::PcieSwitchModel;
 
     fn batch(n: u32) -> Vec<Vid> {
         (0..n).map(Vid).collect()
@@ -353,7 +301,7 @@ mod tests {
         assert_eq!(second.upload_secs, 0.0, "resident graph needs no upload");
         // The DRAM graph budget holds a 2M-edge graph with room to spare.
         let workload = Workload::new(100_000, 2_000_000, 3_000, 10, 2);
-        assert!(service.dram_graph_capacity() > workload.coo_bytes());
+        assert!(agnn_hw::shell::DramModel::default().capacity > workload.coo_bytes());
     }
 
     #[test]
@@ -391,22 +339,6 @@ mod tests {
         // optimal configuration.
         assert!(second.reconfig.is_none());
         assert_eq!(first.config, second.config);
-    }
-
-    #[test]
-    fn fork_yields_a_pristine_peer_with_the_same_policy() {
-        let coo = generate::power_law(400, 8_000, 0.9, 9);
-        let mut original = AutoGnn::with_policy(
-            SampleParams::new(5, 2),
-            agnn_cost::ReconfigPolicy { min_gain: 0.42 },
-        );
-        original.serve(&coo, &batch(8), 1); // dirty: resident graph, maybe reconfigured
-        let mut peer = original.fork();
-        assert_eq!(peer.policy(), original.policy());
-        assert_eq!(peer.params(), original.params());
-        assert_eq!(peer.config(), HwConfig::vpk180_default(), "fresh bitstream");
-        let first = peer.serve(&coo, &batch(8), 1);
-        assert!(first.upload_secs > 0.0, "no resident graph inherited");
     }
 
     #[test]
@@ -462,7 +394,8 @@ mod tests {
         assert_eq!(cold.secs, host.pcie().transfer_secs(coo.byte_size()));
 
         // A peer that held the whole graph rehydrates it over the switch.
-        let migrated = host.pcie_switch().transfer_secs(coo.byte_size());
+        let switch = PcieSwitchModel::default();
+        let migrated = switch.transfer_secs(coo.byte_size());
         assert!(
             migrated < cold.secs,
             "switch bandwidth must beat the host link: {} vs {}",
@@ -470,7 +403,7 @@ mod tests {
             cold.secs
         );
         assert!(
-            host.pcie_switch().bandwidth > host.pcie().bandwidth,
+            switch.bandwidth > host.pcie().bandwidth,
             "the peer path only exists because the switch fabric is faster"
         );
         // The cold upload leaves the graph resident: the next ingest is free.

@@ -1,8 +1,7 @@
 //! Dynamic-graph scenario engine (Figs. 7, 28, 30, 31).
 
-use agnn_cost::SearchSpace;
+use agnn_cost::optimizer::{search, SearchSpace};
 use agnn_devices::fpga::FpgaModel;
-use agnn_devices::StageSecs;
 use agnn_gnn::models::GnnSpec;
 use agnn_graph::datasets::Dataset;
 use agnn_graph::dynamic::GrowthModel;
@@ -114,7 +113,9 @@ pub fn consecutive_inference(
     };
     let ctx_a = mk_ctx(first);
     let ctx_b = mk_ctx(second);
-    let config_a = ctx_a.fpga.search(&ctx_a.workload, &plan, SearchSpace::Full);
+    let config_a = search(&plan, SearchSpace::Full, |c| {
+        ctx_a.fpga.analytic_secs(&ctx_a.workload, c)
+    });
 
     // Latency of one pass on each phase.
     let phase_a = evaluate(&ctx_a, SystemKind::DynPre); // optimal for A either way
@@ -194,21 +195,16 @@ pub fn pair_preprocess_secs(a: Dataset, b: Dataset, dynamic: bool, gnn: GnnSpec)
     };
     let ctx_a = mk_ctx(a);
     let ctx_b = mk_ctx(b);
-    let config_a = ctx_a.fpga.search(&ctx_a.workload, &plan, SearchSpace::Full);
-    let per_pass_a = ctx_a
-        .fpga
-        .stage_secs(&ctx_a.fpga.analytic_report(&ctx_a.workload, config_a))
-        .total();
-    let per_pass_b_fixed = ctx_b
-        .fpga
-        .stage_secs(&ctx_b.fpga.analytic_report(&ctx_b.workload, config_a))
-        .total();
+    let config_a = search(&plan, SearchSpace::Full, |c| {
+        ctx_a.fpga.analytic_secs(&ctx_a.workload, c)
+    });
+    let per_pass_a = ctx_a.fpga.analytic_secs(&ctx_a.workload, config_a);
+    let per_pass_b_fixed = ctx_b.fpga.analytic_secs(&ctx_b.workload, config_a);
     let secs_b = if dynamic {
-        let config_b = ctx_b.fpga.search(&ctx_b.workload, &plan, SearchSpace::Full);
-        let per_pass_b = ctx_b
-            .fpga
-            .stage_secs(&ctx_b.fpga.analytic_report(&ctx_b.workload, config_b))
-            .total();
+        let config_b = search(&plan, SearchSpace::Full, |c| {
+            ctx_b.fpga.analytic_secs(&ctx_b.workload, c)
+        });
+        let per_pass_b = ctx_b.fpga.analytic_secs(&ctx_b.workload, config_b);
         let stall = IcapModel::default().reconfig_secs(ReconfigScope::Both);
         let saving = (per_pass_b_fixed - per_pass_b) * f64::from(PAIR_PASSES);
         if config_b != config_a && saving > stall {
@@ -253,7 +249,10 @@ pub fn growth_study(dataset: Dataset, hours: u32, samples: u32, gnn: GnnSpec) ->
     let edges = GrowthModel::new(e0, edge_rate);
     let nodes = GrowthModel::new(n0, node_rate);
     let initial = setup.workload(n0, e0);
-    let stat_config = FpgaModel::default().search(&initial, &plan, SearchSpace::Full);
+    let fpga = FpgaModel::default();
+    let stat_config = search(&plan, SearchSpace::Full, |c| {
+        fpga.analytic_secs(&initial, c)
+    });
 
     let mut series = Vec::new();
     for i in 0..samples {
@@ -288,15 +287,6 @@ pub fn mixed_edges_secs(a: Dataset, b: Dataset, gnn: GnnSpec) -> (f64, f64) {
     let stat = evaluate(&ctx, SystemKind::StatPre).preprocess.total();
     let dynp = evaluate(&ctx, SystemKind::DynPre).preprocess.total();
     (stat, dynp)
-}
-
-/// Helper for printing: per-stage seconds of the GPU system for a workload,
-/// used by the Fig. 6 harness.
-pub fn gpu_stage_secs(dataset: Dataset, gnn: GnnSpec) -> Option<StageSecs> {
-    let spec = dataset.spec();
-    let ctx = SystemContext::new(EvalSetup::default().workload(spec.nodes, spec.edges), gnn);
-    let run = evaluate(&ctx, SystemKind::Gpu);
-    (!run.oom).then_some(run.preprocess)
 }
 
 #[cfg(test)]
@@ -440,12 +430,5 @@ mod tests {
             dyn_total += dynp;
         }
         assert!(dyn_total < stat_total, "reconfiguration wins on aggregate");
-    }
-
-    #[test]
-    fn gpu_stage_secs_matches_system_evaluation() {
-        let secs = gpu_stage_secs(Dataset::Physics, gnn()).unwrap();
-        assert!(secs.total() > 0.0);
-        assert!(gpu_stage_secs(Dataset::Taobao, gnn()).is_none(), "TB OOMs");
     }
 }

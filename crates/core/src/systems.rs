@@ -10,7 +10,8 @@
 //!   fixed MV-tuned configuration;
 //! - `DynPre` — `StatPre` plus cost-model-driven partial reconfiguration.
 
-use agnn_cost::{SearchSpace, Workload};
+use agnn_cost::optimizer::{search, SearchSpace};
+use agnn_cost::Workload;
 use agnn_devices::accel;
 use agnn_devices::cpu::CpuModel;
 use agnn_devices::fpga::FpgaModel;
@@ -158,7 +159,8 @@ pub fn mv_tuned_config(plan: &Floorplan) -> HwConfig {
     let setup = crate::config::EvalSetup::default();
     let spec = Dataset::Movie.spec();
     let mv = setup.workload(spec.nodes, spec.edges);
-    FpgaModel::default().search(&mv, plan, SearchSpace::Full)
+    let fpga = FpgaModel::default();
+    search(plan, SearchSpace::Full, |c| fpga.analytic_secs(&mv, c))
 }
 
 /// Evaluates one system on the context's workload.
@@ -218,7 +220,9 @@ pub fn evaluate(ctx: &SystemContext, kind: SystemKind) -> EndToEndBreakdown {
         }
         SystemKind::AutoPre | SystemKind::StatPre | SystemKind::DynPre => {
             let config = match kind {
-                SystemKind::DynPre => ctx.fpga.search(w, &ctx.plan, SearchSpace::Full),
+                SystemKind::DynPre => search(&ctx.plan, SearchSpace::Full, |c| {
+                    ctx.fpga.analytic_secs(w, c)
+                }),
                 _ => mv_tuned_config(&ctx.plan),
             };
             // AutoPre forgoes UPE unification: each stage runs on a fixed

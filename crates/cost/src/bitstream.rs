@@ -9,9 +9,6 @@
 use agnn_hw::floorplan::Floorplan;
 use agnn_hw::{ScrConfig, UpeConfig};
 
-/// Bytes of one partial bitstream (§V-B).
-pub const BITSTREAM_BYTES: u64 = 50 << 20;
-
 /// Number of ladder steps per kernel on the VPK180.
 pub const VARIANTS_PER_KERNEL: usize = 10;
 
@@ -87,11 +84,6 @@ impl BitstreamLibrary {
     pub fn scr_variants(&self) -> &[ScrConfig] {
         &self.scr_variants
     }
-
-    /// Total bytes staged in device DRAM at boot.
-    pub fn staged_bytes(&self) -> u64 {
-        (self.upe_variants.len() + self.scr_variants.len()) as u64 * BITSTREAM_BYTES
-    }
 }
 
 #[cfg(test)]
@@ -103,8 +95,6 @@ mod tests {
         let lib = BitstreamLibrary::for_floorplan(&Floorplan::vpk180());
         assert_eq!(lib.upe_variants().len(), 10, "§V-B: ten UPE variants");
         assert_eq!(lib.scr_variants().len(), 10, "§V-B: ten SCR variants");
-        // 20 bitstreams x 50 MB = 1 GB staged (§V-B).
-        assert_eq!(lib.staged_bytes(), 20 * (50 << 20));
     }
 
     #[test]

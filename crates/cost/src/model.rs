@@ -80,9 +80,9 @@ impl Workload {
     }
 
     /// Total selected nodes `s ≈ b·(k^(l+1) − 1)/(k − 1)` (Table I; see
-    /// `DESIGN.md` on the geometric-sum reading — the batch nodes count as
-    /// the `1` term), saturated by neighborhood coverage on deep or small
-    /// graphs (see the `expansion` model above).
+    /// `docs/FIDELITY.md` on the geometric-sum reading — the batch nodes
+    /// count as the `1` term), saturated by neighborhood coverage on deep
+    /// or small graphs (see the `expansion` model above).
     pub fn selections(&self) -> u64 {
         self.batch + self.expansion().0
     }
@@ -193,23 +193,15 @@ impl CostModel {
     }
 
     /// Picks the configuration with the lowest estimated total cycles out of
-    /// the library's full cross-product (the `DynPre` policy).
+    /// the library's full cross-product (the `DynPre` policy): the
+    /// [`SearchSpace::Full`](crate::SearchSpace::Full) loop of
+    /// [`crate::optimizer::search`] under the Table I score.
     pub fn choose_config(
         &self,
         workload: &Workload,
         library: &crate::BitstreamLibrary,
     ) -> HwConfig {
-        let mut best: Option<(f64, HwConfig)> = None;
-        for &upe in library.upe_variants() {
-            for &scr in library.scr_variants() {
-                let config = HwConfig { upe, scr };
-                let total = self.estimate(workload, config).total();
-                if best.is_none_or(|(cost, _)| total < cost) {
-                    best = Some((total, config));
-                }
-            }
-        }
-        best.expect("bitstream library is never empty").1
+        crate::optimizer::full(library, |config| self.estimate(workload, config).total())
     }
 }
 

@@ -1,11 +1,15 @@
 //! Configuration search and the reconfiguration policy.
 //!
-//! `DynPre` searches the full bitstream cross-product; the Fig. 22 ablations
-//! restrict the search: `DynArea` only rebalances the UPE/SCR area split,
-//! `DynSCR` additionally tunes the SCR ladder, `DynUPE` (= full `DynPre`)
-//! tunes everything. AGNN-lib then reconfigures "only when the model
-//! determines it is necessary" (§I) — when the predicted gain clears a
-//! threshold (§V-B "if the latency exceeds the threshold").
+//! The user-level framework profiles the graph and picks a bitstream with
+//! one cost function (§V-B). [`search`] is that one search: the caller
+//! passes the score — Table I ([`CostModel::estimate`]) or a timing model
+//! — and the space. `DynPre` searches the full bitstream cross-product;
+//! the Fig. 22 ablations restrict it: `DynArea` only rebalances the
+//! UPE/SCR area split, `DynSCR` additionally tunes the SCR ladder,
+//! `DynUPE` (= full `DynPre`) tunes everything. AGNN-lib then reconfigures
+//! "only when the model determines it is necessary" (§I) — when the
+//! predicted gain clears a threshold (§V-B "if the latency exceeds the
+//! threshold").
 
 use agnn_hw::floorplan::Floorplan;
 use agnn_hw::HwConfig;
@@ -24,42 +28,64 @@ pub enum SearchSpace {
     Full,
 }
 
-/// Searches `space` for the best configuration under the Table I model.
-pub fn search(workload: &Workload, plan: &Floorplan, space: SearchSpace) -> HwConfig {
-    let model = CostModel;
+/// Searches `space` on `plan` for the configuration with the lowest
+/// `score` (the first one on ties). The score is generic, not `dyn`, so a
+/// per-request search inlines it.
+pub fn search(plan: &Floorplan, space: SearchSpace, score: impl Fn(HwConfig) -> f64) -> HwConfig {
     match space {
-        SearchSpace::AreaOnly => {
-            // Candidate splits around the fixed 70:30 (§VI-B shows the
-            // balance brings "negligible performance benefits").
-            let mut best: Option<(f64, HwConfig)> = None;
-            for upe_fraction in [0.5, 0.6, 0.7, 0.8, 0.9] {
-                let candidate_plan = plan.with_upe_fraction(upe_fraction);
-                let config = region_filling_default(&candidate_plan);
-                let total = model.estimate(workload, config).total();
-                if best.is_none_or(|(cost, _)| total < cost) {
-                    best = Some((total, config));
-                }
-            }
-            best.expect("non-empty split candidates").1
-        }
+        // Candidate splits around the fixed 70:30 (§VI-B shows the balance
+        // brings "negligible performance benefits").
+        SearchSpace::AreaOnly => lowest(
+            [0.5, 0.6, 0.7, 0.8, 0.9]
+                .map(|upe_fraction| region_filling_default(&plan.with_upe_fraction(upe_fraction))),
+            score,
+        ),
         SearchSpace::ScrOnly => {
             let library = BitstreamLibrary::for_floorplan(plan);
             let upe = region_filling_default(plan).upe;
-            let mut best: Option<(f64, HwConfig)> = None;
-            for &scr in library.scr_variants() {
-                let config = HwConfig { upe, scr };
-                let total = model.estimate(workload, config).total();
-                if best.is_none_or(|(cost, _)| total < cost) {
-                    best = Some((total, config));
-                }
-            }
-            best.expect("non-empty SCR ladder").1
+            lowest(
+                library
+                    .scr_variants()
+                    .iter()
+                    .map(|&scr| HwConfig { upe, scr }),
+                score,
+            )
         }
-        SearchSpace::Full => {
-            let library = BitstreamLibrary::for_floorplan(plan);
-            model.choose_config(workload, &library)
-        }
+        SearchSpace::Full => full(&BitstreamLibrary::for_floorplan(plan), score),
     }
+}
+
+/// The lowest-`score` configuration of `library`'s full cross-product.
+pub(crate) fn full(library: &BitstreamLibrary, score: impl Fn(HwConfig) -> f64) -> HwConfig {
+    lowest(
+        library.upe_variants().iter().flat_map(|&upe| {
+            library
+                .scr_variants()
+                .iter()
+                .map(move |&scr| HwConfig { upe, scr })
+        }),
+        score,
+    )
+}
+
+/// The first candidate with the lowest score. A fold, so a flattened
+/// cross-product runs as two plain nested loops.
+fn lowest(
+    candidates: impl IntoIterator<Item = HwConfig>,
+    score: impl Fn(HwConfig) -> f64,
+) -> HwConfig {
+    candidates
+        .into_iter()
+        .fold(None, |best: Option<(f64, HwConfig)>, config| {
+            let total = score(config);
+            if best.is_none_or(|(cost, _)| total < cost) {
+                Some((total, config))
+            } else {
+                best
+            }
+        })
+        .expect("non-empty search space")
+        .1
 }
 
 /// The default bitstream shape used when a kernel is not being tuned: the
@@ -119,8 +145,11 @@ impl ReconfigPolicy {
 mod tests {
     use super::*;
 
-    fn plan() -> Floorplan {
-        Floorplan::vpk180()
+    /// The Table I search of `space` for `w` on the VPK180.
+    fn table_i(w: &Workload, space: SearchSpace) -> HwConfig {
+        search(&Floorplan::vpk180(), space, |c| {
+            CostModel.estimate(w, c).total()
+        })
     }
 
     /// AX-like: many nodes, modest degree — reshaping is target-bound, so
@@ -138,8 +167,8 @@ mod tests {
 
     #[test]
     fn full_search_prefers_slots_for_low_degree_and_width_for_high_degree() {
-        let ax = search(&ax_like(), &plan(), SearchSpace::Full);
-        let tb = search(&tb_like(), &plan(), SearchSpace::Full);
+        let ax = table_i(&ax_like(), SearchSpace::Full);
+        let tb = table_i(&tb_like(), SearchSpace::Full);
         assert!(
             ax.scr.slots > tb.scr.slots,
             "AX {ax:?} should use more slots than TB {tb:?}"
@@ -149,14 +178,14 @@ mod tests {
 
     #[test]
     fn scr_only_keeps_the_default_upe() {
-        let cfg = search(&ax_like(), &plan(), SearchSpace::ScrOnly);
+        let cfg = table_i(&ax_like(), SearchSpace::ScrOnly);
         assert_eq!(cfg.upe.width, 64, "Table III default width");
         assert_eq!(cfg.upe.count, 64, "the width-64 ladder rung");
     }
 
     #[test]
     fn area_only_returns_region_filling_shapes() {
-        let cfg = search(&tb_like(), &plan(), SearchSpace::AreaOnly);
+        let cfg = table_i(&tb_like(), SearchSpace::AreaOnly);
         assert_eq!(cfg.upe.width, 64);
         assert_eq!(cfg.scr.slots, 1);
     }
@@ -170,11 +199,9 @@ mod tests {
         let model = CostModel;
         for w in [ax_like(), tb_like()] {
             let scr = model
-                .estimate(&w, search(&w, &plan(), SearchSpace::ScrOnly))
+                .estimate(&w, table_i(&w, SearchSpace::ScrOnly))
                 .total();
-            let full = model
-                .estimate(&w, search(&w, &plan(), SearchSpace::Full))
-                .total();
+            let full = model.estimate(&w, table_i(&w, SearchSpace::Full)).total();
             assert!(full <= scr + 1e-9, "full search beats SCR-only");
         }
     }
@@ -183,7 +210,7 @@ mod tests {
     fn policy_ignores_identical_configs_and_small_gains() {
         let policy = ReconfigPolicy::default();
         let w = ax_like();
-        let best = search(&w, &plan(), SearchSpace::Full);
+        let best = table_i(&w, SearchSpace::Full);
         assert!(!policy.should_reconfigure(&w, best, best));
 
         // A config that is already near-optimal should not trigger a switch.
@@ -198,7 +225,7 @@ mod tests {
     fn policy_triggers_on_large_gains() {
         let policy = ReconfigPolicy::default();
         let w = tb_like();
-        let best = search(&w, &plan(), SearchSpace::Full);
+        let best = table_i(&w, SearchSpace::Full);
         // A deliberately bad configuration for TB: tiny SCR window.
         let bad = HwConfig {
             upe: best.upe,

@@ -3,7 +3,8 @@
 //! The paper anchors prices to "the 3090 GPU has similar costs to a Xilinx
 //! FPGA with 400K LUTs" (§VI-B) and sweeps boards across a wide price
 //! range; the catalog below spans the same range with representative
-//! device classes (prices are list-price approximations — see `DESIGN.md`).
+//! device classes (prices are list-price approximations — see
+//! `docs/FIDELITY.md`).
 
 use agnn_hw::floorplan::Floorplan;
 

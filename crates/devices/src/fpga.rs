@@ -1,5 +1,8 @@
 //! FPGA wall-clock timing: simulator reports → seconds, plus the full-scale
-//! analytic report used where functional simulation is infeasible.
+//! analytic report used where functional simulation is infeasible. Its
+//! seconds ([`FpgaModel::analytic_secs`]) are the timing score the one
+//! bitstream search, [`agnn_cost::optimizer::search`], takes as an
+//! alternative to Table I.
 
 use agnn_cost::Workload;
 use agnn_hw::engine::{ordering_dram_bytes, reshaping_dram_bytes};
@@ -121,73 +124,13 @@ impl FpgaModel {
         }
     }
 
-    /// Timing-aware configuration search: picks the bitstream pair from the
-    /// `space`-restricted search space with the lowest *wall-clock*
-    /// preprocessing estimate (Table I cycles plus the DRAM terms the pure
-    /// cycle model cannot see). This is what the `DynPre` evaluation and the
-    /// scenario engine use; the Table I-only search lives in
-    /// [`agnn_cost::optimizer`] and is compared against the simulator in
-    /// the Fig. 24 harness.
-    pub fn search(
-        &self,
-        workload: &Workload,
-        plan: &agnn_hw::floorplan::Floorplan,
-        space: agnn_cost::SearchSpace,
-    ) -> HwConfig {
-        use agnn_cost::SearchSpace;
-        let score = |config: HwConfig| -> f64 {
-            self.stage_secs(&self.analytic_report(workload, config))
-                .total()
-        };
-        match space {
-            SearchSpace::AreaOnly => {
-                let mut best: Option<(f64, HwConfig)> = None;
-                for upe_fraction in [0.5, 0.6, 0.7, 0.8, 0.9] {
-                    let candidate_plan = plan.with_upe_fraction(upe_fraction);
-                    let config = agnn_cost::optimizer::search(
-                        workload,
-                        &candidate_plan,
-                        SearchSpace::AreaOnly,
-                    );
-                    let total = score(config);
-                    if best.is_none_or(|(cost, _)| total < cost) {
-                        best = Some((total, config));
-                    }
-                }
-                best.expect("non-empty split candidates").1
-            }
-            SearchSpace::ScrOnly => {
-                let library = agnn_cost::BitstreamLibrary::for_floorplan(plan);
-                let default_upe =
-                    agnn_cost::optimizer::search(workload, plan, SearchSpace::ScrOnly).upe;
-                let mut best: Option<(f64, HwConfig)> = None;
-                for &scr in library.scr_variants() {
-                    let config = HwConfig {
-                        upe: default_upe,
-                        scr,
-                    };
-                    let total = score(config);
-                    if best.is_none_or(|(cost, _)| total < cost) {
-                        best = Some((total, config));
-                    }
-                }
-                best.expect("non-empty SCR ladder").1
-            }
-            SearchSpace::Full => {
-                let library = agnn_cost::BitstreamLibrary::for_floorplan(plan);
-                let mut best: Option<(f64, HwConfig)> = None;
-                for &upe in library.upe_variants() {
-                    for &scr in library.scr_variants() {
-                        let config = HwConfig { upe, scr };
-                        let total = score(config);
-                        if best.is_none_or(|(cost, _)| total < cost) {
-                            best = Some((total, config));
-                        }
-                    }
-                }
-                best.expect("non-empty bitstream library").1
-            }
-        }
+    /// Wall-clock preprocessing seconds of [`FpgaModel::analytic_report`]
+    /// under `config`. It is the timing score of
+    /// [`agnn_cost::optimizer::search`], which sees the DRAM terms Table I
+    /// cannot, and the per-request price of a serving board.
+    pub fn analytic_secs(&self, workload: &Workload, config: HwConfig) -> f64 {
+        self.stage_secs(&self.analytic_report(workload, config))
+            .total()
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! The paper's testbed — a 128-core Xeon, an RTX 3090 running DGL, and the
 //! VPK180 accelerator — is not available offline, so this crate provides
-//! calibrated analytic models of each device (see `DESIGN.md`'s substitution
-//! table). All models consume the same [`agnn_cost::Workload`] description
+//! calibrated analytic models of each device (see the substitution notes
+//! in `docs/FIDELITY.md`). All models consume the same [`agnn_cost::Workload`] description
 //! or a simulated [`agnn_hw::HwReport`]:
 //!
 //! - [`gpu`] — the DGL/RTX 3090 preprocessing baseline with its measured

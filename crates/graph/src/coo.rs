@@ -79,11 +79,6 @@ impl Coo {
         &self.edges
     }
 
-    /// Consumes the graph and returns the edge array.
-    pub fn into_edges(self) -> Vec<Edge> {
-        self.edges
-    }
-
     /// Appends edges in place (dynamic-graph updates, §VI-B "Graph update").
     ///
     /// # Errors

@@ -53,16 +53,6 @@ impl GrowthModel {
     pub fn edges_added_at(&self, t: u32) -> u64 {
         self.edges_at(t + 1).saturating_sub(self.edges_at(t))
     }
-
-    /// Number of steps until the edge count first reaches `factor ×` the
-    /// initial count.
-    pub fn steps_to_factor(&self, factor: f64) -> u32 {
-        assert!(factor >= 1.0, "factor must be at least 1");
-        if self.rate == 0.0 {
-            return u32::MAX;
-        }
-        (factor.ln() / (1.0 + self.rate).ln()).ceil() as u32
-    }
 }
 
 /// A stream of edge-update batches applied to a live graph.
@@ -122,15 +112,6 @@ impl UpdateStream {
             .expect("incremental edges are in range");
         self.step += 1;
         batch
-    }
-
-    /// Update ratio of the last step: edges added / edges before the step.
-    pub fn update_ratio_at(&self, t: u32) -> f64 {
-        let before = self.growth.edges_at(t);
-        if before == 0 {
-            return 0.0;
-        }
-        self.growth.edges_added_at(t) as f64 / before as f64
     }
 }
 
@@ -245,8 +226,8 @@ mod tests {
     fn growth_model_matches_paper_taobao_horizon() {
         // Fig. 30: TB edge count grows 112x; at 0.95%/day that is ~499 days.
         let m = GrowthModel::new(400_000_000, 0.0095);
-        let days = m.steps_to_factor(112.0);
-        assert!((495..=505).contains(&days), "got {days}");
+        let factor = m.edges_at(499) as f64 / m.edges_at(0) as f64;
+        assert!((110.0..114.0).contains(&factor), "got {factor}");
     }
 
     #[test]
@@ -254,7 +235,6 @@ mod tests {
         let m = GrowthModel::new(100, 0.0);
         assert_eq!(m.edges_at(10), 100);
         assert_eq!(m.edges_added_at(3), 0);
-        assert_eq!(m.steps_to_factor(2.0), u32::MAX);
     }
 
     #[test]
@@ -265,7 +245,7 @@ mod tests {
         let batch = stream.advance();
         assert_eq!(stream.graph().num_edges(), before + batch.len());
         assert_eq!(batch.len(), 50);
-        assert!((stream.update_ratio_at(0) - 0.01).abs() < 1e-6);
+        assert!((batch.len() as f64 / before as f64 - 0.01).abs() < 1e-6);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! datasets (OGB/DGL/SNAP/Taobao dumps, up to 400 M edges) are not available
 //! offline, so this module provides deterministic generators that hit the
 //! same *structural parameters* preprocessing cost depends on — vertex count,
-//! edge count and degree skew. See `DESIGN.md` for the substitution note.
+//! edge count and degree skew. See `docs/FIDELITY.md` for the substitution
+//! note.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

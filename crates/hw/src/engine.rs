@@ -111,12 +111,7 @@ impl AutoGnnEngine {
     /// Applies a new configuration, reprogramming only the regions that
     /// changed (§V-B), and returns the event.
     pub fn reconfigure(&mut self, new: HwConfig) -> ReconfigEvent {
-        let scope = match (self.config.upe != new.upe, self.config.scr != new.scr) {
-            (false, false) => ReconfigScope::None,
-            (true, false) => ReconfigScope::UpeOnly,
-            (false, true) => ReconfigScope::ScrOnly,
-            (true, true) => ReconfigScope::Both,
-        };
+        let scope = ReconfigScope::between(self.config, new);
         let seconds = self.shell.icap.reconfig_secs(scope);
         if scope != ReconfigScope::None {
             self.config = new;

@@ -1,6 +1,8 @@
 //! The fixed HW-shell: PCIe DMA models, the FPP/ICAP reconfiguration model
 //! and device-DRAM graph residency (§IV-B, Fig. 11, §V-B).
 
+use crate::HwConfig;
+
 /// Graph-delta staging buffers carved out of device DRAM: two, so one
 /// delta can land over DMA-main while the previous batch occupies the
 /// fabric (§V-B's incremental-read path, double-buffered). Serving layers
@@ -111,6 +113,18 @@ pub enum ReconfigScope {
     ScrOnly,
     /// Both regions.
     Both,
+}
+
+impl ReconfigScope {
+    /// The regions a switch from `old` to `new` reprograms.
+    pub fn between(old: HwConfig, new: HwConfig) -> Self {
+        match (old.upe != new.upe, old.scr != new.scr) {
+            (false, false) => ReconfigScope::None,
+            (true, false) => ReconfigScope::UpeOnly,
+            (false, true) => ReconfigScope::ScrOnly,
+            (true, true) => ReconfigScope::Both,
+        }
+    }
 }
 
 /// FPP/ICAP partial-reconfiguration timing (§V-B): "the reconfiguration

@@ -1,6 +1,6 @@
 //! Discrete-event, multi-tenant traffic scheduling for the AutoGNN runtime.
 //!
-//! The paper's runtime ([`agnn_core::runtime::AutoGnn`]) serves one request
+//! The paper's runtime (`agnn_core::runtime::AutoGnn`) serves one request
 //! at a time; a production deployment sees sustained, mixed, time-varying
 //! load from many applications sharing one accelerator. This crate closes
 //! that gap with a fully simulated serving layer:
@@ -9,8 +9,8 @@
 //!   a GNN spec to a seeded arrival process (homogeneous Poisson or a
 //!   diurnal sinusoid via Lewis–Shedler thinning), with optional
 //!   Table II-rate workload drift;
-//! - [`pool`] — a [`pool::BoardPool`] of N simulated accelerators, each a
-//!   forked [`agnn_core::runtime::AutoGnn`] with its own bitstream state,
+//! - [`pool`] — a [`pool::BoardPool`] of N simulated accelerators, each
+//!   its programmed bitstream config plus its own
 //!   reconfiguration clock, capacity-bounded resident-graph memory (LRU
 //!   eviction at the §V-B DRAM budget) and **two in-flight slots** — the
 //!   PCIe DMA engine and the reconfigurable fabric — fed by the shared

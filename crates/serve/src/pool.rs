@@ -1,10 +1,10 @@
 //! A pool of simulated accelerator boards behind one admission queue.
 //!
 //! PR 1's `agnn-serve` time-multiplexed a single VPK180, so every shift in
-//! the tenant mix forced an ICAP stall. A [`BoardPool`] holds N boards,
-//! each with its **own** bitstream state, reconfiguration clock, resident
-//! graph memory and — since the staged-lifecycle refactor — **two
-//! in-flight slots** mirroring the board's independent resources:
+//! the tenant mix forced an ICAP stall. A [`BoardPool`] holds N boards.
+//! A board is its programmed [`HwConfig`] plus its serving state: its
+//! reconfiguration clock, resident graph memory and **two in-flight
+//! slots** mirroring the board's independent resources:
 //!
 //! - the **DMA slot** (PCIe engine pair): at most one transfer in flight —
 //!   a graph-delta ingest or a subgraph hand-off;
@@ -28,9 +28,17 @@
 //! Admission reads those queues directly, and a stage abort
 //! (`BoardPool::abort`) removes a handle from whichever queue holds it.
 //!
+//! The boards are identical, so what they share lives once on the pool:
+//! the bitstream library, the reconfiguration policy, the PCIe, switch
+//! and ICAP models, the DRAM budget and the [`FpgaModel`] that prices a
+//! request under a board's config. A reconfiguration costs the ICAP time
+//! of the regions that differ between two configs
+//! ([`ReconfigScope::between`], as in `AutoGnnEngine::reconfigure`), and
+//! [`BoardPool::reset`] restores every board's default config.
+//!
 //! Residency is **capacity-bounded**: each board's DRAM holds at most
-//! [`AutoGnn::dram_graph_capacity`] bytes of resident graphs (§V-B — the
-//! 15 GB left after bitstream staging). When a tenant mix outgrows that,
+//! the [`DramModel`] capacity of resident graphs (§V-B — the 15 GB left
+//! after bitstream staging). When a tenant mix outgrows that,
 //! the least-recently-served tenant is evicted and its next request pays a
 //! full re-upload — which is exactly the recurring ingest traffic that
 //! staged pipelining hides behind fabric compute.
@@ -64,10 +72,12 @@
 use std::collections::VecDeque;
 
 use agnn_algo::pipeline::SampleParams;
-use agnn_core::runtime::AutoGnn;
 use agnn_cost::{BitstreamLibrary, ReconfigPolicy, Workload};
-use agnn_hw::engine::ReconfigEvent;
-use agnn_hw::shell::DELTA_BUFFERS;
+use agnn_devices::fpga::FpgaModel;
+use agnn_hw::floorplan::Floorplan;
+use agnn_hw::shell::{
+    DramModel, IcapModel, PcieModel, PcieSwitchModel, ReconfigScope, DELTA_BUFFERS,
+};
 use agnn_hw::HwConfig;
 
 use crate::engine::Handle;
@@ -188,11 +198,12 @@ struct Residency {
     touched: u64,
 }
 
-/// One simulated board: a forked [`AutoGnn`] runtime plus the pool-side
-/// serving state the simulator tracks for it.
+/// One simulated board: the configuration programmed on its fabric plus
+/// the serving state the simulator tracks for it.
 #[derive(Debug)]
 struct Board {
-    runtime: AutoGnn,
+    /// The bitstream pair programmed on the fabric.
+    config: HwConfig,
     /// A PCIe transfer (ingest or hand-off) is in flight.
     dma_busy: bool,
     /// Simulated second the in-flight DMA transfer completes (stale once
@@ -243,9 +254,11 @@ struct Board {
 }
 
 impl Board {
-    fn new(runtime: AutoGnn, tenant_count: usize) -> Self {
+    /// A factory-fresh board: the default bitstream, empty memory and
+    /// zeroed counters.
+    fn new(tenant_count: usize) -> Self {
         Board {
-            runtime,
+            config: HwConfig::vpk180_default(),
             dma_busy: false,
             dma_until: 0.0,
             fabric_busy: false,
@@ -329,7 +342,8 @@ impl Board {
 }
 
 /// N simulated boards with independent bitstream state, fed by one
-/// admission queue.
+/// admission queue. Every board is the same VPK180, so the pool holds the
+/// models they share once.
 #[derive(Debug)]
 pub struct BoardPool {
     boards: Vec<Board>,
@@ -337,36 +351,43 @@ pub struct BoardPool {
     /// per-event "any board free?" test reads one counter.
     accepting_count: usize,
     tenant_count: usize,
+    library: BitstreamLibrary,
+    policy: ReconfigPolicy,
+    pcie: PcieModel,
+    switch: PcieSwitchModel,
+    icap: IcapModel,
     /// Per-board DRAM budget for resident graphs.
     graph_capacity: u64,
+    fpga: FpgaModel,
 }
 
 impl BoardPool {
-    /// A pool of `size` pristine boards serving `tenant_count` tenants,
-    /// all running `params` under `policy`.
+    /// A pool of `size` pristine boards serving `tenant_count` tenants
+    /// under `policy`. `params` is unread: requests carry their own
+    /// workload, and the signature stays for perfbench, its one other
+    /// caller.
     ///
     /// # Panics
     ///
     /// Panics if `size` is zero.
     pub fn new(
         size: usize,
-        params: SampleParams,
+        _params: SampleParams,
         policy: ReconfigPolicy,
         tenant_count: usize,
     ) -> Self {
         assert!(size > 0, "pool must hold at least one board");
-        let prototype = AutoGnn::with_policy(params, policy);
-        let graph_capacity = prototype.dram_graph_capacity();
-        let mut boards = Vec::with_capacity(size);
-        for _ in 1..size {
-            boards.push(Board::new(prototype.fork(), tenant_count));
-        }
-        boards.push(Board::new(prototype, tenant_count));
         BoardPool {
+            boards: (0..size).map(|_| Board::new(tenant_count)).collect(),
             accepting_count: size,
-            boards,
             tenant_count,
-            graph_capacity,
+            library: BitstreamLibrary::for_floorplan(&Floorplan::vpk180()),
+            policy,
+            pcie: PcieModel::default(),
+            switch: PcieSwitchModel::default(),
+            icap: IcapModel::default(),
+            graph_capacity: DramModel::default().capacity,
+            fpga: FpgaModel::default(),
         }
     }
 
@@ -379,7 +400,7 @@ impl BoardPool {
     /// memory, zeroed counters) so one pool replays many simulations.
     pub fn reset(&mut self) {
         for board in &mut self.boards {
-            *board = Board::new(board.runtime.fork(), self.tenant_count);
+            *board = Board::new(self.tenant_count);
         }
         self.accepting_count = self.boards.len();
     }
@@ -402,23 +423,23 @@ impl BoardPool {
     /// The bitstream library the cost model searches — identical on every
     /// board, so bitstream-choice caches can be shared pool-wide.
     pub fn library(&self) -> &BitstreamLibrary {
-        self.boards[0].runtime.library()
+        &self.library
     }
 
     /// The reconfiguration policy in force (same on every board).
     pub fn policy(&self) -> ReconfigPolicy {
-        self.boards[0].runtime.policy()
+        self.policy
     }
 
     /// The PCIe link model of the boards' shells (identical on every
     /// board) — per-stage transfer pricing routes through it.
-    pub fn pcie(&self) -> agnn_hw::shell::PcieModel {
-        self.boards[0].runtime.pcie()
+    pub fn pcie(&self) -> PcieModel {
+        self.pcie
     }
 
     /// The configuration currently programmed on board `index`.
     pub fn config(&self, index: usize) -> HwConfig {
-        self.boards[index].runtime.config()
+        self.boards[index].config
     }
 
     /// Whether board `index` can admit a new request (see
@@ -475,10 +496,15 @@ impl BoardPool {
     /// decision lives with the caller: the simulator asks
     /// [`ReconfigPolicy::should_reconfigure`] through a per-tenant memo of
     /// its verdicts (pure in the workload and the config pair), so repeated
-    /// dispatches of one drift bucket skip the cost-model estimates.
+    /// dispatches of one drift bucket skip the cost-model estimates. The
+    /// ICAP model prices the stall from the regions that change
+    /// ([`ReconfigScope::between`]).
     pub fn apply_reconfigure(&mut self, index: usize, best: HwConfig) -> f64 {
         let board = &mut self.boards[index];
-        let ReconfigEvent { seconds, .. } = board.runtime.force_reconfigure(best);
+        let seconds = self
+            .icap
+            .reconfig_secs(ReconfigScope::between(board.config, best));
+        board.config = best;
         board.reconfigs += 1;
         board.reconfig_secs += seconds;
         seconds
@@ -487,10 +513,7 @@ impl BoardPool {
     /// Analytic preprocessing seconds for `workload` under board `index`'s
     /// current configuration.
     pub fn stage_secs(&self, index: usize, workload: &Workload) -> f64 {
-        self.boards[index]
-            .runtime
-            .analytic_stage_secs(workload)
-            .total()
+        self.fpga.analytic_secs(workload, self.boards[index].config)
     }
 
     /// Updates tenant residency on board `index` to `coo_bytes` and
@@ -584,8 +607,8 @@ impl BoardPool {
 
     /// The PCIe switch model connecting the boards (identical on every
     /// board's shell) — migration transfer pricing routes through it.
-    pub fn switch(&self) -> agnn_hw::shell::PcieSwitchModel {
-        self.boards[0].runtime.pcie_switch()
+    pub fn switch(&self) -> PcieSwitchModel {
+        self.switch
     }
 
     /// Marks board `index` fully busy until `done` — the **serial** path:
@@ -840,10 +863,56 @@ mod tests {
         pool.occupy(0, 0.0, 5.0);
         pool.release(0);
         pool.upload_delta(1, 0, 2_000);
+        let other = pool.library().upe_variants()[0];
+        pool.apply_reconfigure(
+            1,
+            HwConfig {
+                upe: other,
+                ..pool.config(1)
+            },
+        );
         pool.reset();
         assert_eq!(pool.stats()[0].completed, 0);
         assert_eq!(pool.stats()[0].busy_secs, 0.0);
         assert_eq!(pool.upload_delta(1, 0, 2_000), 2_000, "memory evicted");
+        assert_eq!(
+            pool.config(1),
+            HwConfig::vpk180_default(),
+            "default bitstream"
+        );
+        assert_eq!(pool.stats()[1].reconfigs, 0);
+    }
+
+    #[test]
+    fn reconfiguration_is_priced_by_the_regions_that_change() {
+        let mut pool = pool(1);
+        let icap = IcapModel::default();
+        let start = pool.config(0);
+        let upe = HwConfig {
+            upe: pool.library().upe_variants()[0],
+            ..start
+        };
+        let both = HwConfig {
+            upe: start.upe,
+            scr: pool.library().scr_variants()[3],
+        };
+        assert_ne!(upe, start);
+        assert_eq!(
+            pool.apply_reconfigure(0, upe),
+            icap.reconfig_secs(ReconfigScope::UpeOnly)
+        );
+        assert_eq!(pool.config(0), upe);
+        assert_eq!(
+            pool.apply_reconfigure(0, both),
+            icap.reconfig_secs(ReconfigScope::Both)
+        );
+        assert_eq!(pool.apply_reconfigure(0, both), 0.0, "nothing to reprogram");
+        let stats = pool.stats();
+        assert_eq!(stats[0].reconfigs, 3, "every call is counted");
+        assert_eq!(
+            stats[0].reconfig_secs,
+            icap.reconfig_secs(ReconfigScope::UpeOnly) + icap.reconfig_secs(ReconfigScope::Both)
+        );
     }
 
     #[test]

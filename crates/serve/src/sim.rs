@@ -1073,9 +1073,9 @@ impl RunStats {
 
 impl TrafficSim {
     /// A simulator over `tenants` with `config`. The board pool is built
-    /// here (one forked `AutoGnn` runtime per board) and reset at the
-    /// start of every [`run`](TrafficSim::run), so one simulator can
-    /// replay many deterministic simulations.
+    /// here and reset to its default configs at the start of every
+    /// [`run`](TrafficSim::run), so one simulator can replay many
+    /// deterministic simulations.
     ///
     /// # Panics
     ///

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use super::{CounterSample, Span, TraceSink, Track};
+use super::{CounterSample, Span, TraceSink};
 
 /// Default span/counter capacity: enough for every span of a
 /// 100k-request trace (≤ 5 spans per request) without unbounded growth.
@@ -59,20 +59,6 @@ impl FlightRecorder {
             .collect()
     }
 
-    /// Every retained span on one track, oldest first.
-    pub fn spans_on(&self, track: Track) -> Vec<Span> {
-        self.spans
-            .iter()
-            .filter(|s| s.track == track)
-            .copied()
-            .collect()
-    }
-
-    /// Number of retained spans.
-    pub fn span_count(&self) -> usize {
-        self.spans.len()
-    }
-
     /// Spans evicted because the ring was full.
     pub fn dropped_spans(&self) -> u64 {
         self.dropped_spans
@@ -110,7 +96,7 @@ impl TraceSink for FlightRecorder {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{BoardResource, CounterKind, SpanKind};
+    use super::super::{BoardResource, CounterKind, SpanKind, Track};
     use super::*;
 
     fn span(request: u64, track: Track, begin: f64) -> Span {
@@ -134,7 +120,7 @@ mod tests {
         for i in 0..5 {
             rec.span(span(i, dma, i as f64));
         }
-        assert_eq!(rec.span_count(), 2);
+        assert_eq!(rec.spans().count(), 2);
         assert_eq!(rec.dropped_spans(), 3);
         let kept: Vec<u64> = rec.spans().map(|s| s.request).collect();
         assert_eq!(kept, vec![3, 4], "oldest evicted first");
@@ -154,10 +140,8 @@ mod tests {
         rec.span(span(1, dma, 0.0));
         rec.span(span(2, dma, 1.0));
         rec.span(span(1, fabric, 2.0));
-        assert_eq!(rec.spans_for_request(1).len(), 2);
-        assert_eq!(rec.spans_on(dma).len(), 2);
-        assert_eq!(rec.spans_on(fabric).len(), 1);
-        assert_eq!(rec.spans_on(Track::Queue).len(), 0);
+        let tracks: Vec<Track> = rec.spans_for_request(1).iter().map(|s| s.track).collect();
+        assert_eq!(tracks, vec![dma, fabric]);
         assert_eq!(rec.dropped_spans(), 0);
     }
 

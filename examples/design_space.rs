@@ -6,6 +6,7 @@
 //! cargo run --example design_space
 //! ```
 
+use agnn_cost::optimizer::{search, SearchSpace};
 use agnn_devices::fpga::FpgaModel;
 use autognn::prelude::*;
 
@@ -53,7 +54,9 @@ fn main() {
         );
     }
 
-    let best = fpga.search(&am_workload, &plan, agnn_cost::SearchSpace::Full);
+    let best = search(&plan, SearchSpace::Full, |c| {
+        fpga.analytic_secs(&am_workload, c)
+    });
     println!(
         "\ntiming-aware optimum for AM: {} UPEs x {}, {} SCR slots x {}",
         best.upe.count, best.upe.width, best.scr.slots, best.scr.width

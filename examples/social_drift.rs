@@ -7,6 +7,7 @@
 //! cargo run --example social_drift
 //! ```
 
+use agnn_cost::optimizer::{search, SearchSpace};
 use autognn::prelude::*;
 use autognn::runtime::scenario::task_share_series;
 
@@ -51,8 +52,8 @@ fn main() {
     let spec = Dataset::StackOverflow.spec();
     let day0 = setup.workload(spec.nodes, spec.edges);
     let grown = setup.workload(spec.nodes * 4, spec.edges * 4);
-    let cfg0 = fpga.search(&day0, &plan, agnn_cost::SearchSpace::Full);
-    let cfg1 = fpga.search(&grown, &plan, agnn_cost::SearchSpace::Full);
+    let cfg0 = search(&plan, SearchSpace::Full, |c| fpga.analytic_secs(&day0, c));
+    let cfg1 = search(&plan, SearchSpace::Full, |c| fpga.analytic_secs(&grown, c));
     println!(
         "\noptimal config day 0:    {} UPEs x {}, {} SCR slots x {}",
         cfg0.upe.count, cfg0.upe.width, cfg0.scr.slots, cfg0.scr.width

@@ -95,3 +95,69 @@ fn cost_model_ranks_configurations_consistently_with_simulation() {
         "model and simulator must agree on the better config"
     );
 }
+
+/// A pick as `(upe.count, upe.width, scr.slots, scr.width)`.
+fn shape(config: HwConfig) -> (usize, usize, usize, usize) {
+    (
+        config.upe.count,
+        config.upe.width,
+        config.scr.slots,
+        config.scr.width,
+    )
+}
+
+#[test]
+fn search_picks_are_pinned_for_every_graph_space_and_score() {
+    use agnn_cost::optimizer::search;
+    use agnn_cost::SearchSpace::{AreaOnly, Full, ScrOnly};
+    type Shape = (usize, usize, usize, usize);
+    // Per Table II graph at Table III's setup: the Table I picks
+    // (AreaOnly, ScrOnly, Full), the timing score's AreaOnly seconds and
+    // its (ScrOnly, Full) picks. Timing-scored AreaOnly is pinned by its
+    // seconds because several region-filling splits tie on them.
+    #[rustfmt::skip]
+    let pinned: [(&str, [Shape; 3], f64, [Shape; 2]); 11] = [
+        ("PH", [(128, 64, 1, 2048), (64, 64, 32, 256), (512, 8, 32, 256)], 0.0012339933333333332, [(64, 64, 8, 1024), (64, 64, 8, 1024)]),
+        ("AX", [(128, 64, 1, 2048), (64, 64, 32, 256), (256, 16, 32, 256)], 0.0028368856770833333, [(64, 64, 16, 512), (64, 64, 16, 512)]),
+        ("CL", [(128, 64, 1, 2048), (64, 64, 32, 256), (128, 32, 32, 256)], 0.003505048072916667, [(64, 64, 16, 512), (64, 64, 16, 512)]),
+        ("YL", [(128, 64, 1, 2048), (64, 64, 8, 1024), (64, 64, 8, 1024)], 0.0025448361458333332, [(64, 64, 2, 4096), (8, 512, 2, 4096)]),
+        ("FR", [(128, 64, 1, 2048), (64, 64, 4, 2048), (32, 128, 4, 2048)], 0.0021288787109374997, [(64, 64, 1, 8192), (2, 2048, 1, 8192)]),
+        ("MV", [(128, 64, 1, 2048), (64, 64, 2, 4096), (4, 1024, 2, 4096)], 0.0028041591927083333, [(64, 64, 1, 8192), (4, 1024, 1, 8192)]),
+        ("RD", [(128, 64, 1, 2048), (64, 64, 8, 1024), (16, 256, 8, 1024)], 0.006850849283854167, [(64, 64, 2, 4096), (16, 256, 2, 4096)]),
+        ("SO", [(128, 64, 1, 2048), (64, 64, 32, 256), (8, 512, 32, 256)], 0.033340004492187506, [(64, 64, 8, 1024), (64, 64, 8, 1024)]),
+        ("JR", [(128, 64, 1, 2048), (64, 64, 32, 256), (8, 512, 32, 256)], 0.0302905557421875, [(64, 64, 8, 1024), (64, 64, 8, 1024)]),
+        ("AM", [(128, 64, 1, 2048), (64, 64, 16, 512), (4, 1024, 16, 512)], 0.03070721875, [(64, 64, 2, 4096), (32, 128, 2, 4096)]),
+        ("TB", [(128, 64, 1, 2048), (64, 64, 2, 4096), (1, 4096, 2, 4096)], 0.08197959037760416, [(64, 64, 1, 8192), (64, 64, 1, 8192)]),
+    ];
+    let setup = EvalSetup::default();
+    let fpga = FpgaModel::default();
+    let plan = agnn_hw::floorplan::Floorplan::vpk180();
+    let library = BitstreamLibrary::for_floorplan(&plan);
+    for (dataset, (abbrev, table_i, area_secs, timing)) in Dataset::ALL.into_iter().zip(pinned) {
+        assert_eq!(dataset.abbrev(), abbrev);
+        let spec = dataset.spec();
+        let w = setup.workload(spec.nodes, spec.edges);
+        let by_table_i = |space| shape(search(&plan, space, |c| CostModel.estimate(&w, c).total()));
+        let secs = |c| fpga.analytic_secs(&w, c);
+        assert_eq!(
+            [AreaOnly, ScrOnly, Full].map(by_table_i),
+            table_i,
+            "{abbrev}: Table I picks"
+        );
+        assert_eq!(
+            shape(CostModel.choose_config(&w, &library)),
+            table_i[2],
+            "{abbrev}: choose_config is the Table I Full search"
+        );
+        assert_eq!(
+            secs(search(&plan, AreaOnly, secs)),
+            area_secs,
+            "{abbrev}: timing AreaOnly seconds"
+        );
+        assert_eq!(
+            [ScrOnly, Full].map(|space| shape(search(&plan, space, secs))),
+            timing,
+            "{abbrev}: timing picks"
+        );
+    }
+}
