@@ -23,7 +23,7 @@ fn bench_dispatch_policies(c: &mut Criterion) {
     group.sample_size(10);
     for (name, policy) in [
         ("fifo", DispatchPolicy::Fifo),
-        ("reconfig_aware", DispatchPolicy::reconfig_aware()),
+        ("reconfig_aware", DispatchPolicy::ReconfigAware),
     ] {
         group.bench_with_input(
             BenchmarkId::new("replay_10k", name),
@@ -32,12 +32,12 @@ fn bench_dispatch_policies(c: &mut Criterion) {
                 b.iter(|| {
                     simulate(
                         mixed_tenants(),
-                        ServeConfig::builder()
-                            .seed(3)
-                            .total_requests(10_000)
-                            .policy(policy)
-                            .build()
-                            .expect("bench config is valid"),
+                        ServeConfig {
+                            seed: 3,
+                            total_requests: 10_000,
+                            policy,
+                            ..ServeConfig::default()
+                        },
                     )
                 })
             },
@@ -67,14 +67,14 @@ fn bench_board_pool_sweep(c: &mut Criterion) {
                     b.iter(|| {
                         simulate(
                             mixed_tenants(),
-                            ServeConfig::builder()
-                                .seed(3)
-                                .total_requests(10_000)
-                                .boards(boards)
-                                .placement(placement)
-                                .policy(DispatchPolicy::reconfig_aware())
-                                .build()
-                                .expect("bench config is valid"),
+                            ServeConfig {
+                                seed: 3,
+                                total_requests: 10_000,
+                                boards,
+                                placement,
+                                policy: DispatchPolicy::ReconfigAware,
+                                ..ServeConfig::default()
+                            },
                         )
                     })
                 },

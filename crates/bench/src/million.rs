@@ -13,22 +13,16 @@ pub const DEFAULT_SEED: u64 = 4_242;
 
 /// The scaled `migration_drift` configuration at `requests` offered load
 /// under `seed`.
-///
-/// # Panics
-///
-/// Panics if the builder rejects the configuration (impossible for the
-/// fixed knobs used here).
 pub fn config(seed: u64, requests: u64) -> ServeConfig {
-    ServeConfig::reconfig_aware()
-        .to_builder()
-        .seed(seed)
-        .total_requests(requests)
-        .queue_capacity(512)
-        .boards(4)
-        .overlap(true)
-        .migrate(MigratePolicy::PeerRehydrate)
-        .build()
-        .expect("scaled migration_drift config is valid")
+    ServeConfig {
+        seed,
+        total_requests: requests,
+        queue_capacity: 512,
+        boards: 4,
+        overlap: true,
+        migrate: MigratePolicy::PeerRehydrate,
+        ..ServeConfig::reconfig_aware()
+    }
 }
 
 /// The deployment's tenant mix (fresh per run — every simulation owns

@@ -309,12 +309,12 @@ mod tests {
         use agnn_serve::tenant::TenantSpec;
         let report = simulate(
             vec![TenantSpec::new("feed", Dataset::Movie, 5.0)],
-            ServeConfig::builder()
-                .seed(1)
-                .total_requests(100)
-                .boards(2)
-                .build()
-                .expect("test config is valid"),
+            ServeConfig {
+                seed: 1,
+                total_requests: 100,
+                boards: 2,
+                ..ServeConfig::default()
+            },
         );
         let doc = parse(&report.to_json()).expect("report JSON parses");
         assert_eq!(

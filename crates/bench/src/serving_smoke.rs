@@ -43,7 +43,7 @@
 //!    robin. The gate protects **`victim_p99_secs`** (the worse of the
 //!    two victims' p99 — the fairness headline) and **`tenant_drops`**
 //!    (victims must keep dropping zero), alongside p99/reconfigs.
-//! 8. `slo_drift` — the drift-heavy trace with [`SchedKind::slo_aware`]:
+//! 8. `slo_drift` — the drift-heavy trace with [`SchedKind::SloAware`]:
 //!    reconfigurations happen only when a tenant's predicted p99 clears
 //!    its SLO budget. The gate protects its reconfig count (the cut is
 //!    the point) and its p99 (the cut must not cost the tail).
@@ -258,22 +258,21 @@ fn all_cases() -> Vec<SweepCase> {
 /// artifact rows follow this order.
 fn grid_cases() -> Vec<SweepCase> {
     let cell = |name, boards, scheduler, cache| -> SweepCase {
-        let config = ServeConfig::reconfig_aware()
-            .to_builder()
-            .seed(SMOKE_SEED)
-            .total_requests(GRID_REQUESTS)
-            .queue_capacity(512)
-            .boards(boards)
-            .scheduler(scheduler)
-            .cache(cache)
-            .build()
-            .expect("grid cell config is valid");
+        let config = ServeConfig {
+            seed: SMOKE_SEED,
+            total_requests: GRID_REQUESTS,
+            queue_capacity: 512,
+            boards,
+            scheduler,
+            cache,
+            ..ServeConfig::reconfig_aware()
+        };
         (name, smoke_tenants(), config, &[], None)
     };
     vec![
         cell("grid_b1_fifo_off", 1, SchedKind::Fifo, CacheKind::Off),
         cell("grid_b1_fifo_delta", 1, SchedKind::Fifo, CacheKind::delta()),
-        cell("grid_b1_slo_off", 1, SchedKind::slo_aware(), CacheKind::Off),
+        cell("grid_b1_slo_off", 1, SchedKind::SloAware, CacheKind::Off),
         cell("grid_b4_fifo_off", 4, SchedKind::Fifo, CacheKind::Off),
         cell("grid_b4_fifo_delta", 4, SchedKind::Fifo, CacheKind::delta()),
         cell(
@@ -282,7 +281,7 @@ fn grid_cases() -> Vec<SweepCase> {
             SchedKind::weighted_fair(),
             CacheKind::Off,
         ),
-        cell("grid_b4_slo_off", 4, SchedKind::slo_aware(), CacheKind::Off),
+        cell("grid_b4_slo_off", 4, SchedKind::SloAware, CacheKind::Off),
     ]
 }
 
@@ -290,52 +289,57 @@ fn grid_cases() -> Vec<SweepCase> {
 /// [`run_sweep`] (which simulates every case) and [`perfetto_trace`]
 /// (which replays one named case with a trace sink attached).
 fn sweep_cases() -> Vec<SweepCase> {
-    let base = || {
-        ServeConfig::reconfig_aware()
-            .to_builder()
-            .seed(SMOKE_SEED)
-            .total_requests(SMOKE_REQUESTS)
-            .queue_capacity(512)
+    let base = ServeConfig {
+        seed: SMOKE_SEED,
+        total_requests: SMOKE_REQUESTS,
+        queue_capacity: 512,
+        ..ServeConfig::reconfig_aware()
     };
     // The burst scenarios dispatch in strict scan order on two boards:
     // the fair schedule *is* the scan order (see
     // `ServeConfig::weighted_fair`), and the FIFO comparator runs the
     // identical configuration so the contrast isolates the scheduler.
-    let burst = || {
-        ServeConfig::weighted_fair()
-            .to_builder()
-            .seed(SMOKE_SEED)
-            .total_requests(SMOKE_REQUESTS)
-            .queue_capacity(512)
-            .boards(2)
+    let burst = ServeConfig {
+        seed: SMOKE_SEED,
+        total_requests: SMOKE_REQUESTS,
+        queue_capacity: 512,
+        boards: 2,
+        ..ServeConfig::weighted_fair()
     };
-    let built = |b: agnn_serve::ServeConfigBuilder| b.build().expect("sweep case config is valid");
     vec![
         (
             "single_board_reconfig_aware",
             smoke_tenants(),
-            built(base().boards(1)),
+            ServeConfig { boards: 1, ..base },
             &[][..],
             None,
         ),
         (
             "pool4_least_loaded",
             smoke_tenants(),
-            built(base().boards(4)),
+            ServeConfig { boards: 4, ..base },
             &[],
             None,
         ),
         (
             "pool4_bitstream_affine",
             smoke_tenants(),
-            built(base().boards(4).placement(PlacementPolicy::BitstreamAffine)),
+            ServeConfig {
+                boards: 4,
+                placement: PlacementPolicy::BitstreamAffine,
+                ..base
+            },
             &[],
             None,
         ),
         (
             "pipelined_drift",
             pressured_tenants(),
-            built(base().boards(4).overlap(true)),
+            ServeConfig {
+                boards: 4,
+                overlap: true,
+                ..base
+            },
             &[],
             None,
         ),
@@ -347,40 +351,45 @@ fn sweep_cases() -> Vec<SweepCase> {
             // overflow path can never fire — labeling the row split_hot
             // would advertise coverage the gate does not have. The split
             // path is pinned by `tests/serve_traffic.rs` instead.
-            built(
-                base()
-                    .boards(4)
-                    .overlap(true)
-                    .migrate(MigratePolicy::PeerRehydrate),
-            ),
+            ServeConfig {
+                boards: 4,
+                overlap: true,
+                migrate: MigratePolicy::PeerRehydrate,
+                ..base
+            },
             &[],
             None,
         ),
         (
             "fifo_burst",
             burst_tenants(),
-            built(burst().scheduler(SchedKind::Fifo)),
+            ServeConfig {
+                scheduler: SchedKind::Fifo,
+                ..burst
+            },
             BURST_VICTIMS,
             None,
         ),
-        (
-            "wfq_burst",
-            burst_tenants(),
-            built(burst()),
-            BURST_VICTIMS,
-            None,
-        ),
+        ("wfq_burst", burst_tenants(), burst, BURST_VICTIMS, None),
         (
             "slo_drift",
             smoke_tenants(),
-            built(base().boards(1).scheduler(SchedKind::slo_aware())),
+            ServeConfig {
+                boards: 1,
+                scheduler: SchedKind::SloAware,
+                ..base
+            },
             &[],
             None,
         ),
         (
             "cache_replay",
             replay_tenants(),
-            built(base().boards(2).cache(CacheKind::delta())),
+            ServeConfig {
+                boards: 2,
+                cache: CacheKind::delta(),
+                ..base
+            },
             &[],
             None,
         ),
@@ -392,7 +401,11 @@ fn sweep_cases() -> Vec<SweepCase> {
             // its deadline-oblivious twin. Under `LeastLoaded` no hedge
             // ever launches (`hedges: 0`); the hedged paths are pinned in
             // `tests/serve_traffic.rs`.
-            built(base().boards(2).hedge(HedgeKind::latency())),
+            ServeConfig {
+                boards: 2,
+                hedge: HedgeKind::latency(),
+                ..base
+            },
             BURST_VICTIMS,
             Some(DEADLINE_SECS),
         ),
@@ -816,12 +829,10 @@ mod tests {
         // cache).
         let off = simulate(
             replay_tenants(),
-            cached
-                .config
-                .to_builder()
-                .cache(CacheKind::Off)
-                .build()
-                .expect("off twin config is valid"),
+            ServeConfig {
+                cache: CacheKind::Off,
+                ..cached.config
+            },
         );
         let (cached_p99, off_p99) = (
             cached.report.overall_latency().quantile(0.99),

@@ -13,7 +13,6 @@ use agnn_devices::StageSecs;
 use agnn_graph::{Coo, Vid};
 use agnn_hw::engine::{AutoGnnEngine, ReconfigEvent};
 use agnn_hw::floorplan::Floorplan;
-use agnn_hw::shell::PcieModel;
 use agnn_hw::HwConfig;
 
 /// The lifecycle stages of one served request (§II-B's staged flow:
@@ -176,12 +175,6 @@ impl AutoGnn {
         self.engine.reconfigure(config)
     }
 
-    /// The PCIe link model of this board's shell — upload and hand-off
-    /// pricing routes through it per stage.
-    pub fn pcie(&self) -> PcieModel {
-        self.engine.shell().pcie
-    }
-
     /// The cost-model workload `coo` and `batch` present under this
     /// service's sampling parameters — the lightweight profile of §V-B.
     pub fn workload_of(&self, coo: &Coo, batch: &[Vid]) -> Workload {
@@ -274,7 +267,7 @@ impl AutoGnn {
 mod tests {
     use super::*;
     use agnn_graph::generate;
-    use agnn_hw::shell::PcieSwitchModel;
+    use agnn_hw::shell::{PcieModel, PcieSwitchModel};
 
     fn batch(n: u32) -> Vec<Vid> {
         (0..n).map(Vid).collect()
@@ -391,7 +384,8 @@ mod tests {
         let coo = generate::power_law(400, 8_000, 0.9, 14);
         let mut host = AutoGnn::new(SampleParams::new(4, 2));
         let cold = host.ingest(&coo);
-        assert_eq!(cold.secs, host.pcie().transfer_secs(coo.byte_size()));
+        let link = PcieModel::default();
+        assert_eq!(cold.secs, link.transfer_secs(coo.byte_size()));
 
         // A peer that held the whole graph rehydrates it over the switch.
         let switch = PcieSwitchModel::default();
@@ -403,7 +397,7 @@ mod tests {
             cold.secs
         );
         assert!(
-            switch.bandwidth > host.pcie().bandwidth,
+            switch.bandwidth > link.bandwidth,
             "the peer path only exists because the switch fabric is faster"
         );
         // The cold upload leaves the graph resident: the next ingest is free.

@@ -32,11 +32,6 @@ impl UpeConfig {
         UpeConfig { count, width }
     }
 
-    /// Aggregate elements all UPEs process per cycle.
-    pub fn throughput_elements(&self) -> usize {
-        self.count * self.width
-    }
-
     /// LUTs this configuration occupies.
     pub fn luts(&self) -> u64 {
         floorplan::upe_luts(self.width) * self.count as u64
@@ -120,11 +115,6 @@ mod tests {
         // The region has headroom up to 240 instances of width 64 (§V-A).
         assert_eq!(Floorplan::vpk180().max_upe_count(64), 240);
         assert!(cfg.upe.count <= 240);
-    }
-
-    #[test]
-    fn throughput_is_count_times_width() {
-        assert_eq!(UpeConfig::new(4, 32).throughput_elements(), 128);
     }
 
     #[test]

@@ -52,8 +52,9 @@
 //!   at the queue scan, a dispatched-but-not-started stage aborts and
 //!   releases its board slot, and [`sim::HedgeKind::Latency`] re-offers
 //!   a stalled queue-front request to a second board and cancels the
-//!   loser — all assembled through the validating
-//!   [`sim::ServeConfig::builder`];
+//!   loser — all set as fields of one [`sim::ServeConfig`], whose
+//!   [`validate`](sim::ServeConfig::validate) rejects the combinations
+//!   the simulator cannot run;
 //! - [`cache`] — the subgraph result cache: entries keyed on request
 //!   identity `(tenant, drift bucket, seed)`, invalidated by accumulated
 //!   graph-delta bytes ([`cache::CacheKind::Delta`]) and degraded to
@@ -119,12 +120,12 @@
 //!     TenantSpec::new("feed", Dataset::Movie, 40.0),
 //!     TenantSpec::new("ads", Dataset::StackOverflow, 40.0),
 //! ];
-//! let config = ServeConfig::builder()
-//!     .seed(7)
-//!     .total_requests(500)
-//!     .policy(DispatchPolicy::reconfig_aware())
-//!     .build()
-//!     .expect("a valid serving config");
+//! let config = ServeConfig {
+//!     seed: 7,
+//!     total_requests: 500,
+//!     policy: DispatchPolicy::ReconfigAware,
+//!     ..ServeConfig::default()
+//! };
 //! let report = simulate(tenants, config);
 //! assert_eq!(report.completed() + report.dropped(), 500);
 //! assert!(report.throughput_rps() > 0.0);
@@ -148,9 +149,7 @@ pub use metrics::{
 };
 pub use pool::{BoardPool, MigratePolicy, MigrationTransfer, PlacementPolicy};
 pub use sched::{LatencyPredictor, SchedKind, SchedPolicy, Scheduler};
-pub use sim::{
-    simulate, ConfigError, DispatchPolicy, HedgeKind, ServeConfig, ServeConfigBuilder, TrafficSim,
-};
+pub use sim::{simulate, ConfigError, DispatchPolicy, HedgeKind, ServeConfig, TrafficSim};
 pub use tenant::{ArrivalProcess, Drift, TenantSpec};
 pub use trace::{ChromeTraceWriter, FlightRecorder, NullSink, TraceSink};
 
@@ -169,11 +168,11 @@ mod tests {
 
     #[test]
     fn same_seed_produces_identical_reports() {
-        let cfg = ServeConfig::builder()
-            .seed(42)
-            .total_requests(2_000)
-            .build()
-            .unwrap();
+        let cfg = ServeConfig {
+            seed: 42,
+            total_requests: 2_000,
+            ..ServeConfig::default()
+        };
         let a = simulate(mixed_tenants(25.0), cfg);
         let b = simulate(mixed_tenants(25.0), cfg);
         assert_eq!(a.trace_digest, b.trace_digest, "identical event traces");
@@ -183,11 +182,11 @@ mod tests {
     #[test]
     fn different_seeds_produce_different_traces() {
         let mk = |seed| {
-            let cfg = ServeConfig::builder()
-                .seed(seed)
-                .total_requests(1_000)
-                .build()
-                .unwrap();
+            let cfg = ServeConfig {
+                seed,
+                total_requests: 1_000,
+                ..ServeConfig::default()
+            };
             simulate(mixed_tenants(25.0), cfg)
         };
         assert_ne!(mk(1).trace_digest, mk(2).trace_digest);
@@ -195,12 +194,12 @@ mod tests {
 
     #[test]
     fn every_offered_request_is_completed_or_dropped() {
-        let cfg = ServeConfig::builder()
-            .seed(3)
-            .total_requests(3_000)
-            .queue_capacity(4) // tiny queue under heavy load: forces drops
-            .build()
-            .unwrap();
+        let cfg = ServeConfig {
+            seed: 3,
+            total_requests: 3_000,
+            queue_capacity: 4, // tiny queue under heavy load: forces drops
+            ..ServeConfig::default()
+        };
         let report = simulate(mixed_tenants(200.0), cfg);
         assert_eq!(
             report.completed() + report.dropped(),
@@ -228,11 +227,11 @@ mod tests {
 
     #[test]
     fn light_load_drops_nothing() {
-        let cfg = ServeConfig::builder()
-            .seed(4)
-            .total_requests(300)
-            .build()
-            .unwrap();
+        let cfg = ServeConfig {
+            seed: 4,
+            total_requests: 300,
+            ..ServeConfig::default()
+        };
         let report = simulate(mixed_tenants(0.5), cfg);
         assert_eq!(report.dropped(), 0);
         assert_eq!(report.completed(), 300);
@@ -247,16 +246,16 @@ mod tests {
         // Interaction (MV) vs social (SO) tenants prefer different
         // bitstreams; interleaved arrivals make FIFO thrash the ICAP.
         let mk = |policy| {
-            let cfg = ServeConfig::builder()
-                .seed(11)
-                .total_requests(2_000)
-                .policy(policy)
-                .build()
-                .unwrap();
+            let cfg = ServeConfig {
+                seed: 11,
+                total_requests: 2_000,
+                policy,
+                ..ServeConfig::default()
+            };
             simulate(mixed_tenants(30.0), cfg)
         };
         let fifo = mk(DispatchPolicy::Fifo);
-        let aware = mk(DispatchPolicy::reconfig_aware());
+        let aware = mk(DispatchPolicy::ReconfigAware);
         assert!(
             fifo.reconfigs > 0,
             "mixed tenants must trigger reconfigurations under FIFO"
@@ -280,11 +279,11 @@ mod tests {
         let tenants = vec![TenantSpec::new("only", Dataset::Movie, 10.0)];
         let report = simulate(
             tenants,
-            ServeConfig::builder()
-                .seed(5)
-                .total_requests(500)
-                .build()
-                .unwrap(),
+            ServeConfig {
+                seed: 5,
+                total_requests: 500,
+                ..ServeConfig::default()
+            },
         );
         assert!(
             report.reconfigs <= 1,
@@ -298,11 +297,11 @@ mod tests {
     fn report_printing_is_well_formed() {
         let report = simulate(
             mixed_tenants(5.0),
-            ServeConfig::builder()
-                .seed(6)
-                .total_requests(200)
-                .build()
-                .unwrap(),
+            ServeConfig {
+                seed: 6,
+                total_requests: 200,
+                ..ServeConfig::default()
+            },
         );
         let text = report.to_string();
         assert!(text.contains("TOTAL"));
@@ -316,12 +315,12 @@ mod tests {
     fn pool_report_prints_per_board_lines() {
         let report = simulate(
             mixed_tenants(30.0),
-            ServeConfig::builder()
-                .seed(6)
-                .total_requests(400)
-                .boards(3)
-                .build()
-                .unwrap(),
+            ServeConfig {
+                seed: 6,
+                total_requests: 400,
+                boards: 3,
+                ..ServeConfig::default()
+            },
         );
         let text = report.to_string();
         assert!(text.contains("board 0:"));
@@ -338,14 +337,14 @@ mod tests {
         ] {
             let report = simulate(
                 mixed_tenants(60.0),
-                ServeConfig::builder()
-                    .seed(12)
-                    .total_requests(1_500)
-                    .boards(4)
-                    .placement(placement)
-                    .policy(DispatchPolicy::reconfig_aware())
-                    .build()
-                    .unwrap(),
+                ServeConfig {
+                    seed: 12,
+                    total_requests: 1_500,
+                    boards: 4,
+                    placement,
+                    policy: DispatchPolicy::ReconfigAware,
+                    ..ServeConfig::default()
+                },
             );
             let per_board: u64 = report.boards.iter().map(|b| b.completed).sum();
             assert_eq!(
@@ -364,15 +363,15 @@ mod tests {
         // Heavy load over a small queue: extra boards drain faster, so
         // completions are monotone in pool size on the same arrival trace.
         let mk = |boards| {
-            let cfg = ServeConfig::builder()
-                .seed(9)
-                .total_requests(2_000)
-                .queue_capacity(16)
-                .boards(boards)
-                .policy(DispatchPolicy::reconfig_aware())
-                .placement(PlacementPolicy::BitstreamAffine)
-                .build()
-                .unwrap();
+            let cfg = ServeConfig {
+                seed: 9,
+                total_requests: 2_000,
+                queue_capacity: 16,
+                boards,
+                policy: DispatchPolicy::ReconfigAware,
+                placement: PlacementPolicy::BitstreamAffine,
+                ..ServeConfig::default()
+            };
             simulate(mixed_tenants(120.0), cfg)
         };
         let one = mk(1);
@@ -393,13 +392,13 @@ mod tests {
         // bitstream, so after the initial switch no board reconfigures.
         let report = simulate(
             mixed_tenants(20.0),
-            ServeConfig::builder()
-                .seed(21)
-                .total_requests(1_200)
-                .boards(3)
-                .placement(PlacementPolicy::TenantAffine)
-                .build()
-                .unwrap(),
+            ServeConfig {
+                seed: 21,
+                total_requests: 1_200,
+                boards: 3,
+                placement: PlacementPolicy::TenantAffine,
+                ..ServeConfig::default()
+            },
         );
         assert_eq!(report.completed() + report.dropped(), 1_200);
         for (i, board) in report.boards.iter().enumerate() {
@@ -417,18 +416,17 @@ mod tests {
 
     #[test]
     fn serve_config_presets_share_one_base() {
-        // The satellite fix: `Default` and the named presets delegate to
-        // one base constructor, so knobs cannot silently diverge.
-        assert_eq!(ServeConfig::default(), ServeConfig::base());
+        // Every preset is a struct update over `Default`, so knobs cannot
+        // silently diverge between constructors.
         let aware = ServeConfig::reconfig_aware();
-        assert_eq!(aware.policy, DispatchPolicy::reconfig_aware());
+        assert_eq!(aware.policy, DispatchPolicy::ReconfigAware);
         assert_eq!(
             ServeConfig {
-                policy: ServeConfig::base().policy,
+                policy: DispatchPolicy::Fifo,
                 ..aware
             },
-            ServeConfig::base(),
-            "reconfig_aware differs from base only in the dispatch policy"
+            ServeConfig::default(),
+            "reconfig_aware differs from the default only in the dispatch policy"
         );
         let pipelined = ServeConfig::pipelined();
         assert!(pipelined.overlap);
@@ -440,112 +438,152 @@ mod tests {
             aware,
             "pipelined differs from reconfig_aware only in overlap"
         );
-        assert!(!ServeConfig::base().overlap, "serial is the default");
-        assert_eq!(
-            ServeConfig::builder().build().unwrap(),
+        assert!(!ServeConfig::default().overlap, "serial is the default");
+        for preset in [
             ServeConfig::default(),
-            "an untouched builder produces the base config"
-        );
-        assert_eq!(
-            pipelined.to_builder().build().unwrap(),
+            aware,
             pipelined,
-            "to_builder round-trips a preset"
-        );
+            ServeConfig::weighted_fair(),
+            ServeConfig::slo_aware(),
+        ] {
+            assert_eq!(preset.validate(), Ok(()), "{preset:?}");
+        }
     }
 
     #[test]
     fn builder_rejects_documented_incompatible_combos() {
+        let base = ServeConfig::default();
         let cases = [
             // Hedging re-offers work to a *second* board: a pool of one
             // has nowhere to hedge.
             (
-                ServeConfig::builder().hedge(HedgeKind::latency()),
+                ServeConfig {
+                    hedge: HedgeKind::latency(),
+                    ..base
+                },
                 ConfigError::HedgeNeedsPool { boards: 1 },
             ),
             // Hedging prices both legs at dispatch, which only the serial
             // lifecycle exposes.
             (
-                ServeConfig::builder()
-                    .boards(2)
-                    .overlap(true)
-                    .hedge(HedgeKind::latency()),
+                ServeConfig {
+                    boards: 2,
+                    overlap: true,
+                    hedge: HedgeKind::latency(),
+                    ..base
+                },
                 ConfigError::HedgeNeedsSerial,
             ),
             (
-                ServeConfig::builder().default_deadline_secs(0.0),
+                ServeConfig {
+                    default_deadline_secs: Some(0.0),
+                    ..base
+                },
                 ConfigError::NonPositiveDeadline { secs: 0.0 },
             ),
             (
-                ServeConfig::builder()
-                    .boards(2)
-                    .hedge(HedgeKind::Latency { factor: -1.0 }),
+                ServeConfig {
+                    boards: 2,
+                    hedge: HedgeKind::Latency { factor: -1.0 },
+                    ..base
+                },
                 ConfigError::NonPositiveHedgeFactor { factor: -1.0 },
             ),
-            (ServeConfig::builder().boards(0), ConfigError::ZeroBoards),
+            (ServeConfig { boards: 0, ..base }, ConfigError::ZeroBoards),
             (
-                ServeConfig::builder().queue_capacity(0),
+                ServeConfig {
+                    queue_capacity: 0,
+                    ..base
+                },
                 ConfigError::ZeroQueueCapacity,
             ),
+            // A zero quota refuses every arrival: caught here, not by a
+            // panic inside the run.
             (
-                ServeConfig::builder().compute_speedup(0.0),
+                ServeConfig {
+                    scheduler: SchedKind::WeightedFair {
+                        per_tenant_quota: 0,
+                    },
+                    ..base
+                },
+                ConfigError::ZeroTenantQuota,
+            ),
+            (
+                ServeConfig {
+                    compute_speedup: 0.0,
+                    ..base
+                },
                 ConfigError::NonPositiveComputeSpeedup { speedup: 0.0 },
             ),
             (
-                ServeConfig::builder().compute_speedup(f64::NAN),
+                ServeConfig {
+                    compute_speedup: f64::NAN,
+                    ..base
+                },
                 ConfigError::NonPositiveComputeSpeedup { speedup: f64::NAN },
             ),
             // `gain >= NaN` is false: every reconfiguration would be refused.
             (
-                ServeConfig::builder().min_gain(f64::NAN),
+                ServeConfig {
+                    min_gain: f64::NAN,
+                    ..base
+                },
                 ConfigError::NanKnob { knob: "min_gain" },
             ),
             // A NaN step makes every arrival its own drift bucket.
             (
-                ServeConfig::builder().drift_step_secs(f64::NAN),
+                ServeConfig {
+                    drift_step_secs: f64::NAN,
+                    ..base
+                },
                 ConfigError::NanKnob {
                     knob: "drift_step_secs",
                 },
             ),
         ];
-        for (builder, expected) in cases {
+        for (cfg, expected) in cases {
             // Debug form, because a NaN payload never compares equal.
             assert_eq!(
-                format!("{:?}", builder.build()),
-                format!("{:?}", Err::<ServeConfig, _>(expected))
+                format!("{:?}", cfg.validate()),
+                format!("{:?}", Err::<(), _>(expected))
             );
         }
         // Each error renders a human-readable explanation.
-        let err = ServeConfig::builder()
-            .hedge(HedgeKind::latency())
-            .build()
-            .unwrap_err();
+        let err = ServeConfig {
+            hedge: HedgeKind::latency(),
+            ..base
+        }
+        .validate()
+        .unwrap_err();
         assert!(err.to_string().contains("2 boards"), "{err}");
-        // The valid combo builds.
-        let cfg = ServeConfig::builder()
-            .boards(2)
-            .hedge(HedgeKind::latency())
-            .default_deadline_secs(2.0)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.hedge, HedgeKind::Latency { factor: 1.0 });
-        assert_eq!(cfg.default_deadline_secs, Some(2.0));
+        // The valid combo passes.
+        let cfg = ServeConfig {
+            boards: 2,
+            hedge: HedgeKind::latency(),
+            default_deadline_secs: Some(2.0),
+            ..base
+        };
+        assert_eq!(cfg.validate(), Ok(()));
         // A zero or negative drift step is continuous drift, not an error.
         for step in [0.0, -1.0] {
-            assert!(ServeConfig::builder().drift_step_secs(step).build().is_ok());
+            let cfg = ServeConfig {
+                drift_step_secs: step,
+                ..base
+            };
+            assert_eq!(cfg.validate(), Ok(()));
         }
     }
 
     #[test]
     fn pipelined_mode_conserves_requests_and_overlaps() {
         let mk = |overlap| {
-            let cfg = ServeConfig::reconfig_aware()
-                .to_builder()
-                .seed(14)
-                .total_requests(2_000)
-                .boards(2)
-                .overlap(overlap)
-                .build()
-                .unwrap();
+            let cfg = ServeConfig {
+                seed: 14,
+                total_requests: 2_000,
+                boards: 2,
+                overlap,
+                ..ServeConfig::reconfig_aware()
+            };
             simulate(mixed_tenants(60.0), cfg)
         };
         let serial = mk(false);
@@ -574,16 +612,19 @@ mod tests {
 
     #[test]
     fn request_log_is_off_by_default_and_complete_when_on() {
-        let cfg = ServeConfig::builder()
-            .seed(8)
-            .total_requests(400)
-            .build()
-            .unwrap();
+        let cfg = ServeConfig {
+            seed: 8,
+            total_requests: 400,
+            ..ServeConfig::default()
+        };
         let silent = simulate(mixed_tenants(10.0), cfg);
         assert!(silent.requests.is_empty(), "logging is opt-in");
         let logged = simulate(
             mixed_tenants(10.0),
-            cfg.to_builder().log_requests(true).build().unwrap(),
+            ServeConfig {
+                log_requests: true,
+                ..cfg
+            },
         );
         assert_eq!(logged.requests.len() as u64, logged.completed());
         for r in &logged.requests {
@@ -593,14 +634,14 @@ mod tests {
 
     #[test]
     fn rerunning_one_simulator_is_deterministic() {
-        let cfg = ServeConfig::builder()
-            .seed(33)
-            .total_requests(800)
-            .boards(2)
-            .placement(PlacementPolicy::BitstreamAffine)
-            .policy(DispatchPolicy::reconfig_aware())
-            .build()
-            .unwrap();
+        let cfg = ServeConfig {
+            seed: 33,
+            total_requests: 800,
+            boards: 2,
+            placement: PlacementPolicy::BitstreamAffine,
+            policy: DispatchPolicy::ReconfigAware,
+            ..ServeConfig::default()
+        };
         let mut sim = TrafficSim::new(mixed_tenants(40.0), cfg);
         let a = sim.run();
         let b = sim.run();

@@ -137,31 +137,26 @@ pub enum MigratePolicy {
     PeerRehydrate,
     /// [`MigratePolicy::PeerRehydrate`], plus proactive splitting: when
     /// every queued request is waiting for a busy affine/home board and
-    /// the queue has grown past `queue_threshold`, the front request
-    /// claims the least-loaded free board and its tenant's graph migrates
-    /// there — a hot tenant splits across boards instead of serializing
-    /// on one.
-    SplitHot {
-        /// Queue depth beyond which waiting-for-affinity gives way to
-        /// splitting.
-        queue_threshold: usize,
-    },
+    /// the queue has grown to [`MigratePolicy::SPLIT_QUEUE_DEPTH`], the
+    /// front request claims the least-loaded free board and its tenant's
+    /// graph migrates there — a hot tenant splits across boards instead
+    /// of serializing on one.
+    SplitHot,
 }
 
 impl MigratePolicy {
-    /// The splitting preset with an 8-request queue threshold: early
-    /// enough that a hot tenant spills before its backlog snowballs, deep
-    /// enough that a single slow request does not scatter bitstreams.
-    pub fn split_hot() -> Self {
-        MigratePolicy::SplitHot { queue_threshold: 8 }
-    }
+    /// Queue depth at which [`MigratePolicy::SplitHot`] stops waiting for
+    /// affinity and splits: early enough that a hot tenant spills before
+    /// its backlog snowballs, deep enough that a single slow request does
+    /// not scatter bitstreams.
+    pub const SPLIT_QUEUE_DEPTH: usize = 8;
 
     /// Stable lowercase identifier used in reports and benchmark IDs.
     pub fn name(&self) -> &'static str {
         match self {
             MigratePolicy::Off => "off",
             MigratePolicy::PeerRehydrate => "peer_rehydrate",
-            MigratePolicy::SplitHot { .. } => "split_hot",
+            MigratePolicy::SplitHot => "split_hot",
         }
     }
 
@@ -172,8 +167,8 @@ impl MigratePolicy {
 
     /// The queue depth that triggers a proactive split, if enabled.
     pub fn split_threshold(&self) -> Option<usize> {
-        match *self {
-            MigratePolicy::SplitHot { queue_threshold } => Some(queue_threshold),
+        match self {
+            MigratePolicy::SplitHot => Some(Self::SPLIT_QUEUE_DEPTH),
             _ => None,
         }
     }
@@ -1142,12 +1137,12 @@ mod tests {
         assert_eq!(MigratePolicy::default(), MigratePolicy::Off);
         assert_eq!(MigratePolicy::Off.name(), "off");
         assert_eq!(MigratePolicy::PeerRehydrate.name(), "peer_rehydrate");
-        assert_eq!(MigratePolicy::split_hot().name(), "split_hot");
+        assert_eq!(MigratePolicy::SplitHot.name(), "split_hot");
         assert!(!MigratePolicy::Off.pulls_from_peers());
         assert!(MigratePolicy::PeerRehydrate.pulls_from_peers());
         assert_eq!(MigratePolicy::Off.split_threshold(), None);
         assert_eq!(MigratePolicy::PeerRehydrate.split_threshold(), None);
-        assert_eq!(MigratePolicy::split_hot().split_threshold(), Some(8));
+        assert_eq!(MigratePolicy::SplitHot.split_threshold(), Some(8));
     }
 
     #[test]

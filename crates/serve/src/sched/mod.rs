@@ -163,11 +163,9 @@ pub enum SchedKind {
     /// FIFO order plus SLO-driven reconfiguration gating: a dispatch may
     /// only reprogram the fabric when the tenant's predicted p99 (latency
     /// EWMA + z·stddev) exceeds its SLO budget
-    /// ([`TenantSpec::slo_secs`], falling back to `default_slo_secs`).
-    SloAware {
-        /// SLO budget for tenants that do not declare their own.
-        default_slo_secs: f64,
-    },
+    /// ([`TenantSpec::slo_secs`], falling back to
+    /// [`SchedKind::FALLBACK_SLO_SECS`]).
+    SloAware,
 }
 
 /// The instantiated scheduler as a closed enum — the event loop's
@@ -264,6 +262,11 @@ impl SchedPolicy for Scheduler {
 }
 
 impl SchedKind {
+    /// The [`SchedKind::SloAware`] p99 budget of a tenant that declares
+    /// none: one second (interactive serving; tenants override it via
+    /// [`TenantSpec::slo_secs`]).
+    pub const FALLBACK_SLO_SECS: f64 = 1.0;
+
     /// The weighted-fair preset: a 64-request per-tenant quota — deep
     /// enough to absorb a diurnal swell, shallow enough that one tenant
     /// can never own a 512-deep aggregate queue.
@@ -273,20 +276,12 @@ impl SchedKind {
         }
     }
 
-    /// The SLO-aware preset: a 1-second default p99 budget (interactive
-    /// serving; tenants override via [`TenantSpec::slo_secs`]).
-    pub fn slo_aware() -> Self {
-        SchedKind::SloAware {
-            default_slo_secs: 1.0,
-        }
-    }
-
     /// Stable lowercase identifier used in reports and benchmark IDs.
     pub fn name(&self) -> &'static str {
         match self {
             SchedKind::Fifo => "fifo",
             SchedKind::WeightedFair { .. } => "wfq",
-            SchedKind::SloAware { .. } => "slo",
+            SchedKind::SloAware => "slo",
         }
     }
 
@@ -309,10 +304,10 @@ impl SchedKind {
                     per_tenant_quota,
                 ))
             }
-            SchedKind::SloAware { default_slo_secs } => Scheduler::SloAware(SloAware::new(
+            SchedKind::SloAware => Scheduler::SloAware(SloAware::new(
                 tenants
                     .iter()
-                    .map(|t| t.slo_secs.unwrap_or(default_slo_secs))
+                    .map(|t| t.slo_secs.unwrap_or(Self::FALLBACK_SLO_SECS))
                     .collect(),
                 capacity,
             )),
@@ -336,19 +331,14 @@ mod tests {
         assert_eq!(SchedKind::default(), SchedKind::Fifo);
         assert_eq!(SchedKind::Fifo.name(), "fifo");
         assert_eq!(SchedKind::weighted_fair().name(), "wfq");
-        assert_eq!(SchedKind::slo_aware().name(), "slo");
+        assert_eq!(SchedKind::SloAware.name(), "slo");
         assert_eq!(
             SchedKind::weighted_fair(),
             SchedKind::WeightedFair {
                 per_tenant_quota: 64
             }
         );
-        assert_eq!(
-            SchedKind::slo_aware(),
-            SchedKind::SloAware {
-                default_slo_secs: 1.0
-            }
-        );
+        assert_eq!(SchedKind::FALLBACK_SLO_SECS, 1.0);
     }
 
     #[test]
@@ -357,7 +347,7 @@ mod tests {
         for kind in [
             SchedKind::Fifo,
             SchedKind::weighted_fair(),
-            SchedKind::slo_aware(),
+            SchedKind::SloAware,
         ] {
             let mut sched = kind.instantiate(&ts, 8);
             assert_eq!(sched.name(), kind.name());

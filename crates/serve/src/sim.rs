@@ -247,20 +247,14 @@ pub enum DispatchPolicy {
     /// currently programmed first (in arrival order), switching only when
     /// none match — amortizing each `ReconfigEvent` over a whole batch. A
     /// starvation guard dispatches the front request once it has waited
-    /// `max_queue_delay_secs`.
-    ReconfigAware {
-        /// Longest a request may be overtaken before it is served anyway.
-        max_queue_delay_secs: f64,
-    },
+    /// [`DispatchPolicy::STARVATION_GUARD_SECS`].
+    ReconfigAware,
 }
 
 impl DispatchPolicy {
-    /// The reconfig-aware policy with a 30-second starvation guard.
-    pub fn reconfig_aware() -> Self {
-        DispatchPolicy::ReconfigAware {
-            max_queue_delay_secs: 30.0,
-        }
-    }
+    /// Longest a request may be overtaken under
+    /// [`DispatchPolicy::ReconfigAware`] before it is served anyway.
+    pub const STARVATION_GUARD_SECS: f64 = 30.0;
 }
 
 /// When (if ever) a long-waiting request is hedged onto a second board.
@@ -276,8 +270,8 @@ pub enum HedgeKind {
     /// tenant's predicted p99 latency (the shared
     /// [`LatencyPredictor`] EWMA; a cold tenant never triggers), price
     /// the request on a second free board too and keep the faster leg.
-    /// Requires a ≥2-board pool and serial mode — [`ServeConfigBuilder`]
-    /// rejects anything else.
+    /// Requires a ≥2-board pool and serial mode —
+    /// [`ServeConfig::validate`] rejects anything else.
     Latency {
         /// Hedge-trigger multiple of the predicted p99 (must be positive
         /// and finite).
@@ -306,10 +300,10 @@ impl HedgeKind {
     }
 }
 
-/// Why a [`ServeConfigBuilder::build`] call rejected its configuration.
-/// Every variant names a value or combination the simulator cannot run,
-/// so the builder surfaces it at construction instead of a panic in
-/// [`TrafficSim::new`] or mid-run.
+/// Why [`ServeConfig::validate`] rejected a configuration. Every variant
+/// names a value or combination the simulator cannot run, so a caller
+/// can surface it as a typed error before [`TrafficSim::new`] panics on
+/// it, and no valid configuration panics mid-run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
     /// The pool must hold at least one board.
@@ -342,6 +336,9 @@ pub enum ConfigError {
         /// The rejected value.
         factor: f64,
     },
+    /// A weighted-fair scheduler whose per-tenant quota is zero would
+    /// refuse every arrival.
+    ZeroTenantQuota,
     /// A knob that takes any number was set to NaN: a NaN `min_gain`
     /// would silently disable every reconfiguration, a NaN
     /// `drift_step_secs` would give each arrival its own drift bucket.
@@ -376,6 +373,9 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::NonPositiveHedgeFactor { factor } => {
                 write!(f, "hedge factor must be positive and finite, got {factor}")
+            }
+            ConfigError::ZeroTenantQuota => {
+                write!(f, "weighted-fair per-tenant quota must be positive")
             }
             ConfigError::NanKnob { knob } => write!(f, "{knob} must be a number, got NaN"),
         }
@@ -426,8 +426,6 @@ pub struct ServeConfig {
     pub drift_step_secs: f64,
     /// Minimum predicted relative gain before a reconfiguration is paid.
     pub min_gain: f64,
-    /// Queue-depth timeline decimation stride.
-    pub depth_stride: u64,
     /// Keep a per-request completion log in the report (off by default —
     /// costs memory proportional to the trace).
     pub log_requests: bool,
@@ -450,99 +448,32 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Every knob at its deployment default — the single source of truth
-    /// for field defaults. `Default` and the named presets all delegate
-    /// here, so a new knob cannot silently diverge between constructors.
+    /// Checks the values and knob combinations the simulator cannot run.
+    /// [`TrafficSim::new`] runs the same check and panics on its error,
+    /// so call this first to get a typed [`ConfigError`] instead:
     ///
     /// ```
-    /// use agnn_serve::{DispatchPolicy, ServeConfig};
+    /// use agnn_serve::{ConfigError, HedgeKind, ServeConfig};
     ///
-    /// let base = ServeConfig::base();
-    /// assert_eq!(base, ServeConfig::default());
-    /// assert_eq!(base.policy, DispatchPolicy::Fifo);
-    /// assert!(!base.overlap);
-    ///
-    /// // Presets are deltas on `base()`, so struct update syntax composes
-    /// // with them without losing the shared defaults.
-    /// let custom = ServeConfig { boards: 4, ..ServeConfig::base() };
-    /// assert_eq!(custom.queue_capacity, base.queue_capacity);
+    /// // Hedging needs a second board to re-offer to.
+    /// let one_board = ServeConfig { hedge: HedgeKind::latency(), ..ServeConfig::default() };
+    /// assert_eq!(one_board.validate(), Err(ConfigError::HedgeNeedsPool { boards: 1 }));
+    /// assert!(ServeConfig { boards: 2, ..one_board }.validate().is_ok());
     /// ```
-    pub fn base() -> Self {
-        ServeConfig {
-            seed: 0,
-            queue_capacity: 256,
-            policy: DispatchPolicy::Fifo,
-            scheduler: SchedKind::Fifo,
-            boards: 1,
-            placement: PlacementPolicy::LeastLoaded,
-            migrate: MigratePolicy::Off,
-            overlap: false,
-            compute_speedup: 1.0,
-            total_requests: 10_000,
-            drift_step_secs: 3_600.0,
-            min_gain: 0.10,
-            depth_stride: 64,
-            log_requests: false,
-            cache: CacheKind::Off,
-            default_deadline_secs: None,
-            hedge: HedgeKind::Off,
-        }
-    }
-
-    /// A [`ServeConfigBuilder`] seeded with [`base`](Self::base) — the
-    /// preferred way to assemble a configuration: typed setters plus a
-    /// validating [`build`](ServeConfigBuilder::build) that rejects
-    /// incompatible knob combinations with a [`ConfigError`] instead of
-    /// a mid-run panic.
-    ///
-    /// ```
-    /// use agnn_serve::{HedgeKind, SchedKind, ServeConfig};
-    ///
-    /// let cfg = ServeConfig::builder()
-    ///     .boards(2)
-    ///     .scheduler(SchedKind::weighted_fair())
-    ///     .default_deadline_secs(2.0)
-    ///     .hedge(HedgeKind::latency())
-    ///     .build()
-    ///     .unwrap();
-    /// assert_eq!(cfg.boards, 2);
-    /// assert_eq!(cfg.default_deadline_secs, Some(2.0));
-    ///
-    /// // Incompatible combos come back as typed errors: hedging needs
-    /// // a second board to re-offer to.
-    /// let err = ServeConfig::builder().hedge(HedgeKind::latency()).build();
-    /// assert!(err.is_err());
-    /// ```
-    pub fn builder() -> ServeConfigBuilder {
-        ServeConfigBuilder { cfg: Self::base() }
-    }
-
-    /// A [`ServeConfigBuilder`] seeded with this configuration — the
-    /// migration path for call sites that used struct-update syntax on a
-    /// preset (`ServeConfig { seed: 7, ..ServeConfig::pipelined() }`
-    /// becomes `ServeConfig::pipelined().to_builder().seed(7).build()`).
-    ///
-    /// ```
-    /// use agnn_serve::ServeConfig;
-    ///
-    /// let cfg = ServeConfig::pipelined().to_builder().seed(7).build().unwrap();
-    /// assert_eq!(cfg.seed, 7);
-    /// assert_eq!(ServeConfig { seed: 0, ..cfg }, ServeConfig::pipelined());
-    /// ```
-    pub fn to_builder(self) -> ServeConfigBuilder {
-        ServeConfigBuilder { cfg: self }
-    }
-
-    /// Checks the values and knob combinations the simulator cannot run
-    /// (the same rules [`ServeConfigBuilder::build`] enforces);
-    /// [`TrafficSim::new`] re-checks so a hand-assembled struct literal
-    /// cannot smuggle an invalid config past the builder.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.boards == 0 {
             return Err(ConfigError::ZeroBoards);
         }
         if self.queue_capacity == 0 {
             return Err(ConfigError::ZeroQueueCapacity);
+        }
+        if matches!(
+            self.scheduler,
+            SchedKind::WeightedFair {
+                per_tenant_quota: 0
+            }
+        ) {
+            return Err(ConfigError::ZeroTenantQuota);
         }
         if !(self.compute_speedup > 0.0 && self.compute_speedup.is_finite()) {
             return Err(ConfigError::NonPositiveComputeSpeedup {
@@ -584,18 +515,18 @@ impl ServeConfig {
     /// use agnn_serve::{DispatchPolicy, ServeConfig};
     ///
     /// let cfg = ServeConfig::reconfig_aware();
-    /// assert_eq!(cfg.policy, DispatchPolicy::reconfig_aware());
-    /// // Dispatch policy is the *only* departure from `base()`.
+    /// assert_eq!(cfg.policy, DispatchPolicy::ReconfigAware);
+    /// // Dispatch policy is the *only* departure from the default.
     /// assert_eq!(
     ///     ServeConfig { policy: DispatchPolicy::Fifo, ..cfg },
-    ///     ServeConfig::base(),
+    ///     ServeConfig::default(),
     /// );
     /// ```
     pub fn reconfig_aware() -> Self {
-        Self::builder()
-            .policy(DispatchPolicy::reconfig_aware())
-            .build()
-            .expect("preset is valid")
+        ServeConfig {
+            policy: DispatchPolicy::ReconfigAware,
+            ..Self::default()
+        }
     }
 
     /// The pipelined preset: reconfig-aware dispatch with DMA/fabric
@@ -609,11 +540,10 @@ impl ServeConfig {
     /// assert_eq!(ServeConfig { overlap: false, ..cfg }, ServeConfig::reconfig_aware());
     /// ```
     pub fn pipelined() -> Self {
-        Self::reconfig_aware()
-            .to_builder()
-            .overlap(true)
-            .build()
-            .expect("preset is valid")
+        ServeConfig {
+            overlap: true,
+            ..Self::reconfig_aware()
+        }
     }
 
     /// The weighted-fair preset: deficit-round-robin per-tenant queues
@@ -634,130 +564,55 @@ impl ServeConfig {
     /// assert!(cfg.overlap); // rides on the pipelined lifecycle
     /// ```
     pub fn weighted_fair() -> Self {
-        Self::pipelined()
-            .to_builder()
-            .scheduler(SchedKind::weighted_fair())
-            .policy(DispatchPolicy::Fifo)
-            .build()
-            .expect("preset is valid")
+        ServeConfig {
+            scheduler: SchedKind::weighted_fair(),
+            policy: DispatchPolicy::Fifo,
+            ..Self::pipelined()
+        }
     }
 
     /// The SLO-aware preset: FIFO-order queueing whose reconfigurations
     /// are gated on predicted p99 vs the tenants' SLO budgets
-    /// ([`SchedKind::slo_aware`]), on top of the pipelined deployment.
+    /// ([`SchedKind::SloAware`]), on top of the pipelined deployment.
     ///
     /// ```
     /// use agnn_serve::{SchedKind, ServeConfig};
     ///
     /// let cfg = ServeConfig::slo_aware();
-    /// assert_eq!(cfg.scheduler, SchedKind::slo_aware());
+    /// assert_eq!(cfg.scheduler, SchedKind::SloAware);
     /// assert_eq!(ServeConfig { scheduler: SchedKind::Fifo, ..cfg }, ServeConfig::pipelined());
     /// ```
     pub fn slo_aware() -> Self {
-        Self::pipelined()
-            .to_builder()
-            .scheduler(SchedKind::slo_aware())
-            .build()
-            .expect("preset is valid")
+        ServeConfig {
+            scheduler: SchedKind::SloAware,
+            ..Self::pipelined()
+        }
     }
 }
 
+/// Every knob at its deployment default; the presets are struct updates
+/// over it, so a call site spells a configuration as
+/// `ServeConfig { boards: 4, ..ServeConfig::pipelined() }`.
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self::base()
-    }
-}
-
-/// Fluent, validating constructor for [`ServeConfig`] — obtained from
-/// [`ServeConfig::builder`] (seeded with the deployment defaults) or
-/// [`ServeConfig::to_builder`] (seeded with an existing configuration,
-/// typically a preset). Every setter is typed after its field;
-/// [`build`](Self::build) runs [`ServeConfig::validate`] and returns a
-/// [`ConfigError`] for the documented incompatible combinations, so a
-/// bad configuration fails at construction rather than mid-run.
-///
-/// Struct-literal construction (`ServeConfig { .. }`) remains available
-/// for backward compatibility — the fields are public and every golden
-/// digest was pinned through it — but new call sites should prefer the
-/// builder (see `docs/ARCHITECTURE.md`, "the ServeConfig builder").
-#[derive(Debug, Clone, Copy)]
-pub struct ServeConfigBuilder {
-    cfg: ServeConfig,
-}
-
-/// One typed setter per listed field, each documented at its entry.
-macro_rules! builder_setters {
-    ($($(#[$doc:meta])* $name:ident: $ty:ty,)*) => {
-        $(
-            $(#[$doc])*
-            pub fn $name(mut self, $name: $ty) -> Self {
-                self.cfg.$name = $name;
-                self
-            }
-        )*
-    };
-}
-
-impl ServeConfigBuilder {
-    builder_setters! {
-        /// Deployment seed ([`ServeConfig::seed`]).
-        seed: u64,
-        /// Admission-queue capacity ([`ServeConfig::queue_capacity`]).
-        queue_capacity: usize,
-        /// Dispatch policy ([`ServeConfig::policy`]).
-        policy: DispatchPolicy,
-        /// Admission/dispatch scheduler ([`ServeConfig::scheduler`]).
-        scheduler: SchedKind,
-        /// Board-pool size ([`ServeConfig::boards`]).
-        boards: usize,
-        /// Placement policy ([`ServeConfig::placement`]).
-        placement: PlacementPolicy,
-        /// Cross-board migration policy ([`ServeConfig::migrate`]).
-        migrate: MigratePolicy,
-        /// DMA/fabric pipelining ([`ServeConfig::overlap`]).
-        overlap: bool,
-        /// Per-board compute multiplier ([`ServeConfig::compute_speedup`]).
-        compute_speedup: f64,
-        /// Offered load ([`ServeConfig::total_requests`]).
-        total_requests: u64,
-        /// Drift quantization step ([`ServeConfig::drift_step_secs`]).
-        drift_step_secs: f64,
-        /// Reconfiguration gain threshold ([`ServeConfig::min_gain`]).
-        min_gain: f64,
-        /// Queue-depth decimation stride ([`ServeConfig::depth_stride`]).
-        depth_stride: u64,
-        /// Per-request completion log ([`ServeConfig::log_requests`]).
-        log_requests: bool,
-        /// Result-cache policy ([`ServeConfig::cache`]).
-        cache: CacheKind,
-        /// Hedged-dispatch policy ([`ServeConfig::hedge`]).
-        hedge: HedgeKind,
-    }
-
-    /// Pool-wide fallback deadline in seconds
-    /// ([`ServeConfig::default_deadline_secs`]). The builder default is
-    /// no deadline; call this to opt in.
-    pub fn default_deadline_secs(mut self, secs: f64) -> Self {
-        self.cfg.default_deadline_secs = Some(secs);
-        self
-    }
-
-    /// [`Self::default_deadline_secs`] taking the `Option` directly —
-    /// `None` clears the fallback. For parameterized sweeps that toggle
-    /// deadlines per run.
-    pub fn maybe_deadline(mut self, secs: Option<f64>) -> Self {
-        self.cfg.default_deadline_secs = secs;
-        self
-    }
-
-    /// Validates and returns the configuration. Errors
-    /// ([`ConfigError`]) on a zero board count or queue capacity, a
-    /// non-positive compute speedup, deadline or hedge factor, a NaN
-    /// `min_gain` or `drift_step_secs`, and hedging on fewer than two
-    /// boards or under pipelining.
-    pub fn build(self) -> Result<ServeConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
+        ServeConfig {
+            seed: 0,
+            queue_capacity: 256,
+            policy: DispatchPolicy::Fifo,
+            scheduler: SchedKind::Fifo,
+            boards: 1,
+            placement: PlacementPolicy::LeastLoaded,
+            migrate: MigratePolicy::Off,
+            overlap: false,
+            compute_speedup: 1.0,
+            total_requests: 10_000,
+            drift_step_secs: 3_600.0,
+            min_gain: 0.10,
+            log_requests: false,
+            cache: CacheKind::Off,
+            default_deadline_secs: None,
+            hedge: HedgeKind::Off,
+        }
     }
 }
 
@@ -1082,12 +937,13 @@ impl TrafficSim {
     /// Panics if `tenants` is empty, any tenant's arrival process cannot
     /// generate arrivals (a peak rate that is not positive and finite, a
     /// diurnal amplitude outside `[0, 1)`, a diurnal period that is not
-    /// positive and finite, or a non-finite phase), any tenant deadline
-    /// is not a positive finite number, or the config fails
-    /// [`ServeConfig::validate`] — a zero board count or queue capacity,
-    /// a non-positive compute speedup, or an incompatible combination
-    /// (assembling via [`ServeConfig::builder`] surfaces the same rules
-    /// as a typed [`ConfigError`] instead).
+    /// positive and finite, or a non-finite phase), any tenant deadline,
+    /// weight or SLO budget is not a positive finite number, or the
+    /// config fails [`ServeConfig::validate`] — a zero board count, queue
+    /// capacity or weighted-fair quota, a non-positive compute speedup,
+    /// or an incompatible combination (call
+    /// [`validate`](ServeConfig::validate) first to get the same rules as
+    /// a typed [`ConfigError`]). A run never panics on its inputs.
     pub fn new(tenants: Vec<TenantSpec>, config: ServeConfig) -> Self {
         assert!(!tenants.is_empty(), "need at least one tenant");
         if let Err(err) = config.validate() {
@@ -1099,6 +955,17 @@ impl TrafficSim {
                 assert!(
                     secs > 0.0 && secs.is_finite(),
                     "tenant deadline must be positive and finite, got {secs}"
+                );
+            }
+            let weight = tenant.weight;
+            assert!(
+                weight > 0.0 && weight.is_finite(),
+                "tenant weight must be positive and finite, got {weight}"
+            );
+            if let Some(secs) = tenant.slo_secs {
+                assert!(
+                    secs > 0.0 && secs.is_finite(),
+                    "tenant SLO budget must be positive and finite, got {secs}"
                 );
             }
         }
@@ -1313,7 +1180,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
             memo: CostMemo::new(tenants.len(), cfg.drift_step_secs, cfg.compute_speedup),
             cache: ResultCache::new(cfg.cache, tenants.len()),
             stats: RunStats::new(tenants, deadlines, cfg.log_requests),
-            depth: DepthTimeline::with_stride(cfg.depth_stride),
+            depth: DepthTimeline::default(),
             digest: TraceDigest::new(),
             events: 0,
             next_trace_id: 0,
@@ -2209,17 +2076,15 @@ impl Placer<'_> {
             // board holds claims the least-loaded free board and pays one
             // switch.
             PlacementPolicy::BitstreamAffine => {
-                let max_queue_delay_secs = match self.cfg.policy {
+                let starvation_guard_secs = match self.cfg.policy {
                     // FIFO promises strict arrival order, so the affinity
                     // scan must not overtake: placement only picks the
                     // front request's board (a zero starvation bound).
                     DispatchPolicy::Fifo => 0.0,
-                    DispatchPolicy::ReconfigAware {
-                        max_queue_delay_secs,
-                    } => max_queue_delay_secs,
+                    DispatchPolicy::ReconfigAware => DispatchPolicy::STARVATION_GUARD_SECS,
                 };
                 let front = &queue[0];
-                if self.now - front.arrival_secs >= max_queue_delay_secs {
+                if self.now - front.arrival_secs >= starvation_guard_secs {
                     let front_best = self.best(front);
                     let board = self
                         .pool
@@ -2282,10 +2147,9 @@ impl Placer<'_> {
         let front_pos = queue.iter().position(&eligible)?;
         match self.cfg.policy {
             DispatchPolicy::Fifo => Some(front_pos),
-            DispatchPolicy::ReconfigAware {
-                max_queue_delay_secs,
-            } => {
-                if self.now - queue[front_pos].arrival_secs >= max_queue_delay_secs {
+            DispatchPolicy::ReconfigAware => {
+                if self.now - queue[front_pos].arrival_secs >= DispatchPolicy::STARVATION_GUARD_SECS
+                {
                     return Some(front_pos);
                 }
                 let current = self.pool.config(board);

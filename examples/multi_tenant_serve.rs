@@ -134,7 +134,7 @@ fn parse_flags() -> Flags {
             "--scheduler" => match args.next().as_deref() {
                 Some("fifo") => flags.scheduler = Some(SchedKind::Fifo),
                 Some("wfq") => flags.scheduler = Some(SchedKind::weighted_fair()),
-                Some("slo") => flags.scheduler = Some(SchedKind::slo_aware()),
+                Some("slo") => flags.scheduler = Some(SchedKind::SloAware),
                 other => fail(format!(
                     "--scheduler must be fifo|wfq|slo, got {:?}",
                     other.unwrap_or("<missing>")
@@ -259,14 +259,13 @@ fn cache_act(seed: u64, requests: u64, only: Option<CacheKind>) {
     let run = |cache| {
         simulate(
             TenantSpec::replay_heavy(3.0),
-            ServeConfig::reconfig_aware()
-                .to_builder()
-                .seed(seed)
-                .total_requests(requests)
-                .queue_capacity(512)
-                .cache(cache)
-                .build()
-                .expect("demo config is valid"),
+            ServeConfig {
+                seed,
+                total_requests: requests,
+                queue_capacity: 512,
+                cache,
+                ..ServeConfig::reconfig_aware()
+            },
         )
     };
     let off = run(CacheKind::Off);
@@ -316,16 +315,13 @@ fn scheduler_act(
 ) {
     let burst = || TenantSpec::bursty_aggressor(2.0, 40.0, period_secs);
     // Strict scan-order dispatch: the fair schedule *is* the order.
-    let config = |scheduler| {
-        ServeConfig::weighted_fair()
-            .to_builder()
-            .seed(seed)
-            .total_requests(requests)
-            .queue_capacity(512)
-            .boards(2)
-            .scheduler(scheduler)
-            .build()
-            .expect("demo config is valid")
+    let config = |scheduler| ServeConfig {
+        seed,
+        total_requests: requests,
+        queue_capacity: 512,
+        boards: 2,
+        scheduler,
+        ..ServeConfig::weighted_fair()
     };
     let isolated = simulate(
         burst().into_iter().take(2).collect(),
@@ -342,7 +338,7 @@ fn scheduler_act(
         None => vec![
             SchedKind::Fifo,
             SchedKind::weighted_fair(),
-            SchedKind::slo_aware(),
+            SchedKind::SloAware,
         ],
     };
     let mut runs = Vec::new();
@@ -434,14 +430,12 @@ fn main() {
         );
         return;
     }
-    let config = |policy| {
-        ServeConfig::builder()
-            .seed(SEED)
-            .total_requests(REQUESTS)
-            .queue_capacity(512)
-            .policy(policy)
-            .build()
-            .expect("demo config is valid")
+    let config = |policy| ServeConfig {
+        seed: SEED,
+        total_requests: REQUESTS,
+        queue_capacity: 512,
+        policy,
+        ..ServeConfig::default()
     };
 
     println!(
@@ -453,7 +447,7 @@ fn main() {
     println!("--- FIFO dispatch, 1 board ---");
     print!("{fifo}");
 
-    let aware = simulate(tenants(), config(DispatchPolicy::reconfig_aware()));
+    let aware = simulate(tenants(), config(DispatchPolicy::ReconfigAware));
     println!("\n--- reconfig-aware dispatch, 1 board ---");
     print!("{aware}");
 
@@ -499,11 +493,10 @@ fn main() {
     // tenant mix still forces a stall every time it shifts.
     let fast = simulate(
         tenants(),
-        config(DispatchPolicy::reconfig_aware())
-            .to_builder()
-            .compute_speedup(4.0)
-            .build()
-            .expect("demo config is valid"),
+        ServeConfig {
+            compute_speedup: 4.0,
+            ..config(DispatchPolicy::ReconfigAware)
+        },
     );
     println!("\n--- reconfig-aware dispatch, 1 board with 4x compute ---");
     print!("{fast}");
@@ -514,12 +507,11 @@ fn main() {
     // instead of time-multiplexing one.
     let pool = simulate(
         tenants(),
-        config(DispatchPolicy::reconfig_aware())
-            .to_builder()
-            .boards(4)
-            .placement(PlacementPolicy::BitstreamAffine)
-            .build()
-            .expect("demo config is valid"),
+        ServeConfig {
+            boards: 4,
+            placement: PlacementPolicy::BitstreamAffine,
+            ..config(DispatchPolicy::ReconfigAware)
+        },
     );
     println!("\n--- reconfig-aware dispatch, 4-board pool, BitstreamAffine ---");
     print!("{pool}");
@@ -572,15 +564,14 @@ fn main() {
     let heavy = |overlap| {
         simulate(
             TenantSpec::taobao_regions(4.0, PERIOD_SECS),
-            ServeConfig::reconfig_aware()
-                .to_builder()
-                .seed(SEED)
-                .total_requests(REQUESTS)
-                .queue_capacity(512)
-                .boards(4)
-                .overlap(overlap)
-                .build()
-                .expect("demo config is valid"),
+            ServeConfig {
+                seed: SEED,
+                total_requests: REQUESTS,
+                queue_capacity: 512,
+                boards: 4,
+                overlap,
+                ..ServeConfig::reconfig_aware()
+            },
         )
     };
     let serial = heavy(false);
@@ -634,15 +625,14 @@ fn main() {
     // re-uploading 3.2 GB from the host.
     let rehydrated = simulate(
         TenantSpec::taobao_regions(4.0, PERIOD_SECS),
-        ServeConfig::pipelined()
-            .to_builder()
-            .seed(SEED)
-            .total_requests(REQUESTS)
-            .queue_capacity(512)
-            .boards(4)
-            .migrate(MigratePolicy::PeerRehydrate)
-            .build()
-            .expect("demo config is valid"),
+        ServeConfig {
+            seed: SEED,
+            total_requests: REQUESTS,
+            queue_capacity: 512,
+            boards: 4,
+            migrate: MigratePolicy::PeerRehydrate,
+            ..ServeConfig::pipelined()
+        },
     );
     println!("\n--- memory-pressured pool, pipelined + PeerRehydrate ---");
     print!("{rehydrated}");
@@ -684,20 +674,19 @@ fn main() {
     let affine = |migrate| {
         simulate(
             TenantSpec::taobao_regions(4.0, PERIOD_SECS),
-            ServeConfig::pipelined()
-                .to_builder()
-                .seed(SEED)
-                .total_requests(REQUESTS)
-                .queue_capacity(512)
-                .boards(4)
-                .placement(PlacementPolicy::TenantAffine)
-                .migrate(migrate)
-                .build()
-                .expect("demo config is valid"),
+            ServeConfig {
+                seed: SEED,
+                total_requests: REQUESTS,
+                queue_capacity: 512,
+                boards: 4,
+                placement: PlacementPolicy::TenantAffine,
+                migrate,
+                ..ServeConfig::pipelined()
+            },
         )
     };
     let waiting = affine(MigratePolicy::Off);
-    let split = affine(MigratePolicy::split_hot());
+    let split = affine(MigratePolicy::SplitHot);
     println!("\n--- comparison (hot-tenant splitting, TenantAffine placement) ---");
     for (name, r) in [
         ("wait for home board", &waiting),

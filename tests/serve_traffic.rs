@@ -35,12 +35,12 @@ fn drift_heavy_tenants() -> Vec<TenantSpec> {
 
 #[test]
 fn replay_is_deterministic_end_to_end() {
-    let cfg = ServeConfig::builder()
-        .seed(99)
-        .total_requests(20_000)
-        .policy(DispatchPolicy::reconfig_aware())
-        .build()
-        .unwrap();
+    let cfg = ServeConfig {
+        seed: 99,
+        total_requests: 20_000,
+        policy: DispatchPolicy::ReconfigAware,
+        ..ServeConfig::default()
+    };
     let a = simulate(drift_heavy_tenants(), cfg);
     let b = simulate(drift_heavy_tenants(), cfg);
     assert_eq!(a.trace_digest, b.trace_digest);
@@ -54,12 +54,12 @@ fn replay_is_deterministic_end_to_end() {
 
 #[test]
 fn backpressure_is_fully_accounted() {
-    let cfg = ServeConfig::builder()
-        .seed(17)
-        .total_requests(10_000)
-        .queue_capacity(8)
-        .build()
-        .unwrap();
+    let cfg = ServeConfig {
+        seed: 17,
+        total_requests: 10_000,
+        queue_capacity: 8,
+        ..ServeConfig::default()
+    };
     let report = simulate(drift_heavy_tenants(), cfg);
     assert_eq!(report.completed() + report.dropped(), 10_000);
     assert!(report.dropped() > 0, "tiny queue under load must drop");
@@ -73,13 +73,13 @@ fn backpressure_is_fully_accounted() {
 /// completions plus refusals alone — per tenant and in the TOTAL row.
 #[test]
 fn drop_rate_counts_expired_arrivals() {
-    let cfg = ServeConfig::builder()
-        .seed(17)
-        .total_requests(10_000)
-        .queue_capacity(8)
-        .default_deadline_secs(0.5)
-        .build()
-        .unwrap();
+    let cfg = ServeConfig {
+        seed: 17,
+        total_requests: 10_000,
+        queue_capacity: 8,
+        default_deadline_secs: Some(0.5),
+        ..ServeConfig::default()
+    };
     let report = simulate(drift_heavy_tenants(), cfg);
     assert!(report.dropped() > 0, "tiny queue under load must drop");
     assert!(report.expired_in_queue() > 0, "tight deadline must expire");
@@ -106,17 +106,17 @@ fn drop_rate_counts_expired_arrivals() {
 #[test]
 fn reconfig_aware_beats_fifo_on_p99_under_drift() {
     let mk = |policy| {
-        let cfg = ServeConfig::builder()
-            .seed(7)
-            .total_requests(30_000)
-            .queue_capacity(512)
-            .policy(policy)
-            .build()
-            .unwrap();
+        let cfg = ServeConfig {
+            seed: 7,
+            total_requests: 30_000,
+            queue_capacity: 512,
+            policy,
+            ..ServeConfig::default()
+        };
         simulate(drift_heavy_tenants(), cfg)
     };
     let fifo = mk(DispatchPolicy::Fifo);
-    let aware = mk(DispatchPolicy::reconfig_aware());
+    let aware = mk(DispatchPolicy::ReconfigAware);
 
     assert!(
         aware.reconfigs < fifo.reconfigs,
@@ -164,7 +164,7 @@ fn single_board_pool_reproduces_pr1_metrics_bit_for_bit() {
             reconfigs: 756,
         },
         Golden {
-            policy: DispatchPolicy::reconfig_aware(),
+            policy: DispatchPolicy::ReconfigAware,
             placement: PlacementPolicy::LeastLoaded,
             digest: 0x7A80_395C_B156_02F6,
             completed: 5_000,
@@ -174,7 +174,7 @@ fn single_board_pool_reproduces_pr1_metrics_bit_for_bit() {
         // With one board, BitstreamAffine degenerates to the PR 1
         // reconfig-aware queue scan exactly.
         Golden {
-            policy: DispatchPolicy::reconfig_aware(),
+            policy: DispatchPolicy::ReconfigAware,
             placement: PlacementPolicy::BitstreamAffine,
             digest: 0x7A80_395C_B156_02F6,
             completed: 5_000,
@@ -185,13 +185,13 @@ fn single_board_pool_reproduces_pr1_metrics_bit_for_bit() {
     for g in goldens {
         let report = simulate(
             drift_heavy_tenants(),
-            ServeConfig::builder()
-                .seed(99)
-                .total_requests(5_000)
-                .policy(g.policy)
-                .placement(g.placement)
-                .build()
-                .unwrap(),
+            ServeConfig {
+                seed: 99,
+                total_requests: 5_000,
+                policy: g.policy,
+                placement: g.placement,
+                ..ServeConfig::default()
+            },
         );
         let label = format!("{:?}/{}", g.policy, g.placement.name());
         assert_eq!(
@@ -224,21 +224,18 @@ fn hedge_and_abort_paths_reproduce_pinned_digests() {
         expired: u64,
         aborted: u64,
     }
-    let base = || {
-        ServeConfig::reconfig_aware()
-            .to_builder()
-            .seed(7)
-            .total_requests(3_000)
-            .boards(2)
+    let base = ServeConfig {
+        seed: 7,
+        total_requests: 3_000,
+        boards: 2,
+        ..ServeConfig::reconfig_aware()
     };
-    let hedged = |cache, deadline| {
-        base()
-            .placement(PlacementPolicy::BitstreamAffine)
-            .cache(cache)
-            .default_deadline_secs(deadline)
-            .hedge(HedgeKind::latency())
-            .build()
-            .unwrap()
+    let hedged = |cache, deadline| ServeConfig {
+        placement: PlacementPolicy::BitstreamAffine,
+        cache,
+        default_deadline_secs: Some(deadline),
+        hedge: HedgeKind::latency(),
+        ..base
     };
     let pinned = [
         Pinned {
@@ -261,13 +258,13 @@ fn hedge_and_abort_paths_reproduce_pinned_digests() {
         },
         Pinned {
             label: "pipelined aborts",
-            cfg: base()
-                .overlap(true)
-                .scheduler(SchedKind::weighted_fair())
-                .migrate(MigratePolicy::PeerRehydrate)
-                .default_deadline_secs(0.5)
-                .build()
-                .unwrap(),
+            cfg: ServeConfig {
+                overlap: true,
+                scheduler: SchedKind::weighted_fair(),
+                migrate: MigratePolicy::PeerRehydrate,
+                default_deadline_secs: Some(0.5),
+                ..base
+            },
             digest: 0xDFB2_888A_2DE5_21A0,
             narration: 0xC350_376B_5190_179A,
             hedges: 0,
@@ -348,6 +345,40 @@ fn construction_rejects_a_zero_diurnal_period() {
     construct_with_arrivals(diurnal(10.0, 0.5, 0.0));
 }
 
+/// `validate()` is the only check a struct literal meets, and
+/// `TrafficSim::new` runs it: hedging on a one-board pool never reaches
+/// `run()`.
+#[test]
+#[should_panic(expected = "invalid ServeConfig")]
+fn construction_rejects_an_invalid_config_literal() {
+    let hedged_single_board = ServeConfig {
+        hedge: HedgeKind::latency(),
+        ..ServeConfig::default()
+    };
+    let tenant = TenantSpec::new("feed", Dataset::Movie, 1.0);
+    TrafficSim::new(vec![tenant], hedged_single_board);
+}
+
+/// Weighted fair queueing would reject the weight inside `run()`;
+/// construction rejects it first, under any scheduler.
+#[test]
+#[should_panic(expected = "tenant weight must be positive and finite")]
+fn construction_rejects_a_zero_tenant_weight() {
+    let mut tenant = TenantSpec::new("feed", Dataset::Movie, 1.0);
+    tenant.weight = 0.0;
+    TrafficSim::new(vec![tenant], ServeConfig::weighted_fair());
+}
+
+/// The SLO-aware scheduler would reject the budget inside `run()`;
+/// construction rejects it first, under any scheduler.
+#[test]
+#[should_panic(expected = "tenant SLO budget must be positive and finite")]
+fn construction_rejects_a_nan_slo_budget() {
+    let mut tenant = TenantSpec::new("feed", Dataset::Movie, 1.0);
+    tenant.slo_secs = Some(f64::NAN);
+    TrafficSim::new(vec![tenant], ServeConfig::slo_aware());
+}
+
 /// The NullSink digest-equivalence invariant at its sharpest: running the
 /// PR 1 golden configuration with a [`FlightRecorder`] attached must
 /// still reproduce the pinned digest bit-for-bit — tracing observes the
@@ -355,14 +386,14 @@ fn construction_rejects_a_zero_diurnal_period() {
 /// queryable per-request timeline of the very same run.
 #[test]
 fn flight_recorder_reproduces_the_golden_digest_while_recording() {
-    let cfg = ServeConfig::builder()
-        .seed(99)
-        .total_requests(5_000)
-        .policy(DispatchPolicy::Fifo)
-        .placement(PlacementPolicy::LeastLoaded)
-        .log_requests(true)
-        .build()
-        .unwrap();
+    let cfg = ServeConfig {
+        seed: 99,
+        total_requests: 5_000,
+        policy: DispatchPolicy::Fifo,
+        placement: PlacementPolicy::LeastLoaded,
+        log_requests: true,
+        ..ServeConfig::default()
+    };
     let mut recorder = FlightRecorder::default();
     let report = TrafficSim::new(drift_heavy_tenants(), cfg).run_traced(&mut recorder);
     assert_eq!(
@@ -412,21 +443,21 @@ fn flight_recorder_reproduces_the_golden_digest_while_recording() {
 
 #[test]
 fn bitstream_affine_pool_beats_single_board_on_the_drift_heavy_trace() {
-    let base = ServeConfig::builder()
-        .seed(7)
-        .total_requests(20_000)
-        .queue_capacity(512)
-        .policy(DispatchPolicy::reconfig_aware())
-        .build()
-        .unwrap();
+    let base = ServeConfig {
+        seed: 7,
+        total_requests: 20_000,
+        queue_capacity: 512,
+        policy: DispatchPolicy::ReconfigAware,
+        ..ServeConfig::default()
+    };
     let single = simulate(drift_heavy_tenants(), base);
     let pool = simulate(
         drift_heavy_tenants(),
-        base.to_builder()
-            .boards(4)
-            .placement(PlacementPolicy::BitstreamAffine)
-            .build()
-            .unwrap(),
+        ServeConfig {
+            boards: 4,
+            placement: PlacementPolicy::BitstreamAffine,
+            ..base
+        },
     );
     assert!(
         pool.reconfigs < single.reconfigs / 10,
@@ -453,19 +484,19 @@ fn bitstream_affine_pool_beats_single_board_on_the_drift_heavy_trace() {
 /// degenerates to "which board", and there is only one).
 #[test]
 fn bitstream_affine_under_fifo_preserves_arrival_order() {
-    let base = ServeConfig::builder()
-        .seed(99)
-        .total_requests(5_000)
-        .policy(DispatchPolicy::Fifo)
-        .build()
-        .unwrap();
+    let base = ServeConfig {
+        seed: 99,
+        total_requests: 5_000,
+        policy: DispatchPolicy::Fifo,
+        ..ServeConfig::default()
+    };
     let fifo = simulate(drift_heavy_tenants(), base);
     let affine = simulate(
         drift_heavy_tenants(),
-        base.to_builder()
-            .placement(PlacementPolicy::BitstreamAffine)
-            .build()
-            .unwrap(),
+        ServeConfig {
+            placement: PlacementPolicy::BitstreamAffine,
+            ..base
+        },
     );
     assert_eq!(
         affine.trace_digest, fifo.trace_digest,
@@ -479,27 +510,27 @@ fn bitstream_affine_under_fifo_preserves_arrival_order() {
 /// produce a different (cheaper) schedule than FIFO on the same trace.
 #[test]
 fn tenant_affine_respects_the_dispatch_policy_when_tenants_share_a_board() {
-    let base = ServeConfig::builder()
-        .seed(31)
-        .total_requests(8_000)
-        .queue_capacity(512)
-        .boards(2) // 3 tenants: movies and fraud share home board 0
-        .placement(PlacementPolicy::TenantAffine)
-        .build()
-        .unwrap();
+    let base = ServeConfig {
+        seed: 31,
+        total_requests: 8_000,
+        queue_capacity: 512,
+        boards: 2, // 3 tenants: movies and fraud share home board 0
+        placement: PlacementPolicy::TenantAffine,
+        ..ServeConfig::default()
+    };
     let fifo = simulate(
         drift_heavy_tenants(),
-        base.to_builder()
-            .policy(DispatchPolicy::Fifo)
-            .build()
-            .unwrap(),
+        ServeConfig {
+            policy: DispatchPolicy::Fifo,
+            ..base
+        },
     );
     let aware = simulate(
         drift_heavy_tenants(),
-        base.to_builder()
-            .policy(DispatchPolicy::reconfig_aware())
-            .build()
-            .unwrap(),
+        ServeConfig {
+            policy: DispatchPolicy::ReconfigAware,
+            ..base
+        },
     );
     assert_ne!(
         aware.trace_digest, fifo.trace_digest,
@@ -543,23 +574,23 @@ proptest! {
         let policy = if fifo {
             DispatchPolicy::Fifo
         } else {
-            DispatchPolicy::reconfig_aware()
+            DispatchPolicy::ReconfigAware
         };
         let total = 500;
         let mk = |overlap| {
-            let cfg = ServeConfig::builder()
-                .seed(seed)
-                .total_requests(total)
+            let cfg = ServeConfig {
+                seed,
+                total_requests: total,
                 // Deep enough that neither mode drops: the served sets
                 // are then comparable request by request.
-                .queue_capacity(2_048)
-                .boards(boards)
-                .placement(placement)
-                .policy(policy)
-                .overlap(overlap)
-                .log_requests(true)
-                .build()
-                .unwrap();
+                queue_capacity: 2_048,
+                boards,
+                placement,
+                policy,
+                overlap,
+                log_requests: true,
+                ..ServeConfig::default()
+            };
             simulate(drift_heavy_tenants(), cfg)
         };
         let serial = mk(false);
@@ -620,25 +651,24 @@ proptest! {
             _ => PlacementPolicy::BitstreamAffine,
         };
         let migrate = if split {
-            MigratePolicy::split_hot()
+            MigratePolicy::SplitHot
         } else {
             MigratePolicy::PeerRehydrate
         };
         let total = 400;
         let mk = |migrate| {
-            let cfg = ServeConfig::pipelined()
-                .to_builder()
-                .seed(seed)
-                .total_requests(total)
+            let cfg = ServeConfig {
+                seed,
+                total_requests: total,
                 // Deep enough that neither mode drops: the served
                 // multisets are then directly comparable.
-                .queue_capacity(4_096)
-                .boards(boards)
-                .placement(placement)
-                .migrate(migrate)
-                .log_requests(true)
-                .build()
-                .unwrap();
+                queue_capacity: 4_096,
+                boards,
+                placement,
+                migrate,
+                log_requests: true,
+                ..ServeConfig::pipelined()
+            };
             simulate(TenantSpec::taobao_regions(4.0, 900.0), cfg)
         };
         let off = mk(MigratePolicy::Off);
@@ -704,12 +734,12 @@ proptest! {
             // A quota *below* the aggregate capacity, so the per-tenant
             // drop path is exercised too.
             1 => SchedKind::WeightedFair { per_tenant_quota: 8 },
-            _ => SchedKind::slo_aware(),
+            _ => SchedKind::SloAware,
         };
         let policy = if fifo {
             DispatchPolicy::Fifo
         } else {
-            DispatchPolicy::reconfig_aware()
+            DispatchPolicy::ReconfigAware
         };
         // A tight deadline exercises expiry/abort; a loose one the
         // served-late split; None the legacy path.
@@ -723,19 +753,19 @@ proptest! {
         let total = 600;
         let report = simulate(
             drift_heavy_tenants(),
-            ServeConfig::builder()
-                .seed(seed)
-                .total_requests(total)
-                .queue_capacity(queue_capacity)
-                .boards(boards)
-                .placement(placement)
-                .policy(policy)
-                .scheduler(scheduler)
-                .overlap(overlap)
-                .maybe_deadline(deadline)
-                .hedge(if hedge_on { HedgeKind::latency() } else { HedgeKind::Off })
-                .build()
-                .unwrap(),
+            ServeConfig {
+                seed,
+                total_requests: total,
+                queue_capacity,
+                boards,
+                placement,
+                policy,
+                scheduler,
+                overlap,
+                default_deadline_secs: deadline,
+                hedge: if hedge_on { HedgeKind::latency() } else { HedgeKind::Off },
+                ..ServeConfig::default()
+            },
         );
         let outcomes = report.outcomes();
         prop_assert_eq!(
@@ -805,15 +835,15 @@ proptest! {
     ) {
         let tenants = || vec![TenantSpec::new("solo", Dataset::Taobao, 30.0)];
         let mk = |scheduler| {
-            let cfg = ServeConfig::builder()
-                .seed(seed)
-                .total_requests(400)
-                .queue_capacity(queue_capacity)
-                .boards(boards)
-                .policy(DispatchPolicy::Fifo)
-                .scheduler(scheduler)
-                .build()
-                .unwrap();
+            let cfg = ServeConfig {
+                seed,
+                total_requests: 400,
+                queue_capacity,
+                boards,
+                policy: DispatchPolicy::Fifo,
+                scheduler,
+                ..ServeConfig::default()
+            };
             simulate(tenants(), cfg)
         };
         let fifo = mk(SchedKind::Fifo);
@@ -846,12 +876,12 @@ proptest! {
         let scheduler = match scheduler_pick {
             0 => SchedKind::Fifo,
             1 => SchedKind::WeightedFair { per_tenant_quota: 8 },
-            _ => SchedKind::slo_aware(),
+            _ => SchedKind::SloAware,
         };
         let migrate = match migrate_pick {
             0 => MigratePolicy::Off,
             1 => MigratePolicy::PeerRehydrate,
-            _ => MigratePolicy::split_hot(),
+            _ => MigratePolicy::SplitHot,
         };
         let cache = match cache_pick {
             0 => CacheKind::Off,
@@ -867,20 +897,19 @@ proptest! {
         };
         let report = simulate(
             tenants,
-            ServeConfig::reconfig_aware()
-                .to_builder()
-                .seed(seed)
-                .total_requests(400)
-                .queue_capacity(64)
-                .boards(boards)
-                .placement(placement)
-                .scheduler(scheduler)
-                .migrate(migrate)
-                .cache(cache)
-                .overlap(overlap)
-                .log_requests(true)
-                .build()
-                .unwrap(),
+            ServeConfig {
+                seed,
+                total_requests: 400,
+                queue_capacity: 64,
+                boards,
+                placement,
+                scheduler,
+                migrate,
+                cache,
+                overlap,
+                log_requests: true,
+                ..ServeConfig::reconfig_aware()
+            },
         );
         let mut sum = StallBreakdown::default();
         for r in &report.requests {
@@ -934,44 +963,46 @@ proptest! {
         let scheduler = match scheduler_pick {
             0 => SchedKind::Fifo,
             1 => SchedKind::weighted_fair(),
-            _ => SchedKind::slo_aware(),
+            _ => SchedKind::SloAware,
         };
         let cache = if cache_on { CacheKind::delta() } else { CacheKind::Off };
         let migrate = match migrate_pick {
             0 => MigratePolicy::Off,
             1 => MigratePolicy::PeerRehydrate,
-            _ => MigratePolicy::split_hot(),
+            _ => MigratePolicy::SplitHot,
         };
         let tenants = || if migrate_pick == 0 {
             drift_heavy_tenants()
         } else {
             TenantSpec::taobao_regions(4.0, 900.0)
         };
-        let builder = ServeConfig::reconfig_aware()
-            .to_builder()
-            .seed(seed)
-            .total_requests(400)
-            .queue_capacity(256)
-            .scheduler(scheduler)
-            .cache(cache)
-            .migrate(migrate);
+        let base = ServeConfig {
+            seed,
+            total_requests: 400,
+            queue_capacity: 256,
+            scheduler,
+            cache,
+            migrate,
+            ..ServeConfig::reconfig_aware()
+        };
         // The hedged arm is serial by construction (a pipelined leg
         // cannot be cancelled), so it needs a second board to hedge to.
-        let (boards, builder) = if hedged {
+        let (boards, cfg) = if hedged {
             let boards = boards.max(2);
             (
                 boards,
-                builder
-                    .boards(boards)
-                    .placement(PlacementPolicy::BitstreamAffine)
-                    .overlap(false)
-                    .default_deadline_secs(2.0)
-                    .hedge(HedgeKind::latency()),
+                ServeConfig {
+                    boards,
+                    placement: PlacementPolicy::BitstreamAffine,
+                    overlap: false,
+                    default_deadline_secs: Some(2.0),
+                    hedge: HedgeKind::latency(),
+                    ..base
+                },
             )
         } else {
-            (boards, builder.boards(boards).overlap(overlap || migrate_pick != 0))
+            (boards, ServeConfig { boards, overlap: overlap || migrate_pick != 0, ..base })
         };
-        let cfg = builder.build().unwrap();
         let untraced = simulate(tenants(), cfg);
         let mut recorder = FlightRecorder::default();
         let traced = TrafficSim::new(tenants(), cfg).run_traced(&mut recorder);
@@ -1037,12 +1068,12 @@ proptest! {
         let scheduler = match scheduler_pick {
             0 => SchedKind::Fifo,
             1 => SchedKind::WeightedFair { per_tenant_quota: 8 },
-            _ => SchedKind::slo_aware(),
+            _ => SchedKind::SloAware,
         };
         let migrate = match migrate_pick {
             0 => MigratePolicy::Off,
             1 => MigratePolicy::PeerRehydrate,
-            _ => MigratePolicy::split_hot(),
+            _ => MigratePolicy::SplitHot,
         };
         let tenants = || if migrate_pick == 0 {
             drift_heavy_tenants()
@@ -1050,22 +1081,21 @@ proptest! {
             TenantSpec::taobao_regions(4.0, 900.0)
         };
         let overlap = overlap || migrate_pick != 0;
-        let cfg = ServeConfig::reconfig_aware()
-            .to_builder()
-            .seed(seed)
-            .total_requests(400)
-            .queue_capacity(64)
-            .boards(boards)
-            .placement(placement)
-            .scheduler(scheduler)
-            .migrate(migrate)
-            .overlap(overlap)
-            .build()
-            .unwrap();
+        let cfg = ServeConfig {
+            seed,
+            total_requests: 400,
+            queue_capacity: 64,
+            boards,
+            placement,
+            scheduler,
+            migrate,
+            overlap,
+            ..ServeConfig::reconfig_aware()
+        };
         let default_cache = simulate(tenants(), cfg);
         let explicit_off = simulate(
             tenants(),
-            cfg.to_builder().cache(CacheKind::Off).build().unwrap(),
+            ServeConfig { cache: CacheKind::Off, ..cfg },
         );
         prop_assert_eq!(default_cache.trace_digest, explicit_off.trace_digest);
         prop_assert_eq!(&default_cache, &explicit_off);
@@ -1112,21 +1142,20 @@ proptest! {
         let scheduler = match scheduler_pick {
             0 => SchedKind::Fifo,
             1 => SchedKind::WeightedFair { per_tenant_quota: 8 },
-            _ => SchedKind::slo_aware(),
+            _ => SchedKind::SloAware,
         };
         let max_delta_frac = frac_mil as f64 / 1000.0;
         let report = simulate(
             drift_heavy_tenants(),
-            ServeConfig::reconfig_aware()
-                .to_builder()
-                .seed(seed)
-                .total_requests(600)
-                .queue_capacity(64)
-                .boards(boards)
-                .scheduler(scheduler)
-                .cache(CacheKind::Delta { max_delta_frac })
-                .build()
-                .unwrap(),
+            ServeConfig {
+                seed,
+                total_requests: 600,
+                queue_capacity: 64,
+                boards,
+                scheduler,
+                cache: CacheKind::Delta { max_delta_frac },
+                ..ServeConfig::reconfig_aware()
+            },
         );
         prop_assert!(
             report.cache.max_served_delta_frac <= max_delta_frac + 1e-12,
@@ -1178,21 +1207,20 @@ proptest! {
         let scheduler = match scheduler_pick {
             0 => SchedKind::Fifo,
             1 => SchedKind::WeightedFair { per_tenant_quota: 8 },
-            _ => SchedKind::slo_aware(),
+            _ => SchedKind::SloAware,
         };
         let mk = |deadline: Option<f64>| {
-            let cfg = ServeConfig::reconfig_aware()
-                .to_builder()
-                .seed(seed)
-                .total_requests(400)
-                .queue_capacity(64)
-                .boards(boards)
-                .placement(placement)
-                .scheduler(scheduler)
-                .overlap(overlap)
-                .maybe_deadline(deadline)
-                .build()
-                .unwrap();
+            let cfg = ServeConfig {
+                seed,
+                total_requests: 400,
+                queue_capacity: 64,
+                boards,
+                placement,
+                scheduler,
+                overlap,
+                default_deadline_secs: deadline,
+                ..ServeConfig::reconfig_aware()
+            };
             simulate(drift_heavy_tenants(), cfg)
         };
         let free = mk(None);
@@ -1250,19 +1278,19 @@ proptest! {
         };
         let total = 400;
         let mk = |hedge| {
-            let cfg = ServeConfig::builder()
-                .seed(seed)
-                .total_requests(total)
+            let cfg = ServeConfig {
+                seed,
+                total_requests: total,
                 // Deep enough that neither run drops: the served
                 // multisets are then directly comparable.
-                .queue_capacity(2_048)
-                .boards(boards)
-                .placement(placement)
-                .policy(DispatchPolicy::reconfig_aware())
-                .hedge(hedge)
-                .log_requests(true)
-                .build()
-                .unwrap();
+                queue_capacity: 2_048,
+                boards,
+                placement,
+                policy: DispatchPolicy::ReconfigAware,
+                hedge,
+                log_requests: true,
+                ..ServeConfig::default()
+            };
             simulate(drift_heavy_tenants(), cfg)
         };
         let unhedged = mk(HedgeKind::Off);
@@ -1310,16 +1338,13 @@ proptest! {
 fn wfq_bounds_victim_p99_under_a_bursty_aggressor() {
     // `weighted_fair()` pins strict dispatch + overlap; swap only the
     // scheduler so the compared runs differ in nothing else.
-    let config = |scheduler| {
-        ServeConfig::weighted_fair()
-            .to_builder()
-            .seed(4_242)
-            .total_requests(6_000)
-            .queue_capacity(512)
-            .boards(2)
-            .scheduler(scheduler)
-            .build()
-            .unwrap()
+    let config = |scheduler| ServeConfig {
+        seed: 4_242,
+        total_requests: 6_000,
+        queue_capacity: 512,
+        boards: 2,
+        scheduler,
+        ..ServeConfig::weighted_fair()
     };
     let fifo = simulate(
         TenantSpec::bursty_aggressor(2.0, 40.0, 900.0),
@@ -1407,17 +1432,15 @@ fn deadline_enforcement_beats_oblivious_serving_on_the_bursty_trace() {
         }
         tenants
     };
-    let config = |hedge| {
-        ServeConfig::builder()
-            .seed(4_242)
-            .total_requests(6_000)
-            .queue_capacity(512)
-            .boards(2)
-            .policy(DispatchPolicy::reconfig_aware())
-            .hedge(hedge)
-            .log_requests(true)
-            .build()
-            .unwrap()
+    let config = |hedge| ServeConfig {
+        seed: 4_242,
+        total_requests: 6_000,
+        queue_capacity: 512,
+        boards: 2,
+        policy: DispatchPolicy::ReconfigAware,
+        hedge,
+        log_requests: true,
+        ..ServeConfig::default()
     };
     let oblivious = simulate(tenants(false), config(HedgeKind::Off));
     let enforced = simulate(tenants(true), config(HedgeKind::latency()));
@@ -1516,15 +1539,15 @@ fn hedged_dispatch_cuts_the_tail_of_an_affinity_stalled_tenant() {
     };
     let total = 4_000;
     let mk = |hedge| {
-        let cfg = ServeConfig::builder()
-            .seed(4_242)
-            .total_requests(total)
-            .queue_capacity(256)
-            .boards(2)
-            .placement(PlacementPolicy::TenantAffine)
-            .hedge(hedge)
-            .build()
-            .unwrap();
+        let cfg = ServeConfig {
+            seed: 4_242,
+            total_requests: total,
+            queue_capacity: 256,
+            boards: 2,
+            placement: PlacementPolicy::TenantAffine,
+            hedge,
+            ..ServeConfig::default()
+        };
         simulate(tenants(), cfg)
     };
     let unhedged = mk(HedgeKind::Off);
@@ -1570,18 +1593,15 @@ fn slo_gate_cuts_reconfigs_at_a_no_worse_tail() {
     // Built on the `slo_aware()` preset (SLO gate over the pipelined
     // reconfig-aware deployment); the ungated comparator swaps only the
     // scheduler, so the preset's composition itself is what is pinned.
-    let config = |scheduler| {
-        ServeConfig::slo_aware()
-            .to_builder()
-            .seed(7)
-            .total_requests(10_000)
-            .queue_capacity(512)
-            .scheduler(scheduler)
-            .build()
-            .unwrap()
+    let config = |scheduler| ServeConfig {
+        seed: 7,
+        total_requests: 10_000,
+        queue_capacity: 512,
+        scheduler,
+        ..ServeConfig::slo_aware()
     };
     let ungated = simulate(drift_heavy_tenants(), config(SchedKind::Fifo));
-    let gated = simulate(drift_heavy_tenants(), config(SchedKind::slo_aware()));
+    let gated = simulate(drift_heavy_tenants(), config(SchedKind::SloAware));
     assert!(
         ungated.reconfigs > 100,
         "the drift trace must thrash the ICAP for the gate to matter, saw {}",
@@ -1605,7 +1625,7 @@ fn slo_gate_cuts_reconfigs_at_a_no_worse_tail() {
         "both face the same offered load"
     );
     // Determinism of the SLO-aware event model.
-    let again = simulate(drift_heavy_tenants(), config(SchedKind::slo_aware()));
+    let again = simulate(drift_heavy_tenants(), config(SchedKind::SloAware));
     assert_eq!(again.trace_digest, gated.trace_digest);
     assert_eq!(again, gated);
 }
@@ -1618,15 +1638,14 @@ fn slo_gate_cuts_reconfigs_at_a_no_worse_tail() {
 #[test]
 fn pipelined_mode_beats_serial_under_memory_pressure() {
     let mk = |overlap| {
-        let cfg = ServeConfig::reconfig_aware()
-            .to_builder()
-            .seed(7)
-            .total_requests(6_000)
-            .queue_capacity(512)
-            .boards(4)
-            .overlap(overlap)
-            .build()
-            .unwrap();
+        let cfg = ServeConfig {
+            seed: 7,
+            total_requests: 6_000,
+            queue_capacity: 512,
+            boards: 4,
+            overlap,
+            ..ServeConfig::reconfig_aware()
+        };
         simulate(TenantSpec::taobao_regions(4.0, 900.0), cfg)
     };
     let serial = mk(false);
@@ -1668,15 +1687,14 @@ fn rehydration_cuts_host_reuploads_under_memory_pressure() {
     // The CI smoke seed: the gated `migration_drift` scenario replays
     // exactly this comparison's migration side.
     let mk = |migrate| {
-        let cfg = ServeConfig::pipelined()
-            .to_builder()
-            .seed(4_242)
-            .total_requests(6_000)
-            .queue_capacity(512)
-            .boards(4)
-            .migrate(migrate)
-            .build()
-            .unwrap();
+        let cfg = ServeConfig {
+            seed: 4_242,
+            total_requests: 6_000,
+            queue_capacity: 512,
+            boards: 4,
+            migrate,
+            ..ServeConfig::pipelined()
+        };
         simulate(TenantSpec::taobao_regions(4.0, 900.0), cfg)
     };
     let off = mk(MigratePolicy::Off);
@@ -1724,20 +1742,19 @@ fn rehydration_cuts_host_reuploads_under_memory_pressure() {
 #[test]
 fn split_hot_beats_waiting_for_a_busy_home_board() {
     let mk = |migrate| {
-        let cfg = ServeConfig::pipelined()
-            .to_builder()
-            .seed(7)
-            .total_requests(6_000)
-            .queue_capacity(512)
-            .boards(4)
-            .placement(PlacementPolicy::TenantAffine)
-            .migrate(migrate)
-            .build()
-            .unwrap();
+        let cfg = ServeConfig {
+            seed: 7,
+            total_requests: 6_000,
+            queue_capacity: 512,
+            boards: 4,
+            placement: PlacementPolicy::TenantAffine,
+            migrate,
+            ..ServeConfig::pipelined()
+        };
         simulate(TenantSpec::taobao_regions(4.0, 900.0), cfg)
     };
     let off = mk(MigratePolicy::Off);
-    let split = mk(MigratePolicy::split_hot());
+    let split = mk(MigratePolicy::SplitHot);
     let off_p99 = off.overall_latency().quantile(0.99);
     let split_p99 = split.overall_latency().quantile(0.99);
     assert!(
@@ -1764,20 +1781,19 @@ fn split_hot_beats_waiting_for_a_busy_home_board() {
 #[test]
 fn split_hot_beats_bitstream_affine_waiting_under_skewed_load() {
     let mk = |migrate| {
-        let cfg = ServeConfig::pipelined()
-            .to_builder()
-            .seed(7)
-            .total_requests(10_000)
-            .queue_capacity(512)
-            .boards(4)
-            .placement(PlacementPolicy::BitstreamAffine)
-            .migrate(migrate)
-            .build()
-            .unwrap();
+        let cfg = ServeConfig {
+            seed: 7,
+            total_requests: 10_000,
+            queue_capacity: 512,
+            boards: 4,
+            placement: PlacementPolicy::BitstreamAffine,
+            migrate,
+            ..ServeConfig::pipelined()
+        };
         simulate(TenantSpec::skewed_hotspot(12.0, 900.0), cfg)
     };
     let wait = mk(MigratePolicy::Off);
-    let split = mk(MigratePolicy::split_hot());
+    let split = mk(MigratePolicy::SplitHot);
     let wait_p99 = wait.overall_latency().quantile(0.99);
     let split_p99 = split.overall_latency().quantile(0.99);
     assert!(
@@ -1806,15 +1822,14 @@ fn split_hot_beats_bitstream_affine_waiting_under_skewed_load() {
 #[test]
 fn migration_without_peers_is_the_host_schedule_bit_for_bit() {
     let mk = |migrate| {
-        let cfg = ServeConfig::pipelined()
-            .to_builder()
-            .seed(11)
-            .total_requests(3_000)
-            .queue_capacity(512)
-            .boards(1)
-            .migrate(migrate)
-            .build()
-            .unwrap();
+        let cfg = ServeConfig {
+            seed: 11,
+            total_requests: 3_000,
+            queue_capacity: 512,
+            boards: 1,
+            migrate,
+            ..ServeConfig::pipelined()
+        };
         simulate(TenantSpec::taobao_regions(4.0, 900.0), cfg)
     };
     let off = mk(MigratePolicy::Off);
@@ -1831,11 +1846,11 @@ fn serving_prices_match_the_runtime_models() {
     let tenants = vec![TenantSpec::new("solo", Dataset::Physics, 0.2)];
     let report = simulate(
         tenants,
-        ServeConfig::builder()
-            .seed(1)
-            .total_requests(50)
-            .build()
-            .unwrap(),
+        ServeConfig {
+            seed: 1,
+            total_requests: 50,
+            ..ServeConfig::default()
+        },
     );
     assert_eq!(report.completed(), 50);
     let stats = &report.tenants[0];
@@ -1862,14 +1877,13 @@ fn serving_prices_match_the_runtime_models() {
 fn result_cache_cuts_p99_and_recompute_on_the_replay_heavy_trace() {
     let total = 6_000;
     let mk = |cache| {
-        let cfg = ServeConfig::reconfig_aware()
-            .to_builder()
-            .seed(21)
-            .total_requests(total)
-            .queue_capacity(256)
-            .cache(cache)
-            .build()
-            .unwrap();
+        let cfg = ServeConfig {
+            seed: 21,
+            total_requests: total,
+            queue_capacity: 256,
+            cache,
+            ..ServeConfig::reconfig_aware()
+        };
         simulate(TenantSpec::replay_heavy(3.0), cfg)
     };
     let off = mk(CacheKind::Off);
@@ -1917,21 +1931,20 @@ fn result_cache_cuts_p99_and_recompute_on_the_replay_heavy_trace() {
 fn drift_drives_the_hit_rate_toward_zero() {
     let report = simulate(
         TenantSpec::taobao_regions(4.0, 900.0),
-        ServeConfig::reconfig_aware()
-            .to_builder()
-            .seed(21)
-            .total_requests(4_000)
-            .queue_capacity(256)
+        ServeConfig {
+            seed: 21,
+            total_requests: 4_000,
+            queue_capacity: 256,
             // Buckets advance faster than any tenant re-offers a request,
             // and the budget is below one bucket's delta bytes, so nearly
             // every lookup sees a graph drifted past its entry's budget.
-            .drift_step_secs(0.25)
-            .cache(CacheKind::Delta {
+            drift_step_secs: 0.25,
+            cache: CacheKind::Delta {
                 max_delta_frac: 1e-9,
-            })
-            .overlap(true)
-            .build()
-            .unwrap(),
+            },
+            overlap: true,
+            ..ServeConfig::reconfig_aware()
+        },
     );
     assert!(
         report.cache.hit_rate() < 0.05,
@@ -1955,18 +1968,18 @@ fn coalescing_preserves_the_served_multiset_under_drops() {
     let total = 3_000;
     let report = simulate(
         TenantSpec::taobao_regions(4.0, 900.0),
-        ServeConfig::builder()
-            .seed(33)
-            .total_requests(total)
+        ServeConfig {
+            seed: 33,
+            total_requests: total,
             // Tight queue + per-request-scale drift buckets: every bucket
             // spawns a fresh primary (Exact entries die on the next
             // bucket) so the 4-deep queue overflows, while same-bucket
             // duplicates keep parking on their in-flight primary.
-            .queue_capacity(4)
-            .drift_step_secs(0.5)
-            .cache(CacheKind::Exact)
-            .build()
-            .unwrap(),
+            queue_capacity: 4,
+            drift_step_secs: 0.5,
+            cache: CacheKind::Exact,
+            ..ServeConfig::default()
+        },
     );
     assert_eq!(
         report.completed() + report.dropped(),
