@@ -64,8 +64,7 @@ fn parse_args() -> Result<Args, String> {
 /// The original single-seed report: every serving figure plus the
 /// simulator's self-metrics.
 fn print_report(requests: u64, report: &TrafficReport) {
-    let completed: u64 = report.tenants.iter().map(|t| t.completed).sum();
-    let dropped: u64 = report.tenants.iter().map(|t| t.dropped).sum();
+    let (completed, dropped) = (report.completed(), report.dropped());
     let cache = million::config(million::DEFAULT_SEED, requests).cache;
     println!("requests offered     {requests}");
     println!("completed            {completed}");

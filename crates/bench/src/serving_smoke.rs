@@ -164,7 +164,7 @@ impl Scenario {
             .report
             .tenants
             .iter()
-            .map(|t| format!("{}:{}", json_str(&t.name), t.dropped))
+            .map(|t| format!("{}:{}", json_str(&t.name), t.dropped()))
             .collect();
         format!("{{{}}}", rows.join(","))
     }
@@ -752,7 +752,7 @@ mod tests {
                     .tenants
                     .iter()
                     .find(|t| t.name == *victim)
-                    .map(|t| t.dropped)
+                    .map(|t| t.dropped())
                     .expect("victim tenant present")
             };
             assert_eq!(drops(wfq), 0, "{victim}: quotas protect the backlog");
@@ -761,7 +761,7 @@ mod tests {
         // Both burst scenarios face the identical offered load; WFQ's
         // aggregate drop count sums its per-tenant counts.
         for s in [fifo, wfq] {
-            let tenant_drops: u64 = s.report.tenants.iter().map(|t| t.dropped).sum();
+            let tenant_drops: u64 = s.report.tenants.iter().map(|t| t.dropped()).sum();
             assert_eq!(s.report.dropped(), tenant_drops, "{}", s.name);
         }
     }

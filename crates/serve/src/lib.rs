@@ -23,15 +23,16 @@
 //!   re-crossing the host link, and hot tenants split onto idle boards
 //!   once their affine board's queue outgrows a threshold;
 //! - [`sched`] — the pluggable admission/dispatch scheduler: a
-//!   [`sched::SchedPolicy`] trait owning enqueue/drop/pick and
-//!   reconfiguration-gating decisions, with [`sched::Fifo`] (the bounded
-//!   arrival-order queue, bit-for-bit the pre-refactor schedules — every
-//!   golden digest holds), [`sched::WeightedFair`] (deficit round robin
-//!   over per-tenant queues with [`tenant::TenantSpec::weight`] shares
-//!   and per-tenant quotas, so one bursty aggressor can no longer starve
-//!   the other tenants) and [`sched::SloAware`] (a per-tenant latency
-//!   EWMA gates bitstream reconfiguration on predicted p99 vs the
-//!   tenant's SLO budget — stalls nobody's tail needs stop being paid);
+//!   [`sched::SchedPolicy`] trait owning enqueue/drop/pick decisions,
+//!   with [`sched::Fifo`] (the bounded arrival-order queue, bit-for-bit
+//!   the pre-refactor schedules — every golden digest holds) and
+//!   [`sched::WeightedFair`] (deficit round robin over per-tenant queues
+//!   with [`tenant::TenantSpec::weight`] shares and per-tenant quotas, so
+//!   one bursty aggressor can no longer starve the other tenants).
+//!   [`sched::SchedKind::SloAware`] queues FIFO and gates bitstream
+//!   reconfiguration on a tenant's predicted p99
+//!   ([`sched::LatencyPredictor`]) against its SLO budget — stalls
+//!   nobody's tail needs stop being paid;
 //! - [`engine`] — the simulation mechanics: a binary-heap
 //!   [`engine::EventQueue`] popping events in `(time, push-order)`
 //!   order, a [`engine::Slab`] arena holding in-flight request state
@@ -236,7 +237,7 @@ mod tests {
         assert_eq!(report.dropped(), 0);
         assert_eq!(report.completed(), 300);
         for t in &report.tenants {
-            assert!(t.completed > 0, "{} saw no traffic", t.name);
+            assert!(t.completed() > 0, "{} saw no traffic", t.name);
             assert!(t.latency.quantile(0.5) > 0.0);
         }
     }
@@ -408,7 +409,8 @@ mod tests {
                 board.reconfigs
             );
             assert_eq!(
-                board.completed, report.tenants[i].completed,
+                board.completed,
+                report.tenants[i].completed(),
                 "board {i} serves exactly tenant {i}'s load"
             );
         }
@@ -539,6 +541,17 @@ mod tests {
                 ConfigError::NanKnob {
                     knob: "drift_step_secs",
                 },
+            ),
+            // A NaN delta budget rounds to zero bytes: any graph change
+            // would invalidate the entry.
+            (
+                ServeConfig {
+                    cache: CacheKind::Delta {
+                        max_delta_frac: f64::NAN,
+                    },
+                    ..base
+                },
+                ConfigError::NanKnob { knob: "cache" },
             ),
         ];
         for (cfg, expected) in cases {

@@ -555,14 +555,6 @@ pub struct CompletedRequest {
 pub struct TenantStats {
     /// Tenant display name.
     pub name: String,
-    /// Requests admitted and completed.
-    pub completed: u64,
-    /// Requests refused at admission (shared queue full, or — under
-    /// [`crate::sched::SchedKind::WeightedFair`] — the tenant's own quota
-    /// exhausted). The report-wide [`TrafficReport::dropped`] aggregate
-    /// is exactly the sum of these per-tenant counts, which is what makes
-    /// fair-queueing drop isolation observable per tenant.
-    pub dropped: u64,
     /// End-to-end latency distribution.
     pub latency: LatencyHistogram,
     /// Queue-wait distribution (arrival → dispatch): the share of latency
@@ -587,10 +579,10 @@ pub struct TenantStats {
     pub cache_misses: u64,
     /// Duplicate in-flight requests coalesced onto a primary.
     pub cache_coalesced: u64,
-    /// Typed outcome counters ([`RequestOutcome`] buckets). Invariants:
-    /// `outcomes.served + outcomes.served_late == completed` and
-    /// `outcomes.dropped_at_admission == dropped`; with deadlines off
-    /// every non-`served` bucket except `dropped_at_admission` is 0.
+    /// Typed outcome counters ([`RequestOutcome`] buckets), from which
+    /// [`completed`](Self::completed), [`dropped`](Self::dropped) and
+    /// [`arrivals`](Self::arrivals) are read. With deadlines off every
+    /// non-`served` bucket except `dropped_at_admission` is 0.
     pub outcomes: OutcomeCounts,
     /// Latency distribution of **on-time** completions only (the goodput
     /// split of `latency`). Identical to `latency` when the tenant has no
@@ -599,16 +591,30 @@ pub struct TenantStats {
 }
 
 impl TenantStats {
+    /// Requests admitted and completed, on time or late.
+    pub fn completed(&self) -> u64 {
+        self.outcomes.served + self.outcomes.served_late
+    }
+
+    /// Requests refused at admission (shared queue full, or — under
+    /// [`crate::sched::SchedKind::WeightedFair`] — the tenant's own quota
+    /// exhausted). The report-wide [`TrafficReport::dropped`] aggregate
+    /// is exactly the sum of these per-tenant counts, which is what makes
+    /// fair-queueing drop isolation observable per tenant.
+    pub fn dropped(&self) -> u64 {
+        self.outcomes.dropped_at_admission
+    }
+
     /// Admission refusals as a share of [`arrivals`](Self::arrivals), in
     /// `[0, 1]` (expired and aborted arrivals count in the denominator).
     pub fn drop_rate(&self) -> f64 {
-        share(self.dropped, self.arrivals())
+        share(self.dropped(), self.arrivals())
     }
 
     /// Requests this tenant arrived with that reached a terminal outcome
     /// — completed, dropped, expired or aborted (the conservation total).
     pub fn arrivals(&self) -> u64 {
-        self.completed + self.dropped + self.outcomes.expired_in_queue + self.outcomes.aborted
+        self.outcomes.arrival_terminal()
     }
 }
 
@@ -659,14 +665,13 @@ pub struct DepthSample {
     pub depth: usize,
 }
 
-/// Bounded, deterministic queue-depth recorder: keeps every `stride`-th
-/// transition plus the running maximum.
-#[derive(Debug, Clone, PartialEq)]
+/// Bounded, deterministic queue-depth recorder: keeps every
+/// [`DepthTimeline::STRIDE`]-th transition plus the running maximum.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DepthTimeline {
     samples: Vec<DepthSample>,
-    stride: u64,
     /// Transitions left before the next kept sample (a countdown, so
-    /// keeping every `stride`-th transition costs no division).
+    /// keeping every `STRIDE`-th transition costs no division).
     until_sample: u64,
     max_depth: usize,
     area: f64,
@@ -675,18 +680,8 @@ pub struct DepthTimeline {
 }
 
 impl DepthTimeline {
-    /// A timeline keeping roughly one sample per `stride` transitions.
-    pub fn with_stride(stride: u64) -> Self {
-        DepthTimeline {
-            samples: Vec::new(),
-            stride: stride.max(1),
-            until_sample: 0,
-            max_depth: 0,
-            area: 0.0,
-            last_time: 0.0,
-            last_depth: 0,
-        }
-    }
+    /// Transitions per kept sample.
+    pub const STRIDE: u64 = 64;
 
     /// Records a depth transition at `time_secs`.
     pub fn record(&mut self, time_secs: f64, depth: usize) {
@@ -696,7 +691,7 @@ impl DepthTimeline {
         self.max_depth = self.max_depth.max(depth);
         if self.until_sample == 0 {
             self.samples.push(DepthSample { time_secs, depth });
-            self.until_sample = self.stride;
+            self.until_sample = Self::STRIDE;
         }
         self.until_sample -= 1;
     }
@@ -721,14 +716,8 @@ impl DepthTimeline {
     }
 }
 
-impl Default for DepthTimeline {
-    fn default() -> Self {
-        DepthTimeline::with_stride(64)
-    }
-}
-
 /// The full report of one traffic simulation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TrafficReport {
     /// Per-tenant statistics, in tenant declaration order.
     pub tenants: Vec<TenantStats>,
@@ -786,12 +775,12 @@ pub struct TrafficReport {
 impl TrafficReport {
     /// Total completed requests across tenants.
     pub fn completed(&self) -> u64 {
-        self.tenants.iter().map(|t| t.completed).sum()
+        self.tenants.iter().map(TenantStats::completed).sum()
     }
 
     /// Total dropped requests across tenants.
     pub fn dropped(&self) -> u64 {
-        self.tenants.iter().map(|t| t.dropped).sum()
+        self.tenants.iter().map(TenantStats::dropped).sum()
     }
 
     /// Typed outcome counters summed across tenants.
@@ -1070,8 +1059,8 @@ impl TrafficReport {
                 let mut obj = String::new();
                 obj.push('{');
                 push_field(&mut obj, "name", &json_str(&t.name));
-                push_field(&mut obj, "completed", &t.completed.to_string());
-                push_field(&mut obj, "dropped", &t.dropped.to_string());
+                push_field(&mut obj, "completed", &t.completed().to_string());
+                push_field(&mut obj, "dropped", &t.dropped().to_string());
                 push_field(&mut obj, "reconfigs", &t.reconfigs.to_string());
                 push_field(&mut obj, "board_secs", &json_f64(t.board_secs));
                 push_field(&mut obj, "p50_secs", &json_f64(t.latency.quantile(0.50)));
@@ -1214,8 +1203,8 @@ impl fmt::Display for TrafficReport {
                 f,
                 "{:<14} {:>9} {:>8} {:>7.2}% {:>10.2} {:>10.2} {:>10.2} {:>9}",
                 t.name,
-                t.completed,
-                t.dropped,
+                t.completed(),
+                t.dropped(),
                 t.drop_rate() * 100.0,
                 t.latency.quantile(0.50) * 1e3,
                 t.latency.quantile(0.99) * 1e3,
@@ -1453,23 +1442,25 @@ mod tests {
 
     #[test]
     fn depth_timeline_tracks_max_and_mean() {
-        let mut d = DepthTimeline::with_stride(1);
+        let mut d = DepthTimeline::default();
         d.record(0.0, 1);
         d.record(10.0, 3);
         d.record(20.0, 0);
         assert_eq!(d.max_depth(), 3);
         // depth 1 over [0,10), 3 over [10,20), 0 after => (10+30)/40.
         assert!((d.mean_depth(40.0) - 1.0).abs() < 1e-9);
-        assert_eq!(d.samples().len(), 3);
+        assert_eq!(d.samples().len(), 1, "the first transition is kept");
     }
 
     #[test]
     fn depth_timeline_stride_bounds_samples() {
-        let mut d = DepthTimeline::with_stride(100);
+        let mut d = DepthTimeline::default();
         for i in 0..1_000 {
             d.record(i as f64, i % 7);
         }
-        assert_eq!(d.samples().len(), 10);
+        // Transitions 0, 64, …, 960: one sample per stride.
+        assert_eq!(d.samples().len(), 16);
+        assert_eq!(d.samples()[1].time_secs, DepthTimeline::STRIDE as f64);
         assert_eq!(d.max_depth(), 6);
     }
 
@@ -1492,7 +1483,6 @@ mod tests {
             name: "feed \"a\"\\".to_string(),
             ..TenantStats::default()
         };
-        tenant.completed = 3;
         tenant.latency.record(0.010);
         let report = TrafficReport {
             tenants: vec![tenant],

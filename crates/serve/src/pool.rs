@@ -44,15 +44,15 @@
 //! staged pipelining hides behind fabric compute.
 //!
 //! The admission queue — owned by the pluggable scheduler
-//! ([`crate::sched::SchedPolicy`]), which decides admission, offer order
-//! and reconfiguration gating — feeds the pool through a pluggable
+//! ([`crate::sched::SchedPolicy`]), which decides admission and offer
+//! order — feeds the pool through a pluggable
 //! [`PlacementPolicy`]. Placement scans the scheduler's offer order, so a
 //! fair-queueing scheduler's preference arrives here as a hint: the same
 //! scan that used to be "earliest arrival first" becomes "most underserved
 //! tenant first" without the policies below changing:
 //!
 //! - [`PlacementPolicy::TenantAffine`] — each tenant has a home board
-//!   (pinned, or tenant index hashed over the pool); requests wait for it.
+//!   (its index hashed over the pool); requests wait for it.
 //!   Perfect residency and bitstream locality, but a hot tenant cannot
 //!   borrow idle boards.
 //! - [`PlacementPolicy::LeastLoaded`] — the free board with the least
@@ -222,23 +222,9 @@ struct Board {
     /// Preprocessed requests whose subgraph hand-off waits for the DMA
     /// engine.
     handoffs: VecDeque<Handle>,
-    /// Fabric occupancy (reconfig + preprocess; in serial mode the whole
-    /// request interval, as in PR 2).
-    busy_secs: f64,
-    /// DMA-engine occupancy (pipelined mode only; serial folds transfers
-    /// into `busy_secs`).
-    dma_secs: f64,
-    completed: u64,
-    reconfigs: u64,
-    reconfig_secs: f64,
-    /// Tenants evicted from this board's DRAM to make room.
-    evictions: u64,
-    /// Requests this board served by pulling the graph from a peer board.
-    migrations: u64,
-    /// Bytes this board pulled in over the PCIe switch.
-    switch_bytes: u64,
-    /// Bytes this board ingested from the host.
-    host_bytes: u64,
+    /// Every counter the board keeps, in the form [`BoardPool::stats`]
+    /// reports.
+    stats: BoardStats,
     /// Graph bytes resident on this board, per tenant — each board has its
     /// own DDR, so residency (and therefore upload deltas) is per board.
     /// Invariant: a slot is either `Residency::default()` (not resident)
@@ -263,15 +249,7 @@ impl Board {
             staged: VecDeque::new(),
             in_fabric: None,
             handoffs: VecDeque::new(),
-            busy_secs: 0.0,
-            dma_secs: 0.0,
-            completed: 0,
-            reconfigs: 0,
-            reconfig_secs: 0.0,
-            evictions: 0,
-            migrations: 0,
-            switch_bytes: 0,
-            host_bytes: 0,
+            stats: BoardStats::default(),
             resident: vec![Residency::default(); tenant_count],
             resident_total: 0,
             lru_clock: 0,
@@ -330,7 +308,7 @@ impl Board {
                 break;
             };
             self.evict_tenant(victim);
-            self.evictions += 1;
+            self.stats.evictions += 1;
         }
         delta
     }
@@ -469,8 +447,9 @@ impl BoardPool {
     pub fn least_loaded_free(&self) -> Option<usize> {
         self.free_indices().min_by(|&a, &b| {
             self.boards[a]
+                .stats
                 .busy_secs
-                .total_cmp(&self.boards[b].busy_secs)
+                .total_cmp(&self.boards[b].stats.busy_secs)
         })
     }
 
@@ -500,8 +479,8 @@ impl BoardPool {
             .icap
             .reconfig_secs(ReconfigScope::between(board.config, best));
         board.config = best;
-        board.reconfigs += 1;
-        board.reconfig_secs += seconds;
+        board.stats.reconfigs += 1;
+        board.stats.reconfig_secs += seconds;
         seconds
     }
 
@@ -522,7 +501,7 @@ impl BoardPool {
         let capacity = self.graph_capacity;
         let board = &mut self.boards[index];
         let delta = board.place_resident(tenant, coo_bytes, capacity);
-        board.host_bytes += delta;
+        board.stats.host_bytes += delta;
         delta
     }
 
@@ -551,9 +530,9 @@ impl BoardPool {
         let capacity = self.graph_capacity;
         let board = &mut self.boards[dest];
         board.place_resident(tenant, coo_bytes, capacity);
-        board.migrations += 1;
-        board.switch_bytes += switch_bytes;
-        board.host_bytes += host_bytes;
+        board.stats.migrations += 1;
+        board.stats.switch_bytes += switch_bytes;
+        board.stats.host_bytes += host_bytes;
         MigrationTransfer {
             switch_bytes,
             host_bytes,
@@ -613,7 +592,7 @@ impl BoardPool {
         debug_assert!(!board.dma_busy, "board {index} double-dispatched");
         board.dma_busy = true;
         board.fabric_busy = true;
-        board.busy_secs += (done - now).max(0.0);
+        board.stats.busy_secs += (done - now).max(0.0);
         self.refresh(index);
     }
 
@@ -623,7 +602,7 @@ impl BoardPool {
         debug_assert!(board.dma_busy, "board {index} released while idle");
         board.dma_busy = false;
         board.fabric_busy = false;
-        board.completed += 1;
+        board.stats.completed += 1;
         self.refresh(index);
     }
 
@@ -634,7 +613,7 @@ impl BoardPool {
         debug_assert!(!board.dma_busy, "board {index} DMA double-booked");
         board.dma_busy = true;
         board.dma_until = done;
-        board.dma_secs += (done - now).max(0.0);
+        board.stats.dma_secs += (done - now).max(0.0);
         self.refresh(index);
     }
 
@@ -718,7 +697,7 @@ impl BoardPool {
         debug_assert!(!board.fabric_busy, "board {index} fabric double-booked");
         board.fabric_busy = true;
         board.fabric_until = done;
-        board.busy_secs += (done - now).max(0.0);
+        board.stats.busy_secs += (done - now).max(0.0);
         board.in_fabric = Some(handle);
     }
 
@@ -753,7 +732,7 @@ impl BoardPool {
     /// path counts inside [`BoardPool::release`]).
     pub(crate) fn end_handoff(&mut self, index: usize) {
         self.release_dma(index);
-        self.boards[index].completed += 1;
+        self.boards[index].stats.completed += 1;
     }
 
     /// Abandons `handle` if it still waits in board `index`'s staging or
@@ -791,20 +770,7 @@ impl BoardPool {
 
     /// Per-board statistics snapshot, in board order.
     pub fn stats(&self) -> Vec<BoardStats> {
-        self.boards
-            .iter()
-            .map(|b| BoardStats {
-                completed: b.completed,
-                reconfigs: b.reconfigs,
-                reconfig_secs: b.reconfig_secs,
-                busy_secs: b.busy_secs,
-                dma_secs: b.dma_secs,
-                evictions: b.evictions,
-                migrations: b.migrations,
-                switch_bytes: b.switch_bytes,
-                host_bytes: b.host_bytes,
-            })
-            .collect()
+        self.boards.iter().map(|b| b.stats).collect()
     }
 }
 

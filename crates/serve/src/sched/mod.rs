@@ -2,23 +2,19 @@
 //!
 //! PR 1–4 baked the admission queue into the simulator as a single
 //! FIFO-bounded `VecDeque`: one bursty tenant could fill the shared queue
-//! and starve everyone else, and every dispatch paid whatever
-//! reconfiguration the cost model asked for. This module extracts that
-//! core into a [`SchedPolicy`] trait owning the three decisions the event
-//! loop delegates:
+//! and starve everyone else. This module extracts that core into a
+//! [`SchedPolicy`] trait owning the two queue decisions the event loop
+//! delegates:
 //!
 //! - **enqueue/drop** ([`SchedPolicy::admit`]) — whether an arriving
 //!   request is queued or refused (per-tenant quotas live here);
 //! - **pick order** ([`SchedPolicy::scan`] / [`SchedPolicy::take`]) — the
-//!   order in which queued requests are offered to placement/dispatch;
-//! - **reconfiguration gating** ([`SchedPolicy::allow_reconfig`]) —
-//!   whether a dispatch may pay an ICAP stall right now.
+//!   order in which queued requests are offered to placement/dispatch.
 //!
-//! Three policies implement it:
+//! Two policies implement it:
 //!
 //! - [`queue::Fifo`] — the pre-refactor scheduler, **bit-for-bit**: one
-//!   bounded queue in arrival order, drop on overflow, reconfigure
-//!   whenever the cost model clears its gain threshold. Every golden
+//!   bounded queue in arrival order, drop on overflow. Every golden
 //!   trace digest pinned in `tests/serve_traffic.rs` is reproduced
 //!   exactly (the *Fifo-equivalence invariant* — see below).
 //! - [`wfq::WeightedFair`] — deficit-round-robin over per-tenant queues
@@ -26,20 +22,21 @@
 //!   a per-tenant quota, under a bounded aggregate depth. A bursty
 //!   aggressor can only ever occupy its quota and its weight's share of
 //!   service; victims keep their latency.
-//! - [`slo::SloAware`] — FIFO order plus a per-tenant latency EWMA: a
-//!   dispatch may only trigger a bitstream reconfiguration when the
-//!   tenant's predicted p99 (EWMA mean + z·stddev, queueing included)
-//!   exceeds its SLO budget, so steady within-budget traffic stops paying
-//!   ICAP stalls.
+//!
+//! [`SchedKind::SloAware`] queues through [`queue::Fifo`]; what sets it
+//! apart is the reconfiguration gate, which the simulator's run state owns
+//! together with the one [`LatencyPredictor`] feeding it and the hedge
+//! trigger (see `crate::sim`, "The scheduler seam"): a queue decides
+//! order, the run decides what a dispatch may pay.
 //!
 //! # The Fifo-equivalence invariant
 //!
 //! [`SchedKind::Fifo`] must schedule **identically** to the pre-refactor
 //! `VecDeque` path: same admissions, same drops, same scan order offered
-//! to placement, `allow_reconfig` always true. The simulator's
-//! event loop was refactored so that, under `Fifo`, every operation maps
-//! one-to-one onto the old queue ops — which is why the PR 1–4 golden
-//! digests (and the CI perf baselines) survive this refactor unchanged.
+//! to placement. The simulator's event loop was refactored so that,
+//! under `Fifo`, every operation maps one-to-one onto the old queue ops —
+//! which is why the PR 1–4 golden digests (and the CI perf baselines)
+//! survive this refactor unchanged.
 //!
 //! # Tracing the scheduler's share of latency
 //!
@@ -64,15 +61,12 @@
 
 pub mod predictor;
 pub mod queue;
-pub mod slo;
 pub mod wfq;
 
-use crate::metrics::RequestLatency;
 use crate::tenant::TenantSpec;
 
 pub use predictor::LatencyPredictor;
 pub use queue::Fifo;
-pub use slo::SloAware;
 pub use wfq::WeightedFair;
 
 /// One admitted request waiting for dispatch.
@@ -84,12 +78,9 @@ pub struct Request {
     pub arrival_secs: f64,
 }
 
-/// The scheduler's enqueue/drop/pick/reconfig-gate decisions, extracted
-/// from the event loop (see the [module docs](self)).
+/// The scheduler's enqueue/drop/pick decisions, extracted from the event
+/// loop (see the [module docs](self)).
 pub trait SchedPolicy {
-    /// Stable lowercase identifier used in reports and benchmark IDs.
-    fn name(&self) -> &'static str;
-
     /// Offers an arriving request; `false` means it is dropped (queue
     /// full, or the tenant's quota exhausted) — the caller accounts the
     /// drop.
@@ -127,19 +118,6 @@ pub trait SchedPolicy {
     fn expire(&mut self, now: f64, deadlines: &[Option<f64>], expired: &mut Vec<Request>) {
         let _ = (now, deadlines, expired);
     }
-
-    /// Whether a dispatch for `tenant` may pay a bitstream
-    /// reconfiguration right now. The default never gates — exactly the
-    /// pre-refactor behavior.
-    fn allow_reconfig(&self, tenant: usize, now: f64) -> bool {
-        let _ = (tenant, now);
-        true
-    }
-
-    /// Observes a completed request (latency feedback for SLO tracking).
-    fn on_complete(&mut self, tenant: usize, latency: &RequestLatency, now: f64) {
-        let _ = (tenant, latency, now);
-    }
 }
 
 /// Which scheduler a simulation runs — the `Copy` configuration form of
@@ -160,11 +138,12 @@ pub enum SchedKind {
         /// other tenants' backlog.
         per_tenant_quota: usize,
     },
-    /// FIFO order plus SLO-driven reconfiguration gating: a dispatch may
-    /// only reprogram the fabric when the tenant's predicted p99 (latency
-    /// EWMA + z·stddev) exceeds its SLO budget
+    /// FIFO queueing plus SLO-driven reconfiguration gating: a dispatch
+    /// may not reprogram the fabric while the tenant is warm and its
+    /// predicted p99 ([`LatencyPredictor`]) is within its SLO budget
     /// ([`TenantSpec::slo_secs`], falling back to
-    /// [`SchedKind::FALLBACK_SLO_SECS`]).
+    /// [`SchedKind::FALLBACK_SLO_SECS`]). The simulator's run state
+    /// applies the gate; the queue is [`Fifo`].
     SloAware,
 }
 
@@ -176,33 +155,22 @@ pub enum SchedKind {
 /// indirect call each time. This enum makes the dispatch a jump table
 /// the compiler can inline through ([`SchedKind::instantiate`] builds
 /// it). Behavior is identical — every method forwards to the same policy
-/// implementation.
+/// implementation. The larger weighted-fair state is boxed, so the
+/// enum stays the size of a FIFO queue plus a tag.
 #[derive(Debug)]
 pub enum Scheduler {
     /// The bounded arrival-order queue ([`queue::Fifo`]).
     Fifo(Fifo),
     /// Deficit-round-robin fair queueing ([`wfq::WeightedFair`]).
-    WeightedFair(WeightedFair),
-    /// SLO-gated FIFO ([`slo::SloAware`]).
-    SloAware(SloAware),
+    WeightedFair(Box<WeightedFair>),
 }
 
 impl SchedPolicy for Scheduler {
-    #[inline]
-    fn name(&self) -> &'static str {
-        match self {
-            Scheduler::Fifo(s) => s.name(),
-            Scheduler::WeightedFair(s) => s.name(),
-            Scheduler::SloAware(s) => s.name(),
-        }
-    }
-
     #[inline]
     fn admit(&mut self, request: Request) -> bool {
         match self {
             Scheduler::Fifo(s) => s.admit(request),
             Scheduler::WeightedFair(s) => s.admit(request),
-            Scheduler::SloAware(s) => s.admit(request),
         }
     }
 
@@ -211,7 +179,6 @@ impl SchedPolicy for Scheduler {
         match self {
             Scheduler::Fifo(s) => s.len(),
             Scheduler::WeightedFair(s) => s.len(),
-            Scheduler::SloAware(s) => s.len(),
         }
     }
 
@@ -220,7 +187,6 @@ impl SchedPolicy for Scheduler {
         match self {
             Scheduler::Fifo(s) => s.scan(),
             Scheduler::WeightedFair(s) => s.scan(),
-            Scheduler::SloAware(s) => s.scan(),
         }
     }
 
@@ -229,7 +195,6 @@ impl SchedPolicy for Scheduler {
         match self {
             Scheduler::Fifo(s) => s.take(position),
             Scheduler::WeightedFair(s) => s.take(position),
-            Scheduler::SloAware(s) => s.take(position),
         }
     }
 
@@ -238,25 +203,6 @@ impl SchedPolicy for Scheduler {
         match self {
             Scheduler::Fifo(s) => s.expire(now, deadlines, expired),
             Scheduler::WeightedFair(s) => s.expire(now, deadlines, expired),
-            Scheduler::SloAware(s) => s.expire(now, deadlines, expired),
-        }
-    }
-
-    #[inline]
-    fn allow_reconfig(&self, tenant: usize, now: f64) -> bool {
-        match self {
-            Scheduler::Fifo(s) => s.allow_reconfig(tenant, now),
-            Scheduler::WeightedFair(s) => s.allow_reconfig(tenant, now),
-            Scheduler::SloAware(s) => s.allow_reconfig(tenant, now),
-        }
-    }
-
-    #[inline]
-    fn on_complete(&mut self, tenant: usize, latency: &RequestLatency, now: f64) {
-        match self {
-            Scheduler::Fifo(s) => s.on_complete(tenant, latency, now),
-            Scheduler::WeightedFair(s) => s.on_complete(tenant, latency, now),
-            Scheduler::SloAware(s) => s.on_complete(tenant, latency, now),
         }
     }
 }
@@ -292,25 +238,18 @@ impl SchedKind {
     /// # Panics
     ///
     /// Panics if `capacity` is zero, a weighted-fair quota is zero, or a
-    /// tenant weight / SLO budget is not positive and finite.
+    /// tenant weight is not positive and finite.
     pub fn instantiate(&self, tenants: &[TenantSpec], capacity: usize) -> Scheduler {
         assert!(capacity > 0, "queue capacity must be positive");
         match *self {
-            SchedKind::Fifo => Scheduler::Fifo(Fifo::new(capacity)),
+            SchedKind::Fifo | SchedKind::SloAware => Scheduler::Fifo(Fifo::new(capacity)),
             SchedKind::WeightedFair { per_tenant_quota } => {
-                Scheduler::WeightedFair(WeightedFair::new(
+                Scheduler::WeightedFair(Box::new(WeightedFair::new(
                     tenants.iter().map(|t| t.weight).collect(),
                     capacity,
                     per_tenant_quota,
-                ))
+                )))
             }
-            SchedKind::SloAware => Scheduler::SloAware(SloAware::new(
-                tenants
-                    .iter()
-                    .map(|t| t.slo_secs.unwrap_or(Self::FALLBACK_SLO_SECS))
-                    .collect(),
-                capacity,
-            )),
         }
     }
 }
@@ -350,7 +289,6 @@ mod tests {
             SchedKind::SloAware,
         ] {
             let mut sched = kind.instantiate(&ts, 8);
-            assert_eq!(sched.name(), kind.name());
             assert!(sched.is_empty());
             assert!(sched.admit(Request {
                 tenant: 0,
@@ -362,6 +300,20 @@ mod tests {
             assert_eq!(rq.tenant, 0);
             assert!(sched.is_empty());
         }
+    }
+
+    #[test]
+    fn queueing_behavior_is_fifo() {
+        let mut s = SchedKind::SloAware.instantiate(&tenants(1), 2);
+        let rq = |arrival_secs| Request {
+            tenant: 0,
+            arrival_secs,
+        };
+        assert!(s.admit(rq(1.0)));
+        assert!(s.admit(rq(2.0)));
+        assert!(!s.admit(rq(3.0)));
+        assert_eq!(s.scan().len(), 2);
+        assert_eq!(s.take(0).arrival_secs, 1.0);
     }
 
     #[test]

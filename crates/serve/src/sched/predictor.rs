@@ -1,13 +1,12 @@
-//! The shared per-tenant latency EWMA — one predictor for SLO gating
-//! and hedge triggering.
+//! The per-tenant latency EWMA — one predictor for SLO gating and hedge
+//! triggering.
 //!
-//! [`super::slo::SloAware`]'s reconfiguration gate and the simulator's
-//! hedged-dispatch trigger both need the same estimate: "what is this
-//! tenant's p99 end-to-end latency right now?". Before this module each
-//! site grew its own copy of the EWMA update; extracting it here keeps
-//! the two consumers numerically identical (same smoothing factor, same
-//! z-score, same cold-start behavior) so a gate decision and a hedge
-//! decision made at the same instant agree on the prediction.
+//! The simulator's [`SchedKind::SloAware`](super::SchedKind::SloAware)
+//! reconfiguration gate and its hedged-dispatch trigger both need the
+//! same estimate: "what is this tenant's p99 end-to-end latency right
+//! now?". A run keeps one instance fed by every completion, so a gate
+//! decision and a hedge decision made at the same instant read the same
+//! prediction.
 
 /// EWMA smoothing factor for the per-tenant latency tracker (~the last
 /// dozen requests dominate the estimate).

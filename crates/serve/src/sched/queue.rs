@@ -5,11 +5,11 @@ use std::collections::VecDeque;
 use super::{Request, SchedPolicy};
 
 /// One bounded queue in strict arrival order: admit while depth is below
-/// capacity, drop on overflow, offer requests exactly as they arrived,
-/// never gate a reconfiguration. This is the scheduler the simulator had
-/// baked in before the `sched` extraction — the *Fifo-equivalence
-/// invariant* ([module docs](super)) holds because every trait call maps
-/// one-to-one onto the old `VecDeque` operation.
+/// capacity, drop on overflow, offer requests exactly as they arrived.
+/// This is the scheduler the simulator had baked in before the `sched`
+/// extraction — the *Fifo-equivalence invariant* ([module docs](super))
+/// holds because every trait call maps one-to-one onto the old
+/// `VecDeque` operation.
 #[derive(Debug)]
 pub struct Fifo {
     queue: VecDeque<Request>,
@@ -27,10 +27,6 @@ impl Fifo {
 }
 
 impl SchedPolicy for Fifo {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
     fn admit(&mut self, request: Request) -> bool {
         if self.queue.len() >= self.capacity {
             return false;
@@ -106,13 +102,6 @@ mod tests {
         assert_eq!(order, vec![0, 1, 3]);
         assert_eq!(q.take(0).tenant, 0);
         assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn never_gates_reconfigurations() {
-        let q = Fifo::new(1);
-        assert!(q.allow_reconfig(0, 0.0));
-        assert!(q.allow_reconfig(7, 1e9));
     }
 
     #[test]

@@ -106,10 +106,6 @@ impl WeightedFair {
 }
 
 impl SchedPolicy for WeightedFair {
-    fn name(&self) -> &'static str {
-        "wfq"
-    }
-
     fn admit(&mut self, request: Request) -> bool {
         let q = &mut self.queues[request.tenant];
         if self.len >= self.capacity || q.len() >= self.quota {

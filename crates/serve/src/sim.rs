@@ -65,8 +65,8 @@
 //!    as [`RequestOutcome::ServedLate`]: throughput, but not goodput,
 //!    and its whole board visit lands in the wasted-work ledger.
 //!
-//! **Hedged dispatch** ([`ServeConfig::hedge`], serial mode) reuses the
-//! shared [`crate::sched::LatencyPredictor`]: once a dispatched request's
+//! **Hedged dispatch** ([`ServeConfig::hedge`], serial mode) reads the
+//! run's one [`crate::sched::LatencyPredictor`]: once a dispatched request's
 //! queue wait exceeds `factor ×` its tenant's predicted p99, the request
 //! is priced on a second free board as well — host ingest onto that
 //! board's *current* bitstream, no reconfiguration — and the faster leg
@@ -127,9 +127,9 @@
 //!
 //! # The scheduler seam
 //!
-//! The admission/dispatch core lives behind [`crate::sched::SchedPolicy`]
-//! ([`ServeConfig::scheduler`] picks the implementation). The event loop
-//! delegates exactly three decisions to it:
+//! The admission queue lives behind [`crate::sched::SchedPolicy`]
+//! ([`ServeConfig::scheduler`] picks the implementation). The scheduler
+//! owns exactly two decisions:
 //!
 //! 1. **Admission** — an `Arrival` calls `admit`; a refusal is the drop
 //!    path (counted against the arriving tenant).
@@ -142,19 +142,23 @@
 //!    robin fair schedule — placement reads the scheduler's preference as
 //!    a hint and the dispatch policy may still batch around it (the
 //!    scheduler charges the picked tenant's deficit).
-//! 3. **Reconfiguration gating** — before a board pays an ICAP stall
-//!    (serial dispatch, or fabric acquisition in pipelined mode), the
-//!    loop asks `allow_reconfig`; [`crate::sched::SloAware`] closes that
-//!    gate while the tenant's predicted p99 clears its SLO budget.
-//!    Completions feed back through `on_complete`.
+//!
+//! The run owns the rest. It keeps one [`crate::sched::LatencyPredictor`],
+//! fed by every completion whenever a reader needs it, and that one
+//! predictor drives both the hedge trigger and the **reconfiguration
+//! gate**: before a board pays an ICAP stall (serial dispatch, or fabric
+//! acquisition in pipelined mode), `Run::fabric_pass` consults the gate,
+//! which [`crate::sched::SchedKind::SloAware`] closes while the tenant is
+//! warm and its predicted p99 is within its SLO budget. Every other
+//! scheduler leaves it open.
 //!
 //! **The Fifo-equivalence invariant:** with the default
 //! [`crate::sched::SchedKind::Fifo`] every one of those calls maps
 //! one-to-one onto the old baked-in `VecDeque` operation (admit =
-//! bounded `push_back`, scan = the queue itself, take = `remove`,
-//! `allow_reconfig` = always) — so every golden trace digest from PR 1–4
-//! reproduces bit-for-bit, and the CI perf baselines survive the
-//! refactor unchanged. `tests/serve_traffic.rs` pins this.
+//! bounded `push_back`, scan = the queue itself, take = `remove`) and the
+//! gate stays open — so every golden trace digest from PR 1–4 reproduces
+//! bit-for-bit, and the CI perf baselines survive the refactor
+//! unchanged. `tests/serve_traffic.rs` pins this.
 //!
 //! # Why a 1-board serial pool is the PR 1 simulator
 //!
@@ -223,11 +227,10 @@ use agnn_hw::shell::{PcieModel, PcieSwitchModel};
 use agnn_hw::HwConfig;
 use fxhash::FxHashMap;
 
-use crate::cache::{CacheKind, ResultCache, CACHE_LOOKUP_SECS};
+use crate::cache::{CacheKind, CacheStats, ResultCache, CACHE_LOOKUP_SECS};
 use crate::engine::{ArrivalSource, EventQueue, Handle, Slab};
 use crate::metrics::{
-    CompletedRequest, DepthTimeline, LatencyHistogram, RequestLatency, RequestOutcome, SimPerf,
-    StageHistograms, StallBreakdown, TenantStats, TrafficReport,
+    CompletedRequest, RequestLatency, RequestOutcome, StallBreakdown, TenantStats, TrafficReport,
 };
 use crate::pool::{BoardPool, MigratePolicy, PlacementPolicy};
 use crate::sched::{LatencyPredictor, Request, SchedKind, SchedPolicy, Scheduler};
@@ -341,7 +344,9 @@ pub enum ConfigError {
     ZeroTenantQuota,
     /// A knob that takes any number was set to NaN: a NaN `min_gain`
     /// would silently disable every reconfiguration, a NaN
-    /// `drift_step_secs` would give each arrival its own drift bucket.
+    /// `drift_step_secs` would give each arrival its own drift bucket,
+    /// and a NaN [`CacheKind::Delta`] budget would invalidate a cache
+    /// entry on any graph change.
     NanKnob {
         /// The [`ServeConfig`] field holding the NaN.
         knob: &'static str,
@@ -396,8 +401,8 @@ pub struct ServeConfig {
     /// Admission/dispatch scheduler: the bounded FIFO queue
     /// ([`SchedKind::Fifo`], bit-for-bit the pre-refactor schedules),
     /// weighted fair queueing with per-tenant quotas
-    /// ([`SchedKind::WeightedFair`]), or SLO-driven reconfiguration
-    /// gating ([`SchedKind::SloAware`]).
+    /// ([`SchedKind::WeightedFair`]), or the FIFO queue plus the run's
+    /// SLO-driven reconfiguration gate ([`SchedKind::SloAware`]).
     pub scheduler: SchedKind,
     /// Number of simulated boards in the pool.
     pub boards: usize,
@@ -483,6 +488,7 @@ impl ServeConfig {
         for (knob, value) in [
             ("min_gain", self.min_gain),
             ("drift_step_secs", self.drift_step_secs),
+            ("cache", self.cache.max_delta_frac()),
         ] {
             if value.is_nan() {
                 return Err(ConfigError::NanKnob { knob });
@@ -820,112 +826,6 @@ pub struct TrafficSim {
     pool: BoardPool,
 }
 
-/// Mutable tallies shared by the serial and pipelined completion paths.
-struct RunStats {
-    tenants: Vec<TenantStats>,
-    /// Per-tenant SLO budgets ([`TenantSpec::slo_secs`]); violations are
-    /// counted here, independent of the scheduler in force.
-    slo: Vec<Option<f64>>,
-    /// Per-tenant effective deadlines ([`TenantSpec::deadline_secs`]
-    /// with [`ServeConfig::default_deadline_secs`] as the fallback);
-    /// completions strictly past them count as served-late, not goodput.
-    deadlines: Vec<Option<f64>>,
-    /// The wasted-work ledger: bytes moved and board seconds spent on
-    /// work no client waited for (aborted stages, hedge-loser legs,
-    /// past-deadline completions).
-    wasted_work_bytes: u64,
-    wasted_secs: f64,
-    stages: StageHistograms,
-    /// Keep a per-request completion log ([`ServeConfig::log_requests`]).
-    log: bool,
-    requests: Vec<CompletedRequest>,
-    /// Aggregate stall attribution over completed requests (each
-    /// request's six components sum to its end-to-end latency).
-    stall: StallBreakdown,
-    reconfigs: u64,
-    reconfig_secs: f64,
-    overlap_secs: f64,
-    last_board_free: f64,
-}
-
-impl RunStats {
-    fn new(tenants: &[TenantSpec], deadlines: Vec<Option<f64>>, log: bool) -> Self {
-        RunStats {
-            tenants: tenants
-                .iter()
-                .map(|t| TenantStats {
-                    name: t.name.clone(),
-                    latency: LatencyHistogram::default(),
-                    ..TenantStats::default()
-                })
-                .collect(),
-            slo: tenants.iter().map(|t| t.slo_secs).collect(),
-            deadlines,
-            wasted_work_bytes: 0,
-            wasted_secs: 0.0,
-            stages: StageHistograms::default(),
-            log,
-            requests: Vec::new(),
-            stall: StallBreakdown::default(),
-            reconfigs: 0,
-            reconfig_secs: 0.0,
-            overlap_secs: 0.0,
-            last_board_free: 0.0,
-        }
-    }
-
-    fn complete(
-        &mut self,
-        tenant: usize,
-        arrival_secs: f64,
-        latency: RequestLatency,
-        host_bytes: u64,
-        switch_bytes: u64,
-    ) -> RequestOutcome {
-        let budget = self.slo[tenant];
-        // Strictly past the deadline only: completing at the exact
-        // instant is still goodput (the same boundary in-queue expiry
-        // uses).
-        let late = self.deadlines[tenant].is_some_and(|d| latency.total() > d);
-        let outcome = if late {
-            RequestOutcome::ServedLate
-        } else {
-            RequestOutcome::Served
-        };
-        let t = &mut self.tenants[tenant];
-        t.completed += 1;
-        t.outcomes.record(outcome);
-        t.latency.record(latency.total());
-        if !late {
-            t.goodput_latency.record(latency.total());
-        }
-        t.queue_wait.record(latency.queue_secs);
-        if budget.is_some_and(|budget| latency.total() > budget) {
-            t.slo_violations += 1;
-        }
-        t.board_secs += latency.board_secs();
-        if late {
-            // A completion the client abandoned is pure wasted work:
-            // the whole board visit and every byte it moved.
-            self.wasted_secs += latency.board_secs();
-            self.wasted_work_bytes += host_bytes + switch_bytes;
-        }
-        self.stages.record(&latency);
-        self.stall.accumulate(&StallBreakdown::of(&latency));
-        if self.log {
-            self.requests.push(CompletedRequest {
-                tenant,
-                arrival_secs,
-                latency,
-                host_bytes,
-                switch_bytes,
-                outcome,
-            });
-        }
-        outcome
-    }
-}
-
 impl TrafficSim {
     /// A simulator over `tenants` with `config`. The board pool is built
     /// here and reset to its default configs at the start of every
@@ -1062,7 +962,7 @@ impl TrafficSim {
         } = self;
         let mut run = Run::new(tenants, pool, config, sink);
         while let Some((now, kind)) = run.queue.pop() {
-            run.events += 1;
+            run.report.sim.events += 1;
             run.expire(now);
             let dispatch = match kind {
                 EventKind::Arrival { tenant } => run.on_arrival(now, tenant as usize),
@@ -1094,9 +994,10 @@ fn on_board(board: usize, resource: BoardResource) -> Track {
 /// [`TrafficSim`] driver pops events and calls one `on_*` handler per
 /// [`EventKind`], then [`dispatch`](Run::dispatch); each handler updates
 /// the three channels a step touches — the schedule (queue, pool,
-/// scheduler), the tallies ([`RunStats`], digest) and the narration
-/// ([`span`](Run::span), [`counter`](Run::counter), both no-ops under
-/// [`NullSink`]) — in the order the golden digests pin.
+/// scheduler), the tallies (the [`TrafficReport`] under construction,
+/// digest) and the narration ([`span`](Run::span),
+/// [`counter`](Run::counter), both no-ops under [`NullSink`]) — in the
+/// order the golden digests pin.
 struct Run<'a, S: TraceSink + ?Sized> {
     tenants: &'a [TenantSpec],
     pool: &'a mut BoardPool,
@@ -1122,12 +1023,22 @@ struct Run<'a, S: TraceSink + ?Sized> {
     /// queue bit-for-bit. The enum form keeps the per-event
     /// admit/scan/take calls statically dispatched.
     sched: Scheduler,
+    /// Per-tenant effective deadlines ([`TenantSpec::deadline_secs`]
+    /// with [`ServeConfig::default_deadline_secs`] as the fallback);
+    /// completions strictly past them count as served-late, not goodput.
+    deadlines: Vec<Option<f64>>,
     /// Whether any tenant carries a deadline. With none the expiry
     /// pass, the abort events and the served-late split are all
     /// skipped — the deadline Off-equivalence invariant.
     deadlines_on: bool,
-    /// The shared latency EWMA driving the hedge trigger (SLO-aware
-    /// scheduling owns its own instance inside the policy).
+    /// Whether [`SchedKind::SloAware`]'s reconfiguration gate is in
+    /// force ([`slo_gate_closed`](Run::slo_gate_closed)).
+    slo_gated: bool,
+    /// Whether completions feed `predictor`: only its two readers, the
+    /// SLO gate and the hedge trigger, need it.
+    predicting: bool,
+    /// The one per-tenant latency EWMA, read by the SLO gate and the
+    /// hedge trigger alike.
     predictor: LatencyPredictor,
     /// Scratch for the expiry pass, reused across events.
     expired: Vec<Request>,
@@ -1140,12 +1051,12 @@ struct Run<'a, S: TraceSink + ?Sized> {
     /// touch is skipped, so the uncached schedule — and every golden
     /// digest — replays bit-for-bit.
     cache: ResultCache,
-    stats: RunStats,
-    depth: DepthTimeline,
+    /// The report the run tallies into as it goes; [`finish`](Run::finish)
+    /// adds what only the drained pool and cache know.
+    report: TrafficReport,
     digest: TraceDigest,
-    /// Self-metrics (events popped) and the monotone request id spans
-    /// carry — none of it feeds back into the schedule.
-    events: u64,
+    /// The monotone request id spans carry — it never feeds back into
+    /// the schedule.
     next_trace_id: u64,
 }
 
@@ -1165,6 +1076,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
             .iter()
             .map(|t| t.deadline_secs.or(cfg.default_deadline_secs))
             .collect();
+        let slo_gated = cfg.scheduler == SchedKind::SloAware;
         let mut run = Run {
             tag_boards: pool.size() > 1 || cfg.overlap,
             pcie: pool.pcie(),
@@ -1175,14 +1087,24 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
             offered: 0,
             sched: cfg.scheduler.instantiate(tenants, cfg.queue_capacity),
             deadlines_on: deadlines.iter().any(Option::is_some),
+            deadlines,
+            slo_gated,
+            predicting: slo_gated || cfg.hedge.enabled(),
             predictor: LatencyPredictor::new(tenants.len()),
             expired: Vec::new(),
             memo: CostMemo::new(tenants.len(), cfg.drift_step_secs, cfg.compute_speedup),
             cache: ResultCache::new(cfg.cache, tenants.len()),
-            stats: RunStats::new(tenants, deadlines, cfg.log_requests),
-            depth: DepthTimeline::default(),
+            report: TrafficReport {
+                tenants: tenants
+                    .iter()
+                    .map(|t| TenantStats {
+                        name: t.name.clone(),
+                        ..TenantStats::default()
+                    })
+                    .collect(),
+                ..TrafficReport::default()
+            },
             digest: TraceDigest::new(),
-            events: 0,
             next_trace_id: 0,
             tenants,
             pool,
@@ -1196,34 +1118,28 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
     }
 
     /// The report of a drained run, once conservation holds: no request
-    /// is left in flight and every board is idle.
+    /// is left in flight and every board is idle. The pool-wide counts
+    /// are sums of what the boards and tenants tallied.
     fn finish(self, wall_start: Instant) -> TrafficReport {
         assert!(
             self.visits.is_empty(),
             "a request is still in flight at drain"
         );
         self.pool.assert_drained();
-        let stats = self.stats;
-        TrafficReport {
-            tenants: stats.tenants,
-            cache: self.cache.stats(),
-            duration_secs: stats.last_board_free,
-            reconfigs: stats.reconfigs,
-            reconfig_secs: stats.reconfig_secs,
-            queue_depth: self.depth,
-            boards: self.pool.stats(),
-            stages: stats.stages,
-            overlap_secs: stats.overlap_secs,
-            requests: stats.requests,
-            stall: stats.stall,
-            wasted_work_bytes: stats.wasted_work_bytes,
-            wasted_secs: stats.wasted_secs,
-            sim: SimPerf {
-                wall_secs: wall_start.elapsed().as_secs_f64(),
-                events: self.events,
-            },
-            trace_digest: self.digest.0,
-        }
+        let mut report = self.report;
+        report.boards = self.pool.stats();
+        report.reconfigs = report.boards.iter().map(|b| b.reconfigs).sum();
+        let sum = |count: fn(&TenantStats) -> u64| report.tenants.iter().map(count).sum();
+        report.cache = CacheStats {
+            hits: sum(|t| t.cache_hits),
+            partial_hits: sum(|t| t.cache_partial_hits),
+            misses: sum(|t| t.cache_misses),
+            coalesced: sum(|t| t.cache_coalesced),
+            ..self.cache.stats()
+        };
+        report.sim.wall_secs = wall_start.elapsed().as_secs_f64();
+        report.trace_digest = self.digest.0;
+        report
     }
 
     // ---- narration: every span and counter sample is emitted here ----
@@ -1255,25 +1171,22 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
 
     /// Records the admission queue's depth after it changed at `now`.
     fn sample_depth(&mut self, now: f64) {
-        self.depth.record(now, self.sched.len());
+        self.report.queue_depth.record(now, self.sched.len());
         self.counter(CounterKind::QueueDepth, now, self.sched.len() as f64);
     }
 
     /// Samples the running cache-hit count (full plus partial hits).
     fn sample_cache_hits(&mut self, now: f64) {
         if self.sink.enabled() {
-            let s = self.cache.stats();
-            self.counter(
-                CounterKind::CacheHits,
-                now,
-                (s.hits + s.partial_hits) as f64,
-            );
+            let tenants = self.report.tenants.iter();
+            let hits: u64 = tenants.map(|t| t.cache_hits + t.cache_partial_hits).sum();
+            self.counter(CounterKind::CacheHits, now, hits as f64);
         }
     }
 
     /// Samples the wasted-work ledger's byte total.
     fn sample_wasted(&mut self, time_secs: f64) {
-        let bytes = self.stats.wasted_work_bytes as f64;
+        let bytes = self.report.wasted_work_bytes as f64;
         self.counter(CounterKind::WastedWork, time_secs, bytes);
     }
 
@@ -1298,7 +1211,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
 
     /// Counts one of `tenant`'s requests as expired in the queue.
     fn record_expired(&mut self, tenant: usize) {
-        self.stats.tenants[tenant]
+        self.report.tenants[tenant]
             .outcomes
             .record(RequestOutcome::ExpiredInQueue);
         self.digest.push_all(&[0xE1, tenant as u64]);
@@ -1315,13 +1228,78 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         }
     }
 
-    /// Feeds a completion's latency back to the scheduler (SLO-aware
-    /// gating) and to the hedge trigger's shared predictor.
-    fn observe_latency(&mut self, tenant: usize, latency: &RequestLatency, now: f64) {
-        self.sched.on_complete(tenant, latency, now);
-        if self.cfg.hedge.enabled() {
-            self.predictor.observe(tenant, latency.total());
+    /// Tallies one of `tenant`'s completions into the report and the
+    /// latency predictor, returning its outcome.
+    fn complete(
+        &mut self,
+        tenant: usize,
+        arrival_secs: f64,
+        latency: RequestLatency,
+        host_bytes: u64,
+        switch_bytes: u64,
+    ) -> RequestOutcome {
+        let total = latency.total();
+        if self.predicting {
+            self.predictor.observe(tenant, total);
         }
+        // Strictly past the deadline only: completing at the exact
+        // instant is still goodput (the same boundary in-queue expiry
+        // uses). SLO violations are counted under every scheduler.
+        let late = self.deadlines[tenant].is_some_and(|d| total > d);
+        let violated = self.tenants[tenant].slo_secs.is_some_and(|b| total > b);
+        let outcome = if late {
+            RequestOutcome::ServedLate
+        } else {
+            RequestOutcome::Served
+        };
+        let report = &mut self.report;
+        let t = &mut report.tenants[tenant];
+        t.outcomes.record(outcome);
+        t.latency.record(total);
+        if !late {
+            t.goodput_latency.record(total);
+        }
+        t.queue_wait.record(latency.queue_secs);
+        if violated {
+            t.slo_violations += 1;
+        }
+        t.board_secs += latency.board_secs();
+        if late {
+            // A completion the client abandoned is pure wasted work:
+            // the whole board visit and every byte it moved.
+            report.wasted_secs += latency.board_secs();
+            report.wasted_work_bytes += host_bytes + switch_bytes;
+        }
+        report.stages.record(&latency);
+        report.stall.accumulate(&StallBreakdown::of(&latency));
+        if self.cfg.log_requests {
+            report.requests.push(CompletedRequest {
+                tenant,
+                arrival_secs,
+                latency,
+                host_bytes,
+                switch_bytes,
+                outcome,
+            });
+        }
+        outcome
+    }
+
+    /// [`SchedKind::SloAware`]'s reconfiguration gate: closed while
+    /// `tenant` is warm and its predicted p99 is within its SLO budget,
+    /// so steady in-budget traffic stops paying ICAP stalls and the
+    /// fabric reprograms only when a tenant is about to miss. A cold
+    /// tenant always passes: a fresh deployment needs its first
+    /// configuration. Every other scheduler never closes it.
+    fn slo_gate_closed(&self, tenant: usize) -> bool {
+        let budget = || {
+            self.tenants[tenant]
+                .slo_secs
+                .unwrap_or(SchedKind::FALLBACK_SLO_SECS)
+        };
+        self.slo_gated
+            && self.predictor.is_warm(tenant)
+            && self.predictor.predicted_p99(tenant) <= budget()
     }
 
     /// A DMA transfer on `board` over `[now, end]` that starts while the
@@ -1330,13 +1308,13 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
     /// [`start_fabric`](Run::start_fabric).)
     fn dma_overlap(&mut self, board: usize, now: f64, end: f64) {
         if !self.pool.fabric_free(board) {
-            self.stats.overlap_secs += (end.min(self.pool.fabric_until(board)) - now).max(0.0);
+            self.report.overlap_secs += (end.min(self.pool.fabric_until(board)) - now).max(0.0);
         }
     }
 
-    /// Prices a fabric pass of `tenant`'s `workload` on `board` at `now`:
-    /// the deferred reconfiguration toward `best` — unless the
-    /// scheduler's SLO gate withholds it; `Fifo` never does — then
+    /// Prices a fabric pass of `tenant`'s `workload` on `board`: the
+    /// deferred reconfiguration toward `best` — unless the SLO gate
+    /// ([`slo_gate_closed`](Run::slo_gate_closed)) withholds it — then
     /// preprocessing under the resulting configuration. A partial cache
     /// hit reuses the cached fabric output and prices neither (callers
     /// skip it), so the visit keeps the saved cost it copied out of the
@@ -1348,18 +1326,16 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         workload: &Workload,
         best: HwConfig,
         board: usize,
-        now: f64,
     ) -> FabricPass {
         let mut reconfig_secs = 0.0;
-        if self.sched.allow_reconfig(tenant, now) {
+        if !self.slo_gate_closed(tenant) {
             if let Some(stall) = self
                 .memo
                 .maybe_reconfigure(tenant, workload, best, self.pool, board)
             {
                 reconfig_secs = stall;
-                self.stats.reconfigs += 1;
-                self.stats.reconfig_secs += stall;
-                self.stats.tenants[tenant].reconfigs += 1;
+                self.report.reconfig_secs += stall;
+                self.report.tenants[tenant].reconfigs += 1;
                 self.digest.push(0x2C);
                 if self.tag_boards {
                     self.digest.push(board as u64);
@@ -1384,7 +1360,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
             return;
         }
         let mut expired = std::mem::take(&mut self.expired);
-        self.sched.expire(now, &self.stats.deadlines, &mut expired);
+        self.sched.expire(now, &self.deadlines, &mut expired);
         let any = !expired.is_empty();
         for rq in expired.drain(..) {
             self.record_expired(rq.tenant);
@@ -1418,7 +1394,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
             self.cache.observe(tenant, bucket, costs.coo_bytes);
             let resident = self.pool.resident_boards(tenant).next().is_some();
             if self.cache.full_hit(tenant, bucket, resident).is_some() {
-                self.stats.tenants[tenant].cache_hits += 1;
+                self.report.tenants[tenant].cache_hits += 1;
                 self.digest.push_all(&[0xCA, tenant as u64]);
                 self.sample_cache_hits(now);
                 // Served at lookup cost: no board stage runs and no trace
@@ -1455,7 +1431,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
                 return false;
             }
             if self.cache.park(tenant, bucket, now) {
-                self.stats.tenants[tenant].cache_coalesced += 1;
+                self.report.tenants[tenant].cache_coalesced += 1;
                 self.digest.push_all(&[0xC0, tenant as u64]);
                 return false;
             }
@@ -1467,8 +1443,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
             tenant,
             arrival_secs: now,
         }) {
-            self.stats.tenants[tenant].dropped += 1;
-            self.stats.tenants[tenant]
+            self.report.tenants[tenant]
                 .outcomes
                 .record(RequestOutcome::DroppedAtAdmission);
             self.digest.push(0xD0);
@@ -1528,14 +1503,13 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
     fn on_service_done(&mut self, now: f64, visit: Handle) -> bool {
         let rq = self.visits.remove(visit);
         let (tenant, board, latency) = (rq.tenant, rq.board, rq.latency());
-        let outcome = self.stats.complete(
+        let outcome = self.complete(
             tenant,
             rq.arrival_secs,
             latency,
             rq.host_bytes,
             rq.switch_bytes,
         );
-        self.observe_latency(tenant, &latency, now);
         if outcome == RequestOutcome::ServedLate {
             self.sample_wasted(now);
         }
@@ -1544,7 +1518,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         if rq.cached {
             // A cache-served completion never held a board: nothing to
             // release, no entry to refill.
-            self.stats.last_board_free = now;
+            self.report.duration_secs = now;
             return false;
         }
         if self.tag_boards {
@@ -1556,7 +1530,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         } else {
             self.pool.release(board);
         }
-        self.stats.last_board_free = now;
+        self.report.duration_secs = now;
         if self.cache.enabled() {
             // Refill the tenant's cache entry from this board-served
             // completion and drain any arrivals that coalesced onto it
@@ -1581,8 +1555,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
                     cache_secs: now - waited_since,
                     ..RequestLatency::default()
                 };
-                self.stats.complete(tenant, waited_since, wl, 0, 0);
-                self.observe_latency(tenant, &wl, now);
+                self.complete(tenant, waited_since, wl, 0, 0);
                 self.digest
                     .push_all(&[0xCE, tenant as u64, wl.total().to_bits()]);
             }
@@ -1611,14 +1584,14 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
             return false;
         }
         let rq = self.visits.remove(handle);
-        self.stats.tenants[rq.tenant]
+        self.report.tenants[rq.tenant]
             .outcomes
             .record(RequestOutcome::Aborted);
         // The abort writes off everything the board already paid: the
         // ingest, plus the reconfiguration and fabric pass once the
         // hand-off was queued.
-        self.stats.wasted_secs += rq.upload_secs + rq.reconfig_secs + rq.preprocess_secs;
-        self.stats.wasted_work_bytes += rq.host_bytes + rq.switch_bytes;
+        self.report.wasted_secs += rq.upload_secs + rq.reconfig_secs + rq.preprocess_secs;
+        self.report.wasted_work_bytes += rq.host_bytes + rq.switch_bytes;
         self.digest
             .push_all(&[0xAB, rq.tenant as u64, board as u64]);
         self.span(
@@ -1644,11 +1617,11 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
     fn on_hedge_won(&mut self, now: f64, board: usize, tenant: usize) -> bool {
         self.pool.release_dma(board);
         self.pool.release_fabric(board);
-        self.stats.tenants[tenant]
+        self.report.tenants[tenant]
             .outcomes
             .record(RequestOutcome::HedgeLoser);
         self.digest.push_all(&[0x4F, tenant as u64, board as u64]);
-        self.stats.last_board_free = now;
+        self.report.duration_secs = now;
         true
     }
 
@@ -1719,11 +1692,11 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
             self.cache.observe(tenant, bucket, coo_bytes);
             let saved = self.cache.serve_partial(tenant, bucket);
             if saved.is_some() {
-                self.stats.tenants[tenant].cache_partial_hits += 1;
+                self.report.tenants[tenant].cache_partial_hits += 1;
                 self.digest.push_all(&[0xCF, tenant as u64, board as u64]);
                 self.sample_cache_hits(now);
             } else {
-                self.stats.tenants[tenant].cache_misses += 1;
+                self.report.tenants[tenant].cache_misses += 1;
             }
             (saved, self.cache.cum_delta(tenant))
         } else {
@@ -1822,7 +1795,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
                 board: event_id(board),
             },
         );
-        if let Some(d) = self.stats.deadlines[rq.tenant] {
+        if let Some(d) = self.deadlines[rq.tenant] {
             // Stage-abort alarm: if the request still waits on an
             // unstarted stage when this pops, its slot is abandoned.
             // Tagged with the trace id so a recycled slab slot cannot be
@@ -1845,7 +1818,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
     /// and hands the subgraph off but skips the fabric pass.
     fn dispatch_serial(&mut self, mut rq: Visit, now: f64) {
         if !rq.partial {
-            let pass = self.fabric_pass(rq.tenant, &rq.workload, rq.best, rq.board, now);
+            let pass = self.fabric_pass(rq.tenant, &rq.workload, rq.best, rq.board);
             rq.charge(pass);
         }
         let win = match self.hedge_board(&rq, now) {
@@ -1928,8 +1901,8 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         // completion, so its board frees only once both the cancellation
         // and the ICAP stall have passed.
         let free_at = win.serial_done().max(now + lose.reconfig_secs);
-        self.stats.wasted_secs += free_at - now;
-        self.stats.wasted_work_bytes += lose.host_bytes + lose.switch_bytes;
+        self.report.wasted_secs += free_at - now;
+        self.report.wasted_work_bytes += lose.host_bytes + lose.switch_bytes;
         self.pool.occupy(lose.board, now, free_at);
         self.queue.push(
             free_at,
@@ -1954,7 +1927,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         let rq = self.visits.get(handle);
         if !rq.partial {
             let (tenant, workload, best) = (rq.tenant, rq.workload, rq.best);
-            let pass = self.fabric_pass(tenant, &workload, best, board, now);
+            let pass = self.fabric_pass(tenant, &workload, best, board);
             self.visits.get_mut(handle).charge(pass);
         }
         let rq = self.visits.get_mut(handle);
@@ -1972,7 +1945,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         // The fabric starting under an in-flight DMA transfer is
         // pipeline overlap (the symmetric case is `Run::dma_overlap`).
         if !self.pool.dma_free(board) {
-            self.stats.overlap_secs += (done.min(self.pool.dma_until(board)) - now).max(0.0);
+            self.report.overlap_secs += (done.min(self.pool.dma_until(board)) - now).max(0.0);
         }
         self.queue.push(
             done,
@@ -2384,8 +2357,98 @@ pub fn simulate(tenants: Vec<TenantSpec>, config: ServeConfig) -> TrafficReport 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agnn_graph::datasets::Dataset;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Whether each tenant's SLO gate is closed once a fresh run over
+    /// tenants with SLO `budgets`, under `scheduler` with hedging on, has
+    /// completed requests of the given `(tenant, latency seconds)`.
+    fn gate_after(
+        scheduler: SchedKind,
+        budgets: &[Option<f64>],
+        completions: &[(usize, f64)],
+    ) -> Vec<bool> {
+        let tenants = budgets
+            .iter()
+            .map(|&slo_secs| TenantSpec {
+                slo_secs,
+                ..TenantSpec::new("t", Dataset::Movie, 1.0)
+            })
+            .collect();
+        let cfg = ServeConfig {
+            scheduler,
+            boards: 2,
+            hedge: HedgeKind::latency(),
+            ..ServeConfig::default()
+        };
+        let mut sim = TrafficSim::new(tenants, cfg);
+        let TrafficSim {
+            tenants,
+            config,
+            pool,
+        } = &mut sim;
+        let mut sink = NullSink;
+        let mut run = Run::new(tenants, pool, config, &mut sink);
+        for &(tenant, secs) in completions {
+            let latency = RequestLatency {
+                preprocess_secs: secs,
+                ..RequestLatency::default()
+            };
+            run.complete(tenant, 0.0, latency, 0, 0);
+        }
+        (0..budgets.len()).map(|t| run.slo_gate_closed(t)).collect()
+    }
+
+    /// `n` completions of `tenant` at `secs` each.
+    fn steady(tenant: usize, secs: f64, n: usize) -> Vec<(usize, f64)> {
+        vec![(tenant, secs); n]
+    }
+
+    #[test]
+    fn cold_tenants_always_pass_the_gate() {
+        let gate = gate_after(SchedKind::SloAware, &[Some(1.0), Some(1.0)], &[]);
+        assert_eq!(gate, [false, false]);
+    }
+
+    #[test]
+    fn within_budget_traffic_closes_the_gate() {
+        let gate = gate_after(SchedKind::SloAware, &[Some(1.0)], &steady(0, 0.1, 50));
+        assert_eq!(gate, [true], "comfortably inside the SLO");
+        // A tenant declaring no budget is held to the fallback.
+        let gate = gate_after(SchedKind::SloAware, &[None], &steady(0, 0.1, 50));
+        assert_eq!(gate, [true]);
+        let gate = gate_after(SchedKind::SloAware, &[None], &steady(0, 1.5, 50));
+        assert_eq!(gate, [false], "above the 1 s fallback budget");
+    }
+
+    #[test]
+    fn a_building_tail_reopens_the_gate() {
+        let mut completions = steady(0, 0.5, 20);
+        let gate = gate_after(SchedKind::SloAware, &[Some(1.0)], &completions);
+        assert_eq!(gate, [true]);
+        completions.extend(steady(0, 3.0, 20));
+        let gate = gate_after(SchedKind::SloAware, &[Some(1.0)], &completions);
+        assert_eq!(gate, [false], "SLO breach reopens the gate");
+    }
+
+    #[test]
+    fn budgets_are_per_tenant() {
+        let mut completions = steady(0, 1.0, 30);
+        completions.extend(steady(1, 1.0, 30));
+        let gate = gate_after(SchedKind::SloAware, &[Some(0.2), Some(5.0)], &completions);
+        assert_eq!(gate, [false, true], "1 s breaches 0.2 s but clears 5 s");
+    }
+
+    /// Hedging warms the one predictor under every scheduler, but only
+    /// `SloAware` reads it as a gate.
+    #[test]
+    fn fifo_never_gates_reconfigurations() {
+        for scheduler in [SchedKind::Fifo, SchedKind::weighted_fair()] {
+            let gate = gate_after(scheduler, &[Some(1.0)], &steady(0, 0.1, 50));
+            assert_eq!(gate, [false], "{scheduler:?}");
+        }
+    }
 
     /// The reference FNV-1a: one XOR and one multiply per little-endian
     /// byte of the word.

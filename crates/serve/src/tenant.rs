@@ -195,17 +195,15 @@ pub struct TenantSpec {
     pub arrival: ArrivalProcess,
     /// How the tenant's graph drifts over the horizon.
     pub drift: Drift,
-    /// Operator-pinned home board for `TenantAffine` placement; `None`
-    /// hashes the tenant index over the pool.
-    pub pinned_board: Option<usize>,
     /// Fair-queueing weight ([`crate::sched::SchedKind::WeightedFair`]):
     /// the tenant's share of dispatch service relative to other tenants.
     /// Must be positive and finite; 1.0 = an equal share.
     pub weight: f64,
-    /// End-to-end p99 latency budget in seconds. Drives the
-    /// [`crate::sched::SchedKind::SloAware`] reconfiguration gate (when
-    /// `None`, that scheduler's default budget applies) and, whenever
-    /// set, the per-tenant `slo_violations` counter in
+    /// End-to-end p99 latency budget in seconds. Under
+    /// [`crate::sched::SchedKind::SloAware`] the run's reconfiguration
+    /// gate compares the tenant's predicted p99 with it (when `None`,
+    /// [`crate::sched::SchedKind::FALLBACK_SLO_SECS`] applies). Whenever
+    /// set, it also drives the per-tenant `slo_violations` counter in
     /// [`crate::metrics::TenantStats`] — which is recorded under *every*
     /// scheduler, so SLO attainment is comparable across policies.
     pub slo_secs: Option<f64>,
@@ -233,7 +231,6 @@ impl TenantSpec {
             batch: 3_000,
             arrival: ArrivalProcess::Poisson { rate_rps },
             drift: Drift::table_ii(dataset),
-            pinned_board: None,
             weight: 1.0,
             slo_secs: None,
             deadline_secs: None,
@@ -344,18 +341,14 @@ impl TenantSpec {
     }
 
     /// The board `TenantAffine` placement routes this tenant to in a pool
-    /// of `pool_size` boards: the pinned board when set, otherwise the
-    /// tenant index hashed over the pool.
+    /// of `pool_size` boards: the tenant index hashed over the pool.
     ///
     /// # Panics
     ///
     /// Panics if `pool_size` is zero.
     pub fn home_board(&self, tenant_index: usize, pool_size: usize) -> usize {
         assert!(pool_size > 0, "pool must hold at least one board");
-        match self.pinned_board {
-            Some(board) => board % pool_size,
-            None => tenant_index % pool_size,
-        }
+        tenant_index % pool_size
     }
 
     /// Base (day-0) node and edge counts after down-scaling.
@@ -506,11 +499,9 @@ mod tests {
 
     #[test]
     fn home_board_hashes_unless_pinned() {
-        let mut tenant = TenantSpec::new("t", Dataset::Movie, 1.0);
+        let tenant = TenantSpec::new("t", Dataset::Movie, 1.0);
         assert_eq!(tenant.home_board(5, 4), 1);
         assert_eq!(tenant.home_board(5, 1), 0, "single board absorbs all");
-        tenant.pinned_board = Some(7);
-        assert_eq!(tenant.home_board(5, 4), 3, "pins wrap into the pool");
     }
 
     #[test]

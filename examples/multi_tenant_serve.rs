@@ -170,8 +170,8 @@ fn fairness_table(label: &str, r: &TrafficReport) {
         println!(
             "{:<14} {:>9} {:>8} {:>7.2}% {:>13.1} {:>10.1} {:>9}",
             t.name,
-            t.completed,
-            t.dropped,
+            t.completed(),
+            t.dropped(),
             t.drop_rate() * 100.0,
             t.queue_wait.quantile(0.99) * 1e3,
             t.latency.quantile(0.99) * 1e3,
@@ -230,7 +230,7 @@ fn cache_table(label: &str, r: &TrafficReport) {
         println!(
             "{:<14} {:>9} {:>8} {:>9} {:>8} {:>8} {:>9.1}",
             t.name,
-            t.completed,
+            t.completed(),
             t.cache_hits,
             t.cache_partial_hits,
             t.cache_misses,
@@ -386,7 +386,7 @@ fn scheduler_act(
                 shared > fair * 10.0,
                 "FIFO must blow the victim tail up where WFQ does not"
             );
-            assert_eq!(wfq.tenants[v].dropped, 0, "quotas protect victim backlog");
+            assert_eq!(wfq.tenants[v].dropped(), 0, "quotas protect victim backlog");
         }
         println!(
             "\nWFQ held victim p99 within {:.1}x / {:.1}x of the isolated run \
@@ -395,7 +395,7 @@ fn scheduler_act(
             wfq.tenants[1].latency.quantile(0.99) / isolated.tenants[1].latency.quantile(0.99),
             fifo.tenants[0].latency.quantile(0.99) / isolated.tenants[0].latency.quantile(0.99),
             fifo.tenants[1].latency.quantile(0.99) / isolated.tenants[1].latency.quantile(0.99),
-            fifo.tenants[0].dropped + fifo.tenants[1].dropped,
+            fifo.tenants[0].dropped() + fifo.tenants[1].dropped(),
         );
     }
 }

@@ -6,6 +6,7 @@
 //! and placement policies.
 
 use agnn_graph::datasets::Dataset;
+use agnn_serve::metrics::SimPerf;
 use agnn_serve::pool::{MigratePolicy, PlacementPolicy};
 use agnn_serve::sched::SchedKind;
 use agnn_serve::sim::{simulate, DispatchPolicy, HedgeKind, ServeConfig, TrafficSim};
@@ -64,7 +65,11 @@ fn backpressure_is_fully_accounted() {
     assert_eq!(report.completed() + report.dropped(), 10_000);
     assert!(report.dropped() > 0, "tiny queue under load must drop");
     assert!(report.queue_depth.max_depth() <= 8);
-    let per_tenant: u64 = report.tenants.iter().map(|t| t.completed + t.dropped).sum();
+    let per_tenant: u64 = report
+        .tenants
+        .iter()
+        .map(|t| t.completed() + t.dropped())
+        .sum();
     assert_eq!(per_tenant, 10_000, "per-tenant accounting sums to offered");
 }
 
@@ -84,7 +89,7 @@ fn drop_rate_counts_expired_arrivals() {
     assert!(report.dropped() > 0, "tiny queue under load must drop");
     assert!(report.expired_in_queue() > 0, "tight deadline must expire");
     for t in &report.tenants {
-        let want = t.dropped as f64 / t.arrivals() as f64;
+        let want = t.dropped() as f64 / t.arrivals() as f64;
         assert_eq!(t.drop_rate().to_bits(), want.to_bits(), "{}", t.name);
     }
     let arrivals = report.outcomes().arrival_terminal();
@@ -277,12 +282,7 @@ fn hedge_and_abort_paths_reproduce_pinned_digests() {
         let names = tenants.iter().map(|t| t.name.clone()).collect();
         let mut writer = ChromeTraceWriter::with_tenant_names(names);
         let report = TrafficSim::new(tenants, p.cfg).run_traced(&mut writer);
-        let narration = writer
-            .finish()
-            .bytes()
-            .fold(0xCBF2_9CE4_8422_2325_u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-            });
+        let narration = fnv1a(writer.finish().as_bytes());
         let label = p.label;
         assert_eq!(report.hedges(), p.hedges, "{label}: hedges");
         assert_eq!(report.expired_in_queue(), p.expired, "{label}: expired");
@@ -290,6 +290,48 @@ fn hedge_and_abort_paths_reproduce_pinned_digests() {
         assert_eq!(report.trace_digest, p.digest, "{label}: trace digest");
         assert_eq!(narration, p.narration, "{label}: narration hash");
     }
+}
+
+/// FNV-1a over `bytes`, the hash the narration and report pins record.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325_u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// One latency predictor feeds both the SLO reconfiguration gate and the
+/// hedge trigger: a serial SLO-aware run with hedging, pinned at its
+/// recorded digest and report bytes (`sim` zeroed). The run hedges, and
+/// the gate holds most reconfigurations that the same run under `Fifo`
+/// pays, so both consumers read the predictor here.
+#[test]
+fn slo_gate_and_hedging_share_one_predictor() {
+    let mut tenants = drift_heavy_tenants();
+    tenants[0].slo_secs = Some(0.3);
+    tenants[2].slo_secs = Some(5.0);
+    let cfg = |scheduler| ServeConfig {
+        seed: 1,
+        total_requests: 3_000,
+        boards: 2,
+        placement: PlacementPolicy::BitstreamAffine,
+        default_deadline_secs: Some(2.0),
+        hedge: HedgeKind::latency(),
+        scheduler,
+        ..ServeConfig::reconfig_aware()
+    };
+    let mut report = simulate(tenants.clone(), cfg(SchedKind::SloAware));
+    report.sim = SimPerf::default();
+    assert_eq!(report.hedges(), 49, "hedges");
+    assert_eq!(report.reconfigs, 4, "reconfigs");
+    assert_eq!(report.trace_digest, 0xB6D2_7562_D8C2_680E, "trace digest");
+    assert_eq!(fnv1a(report.to_json().as_bytes()), 0x001D_2133_92A7_1125);
+    let ungated = simulate(tenants, cfg(SchedKind::Fifo));
+    assert!(
+        ungated.reconfigs > 100 * report.reconfigs,
+        "the gate must have closed: {} vs {}",
+        report.reconfigs,
+        ungated.reconfigs
+    );
 }
 
 /// A simulator over one tenant whose arrival process is `arrival`,
@@ -369,13 +411,22 @@ fn construction_rejects_a_zero_tenant_weight() {
     TrafficSim::new(vec![tenant], ServeConfig::weighted_fair());
 }
 
-/// The SLO-aware scheduler would reject the budget inside `run()`;
-/// construction rejects it first, under any scheduler.
+/// A NaN budget would never trip the SLO gate or the violation count;
+/// construction rejects it, under any scheduler.
 #[test]
 #[should_panic(expected = "tenant SLO budget must be positive and finite")]
 fn construction_rejects_a_nan_slo_budget() {
     let mut tenant = TenantSpec::new("feed", Dataset::Movie, 1.0);
     tenant.slo_secs = Some(f64::NAN);
+    TrafficSim::new(vec![tenant], ServeConfig::slo_aware());
+}
+
+/// A negative budget is rejected at construction too.
+#[test]
+#[should_panic(expected = "tenant SLO budget must be positive and finite")]
+fn non_positive_budgets_are_rejected() {
+    let mut tenant = TenantSpec::new("feed", Dataset::Movie, 1.0);
+    tenant.slo_secs = Some(-1.0);
     TrafficSim::new(vec![tenant], ServeConfig::slo_aware());
 }
 
@@ -803,13 +854,12 @@ proptest! {
         // The satellite assert: the aggregate drop count is exactly the
         // sum of the per-tenant counts — WFQ's per-tenant quota refusals
         // are attributed to the right tenant, never pooled.
-        let tenant_drops: u64 = report.tenants.iter().map(|t| t.dropped).sum();
+        let tenant_drops: u64 = report.tenants.iter().map(|t| t.dropped()).sum();
         prop_assert_eq!(report.dropped(), tenant_drops);
         let per_tenant: u64 = report.tenants.iter().map(|t| t.arrivals()).sum();
         prop_assert_eq!(per_tenant, total);
         for t in &report.tenants {
-            prop_assert_eq!(t.outcomes.served + t.outcomes.served_late, t.completed);
-            prop_assert_eq!(t.outcomes.dropped_at_admission, t.dropped);
+            prop_assert_eq!(t.latency.count(), t.completed(), "one sample per completion");
             prop_assert_eq!(
                 t.goodput_latency.count(),
                 t.outcomes.served,
@@ -1174,7 +1224,7 @@ proptest! {
         for t in &report.tenants {
             prop_assert_eq!(
                 t.cache_hits + t.cache_partial_hits + t.cache_misses + t.cache_coalesced,
-                t.completed,
+                t.completed(),
                 "per-tenant classification partitions completions"
             );
         }
@@ -1382,11 +1432,12 @@ fn wfq_bounds_victim_p99_under_a_bursty_aggressor() {
              magnitude where WFQ does not: {fifo_p99} vs {wfq_p99}"
         );
         assert_eq!(
-            wfq.tenants[v].dropped, 0,
+            wfq.tenants[v].dropped(),
+            0,
             "{name}: the aggressor's burst cannot evict a victim's backlog"
         );
         assert!(
-            fifo.tenants[v].dropped > 0,
+            fifo.tenants[v].dropped() > 0,
             "{name}: the shared FIFO queue drops victim traffic"
         );
         assert!(
@@ -1396,7 +1447,7 @@ fn wfq_bounds_victim_p99_under_a_bursty_aggressor() {
     }
     // The aggressor pays: its quota caps its backlog, so it drops more —
     // but per-tenant accounting still conserves every request.
-    assert!(wfq.tenants[2].dropped > fifo.tenants[2].dropped);
+    assert!(wfq.tenants[2].dropped() > fifo.tenants[2].dropped());
     assert_eq!(wfq.completed() + wfq.dropped(), 6_000);
     // Determinism of the WFQ event model.
     let again = simulate(
@@ -1857,7 +1908,7 @@ fn serving_prices_match_the_runtime_models() {
     // Board time accumulated but light load means no queueing backlog:
     // latency p50 stays close to the mean service time.
     assert!(stats.board_secs > 0.0);
-    let mean_service = stats.board_secs / stats.completed as f64;
+    let mean_service = stats.board_secs / stats.completed() as f64;
     let p50 = stats.latency.quantile(0.5);
     assert!(
         p50 < mean_service * 10.0,
@@ -1988,13 +2039,13 @@ fn coalescing_preserves_the_served_multiset_under_drops() {
     );
     for t in &report.tenants {
         assert_eq!(
-            t.completed + t.dropped,
-            t.cache_hits + t.cache_partial_hits + t.cache_misses + t.cache_coalesced + t.dropped,
+            t.completed() + t.dropped(),
+            t.cache_hits + t.cache_partial_hits + t.cache_misses + t.cache_coalesced + t.dropped(),
             "per-tenant: every non-dropped arrival is classified once"
         );
         assert_eq!(
             t.latency.count(),
-            t.completed,
+            t.completed(),
             "every completion (waiters included) lands in the histogram"
         );
     }
