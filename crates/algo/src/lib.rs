@@ -3,8 +3,9 @@
 //! Everything the accelerator computes in hardware exists here first as a
 //! plain, well-tested software implementation:
 //!
-//! - [`scan`] — prefix sums, *set-partitioning* (Fig. 8) and *set-counting*
-//!   (Fig. 9), the two primitives §IV-A reduces all preprocessing to;
+//! - [`scan`] — prefix sums and *set-partitioning* (Fig. 8), one of the two
+//!   primitives §IV-A reduces all preprocessing to (the other,
+//!   *set-counting* (Fig. 9), lives in [`reshape`] and [`reindex`]);
 //! - [`sort`] — radix sort and merges (the Table IV `Ordering` baseline);
 //! - [`ordering`] — edge ordering: sort edges by (dst, src) (§II-B);
 //! - [`reshape`] — data reshaping: CSC pointer-array construction, both the

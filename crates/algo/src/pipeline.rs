@@ -54,23 +54,6 @@ impl SampleParams {
             strategy: SelectionStrategy::LayerWise,
         }
     }
-
-    /// Total node draws the analytic cost model expects:
-    /// `s = b·(k^(l+1) − 1)/(k − 1)` (Table I; see `docs/FIDELITY.md` on
-    /// the geometric-sum reading of the paper's formula). Saturates at
-    /// `u64::MAX` when the geometric sum overflows — large `k`·`layers`
-    /// products exceed any physical frontier long before `2^64` draws.
-    pub fn expected_selections(&self, batch_size: usize) -> u64 {
-        let k = self.k as u64;
-        let b = batch_size as u64;
-        if k <= 1 {
-            return b.saturating_mul(u64::from(self.layers) + 1);
-        }
-        match self.layers.checked_add(1).and_then(|e| k.checked_pow(e)) {
-            Some(power) => b.saturating_mul((power - 1) / (k - 1)),
-            None => u64::MAX,
-        }
-    }
 }
 
 /// One selection pool as processed by a UPE: its size and the positions
@@ -354,33 +337,6 @@ mod tests {
     fn convert_matches_counting_sort_reference() {
         let (coo, _) = setup();
         assert_eq!(convert(&coo), Csc::from_coo(&coo));
-    }
-
-    #[test]
-    fn expected_selections_geometric_sum() {
-        let p = SampleParams::new(10, 2);
-        // 1 + 10 + 100 per batch node.
-        assert_eq!(p.expected_selections(3000), 3000 * 111);
-        let p1 = SampleParams::new(1, 3);
-        assert_eq!(p1.expected_selections(2), 8);
-    }
-
-    #[test]
-    fn expected_selections_saturates_instead_of_overflowing() {
-        // k^(layers+1) far beyond u64: must not panic in debug or wrap in
-        // release (regression: `k.pow(layers + 1)` overflowed).
-        let huge = SampleParams::new(1_000, 10);
-        assert_eq!(huge.expected_selections(64), u64::MAX);
-        // The maximum layer count must not overflow `layers + 1`, for any k.
-        let deep = SampleParams::new(1, u32::MAX);
-        assert_eq!(deep.expected_selections(2), 2 * (u64::from(u32::MAX) + 1));
-        let deep_wide = SampleParams::new(2, u32::MAX);
-        assert_eq!(deep_wide.expected_selections(1), u64::MAX);
-        // Saturation also guards the batch multiply.
-        let wide = SampleParams::new(2, 62);
-        assert_eq!(wide.expected_selections(usize::MAX), u64::MAX);
-        // In-range values are exact.
-        assert_eq!(SampleParams::new(10, 2).expected_selections(1), 111);
     }
 
     #[test]

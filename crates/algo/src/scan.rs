@@ -1,11 +1,13 @@
-//! Prefix sums, set-partitioning and set-counting.
+//! Prefix sums and set-partitioning.
 //!
 //! §IV-A observes that every GNN preprocessing task reduces to one of two
 //! primitives: **set-partitioning** ("divides a given array … into two
 //! disjoint subsets by evaluating each element", implemented by relocating
 //! elements according to prefix-sum results, Fig. 8) and **set-counting**
 //! ("examines all elements in a set against a specified condition and counts
-//! the number that satisfy it", Fig. 9).
+//! the number that satisfy it", Fig. 9). Set-counting has no standalone
+//! routine: [`crate::reshape::pointer_array_set_counting`] and
+//! [`crate::reindex::reindex_set_counting`] apply it where it is used.
 
 /// Inclusive prefix sum: `out[i] = in[0] + … + in[i]`.
 ///
@@ -22,28 +24,6 @@ pub fn inclusive_prefix_sum(values: &[u32]) -> Vec<u32> {
     for &v in values {
         acc += v;
         out.push(acc);
-    }
-    out
-}
-
-/// Exclusive prefix sum: `out[i] = in[0] + … + in[i-1]`, `out[0] = 0`.
-///
-/// This is the "exclusive write index in the output" Fig. 8 uses to scatter
-/// elements in one pass.
-///
-/// # Examples
-///
-/// ```
-/// use agnn_algo::scan::exclusive_prefix_sum;
-///
-/// assert_eq!(exclusive_prefix_sum(&[1, 0, 1, 1]), vec![0, 1, 1, 2]);
-/// ```
-pub fn exclusive_prefix_sum(values: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(values.len());
-    let mut acc = 0u32;
-    for &v in values {
-        out.push(acc);
-        acc += v;
     }
     out
 }
@@ -73,41 +53,6 @@ pub fn set_partition<T: Copy>(items: &[T], mut cond: impl FnMut(&T) -> bool) -> 
     (yes, no)
 }
 
-/// Set-partition expressed exactly as the hardware does it: compute the
-/// exclusive prefix sum of the condition array (each true element's write
-/// index), then scatter. Returns the compacted condition-true subset plus the
-/// displacement array, so callers (and tests) can inspect the intermediate
-/// the UPE relocation logic consumes.
-pub fn set_partition_by_prefix<T: Copy + Default>(
-    items: &[T],
-    cond: &[bool],
-) -> (Vec<T>, Vec<u32>) {
-    assert_eq!(items.len(), cond.len(), "condition array length mismatch");
-    let flags: Vec<u32> = cond.iter().map(|&c| u32::from(c)).collect();
-    let write_index = exclusive_prefix_sum(&flags);
-    let kept = flags.iter().sum::<u32>() as usize;
-    let mut out = vec![T::default(); kept];
-    for i in 0..items.len() {
-        if cond[i] {
-            out[write_index[i] as usize] = items[i];
-        }
-    }
-    (out, write_index)
-}
-
-/// Set-counting: number of elements satisfying `cond`.
-///
-/// # Examples
-///
-/// ```
-/// use agnn_algo::scan::set_count;
-///
-/// assert_eq!(set_count(&[5, 2, 9, 2], |&x| x < 5), 2);
-/// ```
-pub fn set_count<T>(items: &[T], cond: impl Fn(&T) -> bool) -> usize {
-    items.iter().filter(|item| cond(item)).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,16 +61,6 @@ mod tests {
     #[test]
     fn prefix_sums_of_empty_are_empty() {
         assert!(inclusive_prefix_sum(&[]).is_empty());
-        assert!(exclusive_prefix_sum(&[]).is_empty());
-    }
-
-    #[test]
-    fn exclusive_is_shifted_inclusive() {
-        let v = [3, 1, 4, 1, 5];
-        let inc = inclusive_prefix_sum(&v);
-        let exc = exclusive_prefix_sum(&v);
-        assert_eq!(exc[0], 0);
-        assert_eq!(&inc[..4], &exc[1..]);
     }
 
     #[test]
@@ -133,29 +68,6 @@ mod tests {
         let (yes, no) = set_partition(&[5, 1, 4, 2, 3], |&x| x >= 3);
         assert_eq!(yes, vec![5, 4, 3]);
         assert_eq!(no, vec![1, 2]);
-    }
-
-    #[test]
-    fn partition_by_prefix_matches_direct_partition() {
-        let items = [10u32, 20, 30, 40, 50];
-        let cond = [true, false, true, true, false];
-        let (by_prefix, write_index) = set_partition_by_prefix(&items, &cond);
-        let (direct, _) = set_partition(&items, |&x| [10, 30, 40].contains(&x));
-        assert_eq!(by_prefix, direct);
-        assert_eq!(write_index, vec![0, 1, 1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn partition_by_prefix_rejects_mismatched_lengths() {
-        set_partition_by_prefix(&[1, 2, 3], &[true]);
-    }
-
-    #[test]
-    fn set_count_all_and_none() {
-        let v = [1, 2, 3];
-        assert_eq!(set_count(&v, |_| true), 3);
-        assert_eq!(set_count(&v, |_| false), 0);
     }
 
     proptest! {
@@ -180,16 +92,6 @@ mod tests {
             prop_assert_eq!(recombined, sorted_in);
             prop_assert!(yes.iter().all(|&x| x < threshold));
             prop_assert!(no.iter().all(|&x| x >= threshold));
-        }
-
-        #[test]
-        fn prop_prefix_partition_equals_filter(
-            v in proptest::collection::vec(0u32..64, 0..128),
-        ) {
-            let cond: Vec<bool> = v.iter().map(|&x| x % 3 == 0).collect();
-            let (kept, _) = set_partition_by_prefix(&v, &cond);
-            let filtered: Vec<u32> = v.iter().copied().filter(|&x| x % 3 == 0).collect();
-            prop_assert_eq!(kept, filtered);
         }
     }
 }

@@ -53,12 +53,6 @@ impl FeatureTable {
         let indices: Vec<usize> = new_to_old.iter().map(|v| v.index()).collect();
         self.features.gather_rows(&indices)
     }
-
-    /// Bytes of the gathered subgraph table (4-byte floats) — the quantity
-    /// the GPU must load per inference.
-    pub fn gather_bytes(&self, num_sampled: usize) -> u64 {
-        num_sampled as u64 * self.dim() as u64 * 4
-    }
 }
 
 #[cfg(test)]
@@ -73,12 +67,6 @@ mod tests {
         assert_eq!(gathered.row(0), table.matrix().row(7));
         assert_eq!(gathered.row(1), table.matrix().row(0));
         assert_eq!(gathered.row(0), gathered.row(2));
-    }
-
-    #[test]
-    fn gather_bytes_counts_floats() {
-        let table = FeatureTable::random(10, 16, 1);
-        assert_eq!(table.gather_bytes(100), 100 * 16 * 4);
     }
 
     #[test]

@@ -104,15 +104,6 @@ impl Coo {
         Ok(())
     }
 
-    /// Grows the vertex range (new vertices start with no edges).
-    pub fn grow_vertices(&mut self, new_num_vertices: usize) {
-        assert!(
-            new_num_vertices >= self.num_vertices,
-            "vertex range can only grow"
-        );
-        self.num_vertices = new_num_vertices;
-    }
-
     /// Returns whether the edge array is sorted by `(dst, src)`.
     pub fn is_sorted_by_dst_src(&self) -> bool {
         self.edges
@@ -249,20 +240,6 @@ mod tests {
         assert_eq!(g.num_edges(), 4, "failed extend must not mutate");
         g.extend_edges([Edge::new(Vid(0), Vid(0))]).unwrap();
         assert_eq!(g.num_edges(), 5);
-    }
-
-    #[test]
-    fn grow_vertices_allows_new_endpoints() {
-        let mut g = small();
-        g.grow_vertices(6);
-        g.extend_edges([Edge::new(Vid(5), Vid(4))]).unwrap();
-        assert_eq!(g.num_vertices(), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "only grow")]
-    fn shrink_vertices_panics() {
-        small().grow_vertices(1);
     }
 
     #[test]

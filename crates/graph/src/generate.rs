@@ -45,56 +45,6 @@ pub fn uniform(num_vertices: usize, num_edges: usize, seed: u64) -> Coo {
     Coo::new(num_vertices, edges).expect("generated endpoints are in range")
 }
 
-/// Recursive-matrix (R-MAT) generator.
-///
-/// Standard in architecture evaluations for producing realistic skewed
-/// graphs: each edge recursively descends a 2×2 partition of the adjacency
-/// matrix with probabilities `(a, b, c, d)`, `d = 1 − a − b − c`.
-///
-/// # Examples
-///
-/// ```
-/// use agnn_graph::generate::rmat;
-///
-/// let g = rmat(8, 2000, (0.57, 0.19, 0.19), 7);
-/// assert_eq!(g.num_vertices(), 256);
-/// assert_eq!(g.num_edges(), 2000);
-/// ```
-///
-/// # Panics
-///
-/// Panics if the probabilities are not in `(0, 1)` or sum to ≥ 1, or if
-/// `scale` is 0 or exceeds 31.
-pub fn rmat(scale: u32, num_edges: usize, (a, b, c): (f64, f64, f64), seed: u64) -> Coo {
-    assert!(
-        a > 0.0 && b > 0.0 && c > 0.0 && a + b + c < 1.0,
-        "RMAT probabilities must be positive and sum below 1"
-    );
-    assert!(scale > 0 && scale <= 31, "scale must be in 1..=31");
-    let n = 1usize << scale;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut edges = Vec::with_capacity(num_edges);
-    for _ in 0..num_edges {
-        let (mut row, mut col) = (0u32, 0u32);
-        for level in (0..scale).rev() {
-            let r: f64 = rng.gen();
-            let (dr, dc) = if r < a {
-                (0, 0)
-            } else if r < a + b {
-                (0, 1)
-            } else if r < a + b + c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            row |= dr << level;
-            col |= dc << level;
-        }
-        edges.push(Edge::new(Vid(row), Vid(col)));
-    }
-    Coo::new(n, edges).expect("RMAT endpoints are in range")
-}
-
 /// Chung–Lu power-law generator: endpoint `i` is drawn with probability
 /// proportional to `(i + 1)^(-alpha)` for destinations and uniformly for
 /// sources, yielding the hub-dominated in-degree distributions interaction
@@ -193,21 +143,6 @@ mod tests {
     #[should_panic(expected = "empty vertex set")]
     fn uniform_rejects_edges_without_vertices() {
         uniform(0, 10, 0);
-    }
-
-    #[test]
-    fn rmat_skews_toward_low_ids() {
-        let g = rmat(10, 20_000, (0.57, 0.19, 0.19), 11);
-        let deg = g.in_degrees();
-        let low: u64 = deg[..64].iter().map(|&d| u64::from(d)).sum();
-        let high: u64 = deg[deg.len() - 64..].iter().map(|&d| u64::from(d)).sum();
-        assert!(low > 4 * high, "RMAT favours the top-left quadrant");
-    }
-
-    #[test]
-    #[should_panic(expected = "sum below 1")]
-    fn rmat_rejects_bad_probabilities() {
-        rmat(4, 10, (0.5, 0.5, 0.2), 0);
     }
 
     #[test]

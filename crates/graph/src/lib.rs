@@ -8,7 +8,7 @@
 //!   frequently-updated graphs (§II-A, Fig. 1);
 //! - [`Csc`] — compressed sparse column with pointer + index arrays, the
 //!   traversal-friendly target of graph conversion (§II-A, Fig. 1);
-//! - [`generate`] — seeded synthetic generators (uniform, RMAT, Chung–Lu
+//! - [`generate`] — seeded synthetic generators (uniform and Chung–Lu
 //!   power-law) standing in for the proprietary/open datasets of Table II;
 //! - [`datasets`] — the eleven-workload catalog of Table II with full-scale
 //!   parameters and deterministic scaled instantiation;

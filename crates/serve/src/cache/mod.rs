@@ -67,7 +67,10 @@ pub enum CacheKind {
     /// Serve a cached result while the graph-delta bytes accumulated
     /// since the entry was built stay within `max_delta_frac` of the
     /// entry's graph size — bounded-staleness reuse across drift
-    /// buckets. `0.0` behaves like [`CacheKind::Exact`].
+    /// buckets. `0.0` is not [`CacheKind::Exact`]: it tolerates no
+    /// changed byte, but keeps serving across a drift-bucket change
+    /// that leaves the graph's bytes unchanged, where `Exact`
+    /// invalidates.
     Delta {
         /// Tolerated accumulated delta, as a fraction of the entry's
         /// source-graph size (e.g. `0.05` = 5 % of the graph may have

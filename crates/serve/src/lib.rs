@@ -47,15 +47,14 @@
 //!   **pipelined**: a board ingests the next request's graph delta
 //!   (double-buffered, [`agnn_hw::shell::DELTA_BUFFERS`]) and streams
 //!   finished subgraphs out while its fabric preprocesses — upload time
-//!   leaves the dispatch critical path. Requests can carry **deadlines**
-//!   ([`tenant::TenantSpec::deadline_secs`],
-//!   [`sim::ServeConfig::default_deadline_secs`]): dead requests expire
-//!   at the queue scan, a dispatched-but-not-started stage aborts and
-//!   releases its board slot, and [`sim::HedgeKind::Latency`] re-offers
-//!   a stalled queue-front request to a second board and cancels the
-//!   loser — all set as fields of one [`sim::ServeConfig`], whose
-//!   [`validate`](sim::ServeConfig::validate) rejects the combinations
-//!   the simulator cannot run;
+//!   leaves the dispatch critical path. Tenants can carry **deadlines**
+//!   ([`tenant::TenantSpec::deadline_secs`]): dead requests expire at the
+//!   queue scan, and a dispatched-but-not-started stage aborts and
+//!   releases its board slot. [`sim::HedgeKind::Latency`] re-offers a
+//!   stalled queue-front request to a second board and cancels the
+//!   loser. Every serving knob is a field of one [`sim::ServeConfig`],
+//!   whose [`validate`](sim::ServeConfig::validate) rejects the
+//!   combinations the simulator cannot run;
 //! - [`cache`] — the subgraph result cache: entries keyed on request
 //!   identity `(tenant, drift bucket, seed)`, invalidated by accumulated
 //!   graph-delta bytes ([`cache::CacheKind::Delta`]) and degraded to
@@ -389,30 +388,78 @@ mod tests {
 
     #[test]
     fn tenant_affine_pins_every_tenant_to_its_home_board() {
-        // 3 tenants on 3 boards: each board only ever sees one tenant's
-        // bitstream, so after the initial switch no board reconfigures.
-        let report = simulate(
-            mixed_tenants(20.0),
-            ServeConfig {
-                seed: 21,
-                total_requests: 1_200,
-                boards: 3,
-                placement: PlacementPolicy::TenantAffine,
-                ..ServeConfig::default()
-            },
-        );
-        assert_eq!(report.completed() + report.dropped(), 1_200);
-        for (i, board) in report.boards.iter().enumerate() {
-            assert!(
-                board.reconfigs <= 1,
-                "board {i} serves one tenant, saw {} reconfigs",
-                board.reconfigs
+        // A tenant's home board is its index modulo the pool size: with
+        // 3 tenants, 3 boards give each its own, 2 boards put tenants 0
+        // and 2 on board 0, and 1 board absorbs all.
+        for boards in [3, 2, 1] {
+            let report = simulate(
+                mixed_tenants(20.0),
+                ServeConfig {
+                    seed: 21,
+                    total_requests: 1_200,
+                    boards,
+                    placement: PlacementPolicy::TenantAffine,
+                    ..ServeConfig::default()
+                },
             );
-            assert_eq!(
-                board.completed,
-                report.tenants[i].completed(),
-                "board {i} serves exactly tenant {i}'s load"
-            );
+            assert_eq!(report.completed() + report.dropped(), 1_200);
+            for (b, board) in report.boards.iter().enumerate() {
+                let homed: u64 = (0..report.tenants.len())
+                    .filter(|t| t % boards == b)
+                    .map(|t| report.tenants[t].completed())
+                    .sum();
+                assert_eq!(
+                    board.completed, homed,
+                    "{boards} boards: board {b} serves exactly its homed tenants' load"
+                );
+            }
+            if boards == 3 {
+                // Each board only ever sees one tenant's bitstream, so
+                // after the initial switch no board reconfigures.
+                for (b, board) in report.boards.iter().enumerate() {
+                    assert!(
+                        board.reconfigs <= 1,
+                        "board {b} serves one tenant, saw {} reconfigs",
+                        board.reconfigs
+                    );
+                }
+            }
+        }
+    }
+
+    /// The knob ledger in `docs/ARCHITECTURE.md` has exactly one row per
+    /// `ServeConfig` field, and no field row names a field that does
+    /// not exist. A field row's first cell is the bare field name; a
+    /// variant row's is `Enum::Variant`.
+    #[test]
+    fn knob_ledger_has_one_row_per_serve_config_field() {
+        let doc = include_str!("../../../docs/ARCHITECTURE.md");
+        let (_, ledger) = doc
+            .split_once("### The knob ledger")
+            .expect("ledger section");
+        let ledger = ledger.split("\n## ").next().unwrap_or_default();
+        let rows: Vec<&str> = ledger
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `")?.split_once("` |"))
+            .map(|(knob, _)| knob)
+            .filter(|knob| knob.chars().all(|c| c.is_ascii_lowercase() || c == '_'))
+            .collect();
+        // Top-level fields are the lines indented exactly one level.
+        let debug = format!("{:#?}", ServeConfig::default());
+        let fields: Vec<&str> = debug
+            .lines()
+            .filter_map(|line| line.strip_prefix("    "))
+            .filter(|line| !line.starts_with(' '))
+            .filter_map(|line| line.split_once(':'))
+            .map(|(name, _)| name)
+            .collect();
+        assert!(fields.contains(&"seed"), "{debug}");
+        for field in &fields {
+            let count = rows.iter().filter(|row| *row == field).count();
+            assert_eq!(count, 1, "ledger rows for `{field}`");
+        }
+        for row in &rows {
+            assert!(fields.contains(row), "ledger row `{row}` names no field");
         }
     }
 
@@ -478,13 +525,6 @@ mod tests {
             ),
             (
                 ServeConfig {
-                    default_deadline_secs: Some(0.0),
-                    ..base
-                },
-                ConfigError::NonPositiveDeadline { secs: 0.0 },
-            ),
-            (
-                ServeConfig {
                     boards: 2,
                     hedge: HedgeKind::Latency { factor: -1.0 },
                     ..base
@@ -509,20 +549,6 @@ mod tests {
                     ..base
                 },
                 ConfigError::ZeroTenantQuota,
-            ),
-            (
-                ServeConfig {
-                    compute_speedup: 0.0,
-                    ..base
-                },
-                ConfigError::NonPositiveComputeSpeedup { speedup: 0.0 },
-            ),
-            (
-                ServeConfig {
-                    compute_speedup: f64::NAN,
-                    ..base
-                },
-                ConfigError::NonPositiveComputeSpeedup { speedup: f64::NAN },
             ),
             // `gain >= NaN` is false: every reconfiguration would be refused.
             (
@@ -573,7 +599,6 @@ mod tests {
         let cfg = ServeConfig {
             boards: 2,
             hedge: HedgeKind::latency(),
-            default_deadline_secs: Some(2.0),
             ..base
         };
         assert_eq!(cfg.validate(), Ok(()));

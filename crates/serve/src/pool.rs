@@ -52,7 +52,7 @@
 //! tenant first" without the policies below changing:
 //!
 //! - [`PlacementPolicy::TenantAffine`] — each tenant has a home board
-//!   (its index hashed over the pool); requests wait for it.
+//!   (its index modulo the pool size); requests wait for it.
 //!   Perfect residency and bitstream locality, but a hot tenant cannot
 //!   borrow idle boards.
 //! - [`PlacementPolicy::LeastLoaded`] — the free board with the least
@@ -90,9 +90,9 @@ pub const STAGING_DEPTH: usize = DELTA_BUFFERS - 1;
 /// How the pool routes an admitted request to a board.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementPolicy {
-    /// Requests only run on their tenant's home board
-    /// ([`crate::tenant::TenantSpec::home_board`]); they queue while it is
-    /// busy even if other boards idle.
+    /// Requests only run on their tenant's home board (tenant index
+    /// modulo the pool size); they queue while it is busy even if other
+    /// boards idle.
     TenantAffine,
     /// The free board with the least accumulated busy time serves next;
     /// the dispatch policy picks which queued request it takes.

@@ -46,9 +46,8 @@
 //!
 //! # The request deadline lifecycle
 //!
-//! [`crate::tenant::TenantSpec::deadline_secs`] (per tenant, with
-//! [`ServeConfig::default_deadline_secs`] as the pool-wide fallback)
-//! models client abandonment. With any deadline configured the lifecycle
+//! [`crate::tenant::TenantSpec::deadline_secs`] (set per tenant) models
+//! client abandonment. With any deadline configured the lifecycle
 //! gains three cut points, each strictly *after* the deadline instant
 //! (completing or dispatching exactly at the deadline still counts):
 //!
@@ -313,11 +312,6 @@ pub enum ConfigError {
     ZeroBoards,
     /// The admission queue must hold at least one request.
     ZeroQueueCapacity,
-    /// The compute speedup must be a positive, finite multiple.
-    NonPositiveComputeSpeedup {
-        /// The rejected value.
-        speedup: f64,
-    },
     /// Hedged dispatch re-offers a request to a *second* board; a pool
     /// of fewer than two boards has nowhere to hedge to.
     HedgeNeedsPool {
@@ -329,11 +323,6 @@ pub enum ConfigError {
     /// independently scheduled stage events, where a leg cannot be
     /// atomically cancelled. Hedging therefore requires `overlap: false`.
     HedgeNeedsSerial,
-    /// A deadline must be a positive, finite number of seconds.
-    NonPositiveDeadline {
-        /// The rejected value.
-        secs: f64,
-    },
     /// A hedge trigger factor must be a positive, finite multiple.
     NonPositiveHedgeFactor {
         /// The rejected value.
@@ -358,12 +347,6 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroBoards => write!(f, "the pool must hold at least one board"),
             ConfigError::ZeroQueueCapacity => write!(f, "queue capacity must be positive"),
-            ConfigError::NonPositiveComputeSpeedup { speedup } => {
-                write!(
-                    f,
-                    "compute speedup must be positive and finite, got {speedup}"
-                )
-            }
             ConfigError::HedgeNeedsPool { boards } => write!(
                 f,
                 "hedged dispatch needs at least 2 boards to re-offer to (got {boards})"
@@ -373,9 +356,6 @@ impl std::fmt::Display for ConfigError {
                 "hedged dispatch requires serial mode (overlap: false): a pipelined \
                  leg cannot be cancelled atomically"
             ),
-            ConfigError::NonPositiveDeadline { secs } => {
-                write!(f, "deadline must be positive and finite, got {secs}")
-            }
             ConfigError::NonPositiveHedgeFactor { factor } => {
                 write!(f, "hedge factor must be positive and finite, got {factor}")
             }
@@ -419,11 +399,6 @@ pub struct ServeConfig {
     /// subgraphs out while the fabric preprocesses. `false` replays the
     /// serial staged lifecycle bit-for-bit against the PR 1/PR 2 digests.
     pub overlap: bool,
-    /// Per-board compute speed multiplier: preprocessing runs this many
-    /// times faster, while ICAP reprogramming and PCIe transfers keep
-    /// their physical rates. Models "one board N× as fast" comparisons
-    /// against an N-board pool.
-    pub compute_speedup: f64,
     /// Offered load: total arrivals generated before the queue drains.
     pub total_requests: u64,
     /// Drift quantization step in simulated seconds (bitstream choices are
@@ -439,13 +414,6 @@ pub struct ServeConfig {
     /// and duplicate in-flight requests coalesce. [`CacheKind::Off`]
     /// (the default) reproduces the uncached schedules bit-for-bit.
     pub cache: CacheKind,
-    /// Pool-wide fallback client-abandonment deadline, in seconds from
-    /// arrival, for tenants whose
-    /// [`crate::tenant::TenantSpec::deadline_secs`] is `None`. With this
-    /// `None` too (the default) and no per-tenant deadline, every
-    /// deadline code path is disabled and the pre-deadline schedules
-    /// replay bit-for-bit.
-    pub default_deadline_secs: Option<f64>,
     /// Hedged-dispatch policy (see the [module docs](self)).
     /// [`HedgeKind::Off`] (the default) reproduces the unhedged
     /// schedules bit-for-bit.
@@ -480,11 +448,6 @@ impl ServeConfig {
         ) {
             return Err(ConfigError::ZeroTenantQuota);
         }
-        if !(self.compute_speedup > 0.0 && self.compute_speedup.is_finite()) {
-            return Err(ConfigError::NonPositiveComputeSpeedup {
-                speedup: self.compute_speedup,
-            });
-        }
         for (knob, value) in [
             ("min_gain", self.min_gain),
             ("drift_step_secs", self.drift_step_secs),
@@ -492,11 +455,6 @@ impl ServeConfig {
         ] {
             if value.is_nan() {
                 return Err(ConfigError::NanKnob { knob });
-            }
-        }
-        if let Some(secs) = self.default_deadline_secs {
-            if !(secs > 0.0 && secs.is_finite()) {
-                return Err(ConfigError::NonPositiveDeadline { secs });
             }
         }
         if let HedgeKind::Latency { factor } = self.hedge {
@@ -610,13 +568,11 @@ impl Default for ServeConfig {
             placement: PlacementPolicy::LeastLoaded,
             migrate: MigratePolicy::Off,
             overlap: false,
-            compute_speedup: 1.0,
             total_requests: 10_000,
             drift_step_secs: 3_600.0,
             min_gain: 0.10,
             log_requests: false,
             cache: CacheKind::Off,
-            default_deadline_secs: None,
             hedge: HedgeKind::Off,
         }
     }
@@ -840,8 +796,8 @@ impl TrafficSim {
     /// positive and finite, or a non-finite phase), any tenant deadline,
     /// weight or SLO budget is not a positive finite number, or the
     /// config fails [`ServeConfig::validate`] — a zero board count, queue
-    /// capacity or weighted-fair quota, a non-positive compute speedup,
-    /// or an incompatible combination (call
+    /// capacity or weighted-fair quota, a non-positive hedge factor, a
+    /// NaN knob, or an incompatible combination (call
     /// [`validate`](ServeConfig::validate) first to get the same rules as
     /// a typed [`ConfigError`]). A run never panics on its inputs.
     pub fn new(tenants: Vec<TenantSpec>, config: ServeConfig) -> Self {
@@ -1023,9 +979,8 @@ struct Run<'a, S: TraceSink + ?Sized> {
     /// queue bit-for-bit. The enum form keeps the per-event
     /// admit/scan/take calls statically dispatched.
     sched: Scheduler,
-    /// Per-tenant effective deadlines ([`TenantSpec::deadline_secs`]
-    /// with [`ServeConfig::default_deadline_secs`] as the fallback);
-    /// completions strictly past them count as served-late, not goodput.
+    /// Per-tenant deadlines ([`TenantSpec::deadline_secs`]); completions
+    /// strictly past them count as served-late, not goodput.
     deadlines: Vec<Option<f64>>,
     /// Whether any tenant carries a deadline. With none the expiry
     /// pass, the abort events and the served-late split are all
@@ -1070,12 +1025,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         sink: &'a mut S,
     ) -> Self {
         pool.reset();
-        // Effective per-tenant deadlines: the tenant's own, falling back
-        // to the pool-wide default.
-        let deadlines: Vec<Option<f64>> = tenants
-            .iter()
-            .map(|t| t.deadline_secs.or(cfg.default_deadline_secs))
-            .collect();
+        let deadlines: Vec<Option<f64>> = tenants.iter().map(|t| t.deadline_secs).collect();
         let slo_gated = cfg.scheduler == SchedKind::SloAware;
         let mut run = Run {
             tag_boards: pool.size() > 1 || cfg.overlap,
@@ -1092,7 +1042,7 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
             predicting: slo_gated || cfg.hedge.enabled(),
             predictor: LatencyPredictor::new(tenants.len()),
             expired: Vec::new(),
-            memo: CostMemo::new(tenants.len(), cfg.drift_step_secs, cfg.compute_speedup),
+            memo: CostMemo::new(tenants.len(), cfg.drift_step_secs),
             cache: ResultCache::new(cfg.cache, tenants.len()),
             report: TrafficReport {
                 tenants: tenants
@@ -2022,8 +1972,8 @@ impl Placer<'_> {
             // tenants, so the reconfig-aware scan is restricted to its
             // own backlog).
             PlacementPolicy::TenantAffine => {
-                let (tenants, boards) = (self.tenants, self.pool.size());
-                let home = |r: &Request| tenants[r.tenant].home_board(r.tenant, boards);
+                let boards = self.pool.size();
+                let home = |r: &Request| r.tenant % boards;
                 let Some(board) = queue.iter().map(home).find(|&home| self.pool.is_free(home))
                 else {
                     // Every home board is busy: wait, unless the queue
@@ -2187,7 +2137,7 @@ struct TenantMemo {
     /// mostly repeat it.
     last_stage: Option<(Workload, HwConfig, f64)>,
     /// `(workload, config) → fabric preprocessing seconds` (the
-    /// [`BoardPool::stage_secs`] total over the compute speedup). An
+    /// [`BoardPool::stage_secs`] total). An
     /// [`FxHashMap`] — the multiply-rotate hash is deterministic across
     /// processes (no `RandomState` seed) and a fraction of SipHash's cost
     /// on these small `Copy` keys, and the map is only ever probed by
@@ -2209,18 +2159,14 @@ struct TenantMemo {
 #[derive(Debug)]
 struct CostMemo {
     step_secs: f64,
-    /// [`ServeConfig::compute_speedup`], divided into every memoized
-    /// fabric pass.
-    compute_speedup: f64,
     inference: GpuInferenceModel,
     rows: Vec<TenantMemo>,
 }
 
 impl CostMemo {
-    fn new(tenant_count: usize, step_secs: f64, compute_speedup: f64) -> Self {
+    fn new(tenant_count: usize, step_secs: f64) -> Self {
         CostMemo {
             step_secs,
-            compute_speedup,
             inference: GpuInferenceModel::default(),
             rows: (0..tenant_count)
                 .map(|_| TenantMemo {
@@ -2279,7 +2225,7 @@ impl CostMemo {
     }
 
     /// [`BoardPool::stage_secs`] under board `board`'s current
-    /// configuration over the compute speedup, memoized per
+    /// configuration, memoized per
     /// `(workload, config)` — sound pool-wide because every board shares
     /// one fabric timing model.
     fn fabric_secs(
@@ -2299,7 +2245,7 @@ impl CostMemo {
         let secs = match row.stages.get(&(*workload, config)) {
             Some(&secs) => secs,
             None => {
-                let secs = pool.stage_secs(board, workload) / self.compute_speedup;
+                let secs = pool.stage_secs(board, workload);
                 if row.stages.len() >= COST_MEMO_CAP {
                     // Wholesale clear instead of per-entry LRU: the cap is
                     // only reached when a tenant straddles a drift

@@ -207,14 +207,13 @@ pub struct TenantSpec {
     /// [`crate::metrics::TenantStats`] — which is recorded under *every*
     /// scheduler, so SLO attainment is comparable across policies.
     pub slo_secs: Option<f64>,
-    /// Client abandonment deadline in seconds from arrival. When set (or
-    /// when [`crate::sim::ServeConfig::default_deadline_secs`] supplies a
-    /// pool-wide default), the lifecycle honors it: queued requests past
-    /// their deadline are expired at scan time, not-yet-started pipeline
-    /// stages are aborted, and completions slower than the deadline count
-    /// as [`crate::metrics::RequestOutcome::ServedLate`] wasted work
-    /// instead of goodput. `None` (the default) disables every deadline
-    /// code path for this tenant.
+    /// Client abandonment deadline in seconds from arrival. When set, the
+    /// lifecycle honors it: queued requests past their deadline are
+    /// expired at scan time, not-yet-started pipeline stages are aborted,
+    /// and completions slower than the deadline count as
+    /// [`crate::metrics::RequestOutcome::ServedLate`] wasted work instead
+    /// of goodput. `None` (the default) disables every deadline code path
+    /// for this tenant.
     pub deadline_secs: Option<f64>,
 }
 
@@ -338,17 +337,6 @@ impl TenantSpec {
             TenantSpec::new("dash-collab", Dataset::Collab, rate_rps),
             TenantSpec::new("dash-arxiv", Dataset::Arxiv, rate_rps),
         ]
-    }
-
-    /// The board `TenantAffine` placement routes this tenant to in a pool
-    /// of `pool_size` boards: the tenant index hashed over the pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pool_size` is zero.
-    pub fn home_board(&self, tenant_index: usize, pool_size: usize) -> usize {
-        assert!(pool_size > 0, "pool must hold at least one board");
-        tenant_index % pool_size
     }
 
     /// Base (day-0) node and edge counts after down-scaling.
@@ -495,13 +483,6 @@ mod tests {
         let b = tenant.workload_at(100.0 * SECS_PER_DAY, 3_600.0);
         assert_eq!(a.edges, b.edges);
         assert_eq!(tenant.drift_bucket(1e9, 3_600.0), 0);
-    }
-
-    #[test]
-    fn home_board_hashes_unless_pinned() {
-        let tenant = TenantSpec::new("t", Dataset::Movie, 1.0);
-        assert_eq!(tenant.home_board(5, 4), 1);
-        assert_eq!(tenant.home_board(5, 1), 0, "single board absorbs all");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use agnn_serve::sched::SchedKind;
 use agnn_serve::sim::{simulate, DispatchPolicy, HedgeKind, ServeConfig, TrafficSim};
 use agnn_serve::tenant::{ArrivalProcess, TenantSpec};
 use agnn_serve::trace::{SpanKind, Track};
-use agnn_serve::{CacheKind, ChromeTraceWriter, FlightRecorder, StallBreakdown};
+use agnn_serve::{ArrivalSource, CacheKind, ChromeTraceWriter, FlightRecorder, StallBreakdown};
 use proptest::prelude::*;
 
 /// Tenants with offset diurnal peaks: the dominant tenant — and with it
@@ -32,6 +32,79 @@ fn drift_heavy_tenants() -> Vec<TenantSpec> {
     let mut fraud = TenantSpec::new("fraud", Dataset::Fraud, 0.0);
     fraud.arrival = diurnal(6.0, 0.25);
     vec![movies, feed, fraud]
+}
+
+/// `tenants` with every tenant's client-abandonment deadline set to
+/// `secs`.
+fn with_deadline(mut tenants: Vec<TenantSpec>, secs: Option<f64>) -> Vec<TenantSpec> {
+    for tenant in &mut tenants {
+        tenant.deadline_secs = secs;
+    }
+    tenants
+}
+
+/// One draw of the conservation property's request lifecycle over the
+/// drift-heavy tenants and `cfg`'s pool. `pick % 3` sets no deadline, a
+/// tight one (0.5 s: expiry and aborts) or a loose one (5 s: the
+/// served-late split) on every tenant; `pick >= 3` hedges wherever
+/// hedging can run, a serial pool of two or more boards.
+fn lifecycle_case(cfg: ServeConfig, pick: u32) -> (Vec<TenantSpec>, ServeConfig) {
+    let deadline = match pick % 3 {
+        0 => None,
+        1 => Some(0.5),
+        _ => Some(5.0),
+    };
+    let hedge = if pick >= 3 && cfg.boards >= 2 && !cfg.overlap {
+        HedgeKind::latency()
+    } else {
+        HedgeKind::Off
+    };
+    let tenants = with_deadline(drift_heavy_tenants(), deadline);
+    (tenants, ServeConfig { hedge, ..cfg })
+}
+
+/// One draw of the tracing property's run over `base`. Migrating draws
+/// use the memory-pressured regions and the pipelined lifecycle. The
+/// hedged arm is serial by construction (a pipelined leg cannot be
+/// cancelled), so it needs a second board to hedge to, and every tenant
+/// carries a 2 s deadline.
+fn tracing_case(base: ServeConfig, overlap: bool, hedged: bool) -> (Vec<TenantSpec>, ServeConfig) {
+    let migrating = base.migrate != MigratePolicy::Off;
+    let tenants = if migrating {
+        TenantSpec::taobao_regions(4.0, 900.0)
+    } else {
+        drift_heavy_tenants()
+    };
+    if hedged {
+        let cfg = ServeConfig {
+            boards: base.boards.max(2),
+            placement: PlacementPolicy::BitstreamAffine,
+            overlap: false,
+            hedge: HedgeKind::latency(),
+            ..base
+        };
+        (with_deadline(tenants, Some(2.0)), cfg)
+    } else {
+        let overlap = overlap || migrating;
+        (tenants, ServeConfig { overlap, ..base })
+    }
+}
+
+/// Each tenant's offered arrivals in a run of `total` requests (at least
+/// one per tenant), counted apart from the simulator's bookkeeping: a
+/// run primes one arrival per tenant, then draws a tenant's next arrival
+/// each time one of its arrivals fires, in time order.
+fn offered_per_tenant(tenants: &[TenantSpec], seed: u64, total: u64) -> Vec<u64> {
+    let mut source = ArrivalSource::new(tenants, seed);
+    let mut offered = vec![1; tenants.len()];
+    for _ in tenants.len() as u64..total {
+        let fires = (0..tenants.len())
+            .min_by(|&a, &b| source.peek(a).total_cmp(&source.peek(b)))
+            .expect("at least one tenant");
+        source.next(fires);
+        offered[fires] += 1;
+    }
+    offered
 }
 
 #[test]
@@ -82,10 +155,9 @@ fn drop_rate_counts_expired_arrivals() {
         seed: 17,
         total_requests: 10_000,
         queue_capacity: 8,
-        default_deadline_secs: Some(0.5),
         ..ServeConfig::default()
     };
-    let report = simulate(drift_heavy_tenants(), cfg);
+    let report = simulate(with_deadline(drift_heavy_tenants(), Some(0.5)), cfg);
     assert!(report.dropped() > 0, "tiny queue under load must drop");
     assert!(report.expired_in_queue() > 0, "tight deadline must expire");
     for t in &report.tenants {
@@ -223,6 +295,7 @@ fn hedge_and_abort_paths_reproduce_pinned_digests() {
     struct Pinned {
         label: &'static str,
         cfg: ServeConfig,
+        deadline_secs: f64,
         digest: u64,
         narration: u64,
         hedges: u64,
@@ -235,17 +308,17 @@ fn hedge_and_abort_paths_reproduce_pinned_digests() {
         boards: 2,
         ..ServeConfig::reconfig_aware()
     };
-    let hedged = |cache, deadline| ServeConfig {
+    let hedged = |cache| ServeConfig {
         placement: PlacementPolicy::BitstreamAffine,
         cache,
-        default_deadline_secs: Some(deadline),
         hedge: HedgeKind::latency(),
         ..base
     };
     let pinned = [
         Pinned {
             label: "hedged, cached",
-            cfg: hedged(CacheKind::delta(), 0.5),
+            cfg: hedged(CacheKind::delta()),
+            deadline_secs: 0.5,
             digest: 0xB985_8970_625E_12A6,
             narration: 0x251D_AB99_9634_E432,
             hedges: 2,
@@ -254,7 +327,8 @@ fn hedge_and_abort_paths_reproduce_pinned_digests() {
         },
         Pinned {
             label: "hedged",
-            cfg: hedged(CacheKind::Off, 2.0),
+            cfg: hedged(CacheKind::Off),
+            deadline_secs: 2.0,
             digest: 0x5926_44C4_BA75_7696,
             narration: 0x8C37_CA2C_48CD_B89A,
             hedges: 7,
@@ -267,9 +341,9 @@ fn hedge_and_abort_paths_reproduce_pinned_digests() {
                 overlap: true,
                 scheduler: SchedKind::weighted_fair(),
                 migrate: MigratePolicy::PeerRehydrate,
-                default_deadline_secs: Some(0.5),
                 ..base
             },
+            deadline_secs: 0.5,
             digest: 0xDFB2_888A_2DE5_21A0,
             narration: 0xC350_376B_5190_179A,
             hedges: 0,
@@ -278,7 +352,10 @@ fn hedge_and_abort_paths_reproduce_pinned_digests() {
         },
     ];
     for p in pinned {
-        let tenants = TenantSpec::taobao_regions(4.0, 900.0);
+        let tenants = with_deadline(
+            TenantSpec::taobao_regions(4.0, 900.0),
+            Some(p.deadline_secs),
+        );
         let names = tenants.iter().map(|t| t.name.clone()).collect();
         let mut writer = ChromeTraceWriter::with_tenant_names(names);
         let report = TrafficSim::new(tenants, p.cfg).run_traced(&mut writer);
@@ -306,7 +383,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// pays, so both consumers read the predictor here.
 #[test]
 fn slo_gate_and_hedging_share_one_predictor() {
-    let mut tenants = drift_heavy_tenants();
+    let mut tenants = with_deadline(drift_heavy_tenants(), Some(2.0));
     tenants[0].slo_secs = Some(0.3);
     tenants[2].slo_secs = Some(5.0);
     let cfg = |scheduler| ServeConfig {
@@ -314,7 +391,6 @@ fn slo_gate_and_hedging_share_one_predictor() {
         total_requests: 3_000,
         boards: 2,
         placement: PlacementPolicy::BitstreamAffine,
-        default_deadline_secs: Some(2.0),
         hedge: HedgeKind::latency(),
         scheduler,
         ..ServeConfig::reconfig_aware()
@@ -419,6 +495,17 @@ fn construction_rejects_a_nan_slo_budget() {
     let mut tenant = TenantSpec::new("feed", Dataset::Movie, 1.0);
     tenant.slo_secs = Some(f64::NAN);
     TrafficSim::new(vec![tenant], ServeConfig::slo_aware());
+}
+
+/// A deadline must be a positive, finite number of seconds. Deadlines
+/// are set per tenant only, so this construction check is the one
+/// deadline check.
+#[test]
+#[should_panic(expected = "tenant deadline must be positive and finite")]
+fn construction_rejects_a_zero_tenant_deadline() {
+    let mut tenant = TenantSpec::new("feed", Dataset::Movie, 1.0);
+    tenant.deadline_secs = Some(0.0);
+    TrafficSim::new(vec![tenant], ServeConfig::default());
 }
 
 /// A negative budget is rejected at construction too.
@@ -760,9 +847,9 @@ proptest! {
     /// policy, queue bound, deadline and hedging mode, every offered
     /// request reaches exactly one arrival-terminal outcome — served,
     /// served late, expired in queue, aborted or dropped at admission —
-    /// nothing is silently lost, hedge losers pair one-to-one with
-    /// launched hedges, and the per-tenant and per-board breakdowns both
-    /// sum to the totals.
+    /// nothing is silently lost, each tenant's outcomes count exactly the
+    /// arrivals its stream offered, and the per-board breakdown sums to
+    /// the completions.
     #[test]
     fn every_arrival_reaches_one_terminal_outcome_for_any_pool(
         seed in proptest::any::<u64>(),
@@ -792,18 +879,8 @@ proptest! {
         } else {
             DispatchPolicy::ReconfigAware
         };
-        // A tight deadline exercises expiry/abort; a loose one the
-        // served-late split; None the legacy path.
-        let deadline = match lifecycle_pick % 3 {
-            0 => None,
-            1 => Some(0.5),
-            _ => Some(5.0),
-        };
-        // Hedging is serial-only and needs a second board to re-offer to.
-        let hedge_on = lifecycle_pick >= 3 && boards >= 2 && !overlap;
         let total = 600;
-        let report = simulate(
-            drift_heavy_tenants(),
+        let (tenants, cfg) = lifecycle_case(
             ServeConfig {
                 seed,
                 total_requests: total,
@@ -813,11 +890,13 @@ proptest! {
                 policy,
                 scheduler,
                 overlap,
-                default_deadline_secs: deadline,
-                hedge: if hedge_on { HedgeKind::latency() } else { HedgeKind::Off },
                 ..ServeConfig::default()
             },
+            lifecycle_pick,
         );
+        let (deadline, hedge_on) = (tenants[0].deadline_secs, cfg.hedge.enabled());
+        let offered = offered_per_tenant(&tenants, seed, total);
+        let report = simulate(tenants, cfg);
         let outcomes = report.outcomes();
         prop_assert_eq!(
             outcomes.arrival_terminal(),
@@ -832,10 +911,6 @@ proptest! {
             overlap,
             seed
         );
-        prop_assert_eq!(outcomes.served + outcomes.served_late, report.completed());
-        prop_assert_eq!(outcomes.dropped_at_admission, report.dropped());
-        prop_assert_eq!(outcomes.served, report.goodput());
-        prop_assert_eq!(outcomes.hedge_loser, report.hedges(), "every hedge cancels one leg");
         if !hedge_on {
             prop_assert_eq!(outcomes.hedge_loser, 0);
         }
@@ -851,13 +926,13 @@ proptest! {
             // serial one holds the board through the whole request.
             prop_assert_eq!(outcomes.aborted, 0);
         }
-        // The satellite assert: the aggregate drop count is exactly the
-        // sum of the per-tenant counts — WFQ's per-tenant quota refusals
-        // are attributed to the right tenant, never pooled.
-        let tenant_drops: u64 = report.tenants.iter().map(|t| t.dropped()).sum();
-        prop_assert_eq!(report.dropped(), tenant_drops);
-        let per_tenant: u64 = report.tenants.iter().map(|t| t.arrivals()).sum();
-        prop_assert_eq!(per_tenant, total);
+        // Each tenant's outcomes partition exactly the arrivals its own
+        // stream offered, so a drop, expiry or completion is never
+        // attributed to the wrong tenant (WFQ's per-tenant quota refusals
+        // included).
+        for (t, &offered) in report.tenants.iter().zip(&offered) {
+            prop_assert_eq!(t.arrivals(), offered, "{} outcomes vs its offered arrivals", &t.name);
+        }
         for t in &report.tenants {
             prop_assert_eq!(t.latency.count(), t.completed(), "one sample per completion");
             prop_assert_eq!(
@@ -1021,41 +1096,21 @@ proptest! {
             1 => MigratePolicy::PeerRehydrate,
             _ => MigratePolicy::SplitHot,
         };
-        let tenants = || if migrate_pick == 0 {
-            drift_heavy_tenants()
-        } else {
-            TenantSpec::taobao_regions(4.0, 900.0)
-        };
         let base = ServeConfig {
             seed,
             total_requests: 400,
             queue_capacity: 256,
+            boards,
             scheduler,
             cache,
             migrate,
             ..ServeConfig::reconfig_aware()
         };
-        // The hedged arm is serial by construction (a pipelined leg
-        // cannot be cancelled), so it needs a second board to hedge to.
-        let (boards, cfg) = if hedged {
-            let boards = boards.max(2);
-            (
-                boards,
-                ServeConfig {
-                    boards,
-                    placement: PlacementPolicy::BitstreamAffine,
-                    overlap: false,
-                    default_deadline_secs: Some(2.0),
-                    hedge: HedgeKind::latency(),
-                    ..base
-                },
-            )
-        } else {
-            (boards, ServeConfig { boards, overlap: overlap || migrate_pick != 0, ..base })
-        };
-        let untraced = simulate(tenants(), cfg);
+        let (tenants, cfg) = tracing_case(base, overlap, hedged);
+        let boards = cfg.boards;
+        let untraced = simulate(tenants.clone(), cfg);
         let mut recorder = FlightRecorder::default();
-        let traced = TrafficSim::new(tenants(), cfg).run_traced(&mut recorder);
+        let traced = TrafficSim::new(tenants, cfg).run_traced(&mut recorder);
         prop_assert_eq!(
             untraced.trace_digest,
             traced.trace_digest,
@@ -1232,7 +1287,7 @@ proptest! {
 
     /// The deadline machinery's off switch, from the other side: an
     /// *unreachable* deadline must change nothing. Setting
-    /// `default_deadline_secs(1e6)` arms every deadline code path — the
+    /// a 1e6 s deadline on every tenant arms every deadline code path — the
     /// expiry scan runs on each event, every completion takes the
     /// served/served-late split, pipelined dispatch schedules an abort
     /// event per request — yet no deadline ever fires, so the run must
@@ -1259,22 +1314,18 @@ proptest! {
             1 => SchedKind::WeightedFair { per_tenant_quota: 8 },
             _ => SchedKind::SloAware,
         };
-        let mk = |deadline: Option<f64>| {
-            let cfg = ServeConfig {
-                seed,
-                total_requests: 400,
-                queue_capacity: 64,
-                boards,
-                placement,
-                scheduler,
-                overlap,
-                default_deadline_secs: deadline,
-                ..ServeConfig::reconfig_aware()
-            };
-            simulate(drift_heavy_tenants(), cfg)
+        let cfg = ServeConfig {
+            seed,
+            total_requests: 400,
+            queue_capacity: 64,
+            boards,
+            placement,
+            scheduler,
+            overlap,
+            ..ServeConfig::reconfig_aware()
         };
-        let free = mk(None);
-        let armed = mk(Some(1e6));
+        let free = simulate(drift_heavy_tenants(), cfg);
+        let armed = simulate(with_deadline(drift_heavy_tenants(), Some(1e6)), cfg);
         prop_assert_eq!(
             free.trace_digest,
             armed.trace_digest,
