@@ -486,6 +486,45 @@ mod tests {
     }
 
     #[test]
+    fn home_board_hashes_unless_pinned() {
+        use crate::pool::PlacementPolicy;
+        use crate::sim::{simulate, ServeConfig};
+        // Under `TenantAffine` a tenant's home board is its index modulo
+        // the pool size: of 6 tenants on 4 boards, tenant 5 wraps onto
+        // board 1 beside tenant 1, and a single board absorbs all.
+        let tenants: Vec<TenantSpec> = (0..6)
+            .map(|i| TenantSpec::new(format!("t{i}"), Dataset::Movie, 10.0))
+            .collect();
+        for boards in [4, 1] {
+            let report = simulate(
+                tenants.clone(),
+                ServeConfig {
+                    seed: 5,
+                    total_requests: 600,
+                    boards,
+                    placement: PlacementPolicy::TenantAffine,
+                    ..ServeConfig::default()
+                },
+            );
+            assert!(report.tenants[5].completed() > 0, "tenant 5 is served");
+            let board = &report.boards[5 % boards];
+            if boards == 4 {
+                assert_eq!(
+                    board.completed,
+                    report.tenants[1].completed() + report.tenants[5].completed(),
+                    "board 1 serves exactly tenants 1 and 5"
+                );
+            } else {
+                assert_eq!(
+                    board.completed,
+                    report.completed(),
+                    "single board absorbs all"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn tenants_default_to_equal_weight_and_no_slo() {
         let tenant = TenantSpec::new("t", Dataset::Movie, 1.0);
         assert_eq!(tenant.weight, 1.0);
