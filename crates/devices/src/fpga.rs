@@ -5,7 +5,9 @@
 //! alternative to Table I.
 
 use agnn_cost::Workload;
-use agnn_hw::engine::{ordering_dram_bytes, reshaping_dram_bytes};
+use agnn_hw::engine::{
+    ordering_dram_bytes, reindexing_dram_bytes, reshaping_dram_bytes, selecting_dram_bytes,
+};
 use agnn_hw::kernel::RADIX_STAGES_PER_CYCLE;
 use agnn_hw::{HwConfig, HwReport, StageCycles};
 
@@ -108,8 +110,8 @@ impl FpgaModel {
                 + ordering_dram_bytes(sub_e as usize, config.upe.width, config.upe.count),
             reshaping: reshaping_dram_bytes(e as usize, n as usize)
                 + reshaping_dram_bytes(sub_e as usize, sub_n as usize),
-            selecting: 4 * workload.pool_elements() + 4 * s,
-            reindexing: 4 * r + 8 * uniques,
+            selecting: selecting_dram_bytes(workload.pool_elements() as usize, s as usize),
+            reindexing: reindexing_dram_bytes(r as usize, uniques as usize),
         };
         HwReport {
             cycles: StageCycles {

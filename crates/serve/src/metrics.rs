@@ -525,9 +525,10 @@ impl OutcomeCounts {
     }
 }
 
-/// One completed request, kept only when
-/// [`crate::sim::ServeConfig::log_requests`] is set — the per-request
-/// ground truth equivalence tests compare across scheduling modes.
+/// One completed request, narrated to the run's sink through
+/// [`crate::trace::TraceSink::complete`] — the per-request ground truth
+/// equivalence tests compare across scheduling modes. The report itself
+/// keeps only aggregates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletedRequest {
     /// Tenant index (declaration order).
@@ -545,8 +546,8 @@ pub struct CompletedRequest {
     /// warm graph).
     pub switch_bytes: u64,
     /// How the lifecycle ended — [`RequestOutcome::Served`] or
-    /// [`RequestOutcome::ServedLate`] here (the log holds completions;
-    /// expiries and aborts never produce a record).
+    /// [`RequestOutcome::ServedLate`] here (only completions are
+    /// narrated; expiries and aborts never produce a record).
     pub outcome: RequestOutcome,
 }
 
@@ -656,23 +657,12 @@ impl BoardStats {
     }
 }
 
-/// One sample of the queue-depth timeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DepthSample {
-    /// Simulated seconds.
-    pub time_secs: f64,
-    /// Admission-queue depth after the transition.
-    pub depth: usize,
-}
-
-/// Bounded, deterministic queue-depth recorder: keeps every
-/// [`DepthTimeline::STRIDE`]-th transition plus the running maximum.
+/// Deterministic queue-depth summary: the running maximum and the
+/// time-weighted area behind [`DepthTimeline::mean_depth`]. Every
+/// transition itself is narrated as a [`crate::trace::CounterKind::QueueDepth`]
+/// sample to the run's sink.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DepthTimeline {
-    samples: Vec<DepthSample>,
-    /// Transitions left before the next kept sample (a countdown, so
-    /// keeping every `STRIDE`-th transition costs no division).
-    until_sample: u64,
     max_depth: usize,
     area: f64,
     last_time: f64,
@@ -680,25 +670,12 @@ pub struct DepthTimeline {
 }
 
 impl DepthTimeline {
-    /// Transitions per kept sample.
-    pub const STRIDE: u64 = 64;
-
     /// Records a depth transition at `time_secs`.
     pub fn record(&mut self, time_secs: f64, depth: usize) {
         self.area += self.last_depth as f64 * (time_secs - self.last_time).max(0.0);
         self.last_time = time_secs;
         self.last_depth = depth;
         self.max_depth = self.max_depth.max(depth);
-        if self.until_sample == 0 {
-            self.samples.push(DepthSample { time_secs, depth });
-            self.until_sample = Self::STRIDE;
-        }
-        self.until_sample -= 1;
-    }
-
-    /// The retained samples, in time order.
-    pub fn samples(&self) -> &[DepthSample] {
-        &self.samples
     }
 
     /// Maximum observed depth.
@@ -727,13 +704,14 @@ pub struct TrafficReport {
     pub reconfigs: u64,
     /// Total seconds the accelerator spent reprogramming.
     pub reconfig_secs: f64,
-    /// Queue-depth timeline. The depth recorded at each transition is the
-    /// **aggregate** number of queued requests across the scheduler's
-    /// admission queues ([`crate::sched::SchedPolicy::len`]): one shared
-    /// pool-wide queue under [`crate::sched::Fifo`], the sum over the
-    /// per-tenant queues under [`crate::sched::WeightedFair`] — there is
-    /// no single shared queue there, so only the aggregate is meaningful
-    /// on one timeline.
+    /// Queue-depth maximum and time-weighted mean; the transitions
+    /// themselves go to the sink as `QueueDepth` counter samples. The
+    /// depth recorded at each transition is the **aggregate** number of
+    /// queued requests across the scheduler's admission queues
+    /// ([`crate::sched::SchedPolicy::len`]): one shared pool-wide queue
+    /// under [`crate::sched::Fifo`], the sum over the per-tenant queues
+    /// under [`crate::sched::WeightedFair`] — there is no single shared
+    /// queue there, so only the aggregate is meaningful.
     pub queue_depth: DepthTimeline,
     /// Per-board breakdown, in board order. Always at least one entry;
     /// single-board runs report the one board's totals.
@@ -744,9 +722,6 @@ pub struct TrafficReport {
     /// same board — the pipelining the staged scheduler buys. 0 in serial
     /// mode.
     pub overlap_secs: f64,
-    /// Completed-request log (empty unless
-    /// [`crate::sim::ServeConfig::log_requests`] was set).
-    pub requests: Vec<CompletedRequest>,
     /// Aggregate stall attribution summed over every completed request
     /// (each request's six components sum to its end-to-end latency).
     pub stall: StallBreakdown,
@@ -1449,19 +1424,6 @@ mod tests {
         assert_eq!(d.max_depth(), 3);
         // depth 1 over [0,10), 3 over [10,20), 0 after => (10+30)/40.
         assert!((d.mean_depth(40.0) - 1.0).abs() < 1e-9);
-        assert_eq!(d.samples().len(), 1, "the first transition is kept");
-    }
-
-    #[test]
-    fn depth_timeline_stride_bounds_samples() {
-        let mut d = DepthTimeline::default();
-        for i in 0..1_000 {
-            d.record(i as f64, i % 7);
-        }
-        // Transitions 0, 64, …, 960: one sample per stride.
-        assert_eq!(d.samples().len(), 16);
-        assert_eq!(d.samples()[1].time_secs, DepthTimeline::STRIDE as f64);
-        assert_eq!(d.max_depth(), 6);
     }
 
     #[test]
@@ -1493,7 +1455,6 @@ mod tests {
             boards: vec![BoardStats::default(), BoardStats::default()],
             stages: StageHistograms::default(),
             overlap_secs: 0.0,
-            requests: Vec::new(),
             stall: StallBreakdown::default(),
             wasted_work_bytes: 0,
             wasted_secs: 0.0,
@@ -1669,7 +1630,6 @@ mod tests {
             boards: vec![BoardStats::default()],
             stages: StageHistograms::default(),
             overlap_secs: 0.0,
-            requests: Vec::new(),
             stall: StallBreakdown::default(),
             wasted_work_bytes: 0,
             wasted_secs: 0.0,
@@ -1696,7 +1656,6 @@ mod tests {
             boards: vec![BoardStats::default(), BoardStats::default()],
             stages: StageHistograms::default(),
             overlap_secs: 0.0,
-            requests: Vec::new(),
             stall: StallBreakdown::default(),
             wasted_work_bytes: 0,
             wasted_secs: 0.0,
@@ -1770,7 +1729,6 @@ mod tests {
             boards: vec![BoardStats::default()],
             stages: StageHistograms::default(),
             overlap_secs: 0.0,
-            requests: Vec::new(),
             stall: StallBreakdown::default(),
             wasted_work_bytes: 0,
             wasted_secs: 0.0,

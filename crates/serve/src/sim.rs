@@ -179,7 +179,8 @@
 //! [`crate::trace`]. The event loop is a thin driver over one run state
 //! (`Run`): one handler per event kind plus a dispatch pass, all of
 //! them narrating through the same two helpers (`Run::span`,
-//! `Run::counter`), which compile out under
+//! `Run::counter`) plus the completion record in `Run::complete`, all
+//! guarded by `enabled()` so they compile out under
 //! [`crate::trace::NullSink`]. The emission sites are:
 //!
 //! - **`Run::dispatch`** — the queue-depth sample after the take; its
@@ -200,7 +201,11 @@
 //! - **`expire`** and **`on_deadline_expired`** — a `Cancelled` span per
 //!   expired or aborted request, then a queue-depth or wasted-work
 //!   sample; **`on_service_done`** samples the wasted-work ledger after
-//!   a late completion.
+//!   a late completion;
+//! - **`Run::complete`** — one [`crate::CompletedRequest`] per
+//!   completion, on time or late, through
+//!   [`crate::trace::TraceSink::complete`]; the report keeps only
+//!   aggregates.
 //!
 //! Sinks are write-only, so tracing cannot perturb the schedule: a run
 //! with any sink produces bit-for-bit the [`crate::trace::NullSink`]
@@ -406,9 +411,6 @@ pub struct ServeConfig {
     pub drift_step_secs: f64,
     /// Minimum predicted relative gain before a reconfiguration is paid.
     pub min_gain: f64,
-    /// Keep a per-request completion log in the report (off by default —
-    /// costs memory proportional to the trace).
-    pub log_requests: bool,
     /// Result-cache policy ([`crate::cache`]): cached subgraph results
     /// are served at lookup cost while fresh (delta-driven invalidation)
     /// and duplicate in-flight requests coalesce. [`CacheKind::Off`]
@@ -571,7 +573,6 @@ impl Default for ServeConfig {
             total_requests: 10_000,
             drift_step_secs: 3_600.0,
             min_gain: 0.10,
-            log_requests: false,
             cache: CacheKind::Off,
             hedge: HedgeKind::Off,
         }
@@ -1179,7 +1180,8 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
     }
 
     /// Tallies one of `tenant`'s completions into the report and the
-    /// latency predictor, returning its outcome.
+    /// latency predictor, narrates it to the sink, and returns its
+    /// outcome.
     fn complete(
         &mut self,
         tenant: usize,
@@ -1222,8 +1224,8 @@ impl<'a, S: TraceSink + ?Sized> Run<'a, S> {
         }
         report.stages.record(&latency);
         report.stall.accumulate(&StallBreakdown::of(&latency));
-        if self.cfg.log_requests {
-            report.requests.push(CompletedRequest {
+        if self.sink.enabled() {
+            self.sink.complete(CompletedRequest {
                 tenant,
                 arrival_secs,
                 latency,

@@ -23,6 +23,10 @@
 //!   depth at every transition, per-board resident DRAM bytes at every
 //!   dispatch, and — with the result cache on — cumulative cache hits at
 //!   every cache-served request.
+//! - **Completions** ([`crate::CompletedRequest`], one per served
+//!   request): tenant, arrival, latency breakdown, bytes moved and
+//!   outcome. The report keeps only aggregates; a sink that wants the
+//!   per-request records overrides [`TraceSink::complete`].
 //!
 //! Spans carry the tenant index and a per-run monotone request id, so a
 //! request's arrival → queue → ingest → preprocess → hand-off chain can
@@ -42,6 +46,8 @@
 
 pub mod chrome;
 pub mod recorder;
+
+use crate::metrics::CompletedRequest;
 
 pub use chrome::ChromeTraceWriter;
 pub use recorder::FlightRecorder;
@@ -182,7 +188,7 @@ pub struct CounterSample {
     pub value: f64,
 }
 
-/// Where the event loop narrates spans and counters to.
+/// Where the event loop narrates spans, counters and completions to.
 ///
 /// Sinks are write-only: nothing an implementation does can change the
 /// simulated schedule (the digest-equivalence invariant — see the
@@ -199,6 +205,10 @@ pub trait TraceSink {
 
     /// Receives one counter sample.
     fn counter(&mut self, sample: CounterSample);
+
+    /// Receives one completed request (on time or late). Ignored unless
+    /// a sink overrides it.
+    fn complete(&mut self, _request: CompletedRequest) {}
 }
 
 /// The zero-cost default sink: reports itself disabled, so the event

@@ -11,8 +11,11 @@ use agnn_serve::pool::{MigratePolicy, PlacementPolicy};
 use agnn_serve::sched::SchedKind;
 use agnn_serve::sim::{simulate, DispatchPolicy, HedgeKind, ServeConfig, TrafficSim};
 use agnn_serve::tenant::{ArrivalProcess, TenantSpec};
-use agnn_serve::trace::{SpanKind, Track};
-use agnn_serve::{ArrivalSource, CacheKind, ChromeTraceWriter, FlightRecorder, StallBreakdown};
+use agnn_serve::trace::{CounterSample, NullSink, Span, SpanKind, TraceSink, Track};
+use agnn_serve::{
+    ArrivalSource, CacheKind, ChromeTraceWriter, CompletedRequest, FlightRecorder, RequestOutcome,
+    StallBreakdown, TrafficReport,
+};
 use proptest::prelude::*;
 
 /// Tenants with offset diurnal peaks: the dominant tenant — and with it
@@ -90,6 +93,48 @@ fn tracing_case(base: ServeConfig, overlap: bool, hedged: bool) -> (Vec<TenantSp
     }
 }
 
+/// A sink that keeps every completed request the run narrates and
+/// forwards its spans and counters to `inner`.
+#[derive(Default)]
+struct Completions<S> {
+    inner: S,
+    log: Vec<CompletedRequest>,
+}
+
+impl<S: TraceSink> TraceSink for Completions<S> {
+    fn span(&mut self, span: Span) {
+        self.inner.span(span);
+    }
+
+    fn counter(&mut self, sample: CounterSample) {
+        self.inner.counter(sample);
+    }
+
+    fn complete(&mut self, request: CompletedRequest) {
+        self.log.push(request);
+    }
+}
+
+/// Runs `tenants` under `cfg` and returns the report with every
+/// completion the run narrated, in completion order.
+fn run_logged(
+    tenants: Vec<TenantSpec>,
+    cfg: ServeConfig,
+) -> (TrafficReport, Vec<CompletedRequest>) {
+    let mut sink = Completions::<NullSink>::default();
+    let report = TrafficSim::new(tenants, cfg).run_traced(&mut sink);
+    (report, sink.log)
+}
+
+/// The cancelled spans on the queue track: one per expired, aborted or
+/// hedged-away request.
+fn queue_cancellations(recorder: &FlightRecorder) -> u64 {
+    recorder
+        .spans()
+        .filter(|s| s.track == Track::Queue && s.kind == SpanKind::Cancelled)
+        .count() as u64
+}
+
 /// Each tenant's offered arrivals in a run of `total` requests (at least
 /// one per tenant), counted apart from the simulator's bookkeeping: a
 /// run primes one arrival per tenant, then draws a tenant's next arrival
@@ -138,12 +183,12 @@ fn backpressure_is_fully_accounted() {
     assert_eq!(report.completed() + report.dropped(), 10_000);
     assert!(report.dropped() > 0, "tiny queue under load must drop");
     assert!(report.queue_depth.max_depth() <= 8);
-    let per_tenant: u64 = report
-        .tenants
-        .iter()
-        .map(|t| t.completed() + t.dropped())
-        .sum();
-    assert_eq!(per_tenant, 10_000, "per-tenant accounting sums to offered");
+    // Each tenant's completions and refusals account for exactly the
+    // arrivals its own stream offered, counted apart from the simulator.
+    let offered = offered_per_tenant(&drift_heavy_tenants(), 17, 10_000);
+    for (t, offered) in report.tenants.iter().zip(offered) {
+        assert_eq!(t.completed() + t.dropped(), offered, "{}", t.name);
+    }
 }
 
 /// With deadlines on, arrivals also end expired in the queue (or
@@ -529,11 +574,11 @@ fn flight_recorder_reproduces_the_golden_digest_while_recording() {
         total_requests: 5_000,
         policy: DispatchPolicy::Fifo,
         placement: PlacementPolicy::LeastLoaded,
-        log_requests: true,
         ..ServeConfig::default()
     };
-    let mut recorder = FlightRecorder::default();
-    let report = TrafficSim::new(drift_heavy_tenants(), cfg).run_traced(&mut recorder);
+    let mut sink = Completions::<FlightRecorder>::default();
+    let report = TrafficSim::new(drift_heavy_tenants(), cfg).run_traced(&mut sink);
+    let recorder = &sink.inner;
     assert_eq!(
         report.trace_digest, 0x0A50_3A29_FBBB_3279,
         "the golden digest must survive tracing bit-for-bit"
@@ -567,16 +612,69 @@ fn flight_recorder_reproduces_the_golden_digest_while_recording() {
         "756 reconfigs stall somewhere"
     );
     assert!(
-        (report.stall.total()
-            - report
-                .requests
-                .iter()
-                .map(|r| r.latency.total())
-                .sum::<f64>())
-        .abs()
+        (report.stall.total() - sink.log.iter().map(|r| r.latency.total()).sum::<f64>()).abs()
             < 1e-6,
         "attribution covers every completed request end to end"
     );
+}
+
+/// Completions are narrated, not kept in the report: on a run with
+/// deadlines, the delta cache and peer rehydration on, a collecting sink
+/// receives exactly one record per completion, split per tenant and into
+/// on-time and late outcomes as the report counts them, while the report
+/// itself renders byte for byte as the untraced run's.
+#[test]
+fn completions_narrate_through_the_sink_without_perturbing_the_report() {
+    let tenants = with_deadline(TenantSpec::taobao_regions(4.0, 900.0), Some(0.3));
+    // Buckets advance every 0.25 s against a near-zero staleness budget,
+    // so entries keep going stale and evicted graphs rehydrate from peers.
+    let cfg = ServeConfig {
+        seed: 4_242,
+        total_requests: 3_000,
+        queue_capacity: 512,
+        boards: 4,
+        migrate: MigratePolicy::PeerRehydrate,
+        drift_step_secs: 0.25,
+        cache: CacheKind::Delta {
+            max_delta_frac: 1e-9,
+        },
+        ..ServeConfig::pipelined()
+    };
+    let mut untraced = simulate(tenants.clone(), cfg);
+    let (mut traced, log) = run_logged(tenants, cfg);
+    assert!(traced.migrations() > 0, "peer rehydration must fire");
+    assert!(traced.cache.hits > 0, "the delta cache must serve hits");
+
+    assert_eq!(log.len() as u64, traced.completed());
+    for (tenant, stats) in traced.tenants.iter().enumerate() {
+        let count = |outcome| {
+            log.iter()
+                .filter(|r| r.tenant == tenant && r.outcome == outcome)
+                .count() as u64
+        };
+        assert_eq!(
+            count(RequestOutcome::Served),
+            stats.outcomes.served,
+            "{}",
+            stats.name
+        );
+        assert_eq!(
+            count(RequestOutcome::ServedLate),
+            stats.outcomes.served_late,
+            "{}",
+            stats.name
+        );
+    }
+    let outcomes = traced.outcomes();
+    assert!(
+        outcomes.served > 0 && outcomes.served_late > 0,
+        "{outcomes:?}"
+    );
+    assert!(log.iter().all(|r| r.latency.total() > 0.0));
+
+    untraced.sim = SimPerf::default();
+    traced.sim = SimPerf::default();
+    assert_eq!(traced.to_json(), untraced.to_json());
 }
 
 #[test]
@@ -726,13 +824,12 @@ proptest! {
                 placement,
                 policy,
                 overlap,
-                log_requests: true,
                 ..ServeConfig::default()
             };
-            simulate(drift_heavy_tenants(), cfg)
+            run_logged(drift_heavy_tenants(), cfg)
         };
-        let serial = mk(false);
-        let pipelined = mk(true);
+        let (serial, serial_log) = mk(false);
+        let (pipelined, pipelined_log) = mk(true);
         prop_assert_eq!(serial.completed() + serial.dropped(), total);
         prop_assert_eq!(pipelined.completed() + pipelined.dropped(), total);
         prop_assert_eq!(serial.dropped(), 0, "queue sized to avoid drops");
@@ -740,13 +837,11 @@ proptest! {
 
         // Identical served multiset: key each request by its arrival
         // (arrival streams are scheduling-independent, so the bits match).
-        let key = |r: &agnn_serve::CompletedRequest| (r.tenant, r.arrival_secs.to_bits());
-        let mut serial_log: Vec<_> = serial.requests.iter().map(
-            |r| (key(r), r.latency.total())
-        ).collect();
-        let mut pipelined_log: Vec<_> = pipelined.requests.iter().map(
-            |r| (key(r), r.latency.total())
-        ).collect();
+        let key = |r: &CompletedRequest| {
+            ((r.tenant, r.arrival_secs.to_bits()), r.latency.total())
+        };
+        let mut serial_log: Vec<_> = serial_log.iter().map(key).collect();
+        let mut pipelined_log: Vec<_> = pipelined_log.iter().map(key).collect();
         serial_log.sort_by_key(|entry| entry.0);
         pipelined_log.sort_by_key(|entry| entry.0);
         prop_assert_eq!(serial_log.len(), pipelined_log.len());
@@ -804,22 +899,21 @@ proptest! {
                 boards,
                 placement,
                 migrate,
-                log_requests: true,
                 ..ServeConfig::pipelined()
             };
-            simulate(TenantSpec::taobao_regions(4.0, 900.0), cfg)
+            run_logged(TenantSpec::taobao_regions(4.0, 900.0), cfg)
         };
-        let off = mk(MigratePolicy::Off);
-        let on = mk(migrate);
+        let (off, off_log) = mk(MigratePolicy::Off);
+        let (on, on_log) = mk(migrate);
         prop_assert_eq!(off.dropped(), 0, "queue sized to avoid drops");
         prop_assert_eq!(on.dropped(), 0);
         prop_assert_eq!(off.completed(), total);
         prop_assert_eq!(on.completed(), total);
 
         // Identical served multiset: arrivals are scheduling-independent.
-        let key = |r: &agnn_serve::CompletedRequest| (r.tenant, r.arrival_secs.to_bits());
-        let mut off_keys: Vec<_> = off.requests.iter().map(key).collect();
-        let mut on_keys: Vec<_> = on.requests.iter().map(key).collect();
+        let key = |r: &CompletedRequest| (r.tenant, r.arrival_secs.to_bits());
+        let mut off_keys: Vec<_> = off_log.iter().map(key).collect();
+        let mut on_keys: Vec<_> = on_log.iter().map(key).collect();
         off_keys.sort_unstable();
         on_keys.sort_unstable();
         prop_assert_eq!(off_keys, on_keys, "same requests served either way");
@@ -828,14 +922,14 @@ proptest! {
         // pool totals on both sides.
         prop_assert_eq!(off.switch_bytes(), 0);
         prop_assert_eq!(off.migrations(), 0);
-        prop_assert!(off.requests.iter().all(|r| r.switch_bytes == 0));
-        for report in [&off, &on] {
-            let host: u64 = report.requests.iter().map(|r| r.host_bytes).sum();
-            let switch: u64 = report.requests.iter().map(|r| r.switch_bytes).sum();
+        prop_assert!(off_log.iter().all(|r| r.switch_bytes == 0));
+        for (report, log) in [(&off, &off_log), (&on, &on_log)] {
+            let host: u64 = log.iter().map(|r| r.host_bytes).sum();
+            let switch: u64 = log.iter().map(|r| r.switch_bytes).sum();
             prop_assert_eq!(host, report.host_upload_bytes(), "host bytes conserve");
             prop_assert_eq!(switch, report.switch_bytes(), "switch bytes conserve");
         }
-        let migrated = on.requests.iter().filter(|r| r.switch_bytes > 0).count() as u64;
+        let migrated = on_log.iter().filter(|r| r.switch_bytes > 0).count() as u64;
         prop_assert_eq!(
             migrated,
             on.migrations(),
@@ -1020,7 +1114,7 @@ proptest! {
         } else {
             (TenantSpec::taobao_regions(4.0, 900.0), true)
         };
-        let report = simulate(
+        let (report, log) = run_logged(
             tenants,
             ServeConfig {
                 seed,
@@ -1032,12 +1126,11 @@ proptest! {
                 migrate,
                 cache,
                 overlap,
-                log_requests: true,
                 ..ServeConfig::reconfig_aware()
             },
         );
         let mut sum = StallBreakdown::default();
-        for r in &report.requests {
+        for r in &log {
             let b = StallBreakdown::of(&r.latency);
             prop_assert!(
                 (b.total() - r.latency.total()).abs() <= 1e-9,
@@ -1389,13 +1482,14 @@ proptest! {
                 placement,
                 policy: DispatchPolicy::ReconfigAware,
                 hedge,
-                log_requests: true,
                 ..ServeConfig::default()
             };
-            simulate(drift_heavy_tenants(), cfg)
+            let mut sink = Completions::<FlightRecorder>::default();
+            let report = TrafficSim::new(drift_heavy_tenants(), cfg).run_traced(&mut sink);
+            (report, sink)
         };
-        let unhedged = mk(HedgeKind::Off);
-        let hedged = mk(HedgeKind::Latency {
+        let (unhedged, unhedged_sink) = mk(HedgeKind::Off);
+        let (hedged, hedged_sink) = mk(HedgeKind::Latency {
             factor: factor_tenths as f64 / 10.0,
         });
         prop_assert_eq!(unhedged.dropped(), 0, "queue sized to avoid drops");
@@ -1410,19 +1504,23 @@ proptest! {
             boards,
             factor_tenths as f64 / 10.0
         );
-        prop_assert_eq!(hedged.requests.len() as u64, total, "one log entry per request");
+        prop_assert_eq!(hedged_sink.log.len() as u64, total, "one completion per request");
         // Identical served multiset: arrivals are scheduling-independent.
-        let key = |r: &agnn_serve::CompletedRequest| (r.tenant, r.arrival_secs.to_bits());
-        let mut unhedged_keys: Vec<_> = unhedged.requests.iter().map(key).collect();
-        let mut hedged_keys: Vec<_> = hedged.requests.iter().map(key).collect();
+        let key = |r: &CompletedRequest| (r.tenant, r.arrival_secs.to_bits());
+        let mut unhedged_keys: Vec<_> = unhedged_sink.log.iter().map(key).collect();
+        let mut hedged_keys: Vec<_> = hedged_sink.log.iter().map(key).collect();
         unhedged_keys.sort_unstable();
         hedged_keys.sort_unstable();
         prop_assert_eq!(unhedged_keys, hedged_keys, "same requests served either way");
-        // Every hedge cancelled exactly one leg; the winner completed.
+        // Every launched hedge cancelled exactly one leg; the winner
+        // completed. No deadline and no cache: each queue-track
+        // cancellation narrated is one hedge race.
         let outcomes = hedged.outcomes();
         prop_assert_eq!(outcomes.arrival_terminal(), total);
-        prop_assert_eq!(outcomes.hedge_loser, hedged.hedges());
+        prop_assert_eq!(hedged_sink.inner.dropped_spans(), 0, "ring sized for the run");
+        prop_assert_eq!(outcomes.hedge_loser, queue_cancellations(&hedged_sink.inner));
         prop_assert_eq!(unhedged.hedges(), 0);
+        prop_assert_eq!(queue_cancellations(&unhedged_sink.inner), 0);
         // No deadline anywhere: hedging alone never writes a late split.
         prop_assert_eq!(outcomes.served, total);
     }
@@ -1541,10 +1639,9 @@ fn deadline_enforcement_beats_oblivious_serving_on_the_bursty_trace() {
         boards: 2,
         policy: DispatchPolicy::ReconfigAware,
         hedge,
-        log_requests: true,
         ..ServeConfig::default()
     };
-    let oblivious = simulate(tenants(false), config(HedgeKind::Off));
+    let (oblivious, oblivious_log) = run_logged(tenants(false), config(HedgeKind::Off));
     let enforced = simulate(tenants(true), config(HedgeKind::latency()));
 
     // Both runs face the same 6 000 arrivals; enforcement re-partitions
@@ -1586,15 +1683,11 @@ fn deadline_enforcement_beats_oblivious_serving_on_the_bursty_trace() {
     // for a client that had already given up. Enforcement's ledger (late
     // serves + aborts + hedge losers) must come in under that silent
     // burn, in board-seconds and in bytes.
-    let dead_victims = |report: &agnn_serve::TrafficReport| {
-        report
-            .requests
-            .iter()
-            .filter(|r| r.tenant < 2 && r.latency.total() > deadline)
-            .map(|r| (r.latency.board_secs(), r.host_bytes + r.switch_bytes))
-            .fold((0.0_f64, 0_u64), |(s, b), (ds, db)| (s + ds, b + db))
-    };
-    let (oblivious_dead_secs, oblivious_dead_bytes) = dead_victims(&oblivious);
+    let (oblivious_dead_secs, oblivious_dead_bytes) = oblivious_log
+        .iter()
+        .filter(|r| r.tenant < 2 && r.latency.total() > deadline)
+        .map(|r| (r.latency.board_secs(), r.host_bytes + r.switch_bytes))
+        .fold((0.0_f64, 0_u64), |(s, b), (ds, db)| (s + ds, b + db));
     assert!(
         oblivious_dead_secs > 10.0,
         "the oblivious run must burn real board time on dead victim \
@@ -1650,10 +1743,12 @@ fn hedged_dispatch_cuts_the_tail_of_an_affinity_stalled_tenant() {
             hedge,
             ..ServeConfig::default()
         };
-        simulate(tenants(), cfg)
+        let mut recorder = FlightRecorder::default();
+        let report = TrafficSim::new(tenants(), cfg).run_traced(&mut recorder);
+        (report, recorder)
     };
-    let unhedged = mk(HedgeKind::Off);
-    let hedged = mk(HedgeKind::Latency { factor: 0.5 });
+    let (unhedged, _) = mk(HedgeKind::Off);
+    let (hedged, recorder) = mk(HedgeKind::Latency { factor: 0.5 });
     assert_eq!(unhedged.completed(), total);
     assert_eq!(hedged.completed(), total, "hedging loses no request");
     assert_eq!(hedged.outcomes().arrival_terminal(), total);
@@ -1662,9 +1757,12 @@ fn hedged_dispatch_cuts_the_tail_of_an_affinity_stalled_tenant() {
         "affinity stalls must trigger real hedging, got {}",
         hedged.hedges()
     );
+    // No deadline and no cache: each queue-track cancellation narrated
+    // is one hedge race, and each race cancels exactly one loser leg.
+    assert_eq!(recorder.dropped_spans(), 0, "default ring holds a 4k run");
     assert_eq!(
         hedged.outcomes().hedge_loser,
-        hedged.hedges(),
+        queue_cancellations(&recorder),
         "every hedge cancels exactly one loser leg"
     );
     let unhedged_p99 = unhedged.tenants[0].latency.quantile(0.99);
@@ -1680,7 +1778,7 @@ fn hedged_dispatch_cuts_the_tail_of_an_affinity_stalled_tenant() {
     assert_eq!(unhedged.hedges(), 0);
     assert_eq!(unhedged.wasted_secs, 0.0, "no hedging, no waste");
     // Determinism through the hedge event plumbing.
-    let again = mk(HedgeKind::Latency { factor: 0.5 });
+    let (again, _) = mk(HedgeKind::Latency { factor: 0.5 });
     assert_eq!(again.trace_digest, hedged.trace_digest);
     assert_eq!(again, hedged);
 }
